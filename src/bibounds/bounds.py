@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import ClassSpec, MindaTarget
-from .solver import PairSpec, elimination_denominator, sigma_tilde
+from .solver import PairSpec, sigma_tilde
 
 THEOREM_TAGS = ("PP", "PM", "PL", "MM", "ML", "LL")
 
@@ -280,12 +280,9 @@ def printed_a3_bound(tag, alpha, beta, B1, B2, D1, D2):
 # generic bounds from the unified elimination
 
 def _generic_a2_sq(pair: PairSpec):
-    den = elimination_denominator(pair)
-    if den == 0:
-        return None
-    tf = pair.triple_f()
-    tg = pair.triple_g_inverse()
-    return (tg.q * pair.phi.B1 + tf.q * pair.psi.B1) / abs(den)
+    # |a2^2| <= 2 |g2| + 2 |d2| over |c2|, |b2| <= 2.
+    k = pair.exact_constants
+    return None if k.g2 is None else 2 * (abs(k.g2) + abs(k.d2))
 
 
 def generic_a2_bound(pair: PairSpec):
@@ -298,19 +295,13 @@ def generic_a2_bound(pair: PairSpec):
 
 
 def _generic_a3_value(pair: PairSpec):
-    st = sigma_tilde(pair)
-    if st == 0:
+    # |a3| <= |gx| sup|X| + |gy| sup|Y| over |c1|, |c2|, |b2| <= 2.
+    k = pair.exact_constants
+    if k.gx is None:
         return None
-    tf = pair.triple_f()
-    tg = pair.triple_g_inverse()
-    B1, B2 = pair.phi.B1, pair.phi.B2
-    D1, D2 = pair.psi.B1, pair.psi.B2
-    rhs = (
-        tg.r * (B1 + abs(B2 - B1))
-        + tf.r * D1
-        + tf.r * tg.p**2 * B1**2 * abs(D2 - D1) / (tf.p**2 * D1**2)
-    )
-    return rhs / abs(st)
+    sup_x = pair.phi.B1 + abs(pair.phi.B2 - pair.phi.B1)
+    sup_y = pair.psi.B1 + k.kappa**2 * abs(pair.psi.B2 - pair.psi.B1)
+    return abs(k.gx) * sup_x + abs(k.gy) * sup_y
 
 
 def generic_a3_bound(pair: PairSpec):

@@ -265,7 +265,7 @@ def subordinate_compose(
     target: MindaTarget, p_series: TruncatedSeries
 ) -> TruncatedSeries:
     """Compose the target with the disk transform (p-1)/(p+1) of p."""
-    if p_series.coeffs[0] != p_series._one():
+    if not p_series.has_unit_constant():
         raise ValueError("subordination transform needs constant term 1")
     u = (p_series - 1) / (p_series + 1)
     return target.series(p_series.order, p_series.mode).compose(u)

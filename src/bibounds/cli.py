@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 usage error, 2 degenerate bound (the report is
 still printed), 3 verification failure.
 
 A flat ``key=value`` config file may supply defaults (``order``,
-``radial_steps``, ``phase_steps``, ``seed``, ``samples``, ``tolerance``);
-point to it with ``--config`` or the ``BIBOUNDS_CONFIG`` environment
-variable.  Command-line flags win over the file.
+``radial_steps``, ``phase_steps``, ``seed``, ``samples``, ``tolerance``;
+only ``verify`` reads ``seed``); point to it with ``--config`` or the
+``BIBOUNDS_CONFIG`` environment variable.  Command-line flags win over the
+file.
 """
 
 from __future__ import annotations
@@ -227,7 +228,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--order", type=int)
     p_sweep.add_argument("--radial-steps", dest="radial_steps", type=int)
     p_sweep.add_argument("--phase-steps", dest="phase_steps", type=int)
-    p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--format", **common_format)
 
     p_expand = sub.add_parser("expand", help="order-2 functional expansion")
@@ -410,14 +410,11 @@ def _cmd_sweep(args, config, out):
     cfg = _harness.SweepConfig(
         radial_steps=_setting(args, config, "radial_steps", 9),
         phase_steps=_setting(args, config, "phase_steps", 16),
-        seed=_setting(args, config, "seed", 0),
     )
     try:
         pair = _bounds.theorem_pair(args.pair, args.alpha, args.beta, phi, psi)
         sweep = _harness.sweep_a2 if args.what == "a2" else _harness.sweep_a3
         result = sweep(pair, cfg)
-    except _harness.DegeneratePairError as exc:
-        raise UsageError(str(exc)) from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     payload = {
@@ -431,7 +428,6 @@ def _cmd_sweep(args, config, out):
         "config": {
             "radial_steps": cfg.radial_steps,
             "phase_steps": cfg.phase_steps,
-            "seed": cfg.seed,
         },
     }
     fmt = _setting(args, config, "format", "json")

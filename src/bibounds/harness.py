@@ -1,7 +1,7 @@
 """Extremal sweeps and end-to-end consistency checks.
 
 The sweeps maximize the closed-form |a2| and |a3| of
-:func:`bibounds.solver.eliminate` over the relaxed coefficient region
+:func:`bibounds.solver.closed_forms` over the relaxed coefficient region
 (independent moduli |c1|, |c2|, |b2| <= 2, with b1 linked).  That region is
 what the bound derivations actually use, so the |a2| sweep attains its bound
 at the aligned corner c2 = b2 = 2 whenever B2 = B1 and D2 = D1; the |a3|
@@ -41,6 +41,7 @@ from .classes import (
     MindaTarget,
     SchlichtCoeffs,
     SchwarzParams,
+    _within_disk,
     expansion_f,
     expansion_g,
     functional,
@@ -51,10 +52,12 @@ from .classes import (
 )
 from .solver import (
     PairSpec,
+    closed_forms,
     consistency_residual,
     eliminate,
     elimination_denominator,
     implied_b2,
+    inverse_residual,
     linked_b1,
     sigma_tilde,
     solve_forward,
@@ -78,16 +81,12 @@ class SweepConfig:
 
     radial_steps: int = 9
     phase_steps: int = 16
-    seed: int = 0
-    sample_count: int = 10_000
 
     def __post_init__(self):
         if self.radial_steps < 2:
             raise ValueError("need at least 2 radial steps")
         if self.phase_steps < 4:
             raise ValueError("need at least 4 phase steps")
-        if self.sample_count < 0:
-            raise ValueError("sample count must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -119,12 +118,6 @@ def _complex_pair(value):
     return [z.real, z.imag]
 
 
-def _pair_data(pair: PairSpec):
-    tf = pair.triple_f()
-    tg = pair.triple_g_inverse()
-    return tf, tg, pair.phi.B1, pair.phi.B2, pair.psi.B1, pair.psi.B2
-
-
 def _phase_ring(cfg: SweepConfig):
     phases = np.linspace(0.0, 2.0 * math.pi, cfg.phase_steps, endpoint=False)
     return np.exp(1j * phases)
@@ -152,24 +145,17 @@ def sweep_a2(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     a2^2 is affine in c2 and b2 and independent of c1, so the aligned corner
     c2 = b2 = 2 is the analytic maximum; the grid pass is a safety net.
     """
-    tf, tg, B1, B2, D1, D2 = _pair_data(pair)
-    den = elimination_denominator(pair)
-    st = sigma_tilde(pair)
-    if den == 0 or st == 0:
+    if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
         raise DegeneratePairError("a2 sweep needs a non-degenerate pairing")
     bound = _bounds.generic_a2_bound(pair)
 
-    corner_sq = abs((tg.q * B1 + tf.q * D1) / den)  # exact corner value
-    best = math.sqrt(float(corner_sq))
+    corner_sq = closed_forms(pair, 0, 2, 2).a2_squared  # exact
+    best = math.sqrt(float(abs(corner_sq)))
     best_params = SchwarzParams(0.0, 2.0, 2.0)
 
-    qg_b1 = float(tg.q * B1)
-    qf_d1 = float(tf.q * D1)
-    den_f = abs(float(den))
     grid = _disk_grid(cfg)
-    values = np.sqrt(
-        np.abs(qg_b1 * grid[:, None] + qf_d1 * grid[None, :]) / (2.0 * den_f)
-    )
+    forms = closed_forms(pair, 0.0, grid[:, None], grid[None, :])
+    values = np.sqrt(np.abs(forms.a2_squared))
     idx = int(np.argmax(values))
     grid_best = float(values.flat[idx])
     if grid_best > best:
@@ -189,34 +175,23 @@ def sweep_a3(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     of the bound is not asserted (the triangle inequality in the bound need
     not be tight when the two second-coefficient gaps pull apart).
     """
-    tf, tg, B1, B2, D1, D2 = _pair_data(pair)
-    st = sigma_tilde(pair)
-    if st == 0:
+    if sigma_tilde(pair) == 0:
         raise DegeneratePairError("a3 sweep needs a nonzero determinant")
     bound = _bounds.generic_a3_bound(pair)
 
-    kappa = tg.p * B1 / (tf.p * D1)
-    fixed = tg.r * (B2 - B1) + tf.r * kappa * kappa * (D2 - D1)
-    analytic = (abs(fixed) + tg.r * B1 + tf.r * D1) / abs(st)  # exact
+    # Exact corners c1 = 2, c2 = b2 = +-2; the larger one is the maximum.
+    analytic, sign = max(
+        (abs(closed_forms(pair, 2, 2 * s, 2 * s).a3), s) for s in (1, -1)
+    )
     best = float(analytic)
-    sign = 1.0 if fixed >= 0 else -1.0
     best_params = SchwarzParams(2.0, 2.0 * sign, 2.0 * sign)
 
-    st_f = abs(float(st))
-    rg_b1 = float(tg.r * B1)
-    rf_d1 = float(tf.r * D1)
-    fixed_f = float(fixed)
     ring = 2.0 * _phase_ring(cfg)
     c1_grid = _disk_grid(cfg)
-    f_term = 0.25 * fixed_f * c1_grid**2
-    values = (
-        np.abs(
-            f_term[:, None, None]
-            + 0.5 * rg_b1 * ring[None, :, None]
-            + 0.5 * rf_d1 * ring[None, None, :]
-        )
-        / st_f
+    forms = closed_forms(
+        pair, c1_grid[:, None, None], ring[None, :, None], ring[None, None, :]
     )
+    values = np.abs(forms.a3)
     idx = int(np.argmax(values))
     grid_best = float(values.flat[idx])
     if grid_best > best:
@@ -258,21 +233,12 @@ def check_bounds_random(
     pushing the observed ratios toward 1.  Raises
     :class:`BoundViolationError` past bound * (1 + 1e-9).
     """
-    den = elimination_denominator(pair)
-    st = sigma_tilde(pair)
-    if den == 0 or st == 0:
+    if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
         raise DegeneratePairError("random check needs a non-degenerate pairing")
-    if n == 0:
-        return RandomCheckReport(
-            0,
-            _bounds.generic_a2_bound(pair),
-            _bounds.generic_a3_bound(pair),
-            0.0,
-            0.0,
-        )
-    tf, tg, B1, B2, D1, D2 = _pair_data(pair)
     a2_bound = _bounds.generic_a2_bound(pair)
     a3_bound = _bounds.generic_a3_bound(pair)
+    if n == 0:
+        return RandomCheckReport(0, a2_bound, a3_bound, 0.0, 0.0)
 
     rng = np.random.default_rng(seed)
 
@@ -282,19 +248,9 @@ def check_bounds_random(
             radii = np.where(rng.random(n) < corner_bias, 2.0, radii)
         return radii * np.exp(2j * math.pi * rng.random(n))
 
-    c1, c2, b2 = draw(), draw(), draw()
-    kappa = float(tg.p * B1 / (tf.p * D1))
-    b1 = -kappa * c1
-    a2_vals = np.sqrt(
-        np.abs(float(tg.q * B1) * c2 + float(tf.q * D1) * b2)
-        / (2.0 * abs(float(den)))
-    )
-    x = float(B1) * c2 / 2 + float(B2 - B1) * c1**2 / 4
-    y = float(D1) * b2 / 2 + float(D2 - D1) * b1**2 / 4
-    a3_vals = np.abs(float(tg.r) * x + float(tf.r) * y) / abs(float(st))
-
-    max_a2 = float(a2_vals.max())
-    max_a3 = float(a3_vals.max())
+    forms = closed_forms(pair, draw(), draw(), draw())
+    max_a2 = math.sqrt(float(np.abs(forms.a2_squared).max()))
+    max_a3 = float(np.abs(forms.a3).max())
     if max_a2 > a2_bound * (1 + ATTAIN_TOL) + ATTAIN_TOL:
         raise BoundViolationError(f"|a2| sample {max_a2} exceeds bound {a2_bound}")
     if max_a3 > a3_bound * (1 + ATTAIN_TOL) + ATTAIN_TOL:
@@ -315,12 +271,6 @@ class EndToEndReport:
     residual: object
     subordination_plausible: bool
     degenerate: bool
-
-
-def _within_two(value) -> bool:
-    if isinstance(value, QComplex):
-        return value.abs2() <= 4
-    return abs(complex(value)) <= 2 + ATTAIN_TOL
 
 
 def end_to_end(
@@ -353,31 +303,18 @@ def end_to_end(
     b1 = 2 * e1 / D1
     b2 = b1 * b1 / 2 + (e2 - D2 * b1 * b1 / 4) * 2 / D1
 
-    b1_link = linked_b1(pair, c1)
-    exact = mode == EXACT
-    b1_ok = b1 == b1_link if exact else approx_equal(b1, b1_link)
+    b1_ok = _agree_scalar(b1, linked_b1(pair, c1), mode)
 
-    tf, tg, B1, B2, _, _ = _pair_data(pair)
-    den = elimination_denominator(pair)
-    st = sigma_tilde(pair)
-    degenerate = den == 0 or st == 0
+    # The extracted b1, not the linkage value, goes into Y.
+    forms = closed_forms(pair, c1, c2, b2, b1=b1)
+    degenerate = forms.a2_squared is None or forms.a3 is None
     closed_match = False
     residual = None
     if not degenerate:
-        a2_sq = (tg.q * B1 * c2 + tf.q * D1 * b2) / (2 * den)
-        x = B1 * c2 / 2 + (B2 - B1) * c1 * c1 / 4
-        y = D1 * b2 / 2 + (D2 - D1) * b1 * b1 / 4
-        a3_closed = (tg.r * x + tf.r * y) / st
-        res_value = tg.r * a2_sq - tg.q * a3_closed - y
-        if exact:
-            residual = 0.0 if not res_value else math.sqrt(float(res_value.abs2()))
-            closed_match = a2_sq == a2 * a2 and a3_closed == a3
-        else:
-            residual = abs(complex(res_value))
-            closed_match = approx_equal(a2_sq, a2 * a2) and approx_equal(
-                a3_closed, a3
-            )
-    plausible = _within_two(b1) and _within_two(b2)
+        residual = inverse_residual(pair, forms.a2_squared, forms.a3, forms.y)
+        a2_ok = _agree_scalar(forms.a2_squared, a2 * a2, mode)
+        closed_match = a2_ok and _agree_scalar(forms.a3, a3, mode)
+    plausible = _within_disk(b1) and _within_disk(b2)
     return EndToEndReport(
         a2=a2,
         a3=a3,
@@ -644,7 +581,7 @@ def _check_consistency_chain(rng, mode, samples):
             c1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
             c2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         b2 = implied_b2(pair, c1, c2)
-        if not _within_two(b2):
+        if not _within_disk(b2):
             continue
         made += 1
         sp = SchwarzParams(c1, c2, b2)

@@ -266,6 +266,16 @@ class TruncatedSeries:
     def constant_term(self):
         return self.coeffs[0]
 
+    def has_unit_constant(self) -> bool:
+        """Constant term 1: exactly in exact mode, to approx_equal in float mode.
+
+        A float convex combination of unit-constant series sums its weights
+        to 1 only up to roundoff, so float mode cannot demand exactly 1.0.
+        """
+        if self.mode == EXACT:
+            return self.coeffs[0] == self._one()
+        return approx_equal(self.coeffs[0], 1.0)
+
     def truncated(self, order):
         if order >= self.order:
             return self

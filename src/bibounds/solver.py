@@ -12,26 +12,35 @@ the classG inverse triple (so r' = 2 q' - r_G already):
               r' a2^2 - q' a3 = Y
 
 where X = B1 c2 / 2 + (B2 - B1) c1^2 / 4 and Y is its mirror with D and b.
-This module computes the standard eliminations:
+Eliminating a3 and c1^2 leaves closed forms linear in the free data:
 
-* ``linked_b1``    b1 = -(p' B1)/(p D1) c1  (first equations combined)
-* ``sigma_tilde``  q r' - q' r, the a3 elimination determinant
-* ``eliminate``    the closed forms
-      a2^2 = (q' B1 c2 + q D1 b2) / (2 DEN),
-      DEN  = sigma_tilde - q' p^2 (B2-B1)/B1^2 - q p'^2 (D2-D1)/D1^2,
-      a3   = (r' X + r Y) / sigma_tilde,
-  i.e. with c1^2 eliminated from the a2^2 equation through the f-side linear
-  relation, exactly the shape the bound derivations use.
+    b1   = -kappa c1,       kappa = p' B1 / (p D1)
+    a2^2 = g2 c2 + d2 b2,   g2 = q' B1 / (2 DEN),  d2 = q D1 / (2 DEN)
+    a3   = gx X + gy Y,     gx = r' / sigma_tilde, gy = r / sigma_tilde
 
-Vanishing DEN or sigma_tilde marks the result degenerate; that is data, not
-an error, so parameter sweeps can pass through such points.
+with sigma_tilde = q r' - q' r, the a3 elimination determinant, and
+DEN = sigma_tilde - q' p^2 (B2-B1)/B1^2 - q p'^2 (D2-D1)/D1^2.
+
+:func:`closed_forms` is the one kernel that evaluates (X, Y, a2^2, a3); the
+rest of this module, the harness sweeps and checks, and the generic bounds
+build on it or on its constants.  QComplex, Fraction and int inputs use the
+exact constants; complex, float and ndarray inputs use float copies, so no
+Fraction ever multiplies an ndarray.  A :class:`PairSpec` computes its two
+triples when built, the exact constants on first use and the float copies
+on first float use, all outside its dataclass fields.
+
+Vanishing DEN or sigma_tilde marks the result degenerate (the coefficients
+divided by it are None); that is data, not an error, so parameter sweeps
+can pass through such points.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .series import QComplex, TruncatedSeries
 from .classes import (
@@ -43,6 +52,18 @@ from .classes import (
     triple,
 )
 
+_EXACT_TYPES = (QComplex, Fraction, int)
+
+
+# Constants of the closed forms in one scalar tower: X = half_b1 c2 +
+# quarter_db c1^2, Y = half_d1 b2 + quarter_dd b1^2; g2, d2 are None when
+# DEN vanishes and gx, gy when sigma_tilde does.
+ClosedFormConstants = namedtuple(
+    "ClosedFormConstants",
+    "kappa half_b1 quarter_db half_d1 quarter_dd denominator g2 d2 gx gy",
+)
+ClosedForms = namedtuple("ClosedForms", "x y a2_squared a3")
+
 
 @dataclass(frozen=True)
 class PairSpec:
@@ -53,14 +74,50 @@ class PairSpec:
     class_g: ClassSpec
     psi: MindaTarget
 
+    def __post_init__(self):
+        object.__setattr__(self, "_triple_f", triple(self.class_f))
+        object.__setattr__(
+            self, "_triple_g", inverse_triple(triple(self.class_g))
+        )
+
     def triple_f(self) -> ClassTriple:
-        return triple(self.class_f)
+        return self._triple_f
 
     def triple_g_inverse(self) -> ClassTriple:
-        return inverse_triple(triple(self.class_g))
+        return self._triple_g
 
     def swapped(self) -> "PairSpec":
         return PairSpec(self.class_g, self.psi, self.class_f, self.phi)
+
+    @cached_property
+    def exact_constants(self) -> ClosedFormConstants:
+        tf, tg = self._triple_f, self._triple_g
+        B1, B2 = self.phi.B1, self.phi.B2
+        D1, D2 = self.psi.B1, self.psi.B2
+        st = sigma_tilde(self)
+        den = (
+            st
+            - tg.q * tf.p * tf.p * (B2 - B1) / (B1 * B1)
+            - tf.q * tg.p * tg.p * (D2 - D1) / (D1 * D1)
+        )
+        g2 = d2 = gx = gy = None
+        if den != 0:
+            g2 = tg.q * B1 / (2 * den)
+            d2 = tf.q * D1 / (2 * den)
+        if st != 0:
+            gx = tg.r / st
+            gy = tf.r / st
+        return ClosedFormConstants(
+            tg.p * B1 / (tf.p * D1),
+            B1 / 2, (B2 - B1) / 4, D1 / 2, (D2 - D1) / 4,
+            den, g2, d2, gx, gy,
+        )
+
+    @cached_property
+    def float_constants(self) -> ClosedFormConstants:
+        return ClosedFormConstants._make(
+            None if v is None else float(v) for v in self.exact_constants
+        )
 
 
 @dataclass(frozen=True)
@@ -76,77 +133,75 @@ class EliminationResult:
     degenerate: bool
 
 
+def _constants(pair: PairSpec, *values) -> ClosedFormConstants:
+    if all(isinstance(v, _EXACT_TYPES) for v in values):
+        return pair.exact_constants
+    return pair.float_constants
+
+
+def closed_forms(pair: PairSpec, c1, c2, b2, b1=None) -> ClosedForms:
+    """Evaluate X, Y, a2^2 and a3 at scalars or broadcastable ndarrays.
+
+    b1 defaults to the linkage value -kappa c1; a caller that extracted b1
+    independently passes it so the linkage stays a separate check.
+    """
+    k = _constants(pair, c1, c2, b2)
+    if b1 is None:
+        b1 = -k.kappa * c1
+    x = k.half_b1 * c2 + k.quarter_db * c1 * c1
+    y = k.half_d1 * b2 + k.quarter_dd * b1 * b1
+    a2_squared = None if k.g2 is None else k.g2 * c2 + k.d2 * b2
+    a3 = None if k.gx is None else k.gx * x + k.gy * y
+    return ClosedForms(x, y, a2_squared, a3)
+
+
 def linked_b1(pair: PairSpec, c1):
     """b1 implied by the two linear coefficient equations."""
-    tf = pair.triple_f()
-    tg = pair.triple_g_inverse()
-    return -(tg.p * pair.phi.B1) / (tf.p * pair.psi.B1) * c1
+    return -_constants(pair, c1).kappa * c1
 
 
 def sigma_tilde(pair: PairSpec) -> Fraction:
     """The a3-elimination determinant q r' - q' r; symmetric under swapping."""
-    tf = pair.triple_f()
-    tg = pair.triple_g_inverse()
+    tf, tg = pair.triple_f(), pair.triple_g_inverse()
     return tf.q * tg.r - tg.q * tf.r
 
 
 def elimination_denominator(pair: PairSpec) -> Fraction:
     """DEN: sigma_tilde corrected by the second target coefficients."""
-    tf = pair.triple_f()
-    tg = pair.triple_g_inverse()
-    B1, B2 = pair.phi.B1, pair.phi.B2
-    D1, D2 = pair.psi.B1, pair.psi.B2
-    return (
-        sigma_tilde(pair)
-        - tg.q * tf.p * tf.p * (B2 - B1) / (B1 * B1)
-        - tf.q * tg.p * tg.p * (D2 - D1) / (D1 * D1)
-    )
+    return pair.exact_constants.denominator
 
 
 def rhs_pair(pair: PairSpec, sp: SchwarzParams):
-    """Order-2 right sides (X, Y) of the two subordination expansions.
-
-    X = B1 c2 / 2 + (B2 - B1) c1^2 / 4, and Y mirrors it with the psi
-    coefficients and b2, b1 (b1 taken from the linkage).
-    """
-    B1, B2 = pair.phi.B1, pair.phi.B2
-    D1, D2 = pair.psi.B1, pair.psi.B2
-    b1 = linked_b1(pair, sp.c1)
-    x = B1 * sp.c2 / 2 + (B2 - B1) * sp.c1 * sp.c1 / 4
-    y = D1 * sp.b2 / 2 + (D2 - D1) * b1 * b1 / 4
-    return x, y
+    """Order-2 right sides (X, Y); Y takes b1 from the linkage."""
+    forms = closed_forms(pair, sp.c1, sp.c2, sp.b2)
+    return forms.x, forms.y
 
 
 def eliminate(pair: PairSpec, sp: SchwarzParams) -> EliminationResult:
     """Solve the four coefficient equations in closed form.
 
-    The a2^2 value is the c1-free display (numerator affine in c2 and b2);
-    the a3 value keeps the drawn c1 through X and Y.  Both specialize to the
+    The a2^2 value is the c1-free display (affine in c2 and b2); the a3
+    value keeps the drawn c1 through X and Y.  Both specialize to the
     per-pairing displays once the B1^2 D1^2 normalization is cleared.
     """
-    tf = pair.triple_f()
-    tg = pair.triple_g_inverse()
-    B1 = pair.phi.B1
-    D1 = pair.psi.B1
+    forms = closed_forms(pair, sp.c1, sp.c2, sp.b2)
     st = sigma_tilde(pair)
     den = elimination_denominator(pair)
-    x, y = rhs_pair(pair, sp)
-    degenerate = st == 0 or den == 0
-    a2_squared = None
-    a3 = None
-    if den != 0:
-        a2_squared = (tg.q * B1 * sp.c2 + tf.q * D1 * sp.b2) / (2 * den)
-    if st != 0:
-        a3 = (tg.r * x + tf.r * y) / st
     return EliminationResult(
-        a2_squared=a2_squared,
-        a3=a3,
-        rhs_f=x,
-        rhs_g=y,
+        a2_squared=forms.a2_squared,
+        a3=forms.a3,
+        rhs_f=forms.x,
+        rhs_g=forms.y,
         sigma_tilde=st,
         denominator=den,
-        degenerate=degenerate,
+        degenerate=st == 0 or den == 0,
     )
+
+
+def _forward(t: ClassTriple, B1, c1, x):
+    # The f-side equations p a2 = B1 c1 / 2 and q a3 - r a2^2 = X.
+    a2 = B1 * c1 / (2 * t.p)
+    return a2, (x + t.r * a2 * a2) / t.q
 
 
 def solve_forward(spec: ClassSpec, target: MindaTarget, p_series: TruncatedSeries):
@@ -154,16 +209,13 @@ def solve_forward(spec: ClassSpec, target: MindaTarget, p_series: TruncatedSerie
 
     Returns (a2, a3) for the transform coefficients c1 = p[1], c2 = p[2].
     """
-    if p_series.coeffs[0] != p_series._one():
+    if not p_series.has_unit_constant():
         raise ValueError("forward solve needs a transform with constant term 1")
-    t = triple(spec)
     B1, B2 = target.B1, target.B2
     c1 = p_series.coeffs[1]
     c2 = p_series.coeffs[2]
-    a2 = B1 * c1 / (2 * t.p)
     x = B1 * c2 / 2 + (B2 - B1) * c1 * c1 / 4
-    a3 = (x + t.r * a2 * a2) / t.q
-    return a2, a3
+    return _forward(triple(spec), B1, c1, x)
 
 
 def _magnitude(value) -> float:
@@ -172,6 +224,12 @@ def _magnitude(value) -> float:
             return 0.0
         return math.sqrt(float(value.abs2()))
     return abs(complex(value))
+
+
+def inverse_residual(pair: PairSpec, a2_squared, a3, y) -> float:
+    """Magnitude of r' a2^2 - q' a3 - Y, the inverse-side equation's miss."""
+    tg = pair.triple_g_inverse()
+    return _magnitude(tg.r * a2_squared - tg.q * a3 - y)
 
 
 def consistency_residual(
@@ -185,10 +243,8 @@ def consistency_residual(
     """
     if result.degenerate:
         raise ValueError("residual is undefined for a degenerate elimination")
-    tg = pair.triple_g_inverse()
     _, y = rhs_pair(pair, sp)
-    residual = tg.r * result.a2_squared - tg.q * result.a3 - y
-    return _magnitude(residual)
+    return inverse_residual(pair, result.a2_squared, result.a3, y)
 
 
 def implied_b2(pair: PairSpec, c1, c2):
@@ -197,13 +253,9 @@ def implied_b2(pair: PairSpec, c1, c2):
     Together with (c1, c2) this yields Schwarz data on which every closed
     form of this module agrees with the forward solution.
     """
-    tf = pair.triple_f()
+    x, y_at_zero, _, _ = closed_forms(pair, c1, c2, 0)
+    a2, a3 = _forward(pair.triple_f(), pair.phi.B1, c1, x)
     tg = pair.triple_g_inverse()
-    B1, B2 = pair.phi.B1, pair.phi.B2
-    D1, D2 = pair.psi.B1, pair.psi.B2
-    a2 = B1 * c1 / (2 * tf.p)
-    x = B1 * c2 / 2 + (B2 - B1) * c1 * c1 / 4
-    a3 = (x + tf.r * a2 * a2) / tf.q
-    b1 = -(tg.p * B1) / (tf.p * D1) * c1
     y = tg.r * a2 * a2 - tg.q * a3
-    return (y - (D2 - D1) * b1 * b1 / 4) * 2 / D1
+    # Y is affine in b2 with slope D1 / 2.
+    return (y - y_at_zero) * 2 / pair.psi.B1

@@ -205,9 +205,7 @@ class TestConfigFile:
         config = tmp_path / "env.cfg"
         config.write_text("seed=99\n")
         monkeypatch.setenv(cli.ENV_CONFIG, str(config))
-        code, text = run_cli(
-            ["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0"]
-        )
+        code, text = run_cli(["verify", "--suite", "series", "--samples", "2"])
         assert code == 0
         assert '"seed": 99' in text
 

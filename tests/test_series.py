@@ -213,6 +213,19 @@ class TestPowUnit:
         assert approx_equal(got.coeffs[2], 2 * t * t)
 
 
+class TestUnitConstant:
+    def test_exact_mode_is_exact(self):
+        assert ONE.has_unit_constant()
+        assert not TruncatedSeries.constant(Fraction(10**15 + 1, 10**15)).has_unit_constant()
+
+    def test_float_mode_forgives_roundoff(self):
+        ulp = 2.0 ** -52
+        for constant in (1.0, 1.0 + ulp, 1.0 - ulp / 2):
+            series = TruncatedSeries.constant(constant, order=3, mode=FLOAT)
+            assert series.has_unit_constant()
+        assert not TruncatedSeries.constant(1.001, mode=FLOAT).has_unit_constant()
+
+
 class TestRevert:
     def test_identity(self):
         assert Z.revert().agrees_with(Z)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bibounds import (
@@ -26,6 +27,7 @@ from bibounds import (
     theorem_pair,
 )
 from bibounds.bounds import SIGMA_SCALE, THEOREM_TAGS, derived_sigma
+from bibounds.solver import closed_forms
 from conftest import rand_fraction, rand_qc
 
 CARA = target_preset("caratheodory")
@@ -408,3 +410,84 @@ class TestConsistency:
         result = eliminate(pair, SchwarzParams(0, 0, 0))
         with pytest.raises(ValueError):
             consistency_residual(pair, SchwarzParams(0, 0, 0), result)
+
+
+class TestClosedFormsKernel:
+    @staticmethod
+    def exact_points(rng, count):
+        return [
+            (rand_qc(rng, 1, 2), rand_qc(rng, 1, 2), rand_qc(rng, 1, 2))
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_towers_agree(self, tag, rng):
+        for _ in range(10):
+            pair = rand_pair(rng, tag)
+            points = self.exact_points(rng, 12)
+            exact = [closed_forms(pair, *point) for point in points]
+            scalar = [
+                closed_forms(pair, *(complex(v) for v in point))
+                for point in points
+            ]
+            arrays = [np.array([complex(p[i]) for p in points]) for i in range(3)]
+            grid = closed_forms(pair, *arrays)
+            for field in range(4):
+                if exact[0][field] is None:
+                    assert grid[field] is None
+                    assert all(forms[field] is None for forms in scalar)
+                    continue
+                assert grid[field].dtype == np.complex128
+                want = np.array([complex(forms[field]) for forms in exact])
+                got = np.array([forms[field] for forms in scalar])
+                assert isinstance(got[0], complex)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(grid[field], got, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_matches_eliminate_and_linkage(self, tag, rng):
+        for _ in range(10):
+            pair = rand_pair(rng, tag)
+            c1, c2, b2 = self.exact_points(rng, 1)[0]
+            forms = closed_forms(pair, c1, c2, b2)
+            result = eliminate(pair, SchwarzParams(c1, c2, b2))
+            assert (forms.x, forms.y) == (result.rhs_f, result.rhs_g)
+            assert forms.a2_squared == result.a2_squared
+            assert forms.a3 == result.a3
+            # An explicit b1 replaces the linkage value in Y only.
+            b1 = linked_b1(pair, c1)
+            assert closed_forms(pair, c1, c2, b2, b1=b1) == forms
+            other = closed_forms(pair, c1, c2, b2, b1=b1 + 1)
+            assert other.x == forms.x and other.a2_squared == forms.a2_squared
+            assert other.y != forms.y or pair.psi.B2 == pair.psi.B1
+
+    def test_broadcast_grid_shape(self):
+        pair = theorem_pair("LL", Fraction(1, 2), Fraction(1, 3), CARA, CARA)
+        ring = 2 * np.exp(1j * np.linspace(0, 2 * np.pi, 5, endpoint=False))
+        forms = closed_forms(
+            pair, ring[:, None, None], ring[None, :, None], ring[None, None, :]
+        )
+        assert forms.a3.shape == (5, 5, 5)
+        assert forms.a2_squared.shape == (1, 5, 5)
+        assert forms.a3.dtype == np.complex128
+
+    def test_cached_constants_leave_identity_alone(self, rng):
+        for tag in THEOREM_TAGS:
+            pair = rand_pair(rng, tag)
+            twin = PairSpec(pair.class_f, pair.phi, pair.class_g, pair.psi)
+            before = repr(pair)
+            closed_forms(pair, QComplex(1), QComplex(1), QComplex(1))
+            closed_forms(pair, 1j, 1j, 1j)
+            assert "exact_constants" in vars(pair)
+            assert "float_constants" in vars(pair)
+            assert pair == twin and hash(pair) == hash(twin)
+            assert repr(pair) == before == (
+                f"PairSpec(class_f={pair.class_f!r}, phi={pair.phi!r}, "
+                f"class_g={pair.class_g!r}, psi={pair.psi!r})"
+            )
+            assert pair.swapped() == twin.swapped()
+            assert pair.swapped().swapped() == twin
+
+    def test_accessors_stay_plain_methods(self):
+        for name in ("triple_f", "triple_g_inverse", "swapped"):
+            assert callable(PairSpec.__dict__[name])
