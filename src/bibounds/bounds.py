@@ -305,7 +305,13 @@ def _generic_a3_value(pair: PairSpec):
 
 
 def generic_a3_bound(pair: PairSpec):
-    """Supremum of |a3| over the relaxed coefficient region; None at sigma_tilde = 0."""
+    """Termwise |a3| bound |gx| sup|X| + |gy| sup|Y|; None at sigma_tilde = 0.
+
+    Each of X and Y is bounded over the relaxed coefficient region on its
+    own, so the bound need not be attained: when (B2 - B1) and
+    kappa^2 (D2 - D1) pull in opposite directions the supremum of |a3| can
+    be strictly smaller (see ``sweep_a3``).
+    """
     value = _generic_a3_value(pair)
     return None if value is None else float(value)
 
@@ -369,6 +375,8 @@ def report(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget,
     field instead of contaminating every downstream value.
     """
     tag = TheoremId(tag).tag
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {rel_tol!r}")
     a, b = _f(alpha), _f(beta)
     pair = theorem_pair(tag, a, b, phi, psi)
     B1, B2 = phi.B1, phi.B2

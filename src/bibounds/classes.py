@@ -320,6 +320,14 @@ def sample_caratheodory(
     return acc
 
 
+def rational(text: str) -> Fraction:
+    """Parse a decimal or p/q; a zero denominator is a ValueError too."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def target_preset(key: str, order=DEFAULT_ORDER) -> MindaTarget:
     """Resolve a named target: caratheodory | order:<g> | strong:<g>."""
     name, _, arg = key.partition(":")
@@ -329,12 +337,12 @@ def target_preset(key: str, order=DEFAULT_ORDER) -> MindaTarget:
             raise ValueError("caratheodory takes no parameter")
         return MindaTarget([2] * order)
     if name == "order":
-        gamma = Fraction(arg)
+        gamma = rational(arg)
         if not 0 <= gamma < 1:
             raise ValueError(f"order parameter must lie in [0, 1), got {gamma}")
         return MindaTarget([2 * (1 - gamma)] * order)
     if name == "strong":
-        gamma = Fraction(arg)
+        gamma = rational(arg)
         if not 0 < gamma <= 1:
             raise ValueError(f"strong parameter must lie in (0, 1], got {gamma}")
         base = caratheodory_kernel(1, order=order, mode=EXACT)

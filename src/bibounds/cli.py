@@ -6,6 +6,15 @@ carry nine significant digits, and identical invocations (same seed) produce
 byte-identical bytes.  CSV is available for ``sweep`` and ``audit``; pretty
 output is for humans only.
 
+Each command is a row of ``_COMMANDS``: help text, flag adders, a run
+function ``(args, config) -> (payload, exit_code)``, a pretty renderer and a
+CSV renderer or ``None`` (``--format csv`` is offered only with one).
+:func:`_render` is the one renderer: JSON through :func:`render_json`,
+otherwise the row's renderers, which read only the payload.  ``main`` is the
+one place that turns a ``ValueError`` (from flag parsing or the library's
+own input checks) into a usage error; a ``RuntimeError`` such as a bound
+violation propagates.
+
 Exit codes: 0 success, 1 usage error, 2 degenerate bound (the report is
 still printed), 3 verification failure.
 
@@ -24,18 +33,13 @@ import io
 import json
 import os
 import sys
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Callable
 
 from .series import DEFAULT_ORDER, EXACT, FLOAT
-from .classes import (
-    ClassSpec,
-    MindaTarget,
-    SchlichtCoeffs,
-    expansion_f,
-    functional,
-    target_preset,
-    triple,
-)
+from .classes import (ClassSpec, MindaTarget, SchlichtCoeffs, expansion_f,
+                      functional, rational, target_preset, triple)
 from . import bounds as _bounds
 from . import harness as _harness
 
@@ -46,17 +50,14 @@ EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 EXIT_VERIFY_FAILED = 3
 
-_CONFIG_KEYS = {
-    "order": int,
-    "radial_steps": int,
-    "phase_steps": int,
-    "seed": int,
-    "samples": int,
-    "tolerance": float,
-}
+# The order-2 derivations read series coefficients up to z^3.
+MIN_ORDER = 3
+
+_CONFIG_KEYS = {"order": int, "radial_steps": int, "phase_steps": int,
+                "seed": int, "samples": int, "tolerance": float}
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -67,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ----------------------------------------------------------------------
-# canonical serialization
+# canonical serialization and the one renderer
 
 
 def _canonical(value):
@@ -92,32 +93,42 @@ def render_json(payload: dict) -> str:
     return json.dumps(_canonical(payload), indent=2) + "\n"
 
 
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
 def _fmt(value):
     if value is None:
         return "degenerate"
+    if isinstance(value, bool):
+        return str(value).lower()
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)
 
 
+def _render(command, fmt, payload) -> str:
+    if fmt == "json":
+        return render_json(payload)
+    if fmt == "csv":
+        header, rows = command.csv(payload)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(row[key]) for key in header] for row in rows)
+        return buffer.getvalue()
+    return "".join(line + "\n" for line in command.pretty(payload))
+
+
+def _record(obj, skip=()) -> dict:
+    """A dataclass's fields in declaration order (shallow: no leaf copies)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
+
+def _report_record(rep, skip=()) -> dict:
+    record = _record(rep, skip)
+    record["discrepancies"] = [_record(d) for d in rep.discrepancies]
+    return record
+
+
 # ----------------------------------------------------------------------
 # argument plumbing
-
-
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r}") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -128,295 +139,200 @@ def _load_config(path: str | None) -> dict:
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, raw = line.partition("=")
-                if not sep:
-                    raise UsageError(f"bad config line: {line!r}")
-                key = key.strip()
-                if key not in _CONFIG_KEYS:
-                    raise UsageError(f"unknown config key: {key!r}")
-                values[key] = _CONFIG_KEYS[key](raw.strip())
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, raw = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise UsageError(f"bad config line: {line!r}")
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"unknown config key: {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](raw.strip())
+        except ValueError:
+            raise UsageError(
+                f"bad value for config key {key!r}: {raw.strip()!r}") from None
     return values
 
 
 def _setting(args, config, key, fallback):
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, fallback)
+    return config.get(key, fallback) if value is None else value
 
 
-def _resolve_target(preset_key, coeffs_text, order, what) -> MindaTarget:
+def _order(args, config) -> int:
+    order = _setting(args, config, "order", DEFAULT_ORDER)
+    if order < MIN_ORDER:
+        raise UsageError(f"order must be at least {MIN_ORDER}, got {order}")
+    return order
+
+
+def _target(preset_key, coeffs_text, order) -> MindaTarget:
     if coeffs_text:
-        try:
-            coefficients = [Fraction(part) for part in coeffs_text.split(",")]
-            return MindaTarget(coefficients)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad {what} coefficients {coeffs_text!r}: {exc}") from exc
-    try:
-        return target_preset(preset_key or "caratheodory", order=order)
-    except ValueError as exc:
-        raise UsageError(f"bad {what} preset: {exc}") from exc
+        return MindaTarget([rational(part) for part in coeffs_text.split(",")])
+    return target_preset(preset_key or "caratheodory", order=order)
+
+
+def _targets(args, config):
+    order = _order(args, config)
+    return (_target(args.phi, args.phi_coeffs, order),
+            _target(args.psi, args.psi_coeffs, order))
 
 
 def _parse_grid(text: str) -> list[Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must look like start:stop:step, got {text!r}")
-    start, stop, step = (_fraction_arg(part) for part in parts)
+    start, stop, step = (rational(part) for part in parts)
     if stop < start:
         raise UsageError("grid stop must not precede start")
     if start == stop:
         return [start]
     if step <= 0:
         raise UsageError("grid step must be positive for a nontrivial range")
-    points = []
-    value = start
-    while value <= stop:
-        points.append(value)
-        value += step
-    return points
+    count = int((stop - start) // step) + 1
+    return [start + index * step for index in range(count)]
 
 
-def _add_target_flags(parser):
+def _pair_flags(parser):
+    parser.add_argument("--pair", required=True, help="pairing tag, e.g. PP")
+    parser.add_argument("--alpha", required=True, type=rational)
+    parser.add_argument("--beta", required=True, type=rational)
+
+
+def _target_flags(parser):
     parser.add_argument("--phi", help="target preset for the function side")
     parser.add_argument("--psi", help="target preset for the inverse side")
-    parser.add_argument(
-        "--phi-coeffs", help="explicit B1,B2,... (overrides --phi)"
-    )
-    parser.add_argument(
-        "--psi-coeffs", help="explicit D1,D2,... (overrides --psi)"
-    )
+    parser.add_argument("--phi-coeffs", help="explicit B1,B2,... (overrides --phi)")
+    parser.add_argument("--psi-coeffs", help="explicit D1,D2,... (overrides --psi)")
+    parser.add_argument("--order", type=int)
+
+
+def _audit_flags(parser):
+    parser.add_argument("--theorem", required=True, help="pairing tag")
+    parser.add_argument("--grid", required=True,
+                        help="start:stop:step for alpha and beta")
+    parser.add_argument("--tolerance", type=float)
+
+
+def _sweep_flags(parser):
+    parser.add_argument("--what", choices=("a2", "a3"), default="a2")
+    parser.add_argument("--radial-steps", dest="radial_steps", type=int)
+    parser.add_argument("--phase-steps", dest="phase_steps", type=int)
+
+
+def _expand_flags(parser):
+    parser.add_argument("--class", dest="kind", required=True, choices=("P", "M", "L"))
+    parser.add_argument("--alpha", required=True, type=rational)
+    parser.add_argument("--a2", required=True, type=rational)
+    parser.add_argument("--a3", required=True, type=rational)
+    parser.add_argument("--order", type=int)
+
+
+def _verify_flags(parser):
+    parser.add_argument("--suite", default="identities", choices=_harness.SUITE_NAMES)
+    parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--samples", type=int)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bibounds", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="path to a key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common_format = dict(
-        choices=("json", "csv", "pretty"), default=None, help="output format"
-    )
-
-    p_bound = sub.add_parser("bound", help="evaluate printed and derived bounds")
-    p_bound.add_argument("--pair", required=True, help="pairing tag, e.g. PP")
-    p_bound.add_argument("--alpha", required=True, type=_fraction_arg)
-    p_bound.add_argument("--beta", required=True, type=_fraction_arg)
-    _add_target_flags(p_bound)
-    p_bound.add_argument("--order", type=int)
-    p_bound.add_argument("--format", **common_format)
-
-    p_audit = sub.add_parser("audit", help="compare printed vs derived on a grid")
-    p_audit.add_argument("--theorem", required=True, help="pairing tag")
-    p_audit.add_argument("--grid", required=True, help="start:stop:step for alpha and beta")
-    _add_target_flags(p_audit)
-    p_audit.add_argument("--order", type=int)
-    p_audit.add_argument("--tolerance", type=float)
-    p_audit.add_argument("--format", **common_format)
-
-    p_sweep = sub.add_parser("sweep", help="extremal sweep over the coefficient region")
-    p_sweep.add_argument("--pair", required=True)
-    p_sweep.add_argument("--alpha", required=True, type=_fraction_arg)
-    p_sweep.add_argument("--beta", required=True, type=_fraction_arg)
-    _add_target_flags(p_sweep)
-    p_sweep.add_argument("--what", choices=("a2", "a3"), default="a2")
-    p_sweep.add_argument("--order", type=int)
-    p_sweep.add_argument("--radial-steps", dest="radial_steps", type=int)
-    p_sweep.add_argument("--phase-steps", dest="phase_steps", type=int)
-    p_sweep.add_argument("--format", **common_format)
-
-    p_expand = sub.add_parser("expand", help="order-2 functional expansion")
-    p_expand.add_argument("--class", dest="kind", required=True, choices=("P", "M", "L"))
-    p_expand.add_argument("--alpha", required=True, type=_fraction_arg)
-    p_expand.add_argument("--a2", required=True, type=_fraction_arg)
-    p_expand.add_argument("--a3", required=True, type=_fraction_arg)
-    p_expand.add_argument("--order", type=int)
-    p_expand.add_argument("--format", **common_format)
-
-    p_verify = sub.add_parser("verify", help="run the identity suites")
-    p_verify.add_argument(
-        "--suite", default="identities", choices=_harness.SUITE_NAMES
-    )
-    p_verify.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--samples", type=int)
-    p_verify.add_argument("--format", **common_format)
-
-    p_table = sub.add_parser("table", help="classical reference values vs computed")
-    p_table.add_argument("--format", **common_format)
-
+    for name, command in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=command.help)
+        for add_flags in command.flags:
+            add_flags(p_command)
+        formats = ("json", "csv", "pretty") if command.csv else ("json", "pretty")
+        p_command.add_argument("--format", choices=formats, default="json",
+                               help="output format")
     return parser
 
 
 # ----------------------------------------------------------------------
-# commands
+# commands: run functions build payloads, renderers read only payloads
+
+_BOUND_KEYS = ("sigma_printed", "sigma_derived", "a2_printed", "a2_generic",
+               "a3_printed", "a3_generic")
+# Per-point audit rows drop what the audit payload states once.
+_AUDIT_ROW_SKIP = ("theorem", "phi", "psi", "sigma_tilde", "notes")
+_AUDIT_CSV = ("theorem", "alpha", "beta", "B1", "B2", "D1", "D2",
+              "field", "printed", "derived")
+_SWEEP_CSV = ("theorem", "alpha", "beta", "B1", "B2", "D1", "D2",
+              "quantity", "max_value", "bound", "gap", "attained")
 
 
-def _bound_payload(tag, alpha, beta, phi, psi):
-    rep = _bounds.report(tag, alpha, beta, phi, psi)
-    return {
-        "command": "bound",
-        "theorem": rep.theorem,
-        "alpha": rep.alpha,
-        "beta": rep.beta,
-        "phi": list(rep.phi),
-        "psi": list(rep.psi),
-        "sigma_printed": rep.sigma_printed,
-        "sigma_derived": rep.sigma_derived,
-        "sigma_tilde": rep.sigma_tilde,
-        "a2_printed": rep.a2_printed,
-        "a2_generic": rep.a2_generic,
-        "a3_printed": rep.a3_printed,
-        "a3_generic": rep.a3_generic,
-        "degenerate": rep.degenerate,
-        "discrepancies": [_discrepancy_dict(d) for d in rep.discrepancies],
-        "notes": list(rep.notes),
-    }
+def _run_bound(args, config):
+    phi, psi = _targets(args, config)
+    rep = _bounds.report(args.pair, args.alpha, args.beta, phi, psi)
+    payload = {"command": "bound", **_report_record(rep)}
+    return payload, EXIT_DEGENERATE if rep.degenerate else EXIT_OK
 
 
-def _discrepancy_dict(d):
-    return {
-        "field": d.field,
-        "printed": d.printed,
-        "derived": d.derived,
-        "alpha": d.alpha,
-        "beta": d.beta,
-        "B1": d.B1,
-        "B2": d.B2,
-        "D1": d.D1,
-        "D2": d.D2,
-    }
+def _bound_pretty(payload):
+    return [
+        f"{payload['theorem']} at alpha={payload['alpha']}, beta={payload['beta']}",
+        *(f"  {key:12s} {_fmt(payload[key])}" for key in _BOUND_KEYS),
+        *(f"  discrepancy on {d['field']}: printed {_fmt(d['printed'])} "
+          f"vs derived {_fmt(d['derived'])}" for d in payload["discrepancies"]),
+        *(f"  note: {note}" for note in payload["notes"]),
+    ]
 
 
-def _cmd_bound(args, config, out):
-    order = _setting(args, config, "order", DEFAULT_ORDER)
-    phi = _resolve_target(args.phi, args.phi_coeffs, order, "phi")
-    psi = _resolve_target(args.psi, args.psi_coeffs, order, "psi")
-    try:
-        payload = _bound_payload(args.pair, args.alpha, args.beta, phi, psi)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    fmt = _setting(args, config, "format", "json")
-    if fmt == "json":
-        out.write(render_json(payload))
-    elif fmt == "pretty":
-        out.write(f"{payload['theorem']} at alpha={payload['alpha']}, beta={payload['beta']}\n")
-        for key in ("sigma_printed", "sigma_derived", "a2_printed", "a2_generic",
-                    "a3_printed", "a3_generic"):
-            out.write(f"  {key:12s} {_fmt(payload[key])}\n")
-        for d in payload["discrepancies"]:
-            out.write(
-                f"  discrepancy on {d['field']}: printed {_fmt(d['printed'])} "
-                f"vs derived {_fmt(d['derived'])}\n"
-            )
-        for note in payload["notes"]:
-            out.write(f"  note: {note}\n")
-    else:
-        raise UsageError("bound supports json or pretty output")
-    return EXIT_DEGENERATE if payload["degenerate"] else EXIT_OK
-
-
-def _cmd_audit(args, config, out):
-    order = _setting(args, config, "order", DEFAULT_ORDER)
-    phi = _resolve_target(args.phi, args.phi_coeffs, order, "phi")
-    psi = _resolve_target(args.psi, args.psi_coeffs, order, "psi")
+def _run_audit(args, config):
+    phi, psi = _targets(args, config)
     tolerance = _setting(args, config, "tolerance", _bounds.AUDIT_REL_TOL)
     grid = _parse_grid(args.grid)
-    try:
-        reports = _bounds.audit(
-            args.theorem, grid, grid, [(phi, psi)], rel_tol=tolerance
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    discrepancies = [d for rep in reports for d in rep.discrepancies]
+    reports = _bounds.audit(args.theorem, grid, grid, [(phi, psi)], rel_tol=tolerance)
     payload = {
         "command": "audit",
         "theorem": reports[0].theorem,
-        "grid": {
-            "start": float(grid[0]),
-            "stop": float(grid[-1]),
-            "points": len(grid),
-        },
-        "phi": list(reports[0].phi),
-        "psi": list(reports[0].psi),
+        "grid": {"start": float(grid[0]), "stop": float(grid[-1]),
+                 "points": len(grid)},
+        "phi": reports[0].phi,
+        "psi": reports[0].psi,
         "tolerance": tolerance,
-        "reports": [
-            {
-                "alpha": rep.alpha,
-                "beta": rep.beta,
-                "sigma_printed": rep.sigma_printed,
-                "sigma_derived": rep.sigma_derived,
-                "a2_printed": rep.a2_printed,
-                "a2_generic": rep.a2_generic,
-                "a3_printed": rep.a3_printed,
-                "a3_generic": rep.a3_generic,
-                "degenerate": rep.degenerate,
-                "discrepancies": [_discrepancy_dict(d) for d in rep.discrepancies],
-            }
-            for rep in reports
-        ],
-        "discrepancy_count": len(discrepancies),
+        "reports": [_report_record(rep, _AUDIT_ROW_SKIP) for rep in reports],
+        "discrepancy_count": sum(len(rep.discrepancies) for rep in reports),
         "notes": sorted({note for rep in reports for note in rep.notes}),
     }
-    fmt = _setting(args, config, "format", "json")
-    if fmt == "json":
-        out.write(render_json(payload))
-    elif fmt == "csv":
-        rows = [
-            (
-                payload["theorem"],
-                _fmt(d["alpha"]),
-                _fmt(d["beta"]),
-                _fmt(d["B1"]),
-                _fmt(d["B2"]),
-                _fmt(d["D1"]),
-                _fmt(d["D2"]),
-                d["field"],
-                _fmt(d["printed"]),
-                _fmt(d["derived"]),
-            )
-            for d in (_discrepancy_dict(x) for x in discrepancies)
-        ]
-        out.write(
-            _csv_text(
-                ("theorem", "alpha", "beta", "B1", "B2", "D1", "D2",
-                 "field", "printed", "derived"),
-                rows,
-            )
-        )
-    elif fmt == "pretty":
-        out.write(
-            f"audit {payload['theorem']}: {len(reports)} grid points, "
-            f"{len(discrepancies)} discrepancies\n"
-        )
-        for d in (_discrepancy_dict(x) for x in discrepancies):
-            out.write(
-                f"  alpha={_fmt(d['alpha'])} beta={_fmt(d['beta'])} "
-                f"{d['field']}: printed {_fmt(d['printed'])} vs derived "
-                f"{_fmt(d['derived'])}\n"
-            )
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_sweep(args, config, out):
-    order = _setting(args, config, "order", DEFAULT_ORDER)
-    phi = _resolve_target(args.phi, args.phi_coeffs, order, "phi")
-    psi = _resolve_target(args.psi, args.psi_coeffs, order, "psi")
+def _audit_discrepancies(payload):
+    return [d for rep in payload["reports"] for d in rep["discrepancies"]]
+
+
+def _audit_pretty(payload):
+    return [
+        f"audit {payload['theorem']}: {len(payload['reports'])} grid points, "
+        f"{payload['discrepancy_count']} discrepancies",
+        *(f"  alpha={_fmt(d['alpha'])} beta={_fmt(d['beta'])} {d['field']}: "
+          f"printed {_fmt(d['printed'])} vs derived {_fmt(d['derived'])}"
+          for d in _audit_discrepancies(payload)),
+    ]
+
+
+def _audit_csv(payload):
+    rows = _audit_discrepancies(payload)
+    return _AUDIT_CSV, [{"theorem": payload["theorem"], **d} for d in rows]
+
+
+def _run_sweep(args, config):
+    phi, psi = _targets(args, config)
     cfg = _harness.SweepConfig(
         radial_steps=_setting(args, config, "radial_steps", 9),
         phase_steps=_setting(args, config, "phase_steps", 16),
     )
-    try:
-        pair = _bounds.theorem_pair(args.pair, args.alpha, args.beta, phi, psi)
-        sweep = _harness.sweep_a2 if args.what == "a2" else _harness.sweep_a3
-        result = sweep(pair, cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pair = _bounds.theorem_pair(args.pair, args.alpha, args.beta, phi, psi)
+    sweep = _harness.sweep_a2 if args.what == "a2" else _harness.sweep_a3
+    result = sweep(pair, cfg)
     payload = {
         "command": "sweep",
         "theorem": _bounds.TheoremId(args.pair).tag,
@@ -425,56 +341,33 @@ def _cmd_sweep(args, config, out):
         "phi": [float(c) for c in phi.coefficients],
         "psi": [float(c) for c in psi.coefficients],
         **result.as_dict(),
-        "config": {
-            "radial_steps": cfg.radial_steps,
-            "phase_steps": cfg.phase_steps,
-        },
+        "config": {"radial_steps": cfg.radial_steps, "phase_steps": cfg.phase_steps},
     }
-    fmt = _setting(args, config, "format", "json")
-    if fmt == "json":
-        out.write(render_json(payload))
-    elif fmt == "csv":
-        row = (
-            payload["theorem"],
-            _fmt(payload["alpha"]),
-            _fmt(payload["beta"]),
-            _fmt(float(phi.B1)),
-            _fmt(float(phi.B2)),
-            _fmt(float(psi.B1)),
-            _fmt(float(psi.B2)),
-            payload["quantity"],
-            _fmt(payload["max_value"]),
-            _fmt(payload["bound"]),
-            _fmt(payload["gap"]),
-            str(payload["attained"]).lower(),
-        )
-        out.write(
-            _csv_text(
-                ("theorem", "alpha", "beta", "B1", "B2", "D1", "D2",
-                 "quantity", "max_value", "bound", "gap", "attained"),
-                [row],
-            )
-        )
-    elif fmt == "pretty":
-        out.write(
-            f"sweep {payload['quantity']} for {payload['theorem']}: max "
-            f"{_fmt(payload['max_value'])} vs bound {_fmt(payload['bound'])} "
-            f"(attained: {payload['attained']})\n"
-        )
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_expand(args, config, out):
-    order = _setting(args, config, "order", DEFAULT_ORDER)
-    try:
-        spec = ClassSpec(args.kind, args.alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _sweep_pretty(payload):
+    return [
+        f"sweep {payload['quantity']} for {payload['theorem']}: max "
+        f"{_fmt(payload['max_value'])} vs bound {_fmt(payload['bound'])} "
+        f"(attained: {payload['attained']})"
+    ]
+
+
+def _sweep_csv(payload):
+    # Coefficients past the stored ones are zero, as in MindaTarget.
+    phi, psi = payload["phi"] + [0.0], payload["psi"] + [0.0]
+    row = {**payload, "B1": phi[0], "B2": phi[1], "D1": psi[0], "D2": psi[1]}
+    return _SWEEP_CSV, [row]
+
+
+def _run_expand(args, config):
+    order = _order(args, config)
+    spec = ClassSpec(args.kind, args.alpha)
     t = triple(spec)
     e1, e2 = expansion_f(t, args.a2, args.a3)
-    series = functional(
-        spec, SchlichtCoeffs([args.a2, args.a3]), order=order, mode=EXACT
-    )
+    series = functional(spec, SchlichtCoeffs([args.a2, args.a3]), order=order,
+                        mode=EXACT)
     s1, s2 = series.coeffs[1], series.coeffs[2]
     payload = {
         "command": "expand",
@@ -487,29 +380,23 @@ def _cmd_expand(args, config, out):
         "series_engine": {"e1": float(s1.re), "e2": float(s2.re)},
         "match": s1 == e1 and s2 == e2,
     }
-    fmt = _setting(args, config, "format", "json")
-    if fmt == "json":
-        out.write(render_json(payload))
-    elif fmt == "pretty":
-        out.write(
-            f"{spec.kind}({payload['alpha']}): triple (p, q, r) = "
-            f"{tuple(payload['triple'])}\n"
-            f"  closed form   e1={_fmt(payload['closed_form']['e1'])} "
-            f"e2={_fmt(payload['closed_form']['e2'])}\n"
-            f"  series engine e1={_fmt(payload['series_engine']['e1'])} "
-            f"e2={_fmt(payload['series_engine']['e2'])}\n"
-        )
-    else:
-        raise UsageError("expand supports json or pretty output")
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_verify(args, config, out):
+def _expand_pretty(payload):
+    closed, engine = payload["closed_form"], payload["series_engine"]
+    return [
+        f"{payload['class']}({payload['alpha']}): triple (p, q, r) = "
+        f"{tuple(payload['triple'])}",
+        f"  closed form   e1={_fmt(closed['e1'])} e2={_fmt(closed['e2'])}",
+        f"  series engine e1={_fmt(engine['e1'])} e2={_fmt(engine['e2'])}",
+    ]
+
+
+def _run_verify(args, config):
     seed = _setting(args, config, "seed", 7)
     samples = _setting(args, config, "samples", 60)
-    results = _harness.run_identity_suites(
-        suite=args.suite, mode=args.mode, seed=seed, samples=samples
-    )
+    results = _harness.run_identity_suites(args.suite, args.mode, seed, samples)
     passed = all(r.passed for r in results)
     payload = {
         "command": "verify",
@@ -517,63 +404,73 @@ def _cmd_verify(args, config, out):
         "mode": args.mode,
         "seed": seed,
         "samples": samples,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "witness": r.witness}
-            for r in results
-        ],
+        "checks": [_record(r) for r in results],
         "passed": passed,
     }
-    fmt = _setting(args, config, "format", "json")
-    if fmt == "json":
-        out.write(render_json(payload))
-    elif fmt == "pretty":
-        for r in results:
-            out.write(f"{'PASS' if r.passed else 'FAIL'}  {r.name}\n")
-        out.write(f"{'all checks passed' if passed else 'FAILURES present'}\n")
-    else:
-        raise UsageError("verify supports json or pretty output")
-    if not passed:
-        first = next(r for r in results if not r.passed)
-        print(f"first failure: {first.name}: {first.witness}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    if passed:
+        return payload, EXIT_OK
+    first = next(r for r in results if not r.passed)
+    print(f"first failure: {first.name}: {first.witness}", file=sys.stderr)
+    return payload, EXIT_VERIFY_FAILED
 
 
-def _cmd_table(args, config, out):
-    table = _bounds.reduction_table()
-    payload = {"command": "table", **table}
-    fmt = _setting(args, config, "format", "json")
-    if fmt == "json":
-        out.write(render_json(payload))
-    elif fmt == "pretty":
-        for row in table["rows"]:
-            out.write(f"{row['classes']:40s} {row['source']:10s} {_fmt(row['value'])}\n")
-        for note in table["notes"]:
-            out.write(f"note: {note}\n")
-    else:
-        raise UsageError("table supports json or pretty output")
-    return EXIT_OK
+def _verify_pretty(payload):
+    return [
+        *(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
+          for c in payload["checks"]),
+        "all checks passed" if payload["passed"] else "FAILURES present",
+    ]
+
+
+def _run_table(args, config):
+    return {"command": "table", **_bounds.reduction_table()}, EXIT_OK
+
+
+def _table_pretty(payload):
+    return [
+        *(f"{row['classes']:40s} {row['source']:10s} {_fmt(row['value'])}"
+          for row in payload["rows"]),
+        *(f"note: {note}" for note in payload["notes"]),
+    ]
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    flags: tuple  # functions that each add some of the command's flags
+    run: Callable
+    pretty: Callable
+    csv: Callable | None = None
 
 
 _COMMANDS = {
-    "bound": _cmd_bound,
-    "audit": _cmd_audit,
-    "sweep": _cmd_sweep,
-    "expand": _cmd_expand,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
+    "bound": _Command("evaluate printed and derived bounds",
+                      (_pair_flags, _target_flags), _run_bound, _bound_pretty),
+    "audit": _Command("compare printed vs derived on a grid",
+                      (_audit_flags, _target_flags),
+                      _run_audit, _audit_pretty, _audit_csv),
+    "sweep": _Command("extremal sweep over the coefficient region",
+                      (_pair_flags, _target_flags, _sweep_flags),
+                      _run_sweep, _sweep_pretty, _sweep_csv),
+    "expand": _Command("order-2 functional expansion",
+                       (_expand_flags,), _run_expand, _expand_pretty),
+    "verify": _Command("run the identity suites",
+                       (_verify_flags,), _run_verify, _verify_pretty),
+    "table": _Command("classical reference values vs computed",
+                      (), _run_table, _table_pretty),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config, sys.stdout)
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        command = _COMMANDS[args.command]
+        payload, code = command.run(args, _load_config(args.config))
+    except ValueError as exc:  # UsageError and the library's input checks
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stdout.write(_render(command, args.format, payload))
+    return code
 
 
 if __name__ == "__main__":

@@ -158,7 +158,7 @@ def sweep_a2(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     values = np.sqrt(np.abs(forms.a2_squared))
     idx = int(np.argmax(values))
     grid_best = float(values.flat[idx])
-    if grid_best > best:
+    if grid_best > best + ATTAIN_TOL:  # a tie keeps the exact corner
         i, j = divmod(idx, grid.size)
         best = grid_best
         best_params = SchwarzParams(0.0, complex(grid[i]), complex(grid[j]))
@@ -194,7 +194,7 @@ def sweep_a3(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     values = np.abs(forms.a3)
     idx = int(np.argmax(values))
     grid_best = float(values.flat[idx])
-    if grid_best > best:
+    if grid_best > best + ATTAIN_TOL:  # a tie keeps the exact corner
         i, rest = divmod(idx, ring.size * ring.size)
         j, k = divmod(rest, ring.size)
         best = grid_best
@@ -695,6 +695,8 @@ def run_identity_suites(
         raise ValueError(f"unknown suite {suite!r}")
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     results = []
     for group in groups:
         for name, fn in _SUITE_CHECKS[group]:

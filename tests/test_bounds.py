@@ -215,6 +215,15 @@ class TestPrintedVsGeneric:
 
 
 class TestAudit:
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        # A nan tolerance would hide every mismatch: nan comparisons are false.
+        with pytest.raises(ValueError):
+            report("LL", 1, 1, CARA, CARA, rel_tol=tolerance)
+
+    def test_zero_tolerance_accepted(self):
+        assert report("PP", 0, 0, CARA, CARA, rel_tol=0).discrepancies == ()
+
     def test_pp_grid_clean(self):
         grid = frac_grid(Fraction(1), Fraction(1, 4))
         reports = audit("PP", grid, grid, [(CARA, CARA)])

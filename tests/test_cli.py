@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibounds import cli
 from bibounds.harness import CheckResult
@@ -107,19 +109,22 @@ class TestExitCodes:
 
 class TestFormats:
     def test_sweep_csv_columns(self):
-        code, text = run_cli(
-            ["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0",
-             "--what", "a2", "--format", "csv"]
-        )
-        assert code == 0
-        header, row = text.strip().splitlines()
-        assert header == (
-            "theorem,alpha,beta,B1,B2,D1,D2,quantity,max_value,bound,gap,attained"
-        )
-        fields = row.split(",")
-        assert fields[0] == "PP"
-        assert fields[7] == "a2"
-        assert fields[11] == "true"
+        # A coefficient past the stored ones reads 0, as in MindaTarget.
+        for targets, b2 in (([], "2"), (["--phi-coeffs", "1"], "0")):
+            code, text = run_cli(
+                ["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0", *targets,
+                 "--what", "a2", "--format", "csv"]
+            )
+            assert code == 0
+            header, row = text.strip().splitlines()
+            assert header == (
+                "theorem,alpha,beta,B1,B2,D1,D2,quantity,max_value,bound,gap,attained"
+            )
+            fields = row.split(",")
+            assert fields[0] == "PP"
+            assert fields[4] == b2
+            assert fields[7] == "a2"
+            assert fields[11] == "true"
 
     def test_audit_csv(self):
         code, text = run_cli(
@@ -213,3 +218,104 @@ class TestConfigFile:
         config = tmp_path / "bad.cfg"
         config.write_text("bogus=1\n")
         assert cli.main(["--config", str(config), "table"]) == cli.EXIT_USAGE
+
+
+BOUND = ["bound", "--pair", "PP", "--alpha", "0", "--beta", "0"]
+AUDIT = ["audit", "--theorem", "LL", "--grid", "0:1:0.5"]
+SWEEP = ["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0"]
+EXPAND = ["expand", "--class", "P", "--alpha", "0", "--a2", "1", "--a3", "1"]
+
+# name -> (config file text or None, argv); each must exit 1 with no output.
+REJECTED = {
+    "bound_order_1": (None, BOUND + ["--order", "1"]),
+    "config_order_2": ("order=2\n", BOUND),
+    "expand_order_2": (None, EXPAND + ["--order", "2"]),
+    "expand_order_1": (None, EXPAND + ["--order", "1"]),
+    "verify_samples_0": (None, ["verify", "--samples", "0"]),
+    "verify_samples_negative": (None, ["verify", "--samples", "-5"]),
+    "config_samples_0": ("samples=0\n", ["verify", "--suite", "series"]),
+    "sweep_phase_steps_3": (None, SWEEP + ["--phase-steps", "3"]),
+    "sweep_radial_steps_1": (None, SWEEP + ["--radial-steps", "1"]),
+    "config_order_not_int": ("order=abc\n", ["table"]),
+    "audit_tolerance_nan": (None, AUDIT + ["--tolerance", "nan"]),
+    "audit_tolerance_inf": (None, AUDIT + ["--tolerance", "inf"]),
+    "audit_tolerance_negative": (None, AUDIT + ["--tolerance", "-1"]),
+    "config_tolerance_nan": ("tolerance=nan\n", AUDIT),
+    "preset_zero_denominator": (None, BOUND + ["--phi", "order:1/0"]),
+}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejected_with_usage_error(self, name, tmp_path, capsys):
+        config_text, argv = REJECTED[name]
+        if config_text is not None:
+            config = tmp_path / "defaults.cfg"
+            config.write_text(config_text)
+            argv = ["--config", str(config), *argv]
+        code, text = run_cli(argv)
+        assert (code, text) == (cli.EXIT_USAGE, "")
+
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("radial_steps=many\n")
+        assert cli.main(["--config", str(config), "table"]) == cli.EXIT_USAGE
+        assert "radial_steps" in capsys.readouterr().err
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+
+_COUNTS = [str(n) for n in range(-3, 13)]
+_RATIONALS = ["0", "1/3", "1/2", "1", "3/2", "-1", "1/0", "x"]
+_TAGS = ["PP", "PM", "PL", "MM", "ML", "LL", "XX"]
+_PRESETS = ["caratheodory", "order:1/3", "strong:1/2", "strong:0", "order:1/0", "nope"]
+_COEFFS = ["2,2", "1", "1,2", "2,1,1/2", "0,1", "1,x"]
+_GRIDS = ["0:1:1/2", "0:0:1", "1:0:1", "0:1:0", "0:1", "0:1:1/0", "a:b:c", "0:1:1/3"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    parts = [[command]]
+    if command in ("bound", "sweep"):
+        parts += [["--pair", draw(st.sampled_from(_TAGS))],
+                  ["--alpha", draw(st.sampled_from(_RATIONALS))],
+                  ["--beta", draw(st.sampled_from(_RATIONALS))]]
+    if command == "audit":
+        parts += [["--theorem", draw(st.sampled_from(_TAGS))],
+                  ["--grid", draw(st.sampled_from(_GRIDS))],
+                  draw(_optional("--tolerance", ["0", "1e-3", "nan", "inf", "-1"]))]
+    if command in ("bound", "audit", "sweep"):
+        parts += [draw(_optional("--phi", _PRESETS)), draw(_optional("--psi", _PRESETS)),
+                  draw(_optional("--phi-coeffs", _COEFFS)),
+                  draw(_optional("--psi-coeffs", _COEFFS))]
+    if command in ("bound", "audit", "sweep", "expand"):
+        parts.append(draw(_optional("--order", _COUNTS)))
+    if command == "sweep":
+        parts += [draw(_optional("--what", ["a2", "a3"])),
+                  draw(_optional("--radial-steps", _COUNTS)),
+                  draw(_optional("--phase-steps", _COUNTS))]
+    if command == "expand":
+        parts += [["--class", draw(st.sampled_from(["P", "M", "L", "Q"]))],
+                  *(draw(_optional(flag, _RATIONALS))
+                    for flag in ("--alpha", "--a2", "--a3"))]
+    if command == "verify":
+        parts += [draw(_optional("--suite", ["series", "classes", "solver", "bounds"])),
+                  draw(_optional("--mode", ["exact", "float"])),
+                  draw(_optional("--seed", ["0", "7", "-1"])),
+                  ["--samples", str(draw(st.integers(-3, 2)))]]
+    parts.append(draw(_optional("--format", ["json", "pretty", "csv", "xml"])))
+    return [item for part in parts for item in part]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_fuzzed_argv_exits_with_a_contract_code(argv):
+    buffer, errors = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(errors):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == cli.EXIT_USAGE:
+        assert buffer.getvalue() == ""

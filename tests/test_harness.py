@@ -53,6 +53,35 @@ class TestSweepConfig:
             SweepConfig(phase_steps=3)
 
 
+# One interior parameter point per pairing, for the tie test below.
+TIE_POINTS = {
+    "PP": (Fraction(1, 3), Fraction(1, 4)), "PM": (Fraction(1, 2), Fraction(1, 5)),
+    "PL": (Fraction(1, 4), Fraction(1, 2)), "MM": (Fraction(2, 3), Fraction(1, 3)),
+    "ML": (Fraction(1, 5), Fraction(3, 4)), "LL": (Fraction(1, 2), Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("tag", THEOREM_TAGS)
+@pytest.mark.parametrize("what", ["a2", "a3"])
+@pytest.mark.parametrize("cfg", [SweepConfig(), SweepConfig(17, 32)],
+                         ids=["default", "fine"])
+def test_sweep_ties_keep_the_exact_corner(tag, what, cfg):
+    # The grid contains the corner up to roundoff; a float tie must not
+    # replace the exact corner or turn the gap negative.
+    targets = [(CARA, CARA),
+               (target_preset("strong:1/2"), target_preset("order:1/3"))]
+    for phi, psi in targets:
+        pair = theorem_pair(tag, *TIE_POINTS[tag], phi, psi)
+        result = (sweep_a2 if what == "a2" else sweep_a3)(pair, cfg)
+        at = result.argmax
+        c1, c2, b2 = complex(at.c1), complex(at.c2), complex(at.b2)
+        if what == "a2":
+            assert (c1, c2, b2) == (0, 2, 2), result.argmax
+        else:
+            assert c1 == 2 and c2 == b2 and c2 in (2, -2), result.argmax
+        assert result.gap >= 0
+
+
 class TestSweepA2:
     def test_canonical_attains_at_corner(self):
         result = sweep_a2(CANONICAL)
@@ -234,3 +263,9 @@ class TestIdentitySuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_identity_suites("bogus")
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_rejected(self, samples):
+        # An empty run would pass every check vacuously.
+        with pytest.raises(ValueError):
+            run_identity_suites("series", samples=samples)
