@@ -22,6 +22,7 @@ from .series import (
     ModeMismatchError,
     QComplex,
     TruncatedSeries,
+    agree,
     approx_equal,
 )
 from .classes import (

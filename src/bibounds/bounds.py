@@ -39,16 +39,8 @@ from fractions import Fraction
 from .classes import ClassSpec, MindaTarget
 from .solver import PairSpec, sigma_tilde
 
+# A tag names the class kinds of its two sides, function side first.
 THEOREM_TAGS = ("PP", "PM", "PL", "MM", "ML", "LL")
-
-_KINDS = {
-    "PP": ("P", "P"),
-    "PM": ("P", "M"),
-    "PL": ("P", "L"),
-    "MM": ("M", "M"),
-    "ML": ("M", "L"),
-    "LL": ("L", "L"),
-}
 
 # Multiplier of sigma |a3| on the left side of the printed |a3| inequality.
 A3_MULTIPLIER = {"PP": 2, "PM": 2, "PL": 1, "MM": 2, "ML": 1, "LL": 2}
@@ -75,11 +67,11 @@ class TheoremId:
 
     @property
     def kind_f(self) -> str:
-        return _KINDS[self.tag][0]
+        return self.tag[0]
 
     @property
     def kind_g(self) -> str:
-        return _KINDS[self.tag][1]
+        return self.tag[1]
 
 
 def theorem_pair(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget) -> PairSpec:
@@ -382,13 +374,13 @@ def report(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget,
     B1, B2 = phi.B1, phi.B2
     D1, D2 = psi.B1, psi.B2
     sig_printed = printed_sigma(tag, a, b)
-    sig_derived = derived_sigma(tag, a, b)
     st = sigma_tilde(pair)
+    sig_derived = st / SIGMA_SCALE[tag]  # derived_sigma without a second pair
 
-    a2_printed_sq = _printed_a2_sq(tag, a, b, B1, B2, D1, D2)
+    a2_printed_sq = _printed_a2_sq(tag, a, b, B1, B2, D1, D2, sigma=sig_printed)
     a2_aligned_sq = _printed_a2_sq(tag, a, b, B1, B2, D1, D2, sigma=sig_derived)
     a2_generic_sq = _generic_a2_sq(pair)
-    a3_printed = _printed_a3_value(tag, a, b, B1, B2, D1, D2)
+    a3_printed = _printed_a3_value(tag, a, b, B1, B2, D1, D2, sigma=sig_printed)
     a3_aligned = _printed_a3_value(tag, a, b, B1, B2, D1, D2, sigma=sig_derived)
     a3_generic = _generic_a3_value(pair)
 

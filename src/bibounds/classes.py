@@ -257,8 +257,7 @@ def functional(
         return (fp / h) * (1 - alpha) + convex * alpha
     starlike = fp / h
     convex = 1 + fp.derivative().shift_up() / fp
-    one = 1 if mode == EXACT else 1.0
-    return starlike.pow_unit(alpha) * convex.pow_unit(one - alpha)
+    return starlike.pow_unit(alpha) * convex.pow_unit(1 - alpha)
 
 
 def subordinate_compose(

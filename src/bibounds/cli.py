@@ -52,6 +52,8 @@ EXIT_VERIFY_FAILED = 3
 
 # The order-2 derivations read series coefficients up to z^3.
 MIN_ORDER = 3
+# Audit grid points per axis; the audit evaluates the square of this.
+MAX_GRID_POINTS = 101
 
 _CONFIG_KEYS = {"order": int, "radial_steps": int, "phase_steps": int,
                 "seed": int, "samples": int, "tolerance": float}
@@ -196,6 +198,9 @@ def _parse_grid(text: str) -> list[Fraction]:
     if step <= 0:
         raise UsageError("grid step must be positive for a nontrivial range")
     count = int((stop - start) // step) + 1
+    if count > MAX_GRID_POINTS:
+        raise UsageError(
+            f"grid has {count} points per axis, more than {MAX_GRID_POINTS}")
     return [start + index * step for index in range(count)]
 
 
@@ -340,7 +345,8 @@ def _run_sweep(args, config):
         "beta": float(args.beta),
         "phi": [float(c) for c in phi.coefficients],
         "psi": [float(c) for c in psi.coefficients],
-        **result.as_dict(),
+        **_record(result, ("argmax",)),
+        "argmax": _record(result.argmax),
         "config": {"radial_steps": cfg.radial_steps, "phase_steps": cfg.phase_steps},
     }
     return payload, EXIT_OK

@@ -24,7 +24,9 @@ minimum over their operands.  Consumers that need order-k output must check
 ``valid_order >= k``.
 
 Floating comparisons use relative tolerance 1e-12 with an absolute floor of
-1e-14 for near-zero values (see :func:`approx_equal`).
+1e-14 for near-zero values (see :func:`approx_equal`).  :func:`agree` is the
+one exact-or-float rule: equality in exact mode, ``approx_equal`` in float
+mode.
 """
 
 from __future__ import annotations
@@ -203,6 +205,13 @@ def approx_equal(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
     return cmath.isclose(complex(a), complex(b), rel_tol=rel_tol, abs_tol=abs_tol)
 
 
+def agree(x, y, mode, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
+    """Equality in exact mode (tolerances ignored), approx_equal in float mode."""
+    if mode == EXACT:
+        return x == y
+    return approx_equal(x, y, rel_tol, abs_tol)
+
+
 class TruncatedSeries:
     """Finite coefficient list of an analytic germ, with order bookkeeping.
 
@@ -272,9 +281,7 @@ class TruncatedSeries:
         A float convex combination of unit-constant series sums its weights
         to 1 only up to roundoff, so float mode cannot demand exactly 1.0.
         """
-        if self.mode == EXACT:
-            return self.coeffs[0] == self._one()
-        return approx_equal(self.coeffs[0], 1.0)
+        return agree(self.coeffs[0], 1, self.mode)
 
     def truncated(self, order):
         if order >= self.order:
@@ -554,19 +561,13 @@ class TruncatedSeries:
         return hash((self.mode, self.coeffs, self.valid_order))
 
     def agrees_with(self, other, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
-        """Coefficientwise agreement up to the common informational order.
-
-        Exact mode compares exactly; float mode uses approx_equal.
-        """
+        """Coefficientwise :func:`agree` up to the common informational order."""
         self._require_same_mode(other)
-        through = min(self.valid_order, other.valid_order)
-        for k in range(through + 1):
-            if self.mode == EXACT:
-                if self.coeffs[k] != other.coeffs[k]:
-                    return False
-            elif not approx_equal(self.coeffs[k], other.coeffs[k], rel_tol, abs_tol):
-                return False
-        return True
+        count = min(self.valid_order, other.valid_order) + 1
+        mine, theirs = self.coeffs[:count], other.coeffs[:count]
+        if self.mode == EXACT:  # whole tuples: one comparison, not one per coefficient
+            return agree(mine, theirs, EXACT)
+        return all(agree(a, b, FLOAT, rel_tol, abs_tol) for a, b in zip(mine, theirs))
 
     def __repr__(self):
         preview = ", ".join(str(c) for c in self.coeffs[:4])

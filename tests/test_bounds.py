@@ -8,6 +8,7 @@ import sympy
 from bibounds import (
     MindaTarget,
     audit,
+    derived_sigma,
     generic_a2_bound,
     generic_a3_bound,
     printed_a2_bound,
@@ -96,6 +97,15 @@ class TestSigma:
             for b in frac_grid(Fraction(1), Fraction(1, 4)):
                 pair = theorem_pair("LL", a, b, CARA, CARA)
                 assert sigma_tilde(pair) - printed_sigma("LL", a, b) == 24 * a * b
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_report_sigma_matches_derived_sigma(self, tag):
+        assert TheoremId(tag).kind_f + TheoremId(tag).kind_g == tag
+        target = MindaTarget([3, 1])
+        for a in frac_grid(Fraction(1), Fraction(1, 4)):
+            for b in frac_grid(Fraction(1), Fraction(1, 4)):
+                rep = report(tag, a, b, target, CARA)
+                assert rep.sigma_derived == float(derived_sigma(tag, a, b))
 
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
     def test_determinant_matches_symbolic_oracle(self, tag):

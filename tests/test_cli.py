@@ -246,6 +246,11 @@ REJECTED = {
 
 
 class TestInputContract:
+    def test_grid_points_per_axis_are_capped(self):
+        assert len(cli._parse_grid("0:100:1")) == 101
+        with pytest.raises(cli.UsageError):
+            cli._parse_grid("0:101:1")
+
     @pytest.mark.parametrize("name", sorted(REJECTED))
     def test_rejected_with_usage_error(self, name, tmp_path, capsys):
         config_text, argv = REJECTED[name]

@@ -21,6 +21,7 @@ from bibounds import (
     target_preset,
     theorem_pair,
 )
+from bibounds import harness
 from bibounds.bounds import THEOREM_TAGS
 
 CARA = target_preset("caratheodory")
@@ -51,6 +52,12 @@ class TestSweepConfig:
             SweepConfig(radial_steps=1)
         with pytest.raises(ValueError):
             SweepConfig(phase_steps=3)
+
+    def test_grid_size_is_capped_before_allocation(self):
+        assert SweepConfig(16, 64)  # radial * phase**3 is exactly the cap
+        for radial, phase in ((17, 64), (9, 200), (600, 4)):  # (600, 4): a2 grid
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                SweepConfig(radial, phase)
 
 
 # One interior parameter point per pairing, for the tie test below.
@@ -250,6 +257,51 @@ class TestIdentitySuites:
     def test_float_suites_pass(self):
         results = run_identity_suites("identities", mode=FLOAT, seed=3, samples=15)
         assert all(r.passed for r in results)
+
+    # Seeds that missed by roundoff under tighter float tolerances: a ring-law
+    # div/mul round trip (479) and the a2^2 chain (673), among others.
+    @pytest.mark.parametrize("seed", [313302, 378735, 479, 770, 673])
+    def test_float_roundoff_stays_within_tolerance(self, seed):
+        results = run_identity_suites("identities", mode=FLOAT, seed=seed, samples=30)
+        assert [(r.name, r.witness) for r in results if not r.passed] == []
+
+    def test_float_tolerance_catches_a_relative_1e_6_error(self, monkeypatch):
+        closed_form = harness.expansion_f
+
+        def off_by_1e_6(t, a2, a3):
+            e1, e2 = closed_form(t, a2, a3)
+            return e1, e2 * (1 + 1e-6)
+
+        monkeypatch.setattr(harness, "expansion_f", off_by_1e_6)
+        results = run_identity_suites("classes", mode=FLOAT, seed=7, samples=20)
+        failed = [r.name for r in results if not r.passed]
+        assert failed == ["class_forward_expansion"]
+
+    def test_series_agreement_catches_a_relative_1e_6_error(self):
+        rng = random.Random(11)
+        coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(7)]
+        base = TruncatedSeries(coeffs, mode=FLOAT)
+        tol = harness.VERIFY_TOL
+        for k in range(len(coeffs)):
+            moved = list(coeffs)
+            moved[k] *= 1 + 1e-6
+            assert not base.agrees_with(TruncatedSeries(moved, mode=FLOAT), tol, tol)
+
+    def test_consistency_chain_stops_after_its_draw_cap(self, monkeypatch):
+        calls = []
+
+        def reject_every_draw(value):
+            calls.append(value)
+            if len(calls) > 10_000:
+                raise RuntimeError("rejection sampling did not stop")
+            return False
+
+        monkeypatch.setattr(harness, "_within_disk", reject_every_draw)
+        results = run_identity_suites("solver", mode=EXACT, seed=7, samples=5)
+        chain = {r.name: r for r in results}["consistency_chain"]
+        assert not chain.passed
+        assert chain.witness.startswith("only 0 of 5 draws accepted")
+        assert len(calls) <= harness.CHAIN_DRAWS_PER_SAMPLE * 5
 
     def test_single_group(self):
         results = run_identity_suites("series", seed=1, samples=5)

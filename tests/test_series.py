@@ -11,6 +11,7 @@ from bibounds import (
     ModeMismatchError,
     QComplex,
     TruncatedSeries,
+    agree,
     approx_equal,
 )
 from conftest import rand_exact_series, rand_qc
@@ -224,6 +225,15 @@ class TestUnitConstant:
             series = TruncatedSeries.constant(constant, order=3, mode=FLOAT)
             assert series.has_unit_constant()
         assert not TruncatedSeries.constant(1.001, mode=FLOAT).has_unit_constant()
+
+
+def test_agree_is_exact_equality_or_approx_equal():
+    near_one = QComplex(Fraction(10**15 + 1, 10**15))
+    assert agree(QComplex(1, 2), QComplex(1, 2), EXACT)
+    assert not agree(QComplex(1), near_one, EXACT, rel_tol=1, abs_tol=1)
+    assert agree(1.0, 1.0 + 1e-13, FLOAT)
+    assert not agree(1.0, 1.0 + 1e-6, FLOAT)
+    assert agree(1.0, 1.0 + 1e-6, FLOAT, rel_tol=1e-5)
 
 
 class TestRevert:
