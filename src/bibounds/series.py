@@ -12,6 +12,20 @@ modes exist:
 ``float``
     Native ``complex`` (double precision), used by the numeric sweeps.
 
+How exact kernels compute: multiplication (by a series or a scalar),
+series division, composition, the derivative, and the logarithm and
+exponential behind ``pow_unit`` change representation once on the way in
+and once on the way out.  On the way in each operand becomes Gaussian-integer
+numerators (one ``int`` list for the real parts, one for the imaginary
+parts) over one shared positive denominator, the lcm of its coefficient
+denominators; this is the design of FLINT's ``fmpq_poly``.  Every
+inner-loop step then runs on Python ``int``.  On the way out each
+coefficient goes back to a :class:`QComplex` in lowest terms, one
+normalisation per coefficient, so ``coeffs`` is always a tuple of
+``QComplex`` and equality and hashing see values, not representations.
+Addition, negation, the shifts and truncation work on ``QComplex``
+directly.  Float mode works on ``complex`` throughout.
+
 Modes never mix: combining an exact series with a float series, or feeding
 a float coefficient into the exact tower, raises :class:`ModeMismatchError`.
 Binary operations truncate to the shorter operand.
@@ -32,6 +46,7 @@ mode.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 EXACT = "exact"
@@ -146,6 +161,9 @@ class QComplex:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # Equal to int/Fraction values, so hashes must agree with theirs.
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
@@ -210,6 +228,34 @@ def agree(x, y, mode, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
     if mode == EXACT:
         return x == y
     return approx_equal(x, y, rel_tol, abs_tol)
+
+
+def _ints(coeffs):
+    """QComplex coefficients as (re ints, im ints, shared denominator)."""
+    den = math.lcm(*[c.re.denominator for c in coeffs],
+                   *[c.im.denominator for c in coeffs])
+    re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
+    im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
+    return re, im, den
+
+
+def _from_ints(re, im, dens):
+    """QComplex coefficients re[k]/dens[k] + i*im[k]/dens[k], in lowest terms."""
+    return [QComplex(Fraction(r, d), Fraction(i, d)) for r, i, d in zip(re, im, dens)]
+
+
+def _convolve(ar, ai, br, bi, order):
+    """Gaussian-integer Cauchy product of two int series, truncated to order."""
+    cr, ci = [0] * (order + 1), [0] * (order + 1)
+    for i in range(order + 1):
+        xr, xi = ar[i], ai[i]
+        if not (xr or xi):
+            continue
+        for j in range(order + 1 - i):
+            yr, yi = br[j], bi[j]
+            cr[i + j] += xr * yr - xi * yi
+            ci[i + j] += xr * yi + xi * yr
+    return cr, ci
 
 
 class TruncatedSeries:
@@ -352,6 +398,14 @@ class TruncatedSeries:
             self._require_same_mode(other)
             order = min(self.order, other.order)
             valid = min(self.valid_order, other.valid_order)
+            if self.mode == EXACT:
+                ar, ai, da = _ints(self.coeffs[: order + 1])
+                br, bi, db = _ints(other.coeffs[: order + 1])
+                cr, ci = _convolve(ar, ai, br, bi, order)
+                return TruncatedSeries(
+                    _from_ints(cr, ci, [da * db] * (order + 1)),
+                    mode=EXACT, order=order, valid_order=valid,
+                )
             zero = self._zero()
             coeffs = []
             for n in range(order + 1):
@@ -363,6 +417,15 @@ class TruncatedSeries:
                 coeffs, mode=self.mode, order=order, valid_order=valid
             )
         value = self._scalar(other)
+        if self.mode == EXACT:
+            ar, ai, da = _ints(self.coeffs)
+            (vr,), (vi,), dv = _ints([value])
+            pad = [0] * self.order  # the scalar as a constant series
+            cr, ci = _convolve([vr, *pad], [vi, *pad], ar, ai, self.order)
+            return TruncatedSeries(
+                _from_ints(cr, ci, [da * dv] * (self.order + 1)),
+                mode=EXACT, order=self.order, valid_order=self.valid_order,
+            )
         return TruncatedSeries(
             [c * value for c in self.coeffs],
             mode=self.mode,
@@ -389,6 +452,33 @@ class TruncatedSeries:
             )
         order = min(self.order, other.order)
         valid = min(self.valid_order, other.valid_order)
+        if self.mode == EXACT:
+            # Multiply both sides by conj(lead) so the divisor's lead is the
+            # positive integer L; then q_n = P_n / L**(n+1) with
+            # P_n = A_n L**n - sum_{i<n} P_i B_{n-i} L**(n-1-i).
+            ar, ai, da = _ints(self.coeffs[: order + 1])
+            br, bi, db = _ints(other.coeffs[: order + 1])
+            pad = [0] * order
+            conj = [br[0], *pad], [-bi[0], *pad]
+            ar, ai = _convolve(*conj, ar, ai, order)
+            br, bi = _convolve(*conj, br, bi, order)
+            powers = [1]
+            for _ in range(order + 1):
+                powers.append(powers[-1] * br[0])
+            pr, pi = [], []
+            for n in range(order + 1):
+                sr, si = ar[n] * powers[n], ai[n] * powers[n]
+                for i in range(n):
+                    w = powers[n - 1 - i]
+                    sr -= (pr[i] * br[n - i] - pi[i] * bi[n - i]) * w
+                    si -= (pr[i] * bi[n - i] + pi[i] * br[n - i]) * w
+                pr.append(sr)
+                pi.append(si)
+            return TruncatedSeries(
+                _from_ints([p * db for p in pr], [p * db for p in pi],
+                           [da * p for p in powers[1:]]),
+                mode=EXACT, order=order, valid_order=valid,
+            )
         quotient = []
         for n in range(order + 1):
             acc = self.coeffs[n]
@@ -413,6 +503,14 @@ class TruncatedSeries:
         The result is informationally one order shorter; ``valid_order``
         records that.
         """
+        if self.mode == EXACT:
+            re, im, den = _ints(self.coeffs)
+            return TruncatedSeries(
+                _from_ints([k * re[k] for k in range(1, self.order + 1)] + [0],
+                           [k * im[k] for k in range(1, self.order + 1)] + [0],
+                           [den] * (self.order + 1)),
+                mode=EXACT, order=self.order, valid_order=self.valid_order - 1,
+            )
         coeffs = [
             (k + 1) * self.coeffs[k + 1] for k in range(self.order)
         ]
@@ -455,6 +553,23 @@ class TruncatedSeries:
             )
         order = min(self.order, inner.order)
         valid = min(self.valid_order, inner.valid_order, order)
+        if self.mode == EXACT:
+            # Horner on ints: after the level of o_k the partial sum is
+            # r / (do * di**(order - k)).
+            orr, ori, do = _ints(self.coeffs[: order + 1])
+            ir, ii, di = _ints(inner.coeffs[: order + 1])
+            rr = [orr[order]] + [0] * order
+            ri = [ori[order]] + [0] * order
+            scale = 1  # di ** (order - k): the weight of o_k against do
+            for k in range(order - 1, -1, -1):
+                rr, ri = _convolve(rr, ri, ir, ii, order)
+                scale *= di
+                rr[0] += orr[k] * scale
+                ri[0] += ori[k] * scale
+            return TruncatedSeries(
+                _from_ints(rr, ri, [do * scale] * (order + 1)),
+                mode=EXACT, order=order, valid_order=valid,
+            )
         result = TruncatedSeries.constant(
             self.coeffs[order], order=order, mode=self.mode
         )
@@ -468,6 +583,13 @@ class TruncatedSeries:
         # log(self) for constant term exactly 1; no informational loss:
         # coefficient k of the log needs input coefficients up to k only.
         ratio = self.derivative() / self
+        if self.mode == EXACT:  # log_k = ratio_{k-1} / k
+            re, im, den = _ints(ratio.coeffs)
+            dens = [k * den for k in range(1, self.order + 1)]
+            return TruncatedSeries(
+                [self._zero(), *_from_ints(re, im, dens)],
+                mode=EXACT, order=self.order, valid_order=self.valid_order,
+            )
         coeffs = [self._zero()]
         for k in range(1, self.order + 1):
             coeffs.append(ratio.coeffs[k - 1] / k)
@@ -481,6 +603,27 @@ class TruncatedSeries:
     def _exp(self):
         # exp(self) for vanishing constant term, by the standard recurrence
         # n*e_n = sum_{k=1..n} k*s_k*e_{n-k}.
+        if self.mode == EXACT:
+            # s_k = S_k/d and e_n = E_n/(n! d**n), so E_0 = 1 and
+            # E_n = sum_k k S_k E_{n-k} (n-1)!/(n-k)! d**(k-1).
+            sr, si, d = _ints(self.coeffs)
+            er, ei = [1], [0]
+            dens = [1]
+            for n in range(1, self.order + 1):
+                accr = acci = 0
+                w = 1  # (n-1)!/(n-k)! * d**(k-1)
+                for k in range(1, n + 1):
+                    xr, xi, yr, yi = sr[k], si[k], er[n - k], ei[n - k]
+                    accr += k * w * (xr * yr - xi * yi)
+                    acci += k * w * (xr * yi + xi * yr)
+                    w *= (n - k) * d
+                er.append(accr)
+                ei.append(acci)
+                dens.append(dens[-1] * n * d)
+            return TruncatedSeries(
+                _from_ints(er, ei, dens),
+                mode=EXACT, order=self.order, valid_order=self.valid_order,
+            )
         coeffs = [self._one()]
         for n in range(1, self.order + 1):
             acc = self._zero()

@@ -14,8 +14,8 @@ def rand_qc(rng, span=6, den=6) -> QComplex:
     return QComplex(rand_fraction(rng, span, den), rand_fraction(rng, span, den))
 
 
-def rand_exact_series(rng, order=8, constant=None) -> TruncatedSeries:
-    coeffs = [rand_qc(rng, span=4, den=4) for _ in range(order + 1)]
+def rand_exact_series(rng, order=8, constant=None, den=4) -> TruncatedSeries:
+    coeffs = [rand_qc(rng, span=4, den=den) for _ in range(order + 1)]
     if constant is not None:
         coeffs[0] = QComplex(constant)
     return TruncatedSeries(coeffs, order=order)

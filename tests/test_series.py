@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from oracles import (
     poly_compose,
     poly_mul,
     poly_pow_unit,
+    poly_reciprocal,
     qc,
 )
 
@@ -30,6 +32,13 @@ def exact(coeffs, order=8):
 
 def coeffs_re(series):
     return [c.re for c in series.coeffs]
+
+
+def complex_lead(rng, den=30):
+    """A nonzero scalar with nonzero real and imaginary parts, neither 1."""
+    parts = [Fraction(rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(1, den))
+             for _ in range(2)]
+    return QComplex(*parts)
 
 
 Z = TruncatedSeries.var(order=8)
@@ -60,6 +69,15 @@ class TestScalars:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             qc(1) / qc(0)
+
+    @pytest.mark.parametrize(
+        "value", [0, 3, -7, 10**20, Fraction(1, 2), Fraction(-5, 3)]
+    )
+    def test_hash_agrees_with_eq(self, value):
+        assert QComplex(value) == value
+        assert hash(QComplex(value)) == hash(value)
+        assert value in {QComplex(value)}
+        assert QComplex(value) in {value}
 
 
 class TestAdd:
@@ -102,6 +120,33 @@ class TestMul:
         b = exact([1, 1], order=3)
         assert (a * b).order == 3
 
+    def test_large_prime_denominators_match_oracle(self):
+        # Every coefficient part has its own large prime denominator, so the
+        # shared denominator is the product of 36 primes.
+        primes = iter([1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+                       1000117, 1000121, 1000133, 1000151, 1000159, 1000171,
+                       1000183, 1000187, 1000193, 1000199, 1000211, 1000213,
+                       1000231, 1000249, 1000253, 1000273, 1000289, 1000291,
+                       1000303, 1000313, 1000333, 1000357, 1000367, 1000381,
+                       1000393, 1000397, 1000403, 1000409, 1000423, 1000427])
+        rng = random.Random(7)
+
+        def prime_series():
+            return exact([
+                QComplex(Fraction(rng.randint(-10**6, 10**6), next(primes)),
+                         Fraction(rng.randint(-10**6, 10**6), next(primes)))
+                for _ in range(9)
+            ])
+
+        a, b = prime_series(), prime_series()
+        assert list((a * b).coeffs) == poly_mul(list(a.coeffs), list(b.coeffs), 8)
+
+    def test_scalar_product_matches_coefficientwise(self, rng):
+        s = rand_exact_series(rng, den=30)
+        c = complex_lead(rng)
+        assert list((s * c).coeffs) == [x * c for x in s.coeffs]
+        assert list((c * s).coeffs) == [x * c for x in s.coeffs]
+
 
 class TestDiv:
     def test_geometric_series(self):
@@ -120,9 +165,22 @@ class TestDiv:
         assert coeffs_re(quotient)[:3] == [1, 1, 2]
         assert (quotient * den).agrees_with(num)
 
-    def test_zero_constant_divisor_raises(self):
+    def test_zero_constant_divisor_raises(self, rng):
         with pytest.raises(ZeroDivisionError):
             ONE / Z
+        divisor = exact([0, qc(1, 3, -2, 7), qc(5, 2)])
+        for numerator in (rand_exact_series(rng, den=30), 3):
+            with pytest.raises(ZeroDivisionError, match="nonzero constant term"):
+                numerator / divisor
+
+    def test_complex_lead_matches_oracle(self, rng):
+        for _ in range(8):
+            a = rand_exact_series(rng, den=30)
+            b = rand_exact_series(rng, den=30)
+            b = exact([complex_lead(rng), *b.coeffs[1:]])
+            want = poly_mul(list(a.coeffs), poly_reciprocal(list(b.coeffs), 8), 8)
+            assert list((a / b).coeffs) == want
+            assert list((1 / b).coeffs) == poly_reciprocal(list(b.coeffs), 8)
 
 
 class TestDerivative:
@@ -162,18 +220,22 @@ class TestCompose:
         assert got.coeffs[2] == 5 * c * c
 
     def test_matches_oracle(self, rng):
-        for _ in range(15):
-            outer = rand_exact_series(rng)
-            inner = rand_exact_series(rng)
-            inner = TruncatedSeries(
-                [QComplex(0), *inner.coeffs[1:]], order=8
-            )
-            want = poly_compose(list(outer.coeffs), list(inner.coeffs), 8)
-            assert list(outer.compose(inner).coeffs) == want
+        for den, count in ((4, 15), (30, 6)):
+            for _ in range(count):
+                outer = rand_exact_series(rng, den=den)
+                inner = rand_exact_series(rng, den=den)
+                inner = TruncatedSeries(
+                    [QComplex(0), *inner.coeffs[1:]], order=8
+                )
+                want = poly_compose(list(outer.coeffs), list(inner.coeffs), 8)
+                assert list(outer.compose(inner).coeffs) == want
 
-    def test_nonzero_inner_constant_raises(self):
-        with pytest.raises(ValueError):
+    def test_nonzero_inner_constant_raises(self, rng):
+        message = "composition needs a vanishing constant term in the inner series"
+        with pytest.raises(ValueError, match=message):
             ONE.compose(ONE)
+        with pytest.raises(ValueError, match=message):
+            rand_exact_series(rng, den=30).compose(exact([qc(1, 7, 2, 3), qc(1)]))
 
 
 class TestPowUnit:
@@ -195,6 +257,12 @@ class TestPowUnit:
         a = rand_exact_series(rng, constant=1)
         root = a.pow_unit(Fraction(1, 2))
         assert (root * root).agrees_with(a)
+
+    def test_wide_denominators_match_oracle(self, rng):
+        for exponent in (Fraction(1, 3), Fraction(-5, 2), 3, -2):
+            base = rand_exact_series(rng, constant=1, den=30)
+            want = poly_pow_unit(list(base.coeffs), QComplex(exponent), 8)
+            assert list(base.pow_unit(exponent).coeffs) == want
 
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
@@ -261,6 +329,12 @@ class TestRevert:
             coeffs = [QComplex(0), QComplex(1)] + [rand_qc(rng) for _ in range(7)]
             f = TruncatedSeries(coeffs, order=8)
             assert list(f.revert().coeffs) == lagrange_revert(coeffs, 8)
+        for _ in range(5):  # non-unit complex linear term, wider denominators
+            coeffs = [QComplex(0), complex_lead(rng)] + [
+                rand_qc(rng, den=30) for _ in range(7)
+            ]
+            f = TruncatedSeries(coeffs, order=8)
+            assert list(f.revert().coeffs) == lagrange_revert(coeffs, 8)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -274,6 +348,23 @@ class TestModeDiscipline:
         with pytest.raises(ModeMismatchError):
             ONE + TruncatedSeries.one(order=8, mode=FLOAT)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: a * b,
+            lambda a, b: b * a,
+            lambda a, b: a / b,
+            lambda a, b: b / a,
+            lambda a, b: (a - 1).compose(b - 1),
+            lambda a, b: (b - 1).compose(a - 1),
+        ],
+    )
+    def test_mixing_series_raises_in_every_kernel(self, op, rng):
+        exact_series = rand_exact_series(rng, constant=1, den=30)
+        float_series = TruncatedSeries([1.0, 0.5, -0.25], mode=FLOAT, order=8)
+        with pytest.raises(ModeMismatchError):
+            op(exact_series, float_series)
+
     def test_float_coefficient_in_exact_mode_raises(self):
         with pytest.raises(ModeMismatchError):
             TruncatedSeries([1.0, 2.0], mode=EXACT)
@@ -281,6 +372,76 @@ class TestModeDiscipline:
     def test_float_mode_accepts_exact_values(self):
         s = TruncatedSeries([1, Fraction(1, 2)], mode=FLOAT, order=4)
         assert s.coeffs[1] == 0.5 + 0j
+
+
+class TestExactResults:
+    """Exact kernels return QComplex in lowest terms and today's orders."""
+
+    @staticmethod
+    def kernel_results(rng):
+        a = rand_exact_series(rng, den=30)
+        b = exact([complex_lead(rng), *rand_exact_series(rng, den=30).coeffs[1:]])
+        u = rand_exact_series(rng, constant=1, den=30)
+        f = exact([0, complex_lead(rng), *rand_exact_series(rng, den=30).coeffs[2:]])
+        return [a * b, a * complex_lead(rng), a / b, a.compose(f), a.derivative(),
+                u.pow_unit(Fraction(2, 3)), f.revert()]
+
+    def test_coefficients_are_qcomplex_in_lowest_terms(self, rng):
+        for result in self.kernel_results(rng):
+            assert isinstance(result.coeffs, tuple)
+            for c in result.coeffs:
+                assert type(c) is QComplex
+                for part in (c.re, c.im):
+                    assert type(part) is Fraction
+                    assert part.denominator > 0
+                    assert math.gcd(part.numerator, part.denominator) == 1
+
+    def test_equal_and_hash_equal_to_hand_built(self, rng):
+        for result in self.kernel_results(rng):
+            hand = TruncatedSeries(
+                [QComplex(Fraction(c.re.numerator * 6, c.re.denominator * 6),
+                          Fraction(c.im.numerator * 10, c.im.denominator * 10))
+                 for c in result.coeffs],
+                order=result.order,
+                valid_order=result.valid_order,
+            )
+            assert result == hand
+            assert hash(result) == hash(hand)
+
+    def test_real_results_hash_like_their_values(self):
+        got = exact([1, Fraction(1, 2)]) * exact([2, Fraction(1, 3)])
+        assert got.coeffs[:3] == (2, Fraction(4, 3), Fraction(1, 6))
+        assert set(got.coeffs[:3]) == {2, Fraction(4, 3), Fraction(1, 6)}
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda a, b: a * b, lambda a, b: a / b,
+         lambda a, b: a.compose(b - b.coeffs[0])],
+    )
+    def test_mixed_storage_orders(self, op, rng):
+        for (order_a, valid_a), (order_b, valid_b) in [
+            ((8, 8), (3, 3)), ((3, 1), (8, 6)), ((5, 5), (7, 2)), ((0, 0), (4, 4)),
+        ]:
+            a = TruncatedSeries(rand_exact_series(rng, order=order_a).coeffs,
+                                order=order_a, valid_order=valid_a)
+            b = TruncatedSeries([complex_lead(rng),
+                                 *rand_exact_series(rng, order=order_b).coeffs[1:]],
+                                order=order_b, valid_order=valid_b)
+            got = op(a, b)
+            assert got.order == min(order_a, order_b)
+            assert got.valid_order == min(valid_a, valid_b)
+            short = min(order_a, order_b)
+            assert got == op(a.truncated(short), b.truncated(short))
+
+    def test_unary_kernels_keep_orders(self, rng):
+        u = TruncatedSeries(rand_exact_series(rng, constant=1, order=6).coeffs,
+                            order=6, valid_order=4)
+        root = u.pow_unit(Fraction(1, 2))
+        assert (root.order, root.valid_order) == (6, 4)
+        tail = rand_exact_series(rng, order=6).coeffs[2:]
+        f = TruncatedSeries([0, complex_lead(rng), *tail], order=6, valid_order=5)
+        assert (f.revert().order, f.revert().valid_order) == (6, 5)
+        assert (f.derivative().order, f.derivative().valid_order) == (6, 4)
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +483,14 @@ def test_div_mul_roundtrip(a, b):
 
 
 @settings(max_examples=40, deadline=None)
+@given(series_strategy(), series_strategy().filter(lambda s: s.coeffs[0]))
+def test_div_any_lead_matches_oracle(a, b):
+    order = min(a.order, b.order)
+    want = poly_mul(list(a.coeffs), poly_reciprocal(list(b.coeffs), order), order)
+    assert list((a / b).coeffs) == want
+
+
+@settings(max_examples=40, deadline=None)
 @given(series_strategy(), series_strategy())
 def test_product_rule(a, b):
     lhs = (a * b).derivative()
@@ -346,3 +515,11 @@ def test_compose_revert_identity(tail):
     ident = TruncatedSeries.var(order=f.order)
     assert f.revert().compose(f).agrees_with(ident)
     assert f.compose(f.revert()).agrees_with(ident)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scalars.filter(bool), st.lists(scalars, min_size=2, max_size=6))
+def test_revert_any_linear_term_matches_lagrange(lead, tail):
+    coeffs = [QComplex(0), lead, *tail]
+    f = TruncatedSeries(coeffs)
+    assert list(f.revert().coeffs) == lagrange_revert(coeffs, f.order)
