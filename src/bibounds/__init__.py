@@ -24,6 +24,7 @@ from .series import (
     TruncatedSeries,
     agree,
     approx_equal,
+    mode_of,
 )
 from .classes import (
     CLASS_KINDS,
@@ -61,7 +62,6 @@ from .bounds import (
     THEOREM_TAGS,
     BoundReport,
     Discrepancy,
-    TheoremId,
     audit,
     derived_sigma,
     generic_a2_bound,
@@ -72,6 +72,7 @@ from .bounds import (
     reduction_table,
     report,
     theorem_pair,
+    theorem_tag,
 )
 from .harness import (
     BoundViolationError,

@@ -53,33 +53,18 @@ SIGMA_SCALE = {"PP": 2, "PM": 2, "PL": 1, "MM": 2, "ML": 1, "LL": 1}
 AUDIT_REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TheoremId:
-    """One of the six pairing tags."""
-
-    tag: str
-
-    def __init__(self, tag):
-        tag = str(tag).upper()
-        if tag not in THEOREM_TAGS:
-            raise ValueError(f"unknown pairing tag {tag!r}")
-        object.__setattr__(self, "tag", tag)
-
-    @property
-    def kind_f(self) -> str:
-        return self.tag[0]
-
-    @property
-    def kind_g(self) -> str:
-        return self.tag[1]
+def theorem_tag(tag) -> str:
+    """The upper-cased pairing tag; a ValueError unless it is one of the six."""
+    tag = str(tag).upper()
+    if tag not in THEOREM_TAGS:
+        raise ValueError(f"unknown pairing tag {tag!r}")
+    return tag
 
 
 def theorem_pair(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget) -> PairSpec:
     """Build the PairSpec a tag denotes at specific parameters/targets."""
-    ident = tag if isinstance(tag, TheoremId) else TheoremId(tag)
-    return PairSpec(
-        ClassSpec(ident.kind_f, alpha), phi, ClassSpec(ident.kind_g, beta), psi
-    )
+    tag = theorem_tag(tag)
+    return PairSpec(ClassSpec(tag[0], alpha), phi, ClassSpec(tag[1], beta), psi)
 
 
 def _f(value) -> Fraction:
@@ -88,7 +73,7 @@ def _f(value) -> Fraction:
 
 def printed_sigma(tag, alpha, beta) -> Fraction:
     """Literal evaluation of the stated sigma polynomial."""
-    tag = TheoremId(tag).tag
+    tag = theorem_tag(tag)
     a, b = _f(alpha), _f(beta)
     if tag == "PP":
         return 2 + 7 * a + 7 * b + 24 * a * b
@@ -108,7 +93,7 @@ def printed_sigma(tag, alpha, beta) -> Fraction:
 
 def derived_sigma(tag, alpha, beta) -> Fraction:
     """sigma recovered from the elimination determinant, scaled per pairing."""
-    tag = TheoremId(tag).tag
+    tag = theorem_tag(tag)
     pair = theorem_pair(tag, alpha, beta, MindaTarget([1]), MindaTarget([1]))
     return sigma_tilde(pair) / SIGMA_SCALE[tag]
 
@@ -169,7 +154,7 @@ def _printed_a2_brackets(tag, a, b, B1, B2, D1, D2, sigma):
 
 
 def _printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
-    tag = TheoremId(tag).tag
+    tag = theorem_tag(tag)
     a, b = _f(alpha), _f(beta)
     B1, B2, D1, D2 = _f(B1), _f(B2), _f(D1), _f(D2)
     if sigma is None:
@@ -251,7 +236,7 @@ def _printed_a3_rhs(tag, a, b, B1, B2, D1, D2):
 
 
 def _printed_a3_value(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
-    tag = TheoremId(tag).tag
+    tag = theorem_tag(tag)
     a, b = _f(alpha), _f(beta)
     B1, B2, D1, D2 = _f(B1), _f(B2), _f(D1), _f(D2)
     if sigma is None:
@@ -366,7 +351,7 @@ def report(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget,
     formulas first, so a sigma mismatch is reported once under its own
     field instead of contaminating every downstream value.
     """
-    tag = TheoremId(tag).tag
+    tag = theorem_tag(tag)
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {rel_tol!r}")
     a, b = _f(alpha), _f(beta)
@@ -461,7 +446,7 @@ def _sqrt_or_nan(sq):
 
 def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
     """Reports for every (alpha, beta, target pair) grid point, in grid order."""
-    tag = TheoremId(tag).tag
+    tag = theorem_tag(tag)
     alphas = list(alphas)
     betas = list(betas)
     target_pairs = list(target_pairs)

@@ -35,6 +35,7 @@ from .series import (
     QComplex,
     TruncatedSeries,
     coerce_scalar,
+    mode_of,
 )
 
 KIND_P = "P"
@@ -158,12 +159,13 @@ class SchlichtCoeffs:
         return TruncatedSeries(coeffs[: order + 1], mode=mode, order=order)
 
 
-def _within_disk(value, radius=2, slack=1e-9) -> bool:
+def _within_disk(value) -> bool:
+    # |value| <= 2: exactly in the exact tower, with 1e-9 slack in float.
     if isinstance(value, QComplex):
-        return value.abs2() <= radius * radius
+        return value.abs2() <= 4
     if isinstance(value, (int, Fraction)):
-        return value * value <= radius * radius
-    return abs(complex(value)) <= radius + slack
+        return value * value <= 4
+    return abs(complex(value)) <= 2 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,10 +182,7 @@ class SchwarzParams:
 
     def __init__(self, c1, c2, b2):
         values = []
-        exact = all(
-            isinstance(v, (int, Fraction, QComplex)) for v in (c1, c2, b2)
-        )
-        mode = EXACT if exact else FLOAT
+        mode = mode_of(c1, c2, b2)
         for name, value in (("c1", c1), ("c2", c2), ("b2", b2)):
             value = coerce_scalar(value, mode)
             if not _within_disk(value):
@@ -195,7 +194,7 @@ class SchwarzParams:
 
     @property
     def mode(self) -> str:
-        return EXACT if isinstance(self.c1, QComplex) else FLOAT
+        return mode_of(self.c1)
 
 
 def triple(spec: ClassSpec) -> ClassTriple:

@@ -50,8 +50,10 @@ EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 EXIT_VERIFY_FAILED = 3
 
-# The order-2 derivations read series coefficients up to z^3.
+# The order-2 derivations read series coefficients up to z^3; the cap keeps
+# a target's coefficient list and the exact series work small.
 MIN_ORDER = 3
+MAX_ORDER = 64
 # Audit grid points per axis; the audit evaluates the square of this.
 MAX_GRID_POINTS = 101
 
@@ -171,6 +173,8 @@ def _order(args, config) -> int:
     order = _setting(args, config, "order", DEFAULT_ORDER)
     if order < MIN_ORDER:
         raise UsageError(f"order must be at least {MIN_ORDER}, got {order}")
+    if order > MAX_ORDER:
+        raise UsageError(f"order must be at most {MAX_ORDER}, got {order}")
     return order
 
 
@@ -340,7 +344,7 @@ def _run_sweep(args, config):
     result = sweep(pair, cfg)
     payload = {
         "command": "sweep",
-        "theorem": _bounds.TheoremId(args.pair).tag,
+        "theorem": _bounds.theorem_tag(args.pair),
         "alpha": float(args.alpha),
         "beta": float(args.beta),
         "phi": [float(c) for c in phi.coefficients],

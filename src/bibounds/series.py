@@ -26,6 +26,9 @@ normalisation per coefficient, so ``coeffs`` is always a tuple of
 Addition, negation, the shifts and truncation work on ``QComplex``
 directly.  Float mode works on ``complex`` throughout.
 
+The scalar rule lives here and nowhere else: :func:`mode_of` names the tower
+of a set of values (exact when every one is a ``QComplex``, ``Fraction`` or
+``int``), and :func:`coerce_scalar` lifts a value into a given tower.
 Modes never mix: combining an exact series with a float series, or feeding
 a float coefficient into the exact tower, raises :class:`ModeMismatchError`.
 Binary operations truncate to the shorter operand.
@@ -171,7 +174,7 @@ class QComplex:
 
     def __abs__(self):
         # Approximate; exact comparisons should use abs2().
-        return float(self.abs2()) ** 0.5
+        return math.sqrt(float(self.abs2()))
 
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
@@ -191,30 +194,32 @@ class QComplex:
         return f"QComplex({self.re}, {self.im})"
 
 
-def exact_scalar(value) -> QComplex:
-    """Lift a value into the exact tower; float/complex inputs are rejected."""
-    coerced = QComplex._coerce(value)
-    if coerced is None:
-        raise ModeMismatchError(
-            f"cannot build an exact scalar from {type(value).__name__}"
-        )
-    return coerced
+# The exact tower's scalar types; every other scalar belongs to the float tower.
+_EXACT_SCALARS = (QComplex, Fraction, int)
+_FLOAT_INPUTS = (complex, float, *_EXACT_SCALARS)
 
 
-def float_scalar(value) -> complex:
-    """Lift a value into the floating tower (exact values are downgraded)."""
-    if isinstance(value, QComplex):
-        return complex(value)
-    if isinstance(value, (int, float, complex, Fraction)):
-        return complex(value)
-    raise TypeError(f"cannot build a float scalar from {type(value).__name__}")
+def mode_of(*values) -> str:
+    """EXACT when every value is a QComplex, Fraction or int; FLOAT otherwise."""
+    for value in values:
+        if not isinstance(value, _EXACT_SCALARS):
+            return FLOAT
+    return EXACT
 
 
 def coerce_scalar(value, mode):
+    """Lift a value into mode's tower: exact rejects float/complex, float downgrades."""
     if mode == EXACT:
-        return exact_scalar(value)
+        coerced = QComplex._coerce(value)
+        if coerced is None:
+            raise ModeMismatchError(
+                f"cannot build an exact scalar from {type(value).__name__}"
+            )
+        return coerced
     if mode == FLOAT:
-        return float_scalar(value)
+        if isinstance(value, _FLOAT_INPUTS):
+            return complex(value)
+        raise TypeError(f"cannot build a float scalar from {type(value).__name__}")
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -345,12 +350,6 @@ class TruncatedSeries:
                 f"cannot combine {self.mode} and {other.mode} series"
             )
 
-    def _zero(self):
-        return coerce_scalar(0, self.mode)
-
-    def _one(self):
-        return coerce_scalar(1, self.mode)
-
     def _scalar(self, value):
         return coerce_scalar(value, self.mode)
 
@@ -406,7 +405,7 @@ class TruncatedSeries:
                     _from_ints(cr, ci, [da * db] * (order + 1)),
                     mode=EXACT, order=order, valid_order=valid,
                 )
-            zero = self._zero()
+            zero = self._scalar(0)
             coeffs = []
             for n in range(order + 1):
                 acc = zero
@@ -514,7 +513,7 @@ class TruncatedSeries:
         coeffs = [
             (k + 1) * self.coeffs[k + 1] for k in range(self.order)
         ]
-        coeffs.append(self._zero())
+        coeffs.append(self._scalar(0))
         return TruncatedSeries(
             coeffs,
             mode=self.mode,
@@ -524,7 +523,7 @@ class TruncatedSeries:
 
     def shift_up(self):
         """Multiply by z (the top stored coefficient is dropped)."""
-        coeffs = [self._zero(), *self.coeffs[:-1]]
+        coeffs = [self._scalar(0), *self.coeffs[:-1]]
         return TruncatedSeries(
             coeffs,
             mode=self.mode,
@@ -536,7 +535,7 @@ class TruncatedSeries:
         """Divide by z; requires a vanishing constant term."""
         if self.coeffs[0]:
             raise ValueError("cannot divide by z: constant term is nonzero")
-        coeffs = [*self.coeffs[1:], self._zero()]
+        coeffs = [*self.coeffs[1:], self._scalar(0)]
         return TruncatedSeries(
             coeffs,
             mode=self.mode,
@@ -587,10 +586,10 @@ class TruncatedSeries:
             re, im, den = _ints(ratio.coeffs)
             dens = [k * den for k in range(1, self.order + 1)]
             return TruncatedSeries(
-                [self._zero(), *_from_ints(re, im, dens)],
+                [self._scalar(0), *_from_ints(re, im, dens)],
                 mode=EXACT, order=self.order, valid_order=self.valid_order,
             )
-        coeffs = [self._zero()]
+        coeffs = [self._scalar(0)]
         for k in range(1, self.order + 1):
             coeffs.append(ratio.coeffs[k - 1] / k)
         return TruncatedSeries(
@@ -624,9 +623,9 @@ class TruncatedSeries:
                 _from_ints(er, ei, dens),
                 mode=EXACT, order=self.order, valid_order=self.valid_order,
             )
-        coeffs = [self._one()]
+        coeffs = [self._scalar(1)]
         for n in range(1, self.order + 1):
-            acc = self._zero()
+            acc = self._scalar(0)
             for k in range(1, n + 1):
                 acc = acc + k * self.coeffs[k] * coeffs[n - k]
             coeffs.append(acc / n)
@@ -643,7 +642,7 @@ class TruncatedSeries:
         Computed as exp(t*log(self)) so irrational exponents are fine in
         float mode; exact mode takes int or Fraction exponents.
         """
-        if self.coeffs[0] != self._one():
+        if not self.has_unit_constant():
             raise ValueError("pow_unit needs constant term exactly 1")
         if self.mode == EXACT:
             if not isinstance(exponent, (int, Fraction)):
@@ -667,11 +666,11 @@ class TruncatedSeries:
         """
         if self.coeffs[0]:
             raise ValueError("reversion needs a vanishing constant term")
-        lead = self.coeffs[1]
-        if not lead:
+        if self.order < 1 or not self.coeffs[1]:
             raise ValueError("reversion needs a nonzero linear term")
+        lead = self.coeffs[1]
         order = self.order
-        g = [self._zero(), self._one() / lead]
+        g = [self._scalar(0), self._scalar(1) / lead]
         power = self  # self**k, updated incrementally
         powers = [None, self]
         for k in range(2, order + 1):
@@ -680,7 +679,7 @@ class TruncatedSeries:
         lead_pow = lead
         for n in range(2, order + 1):
             lead_pow = lead_pow * lead
-            acc = self._zero()
+            acc = self._scalar(0)
             for k in range(1, n):
                 acc = acc + g[k] * powers[k].coeffs[n]
             g.append(-acc / lead_pow)

@@ -36,13 +36,12 @@ can pass through such points.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .series import QComplex, TruncatedSeries
+from .series import EXACT, TruncatedSeries, mode_of
 from .classes import (
     ClassSpec,
     ClassTriple,
@@ -51,9 +50,6 @@ from .classes import (
     inverse_triple,
     triple,
 )
-
-_EXACT_TYPES = (QComplex, Fraction, int)
-
 
 # Constants of the closed forms in one scalar tower: X = half_b1 c2 +
 # quarter_db c1^2, Y = half_d1 b2 + quarter_dd b1^2; g2, d2 are None when
@@ -134,7 +130,7 @@ class EliminationResult:
 
 
 def _constants(pair: PairSpec, *values) -> ClosedFormConstants:
-    if all(isinstance(v, _EXACT_TYPES) for v in values):
+    if mode_of(*values) == EXACT:
         return pair.exact_constants
     return pair.float_constants
 
@@ -218,18 +214,10 @@ def solve_forward(spec: ClassSpec, target: MindaTarget, p_series: TruncatedSerie
     return _forward(triple(spec), B1, c1, x)
 
 
-def _magnitude(value) -> float:
-    if isinstance(value, QComplex):
-        if not value:
-            return 0.0
-        return math.sqrt(float(value.abs2()))
-    return abs(complex(value))
-
-
 def inverse_residual(pair: PairSpec, a2_squared, a3, y) -> float:
     """Magnitude of r' a2^2 - q' a3 - Y, the inverse-side equation's miss."""
     tg = pair.triple_g_inverse()
-    return _magnitude(tg.r * a2_squared - tg.q * a3 - y)
+    return float(abs(tg.r * a2_squared - tg.q * a3 - y))
 
 
 def consistency_residual(

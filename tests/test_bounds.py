@@ -19,12 +19,12 @@ from bibounds import (
     sigma_tilde,
     target_preset,
     theorem_pair,
+    theorem_tag,
 )
 from bibounds.bounds import (
     A3_MULTIPLIER,
     SIGMA_SCALE,
     THEOREM_TAGS,
-    TheoremId,
     _generic_a2_sq,
     _generic_a3_value,
     _printed_a2_sq,
@@ -100,7 +100,8 @@ class TestSigma:
 
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
     def test_report_sigma_matches_derived_sigma(self, tag):
-        assert TheoremId(tag).kind_f + TheoremId(tag).kind_g == tag
+        pair = theorem_pair(tag.lower(), 0, 0, CARA, CARA)
+        assert pair.class_f.kind + pair.class_g.kind == theorem_tag(tag) == tag
         target = MindaTarget([3, 1])
         for a in frac_grid(Fraction(1), Fraction(1, 4)):
             for b in frac_grid(Fraction(1), Fraction(1, 4)):
@@ -284,15 +285,15 @@ class TestAudit:
         assert variant != rep.a2_printed
 
 
-class TestTheoremId:
+class TestTheoremTag:
     def test_kinds(self):
-        ident = TheoremId("pl")
-        assert ident.tag == "PL"
-        assert ident.kind_f == "P" and ident.kind_g == "L"
+        assert theorem_tag("pl") == "PL"
+        pair = theorem_pair("pl", 0, 1, CARA, CARA)
+        assert (pair.class_f.kind, pair.class_g.kind) == ("P", "L")
 
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            TheoremId("QQ")
+        with pytest.raises(ValueError, match="unknown pairing tag 'QQ'"):
+            theorem_tag("QQ")
 
     def test_multiplier_table(self):
         assert A3_MULTIPLIER == {"PP": 2, "PM": 2, "PL": 1, "MM": 2, "ML": 1, "LL": 2}

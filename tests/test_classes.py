@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bibounds import (
@@ -23,6 +24,8 @@ from bibounds import (
     target_preset,
     triple,
 )
+from bibounds.classes import _within_disk
+from bibounds.series import mode_of
 from conftest import rand_qc
 from oracles import poly_pow_unit
 
@@ -78,6 +81,37 @@ class TestValidation:
     def test_schwarz_params_modes(self):
         assert SchwarzParams(1, 1, 1).mode == EXACT
         assert SchwarzParams(1.0, 1, 1).mode == FLOAT
+
+    @pytest.mark.parametrize("values, mode", [
+        ((1, 0, -2), EXACT),
+        ((True, False, True), EXACT),
+        ((Fraction(1, 2), Fraction(-3, 2), 0), EXACT),
+        ((QComplex(1, 1), QComplex(0), Fraction(1, 3)), EXACT),
+        ((0.5, 0.5, 0.5), FLOAT),
+        ((1j, 0j, 1 + 0j), FLOAT),
+        ((np.float64(0.5), np.float64(1), np.float64(-2)), FLOAT),
+        ((1, 0.5, 0), FLOAT),
+        ((QComplex(1), 1j, Fraction(1, 2)), FLOAT),
+    ])
+    def test_mode_of_decides_schwarz_params_mode(self, values, mode):
+        assert mode_of(*values) == mode
+        assert SchwarzParams(*values).mode == mode
+
+    def test_mode_of_numpy_integer_is_float(self):
+        # Not an int subclass, so it never enters the exact tower.
+        assert mode_of(np.int64(1)) == FLOAT
+        assert mode_of(1, np.int64(1)) == FLOAT
+
+    def test_within_disk_edges(self):
+        assert _within_disk(QComplex(2))
+        assert _within_disk(QComplex(0, -2))
+        assert _within_disk(Fraction(-2))
+        assert not _within_disk(QComplex(2, Fraction(1, 10**30)))
+        assert not _within_disk(Fraction(2 * 10**30 + 1, 10**30))
+        assert _within_disk(2 + 1e-10)
+        assert _within_disk(complex(0, -2 - 1e-10))
+        assert not _within_disk(2 + 1e-8)
+        assert not _within_disk(complex(0, 2 + 1e-8))
 
 
 class TestTriples:

@@ -242,6 +242,8 @@ REJECTED = {
     "audit_tolerance_negative": (None, AUDIT + ["--tolerance", "-1"]),
     "config_tolerance_nan": ("tolerance=nan\n", AUDIT),
     "preset_zero_denominator": (None, BOUND + ["--phi", "order:1/0"]),
+    "bound_order_65": (None, BOUND + ["--order", "65"]),
+    "config_order_65": ("order=65\n", BOUND),
 }
 
 
@@ -260,6 +262,12 @@ class TestInputContract:
             argv = ["--config", str(config), *argv]
         code, text = run_cli(argv)
         assert (code, text) == (cli.EXIT_USAGE, "")
+
+    def test_order_cap_is_inclusive(self, tmp_path):
+        assert run_cli(BOUND + ["--order", str(cli.MAX_ORDER)])[0] == cli.EXIT_OK
+        config = tmp_path / "defaults.cfg"
+        config.write_text(f"order={cli.MAX_ORDER}\n")
+        assert run_cli(["--config", str(config), *EXPAND])[0] == cli.EXIT_OK
 
     def test_bad_config_value_names_the_key(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -324,3 +332,24 @@ def test_fuzzed_argv_exits_with_a_contract_code(argv):
     assert code in (0, 1, 2, 3)
     if code == cli.EXIT_USAGE:
         assert buffer.getvalue() == ""
+
+
+# Runs in a fresh interpreter, so nothing the test run imported is loaded.
+_RUNTIME_PROBE = """
+import contextlib, io, sys
+from bibounds import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["table"]) == 0
+    assert cli.main(["verify", "--suite", "series", "--samples", "2"]) == 0
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("sympy", "hypothesis", "pytest", "_pytest")))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"

@@ -66,6 +66,13 @@ class TestScalars:
         with pytest.raises(ModeMismatchError):
             QComplex(0.5)
 
+    @pytest.mark.parametrize("value", [
+        QComplex(0), QComplex(3, 4), QComplex(Fraction(7, 3), Fraction(-5, 11)),
+        QComplex(Fraction(1, 10**20), 1), QComplex(-2),
+    ])
+    def test_abs_is_the_square_root_of_abs2(self, value):
+        assert abs(value) == math.sqrt(float(value.abs2()))
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             qc(1) / qc(0)
@@ -267,6 +274,11 @@ class TestPowUnit:
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
             (2 * ONE).pow_unit(Fraction(1, 2))
+        # Float mode asks for a unit constant the way has_unit_constant does.
+        near_one = TruncatedSeries([1 + 2.0 ** -52, 0.5], mode=FLOAT, order=4)
+        assert near_one.has_unit_constant()
+        assert near_one.pow_unit(0.5).agrees_with(
+            TruncatedSeries([1.0, 0.5], mode=FLOAT, order=4).pow_unit(0.5))
 
     def test_exact_mode_rejects_float_exponent(self):
         with pytest.raises(ModeMismatchError):
@@ -341,6 +353,8 @@ class TestRevert:
             ONE.revert()
         with pytest.raises(ValueError):
             (Z * Z).revert()
+        with pytest.raises(ValueError, match="nonzero linear term"):
+            TruncatedSeries([0], order=0).revert()
 
 
 class TestModeDiscipline:
