@@ -15,6 +15,19 @@ All internal arithmetic is exact (Fractions); square roots are taken only
 when converting a final value to float, so printed and generic bounds that
 agree algebraically agree bit-for-bit as floats.
 
+:func:`audit` is the one evaluation loop; :func:`report` is a one-point
+audit.  The audit evaluates each quantity at the level where it last
+changes: the tag and tolerance checks once per audit; B1..D2, B1^2 D1^2
+and the float target values once per target pair; the function-side
+triple once per alpha and the inverse-side triple once per beta; the
+printed sigma and sigma_tilde once per (alpha, beta).  At each point one
+|a2| bracket (numerator and sigma-free remainder R, with denominator
+sigma B1^2 D1^2 - R) and one |a3| right side serve the printed and the
+derived sigma, and where the two sigmas agree (everywhere but at LL points
+with alpha*beta != 0) the aligned values are the printed ones.  ``_printed_a2_sq``,
+``_printed_a3_value`` and the ``_generic_*`` helpers stay the per-call
+forms for callers with a single point.
+
 Two known mismatches are surfaced by the audit rather than corrected:
 
 * the LL sigma polynomial: its alpha*beta term has the opposite sign from
@@ -33,11 +46,13 @@ the audit notes (:func:`pm_display_variant_a2_bound`).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import ClassSpec, MindaTarget
-from .solver import PairSpec, sigma_tilde
+from .classes import ClassSpec, MindaTarget, inverse_triple, triple
+from .solver import (PairSpec, closed_form_constants, sigma_tilde,
+                     triple_determinant)
 
 # A tag names the class kinds of its two sides, function side first.
 THEOREM_TAGS = ("PP", "PM", "PL", "MM", "ML", "LL")
@@ -99,58 +114,53 @@ def derived_sigma(tag, alpha, beta) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# printed |a2| bounds: numerator bracket and denominator bracket, exactly
-# as stated.  Each returns the squared bound as a Fraction, or None when
-# the denominator bracket vanishes.
+# printed |a2| bounds: the numerator bracket and the sigma-free part R of
+# the denominator bracket, exactly as stated; the denominator bracket is
+# sigma B1^2 D1^2 - R.  The squared bound is a Fraction, or None when the
+# denominator bracket vanishes.
 
-def _printed_a2_brackets(tag, a, b, B1, B2, D1, D2, sigma):
+def _printed_a2_brackets(tag, a, b, B1, B2, D1, D2):
     if tag == "PP":
         num = B1 * (1 + 3 * b) + D1 * (1 + 3 * a)
-        den = (
-            sigma * B1**2 * D1**2
-            - (1 + 2 * a) ** 2 * (1 + 3 * b) * (B2 - B1) * D1**2
-            - (1 + 2 * b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
+        rest = (
+            (1 + 2 * a) ** 2 * (1 + 3 * b) * (B2 - B1) * D1**2
+            + (1 + 2 * b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
         )
-        return num, den
+        return num, rest
     if tag == "PM":
         num = B1 * (1 + 2 * b) + D1 * (1 + 3 * a)
-        den = (
-            sigma * B1**2 * D1**2
-            - (1 + 2 * a) ** 2 * (1 + 2 * b) * (B2 - B1) * D1**2
-            - (1 + b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
+        rest = (
+            (1 + 2 * a) ** 2 * (1 + 2 * b) * (B2 - B1) * D1**2
+            + (1 + b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
         )
-        return num, den
+        return num, rest
     if tag == "PL":
         num = 2 * (B1 * (3 - 2 * b) + D1 * (1 + 3 * a))
-        den = (
-            sigma * B1**2 * D1**2
-            - 2 * (1 + 2 * a) ** 2 * (3 - 2 * b) * (B2 - B1) * D1**2
-            - 2 * (2 - b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
+        rest = (
+            2 * (1 + 2 * a) ** 2 * (3 - 2 * b) * (B2 - B1) * D1**2
+            + 2 * (2 - b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
         )
-        return num, den
+        return num, rest
     if tag == "MM":
         num = B1 * (1 + 2 * b) + D1 * (1 + 2 * a)
-        den = (
-            sigma * B1**2 * D1**2
-            - (1 + a) ** 2 * (1 + 2 * b) * (B2 - B1) * D1**2
-            - (1 + b) ** 2 * (1 + 2 * a) * (D2 - D1) * B1**2
+        rest = (
+            (1 + a) ** 2 * (1 + 2 * b) * (B2 - B1) * D1**2
+            + (1 + b) ** 2 * (1 + 2 * a) * (D2 - D1) * B1**2
         )
-        return num, den
+        return num, rest
     if tag == "ML":
         num = 2 * (B1 * (3 - 2 * b) + D1 * (1 + 2 * a))
-        den = (
-            sigma * B1**2 * D1**2
-            - 2 * (1 + a) ** 2 * (3 - 2 * b) * (B2 - B1) * D1**2
-            - 2 * (2 - b) ** 2 * (1 + 2 * a) * (D2 - D1) * B1**2
+        rest = (
+            2 * (1 + a) ** 2 * (3 - 2 * b) * (B2 - B1) * D1**2
+            + 2 * (2 - b) ** 2 * (1 + 2 * a) * (D2 - D1) * B1**2
         )
-        return num, den
+        return num, rest
     num = 2 * (B1 * (3 - 2 * b) + D1 * (3 - 2 * a))
-    den = (
-        sigma * B1**2 * D1**2
-        - 2 * (2 - a) ** 2 * (3 - 2 * b) * (B2 - B1) * D1**2
-        - 2 * (2 - b) ** 2 * (3 - 2 * a) * (D2 - D1) * B1**2
+    rest = (
+        2 * (2 - a) ** 2 * (3 - 2 * b) * (B2 - B1) * D1**2
+        + 2 * (2 - b) ** 2 * (3 - 2 * a) * (D2 - D1) * B1**2
     )
-    return num, den
+    return num, rest
 
 
 def _printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
@@ -159,10 +169,13 @@ def _printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
     B1, B2, D1, D2 = _f(B1), _f(B2), _f(D1), _f(D2)
     if sigma is None:
         sigma = printed_sigma(tag, a, b)
-    num, den = _printed_a2_brackets(tag, a, b, B1, B2, D1, D2, sigma)
-    if den == 0:
-        return None
-    return B1**2 * D1**2 * num / abs(den)
+    num, rest = _printed_a2_brackets(tag, a, b, B1, B2, D1, D2)
+    return _a2_sq(num, rest, sigma, B1**2 * D1**2)
+
+
+def _a2_sq(num, rest, sigma, b1d1_sq):
+    den = sigma * b1d1_sq - rest
+    return None if den == 0 else b1d1_sq * num / abs(den)
 
 
 def printed_a2_bound(tag, alpha, beta, B1, B2, D1, D2):
@@ -243,8 +256,11 @@ def _printed_a3_value(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
         sigma = printed_sigma(tag, a, b)
     if sigma == 0:
         return None
-    rhs = _printed_a3_rhs(tag, a, b, B1, B2, D1, D2)
-    return rhs / (A3_MULTIPLIER[tag] * abs(sigma))
+    return _a3_value(tag, _printed_a3_rhs(tag, a, b, B1, B2, D1, D2), sigma)
+
+
+def _a3_value(tag, rhs, sigma):
+    return None if sigma == 0 else rhs / (A3_MULTIPLIER[tag] * abs(sigma))
 
 
 def printed_a3_bound(tag, alpha, beta, B1, B2, D1, D2):
@@ -257,8 +273,11 @@ def printed_a3_bound(tag, alpha, beta, B1, B2, D1, D2):
 # generic bounds from the unified elimination
 
 def _generic_a2_sq(pair: PairSpec):
+    return _generic_a2_sq_at(pair.exact_constants)
+
+
+def _generic_a2_sq_at(k):
     # |a2^2| <= 2 |g2| + 2 |d2| over |c2|, |b2| <= 2.
-    k = pair.exact_constants
     return None if k.g2 is None else 2 * (abs(k.g2) + abs(k.d2))
 
 
@@ -272,12 +291,15 @@ def generic_a2_bound(pair: PairSpec):
 
 
 def _generic_a3_value(pair: PairSpec):
+    return _generic_a3_at(pair.exact_constants, pair.phi, pair.psi)
+
+
+def _generic_a3_at(k, phi: MindaTarget, psi: MindaTarget):
     # |a3| <= |gx| sup|X| + |gy| sup|Y| over |c1|, |c2|, |b2| <= 2.
-    k = pair.exact_constants
     if k.gx is None:
         return None
-    sup_x = pair.phi.B1 + abs(pair.phi.B2 - pair.phi.B1)
-    sup_y = pair.psi.B1 + k.kappa**2 * abs(pair.psi.B2 - pair.psi.B1)
+    sup_x = phi.B1 + abs(phi.B2 - phi.B1)
+    sup_y = psi.B1 + k.kappa**2 * abs(psi.B2 - psi.B1)
     return abs(k.gx) * sup_x + abs(k.gy) * sup_y
 
 
@@ -347,32 +369,53 @@ def report(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget,
            rel_tol=AUDIT_REL_TOL) -> BoundReport:
     """Evaluate printed and generic values at one point and diff them.
 
-    The a2/a3 comparisons substitute the derived sigma into the printed
-    formulas first, so a sigma mismatch is reported once under its own
-    field instead of contaminating every downstream value.
+    A one-point :func:`audit`.  The a2/a3 comparisons substitute the derived
+    sigma into the printed formulas first, so a sigma mismatch is reported
+    once under its own field instead of contaminating every downstream value.
     """
-    tag = theorem_tag(tag)
-    if not (math.isfinite(rel_tol) and rel_tol >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {rel_tol!r}")
-    a, b = _f(alpha), _f(beta)
-    pair = theorem_pair(tag, a, b, phi, psi)
-    B1, B2 = phi.B1, phi.B2
-    D1, D2 = psi.B1, psi.B2
-    sig_printed = printed_sigma(tag, a, b)
-    st = sigma_tilde(pair)
-    sig_derived = st / SIGMA_SCALE[tag]  # derived_sigma without a second pair
+    return audit(tag, [alpha], [beta], [(phi, psi)], rel_tol)[0]
 
-    a2_printed_sq = _printed_a2_sq(tag, a, b, B1, B2, D1, D2, sigma=sig_printed)
-    a2_aligned_sq = _printed_a2_sq(tag, a, b, B1, B2, D1, D2, sigma=sig_derived)
-    a2_generic_sq = _generic_a2_sq(pair)
-    a3_printed = _printed_a3_value(tag, a, b, B1, B2, D1, D2, sigma=sig_printed)
-    a3_aligned = _printed_a3_value(tag, a, b, B1, B2, D1, D2, sigma=sig_derived)
-    a3_generic = _generic_a3_value(pair)
 
-    witness = dict(
-        alpha=float(a), beta=float(b),
-        B1=float(B1), B2=float(B2), D1=float(D1), D2=float(D2),
+# Per target pair, what every audit point reads: the exact B1, B2, D1, D2,
+# B1^2 D1^2, and the float witness values and coefficient tuples.
+_Targets = namedtuple(
+    "_Targets", "phi psi B1 B2 D1 D2 b1d1_sq witness phi_floats psi_floats")
+
+# Per (alpha, beta): the exact parameters a, b and their floats alpha, beta,
+# the function-side and inverse-side triples, and the printed sigma,
+# sigma_tilde and derived sigma.
+_Cell = namedtuple(
+    "_Cell", "a b alpha beta tf tg sigma_printed sigma_tilde sigma_derived")
+
+
+def _targets(phi: MindaTarget, psi: MindaTarget) -> _Targets:
+    B1, B2, D1, D2 = phi.B1, phi.B2, psi.B1, psi.B2
+    return _Targets(
+        phi, psi, B1, B2, D1, D2, B1**2 * D1**2,
+        dict(B1=float(B1), B2=float(B2), D1=float(D1), D2=float(D2)),
+        tuple(float(c) for c in phi.coefficients),
+        tuple(float(c) for c in psi.coefficients),
     )
+
+
+def _report_at(tag, cell: _Cell, t: _Targets, rel_tol) -> BoundReport:
+    a, b = cell.a, cell.b
+    sig_printed, sig_derived = cell.sigma_printed, cell.sigma_derived
+    # One bracket and one right side serve both sigmas.
+    num, rest = _printed_a2_brackets(tag, a, b, t.B1, t.B2, t.D1, t.D2)
+    rhs = _printed_a3_rhs(tag, a, b, t.B1, t.B2, t.D1, t.D2)
+    a2_printed_sq = _a2_sq(num, rest, sig_printed, t.b1d1_sq)
+    a3_printed = _a3_value(tag, rhs, sig_printed)
+    if sig_derived == sig_printed:  # all but LL points with alpha*beta != 0
+        a2_aligned_sq, a3_aligned = a2_printed_sq, a3_printed
+    else:
+        a2_aligned_sq = _a2_sq(num, rest, sig_derived, t.b1d1_sq)
+        a3_aligned = _a3_value(tag, rhs, sig_derived)
+    k = closed_form_constants(cell.tf, cell.tg, cell.sigma_tilde, t.phi, t.psi)
+    a2_generic_sq = _generic_a2_sq_at(k)
+    a3_generic = _generic_a3_at(k, t.phi, t.psi)
+
+    witness = dict(alpha=cell.alpha, beta=cell.beta, **t.witness)
     discrepancies = []
     if _mismatch(sig_printed, sig_derived, rel_tol):
         discrepancies.append(
@@ -398,8 +441,8 @@ def report(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget,
         )
 
     notes = []
-    if tag == "PM" and D2 != D1:
-        variant = pm_display_variant_a2_bound(a, b, B1, B2, D1, D2)
+    if tag == "PM" and t.D2 != t.D1:
+        variant = pm_display_variant_a2_bound(a, b, t.B1, t.B2, t.D1, t.D2)
         stated = _sqrt_or_nan(a2_printed_sq)
         if variant is None or abs(variant - stated) > rel_tol * max(1.0, stated):
             notes.append(
@@ -407,7 +450,7 @@ def report(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget,
                 f"{variant!r}; the statement value {stated!r} matches the "
                 "derivation and is the one reported"
             )
-    if tag == "LL" and D2 != D1:
+    if tag == "LL" and t.D2 != t.D1:
         notes.append(
             "LL |a3| statement carries (alpha^2+5*alpha-8) on its |D2-D1| "
             "term where the derivation gives (8-5*alpha-alpha^2)"
@@ -419,13 +462,13 @@ def report(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget,
     )
     return BoundReport(
         theorem=tag,
-        alpha=float(a),
-        beta=float(b),
-        phi=tuple(float(c) for c in phi.coefficients),
-        psi=tuple(float(c) for c in psi.coefficients),
+        alpha=cell.alpha,
+        beta=cell.beta,
+        phi=t.phi_floats,
+        psi=t.psi_floats,
         sigma_printed=float(sig_printed),
         sigma_derived=float(sig_derived),
-        sigma_tilde=float(st),
+        sigma_tilde=float(cell.sigma_tilde),
         a2_printed=_sqrt_or_none(a2_printed_sq),
         a2_generic=_sqrt_or_none(a2_generic_sq),
         a3_printed=float(a3_printed) if a3_printed is not None else None,
@@ -445,18 +488,35 @@ def _sqrt_or_nan(sq):
 
 
 def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
-    """Reports for every (alpha, beta, target pair) grid point, in grid order."""
+    """Reports for every (alpha, beta, target pair) grid point, in grid order.
+
+    Each quantity is evaluated once per level, as the module docstring
+    lists.  The inverse-side ClassSpecs are built while the first row runs,
+    so an invalid parameter raises at the first grid point that uses it.
+    """
     tag = theorem_tag(tag)
     alphas = list(alphas)
     betas = list(betas)
     target_pairs = list(target_pairs)
     if not (alphas and betas and target_pairs):
         raise ValueError("audit needs a nonempty grid")
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {rel_tol!r}")
+    targets = [_targets(phi, psi) for phi, psi in target_pairs]
+    columns = []  # (b, inverse-side triple) per beta, filled by the first row
     out = []
-    for a in alphas:
-        for b in betas:
-            for phi, psi in target_pairs:
-                out.append(report(tag, a, b, phi, psi, rel_tol))
+    for alpha in alphas:
+        a = _f(alpha)
+        tf = triple(ClassSpec(tag[0], a))
+        for j, beta in enumerate(betas):
+            if j == len(columns):
+                b = _f(beta)
+                columns.append((b, inverse_triple(triple(ClassSpec(tag[1], b)))))
+            b, tg = columns[j]
+            st = triple_determinant(tf, tg)
+            cell = _Cell(a, b, float(a), float(b), tf, tg,
+                         printed_sigma(tag, a, b), st, st / SIGMA_SCALE[tag])
+            out.extend(_report_at(tag, cell, t, rel_tol) for t in targets)
     return out
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -250,6 +251,7 @@ def _verify_flags(parser):
     parser.add_argument("--samples", type=int)
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="bibounds", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="path to a key=value defaults file")

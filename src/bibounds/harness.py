@@ -18,6 +18,9 @@ reported informationally, never asserted.
 CLI ``verify`` command; each check reports its first failure witness.  In
 float mode every check compares with :data:`VERIFY_TOL`, relative and
 absolute alike.
+
+numpy is imported inside the sweeps and the random check, the only code
+that uses it, so the other commands never load it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-
-import numpy as np
 
 from .series import (
     DEFAULT_ORDER,
@@ -125,11 +126,15 @@ class SweepResult:
 
 
 def _phase_ring(cfg: SweepConfig):
+    import numpy as np
+
     phases = np.linspace(0.0, 2.0 * math.pi, cfg.phase_steps, endpoint=False)
     return np.exp(1j * phases)
 
 
 def _disk_grid(cfg: SweepConfig):
+    import numpy as np
+
     moduli = np.linspace(0.0, 2.0, cfg.radial_steps)
     grid = (moduli[:, None] * _phase_ring(cfg)[None, :]).ravel()
     return grid
@@ -141,6 +146,8 @@ def _sweep_result(quantity, bound, best, best_params, values, axes):
     ``values[i, j, k]`` is the quantity at (c1, c2, b2) = (axes[0][i],
     axes[1][j], axes[2][k]).
     """
+    import numpy as np
+
     index = np.unravel_index(int(np.argmax(values)), values.shape)
     if values[index] > best + ATTAIN_TOL:  # a tie keeps the exact corner
         best = float(values[index])
@@ -160,6 +167,8 @@ def sweep_a2(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     a2^2 is affine in c2 and b2 and independent of c1, so the aligned corner
     c2 = b2 = 2 is the analytic maximum; the grid pass is a safety net.
     """
+    import numpy as np
+
     if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
         raise DegeneratePairError("a2 sweep needs a non-degenerate pairing")
     corner_sq = closed_forms(pair, 0, 2, 2).a2_squared  # exact
@@ -180,6 +189,8 @@ def sweep_a3(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     of the bound is not asserted (the triangle inequality in the bound need
     not be tight when the two second-coefficient gaps pull apart).
     """
+    import numpy as np
+
     if sigma_tilde(pair) == 0:
         raise DegeneratePairError("a3 sweep needs a nonzero determinant")
     # Exact corners c1 = 2, c2 = b2 = +-2; the larger one is the maximum.
@@ -213,6 +224,8 @@ def check_bounds_random(
     pushing the observed ratios toward 1.  Raises
     :class:`BoundViolationError` past bound * (1 + 1e-9).
     """
+    import numpy as np
+
     if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
         raise DegeneratePairError("random check needs a non-degenerate pairing")
     a2_bound = _bounds.generic_a2_bound(pair)

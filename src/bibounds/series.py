@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 
 EXACT = "exact"
@@ -61,6 +62,17 @@ ABS_TOL = 1e-14
 
 class ModeMismatchError(TypeError):
     """Exact and floating coefficients met in a single expression."""
+
+
+# The real operands of the exact tower.
+_REAL_EXACT = (int, Fraction)
+
+
+def _not_exact(value, result=None):
+    """result for an operand outside the exact tower; float or complex raises."""
+    if isinstance(value, (float, complex)):
+        raise ModeMismatchError("cannot mix floating values into exact arithmetic")
+    return result
 
 
 def _fraction(value):
@@ -77,8 +89,9 @@ class QComplex:
     """Gaussian rational: a complex number with Fraction real/imaginary parts.
 
     Arithmetic is closed over QComplex, int and Fraction operands; float or
-    complex operands raise :class:`ModeMismatchError`.  Instances are treated
-    as immutable.
+    complex operands raise :class:`ModeMismatchError`.  An int or Fraction
+    operand is a real number, so ``+ - * /`` with one work part by part
+    instead of lifting it to a QComplex.  Instances are treated as immutable.
     """
 
     __slots__ = ("re", "im")
@@ -91,62 +104,71 @@ class QComplex:
     def _coerce(value):
         if isinstance(value, QComplex):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, _REAL_EXACT):
             return QComplex(value)
-        if isinstance(value, (float, complex)):
-            raise ModeMismatchError(
-                "cannot mix floating values into exact arithmetic"
-            )
-        return None
+        return _not_exact(value)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QComplex(self.re + other.re, self.im + other.im)
+        if isinstance(other, QComplex):
+            return QComplex(self.re + other.re, self.im + other.im)
+        if isinstance(other, _REAL_EXACT):
+            return QComplex(self.re + other, self.im)
+        return _not_exact(other, NotImplemented)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QComplex(self.re - other.re, self.im - other.im)
+        if isinstance(other, QComplex):
+            return QComplex(self.re - other.re, self.im - other.im)
+        if isinstance(other, _REAL_EXACT):
+            return QComplex(self.re - other, self.im)
+        return _not_exact(other, NotImplemented)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QComplex(other.re - self.re, other.im - self.im)
+        if isinstance(other, QComplex):
+            return QComplex(other.re - self.re, other.im - self.im)
+        if isinstance(other, _REAL_EXACT):
+            return QComplex(other - self.re, -self.im)
+        return _not_exact(other, NotImplemented)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if isinstance(other, QComplex):
+            return QComplex(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if isinstance(other, _REAL_EXACT):
+            return QComplex(self.re * other, self.im * other)
+        return _not_exact(other, NotImplemented)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        d = other.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return QComplex(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        if isinstance(other, QComplex):
+            d = other.abs2()
+            if d == 0:
+                raise ZeroDivisionError("division by exact zero")
+            return QComplex(
+                (self.re * other.re + self.im * other.im) / d,
+                (self.im * other.re - self.re * other.im) / d,
+            )
+        if isinstance(other, _REAL_EXACT):
+            if other == 0:
+                raise ZeroDivisionError("division by exact zero")
+            return QComplex(self.re / other, self.im / other)
+        return _not_exact(other, NotImplemented)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        if isinstance(other, QComplex):
+            return other / self
+        if isinstance(other, _REAL_EXACT):
+            # other / self = other * conj(self) / |self|^2
+            d = self.abs2()
+            if d == 0:
+                raise ZeroDivisionError("division by exact zero")
+            scale = other / d
+            return QComplex(self.re * scale, -self.im * scale)
+        return _not_exact(other, NotImplemented)
 
     def __neg__(self):
         return QComplex(-self.re, -self.im)
@@ -196,7 +218,10 @@ class QComplex:
 
 # The exact tower's scalar types; every other scalar belongs to the float tower.
 _EXACT_SCALARS = (QComplex, Fraction, int)
-_FLOAT_INPUTS = (complex, float, *_EXACT_SCALARS)
+# The float tower takes any complex number: numpy scalars register as
+# numbers.Complex, so numpy need not be imported.  The concrete types come
+# first because an abstract check is slower.
+_FLOAT_INPUTS = (complex, float, *_EXACT_SCALARS, numbers.Complex)
 
 
 def mode_of(*values) -> str:
@@ -208,7 +233,11 @@ def mode_of(*values) -> str:
 
 
 def coerce_scalar(value, mode):
-    """Lift a value into mode's tower: exact rejects float/complex, float downgrades."""
+    """Lift a value into mode's tower: exact rejects float/complex, float downgrades.
+
+    The float tower accepts any ``numbers.Complex`` (numpy integer and
+    floating scalars included) and any QComplex.
+    """
     if mode == EXACT:
         coerced = QComplex._coerce(value)
         if coerced is None:

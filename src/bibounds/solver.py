@@ -27,7 +27,10 @@ build on it or on its constants.  QComplex, Fraction and int inputs use the
 exact constants; complex, float and ndarray inputs use float copies, so no
 Fraction ever multiplies an ndarray.  A :class:`PairSpec` computes its two
 triples when built, the exact constants on first use and the float copies
-on first float use, all outside its dataclass fields.
+on first float use, all outside its dataclass fields.  The exact constants
+come from :func:`closed_form_constants`, which takes the two triples and
+the targets directly, so the audit can evaluate many points from triples
+it built once per parameter.
 
 Vanishing DEN or sigma_tilde marks the result degenerate (the coefficients
 divided by it are None); that is data, not an error, so parameter sweeps
@@ -87,33 +90,43 @@ class PairSpec:
 
     @cached_property
     def exact_constants(self) -> ClosedFormConstants:
-        tf, tg = self._triple_f, self._triple_g
-        B1, B2 = self.phi.B1, self.phi.B2
-        D1, D2 = self.psi.B1, self.psi.B2
-        st = sigma_tilde(self)
-        den = (
-            st
-            - tg.q * tf.p * tf.p * (B2 - B1) / (B1 * B1)
-            - tf.q * tg.p * tg.p * (D2 - D1) / (D1 * D1)
-        )
-        g2 = d2 = gx = gy = None
-        if den != 0:
-            g2 = tg.q * B1 / (2 * den)
-            d2 = tf.q * D1 / (2 * den)
-        if st != 0:
-            gx = tg.r / st
-            gy = tf.r / st
-        return ClosedFormConstants(
-            tg.p * B1 / (tf.p * D1),
-            B1 / 2, (B2 - B1) / 4, D1 / 2, (D2 - D1) / 4,
-            den, g2, d2, gx, gy,
-        )
+        return closed_form_constants(self._triple_f, self._triple_g,
+                                     sigma_tilde(self), self.phi, self.psi)
 
     @cached_property
     def float_constants(self) -> ClosedFormConstants:
         return ClosedFormConstants._make(
             None if v is None else float(v) for v in self.exact_constants
         )
+
+
+def closed_form_constants(tf: ClassTriple, tg: ClassTriple, st,
+                          phi: MindaTarget, psi: MindaTarget) -> ClosedFormConstants:
+    """Exact constants from the two triples, their determinant st and the targets.
+
+    tf is the function-side triple, tg the inverse-side one and st their
+    :func:`triple_determinant`; a caller that holds these for many target
+    pairs need not build a PairSpec for each.
+    """
+    B1, B2 = phi.B1, phi.B2
+    D1, D2 = psi.B1, psi.B2
+    den = (
+        st
+        - tg.q * tf.p * tf.p * (B2 - B1) / (B1 * B1)
+        - tf.q * tg.p * tg.p * (D2 - D1) / (D1 * D1)
+    )
+    g2 = d2 = gx = gy = None
+    if den != 0:
+        g2 = tg.q * B1 / (2 * den)
+        d2 = tf.q * D1 / (2 * den)
+    if st != 0:
+        gx = tg.r / st
+        gy = tf.r / st
+    return ClosedFormConstants(
+        tg.p * B1 / (tf.p * D1),
+        B1 / 2, (B2 - B1) / 4, D1 / 2, (D2 - D1) / 4,
+        den, g2, d2, gx, gy,
+    )
 
 
 @dataclass(frozen=True)
@@ -156,10 +169,14 @@ def linked_b1(pair: PairSpec, c1):
     return -_constants(pair, c1).kappa * c1
 
 
+def triple_determinant(tf: ClassTriple, tg: ClassTriple) -> Fraction:
+    """q r' - q' r of a function-side triple and an inverse-side triple."""
+    return tf.q * tg.r - tg.q * tf.r
+
+
 def sigma_tilde(pair: PairSpec) -> Fraction:
     """The a3-elimination determinant q r' - q' r; symmetric under swapping."""
-    tf, tg = pair.triple_f(), pair.triple_g_inverse()
-    return tf.q * tg.r - tg.q * tf.r
+    return triple_determinant(pair.triple_f(), pair.triple_g_inverse())
 
 
 def elimination_denominator(pair: PairSpec) -> Fraction:

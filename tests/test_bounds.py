@@ -285,6 +285,103 @@ class TestAudit:
         assert variant != rep.a2_printed
 
 
+SKEW = MindaTarget([2, 1])
+UNEVEN = MindaTarget([Fraction(3, 2), Fraction(1, 3)])
+_TARGET_SETS = {
+    "equal": [(CARA, CARA)],
+    "skewed": [(CARA, SKEW)],
+    "two_pairs": [(CARA, SKEW), (target_preset("order:1/3"), CARA)],
+}
+
+
+def _sqrt(sq):
+    return None if sq is None else math.sqrt(float(sq))
+
+
+class TestAuditLoop:
+    @pytest.mark.parametrize("targets", sorted(_TARGET_SETS))
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_audit_is_the_per_point_reports_in_order(self, tag, targets):
+        pairs = _TARGET_SETS[targets]
+        alphas = [Fraction(0), Fraction(1, 3), Fraction(1)]
+        betas = [Fraction(1, 2), Fraction(0), Fraction(1, 4)]
+        want = [report(tag, a, b, phi, psi)
+                for a in alphas for b in betas for phi, psi in pairs]
+        assert audit(tag, alphas, betas, pairs) == want
+        assert [(rep.alpha, rep.beta) for rep in want[::len(pairs)]] == [
+            (float(a), float(b)) for a in alphas for b in betas]
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_report_values_are_the_module_functions(self, tag):
+        # At the printed sigma the reported values are the printed ones; at
+        # the derived sigma (which differs for LL off the axes) the aligned
+        # value equals the generic one exactly or is flagged with its value.
+        for a, b in [(0, 0), (Fraction(1, 2), Fraction(1, 3)), (1, 1)]:
+            for phi, psi in [(CARA, CARA), (CARA, SKEW), (SKEW, UNEVEN)]:
+                rep = report(tag, a, b, phi, psi, rel_tol=0)
+                args = (tag, a, b, phi.B1, phi.B2, psi.B1, psi.B2)
+                witness = tuple(float(v) for v in args[1:])
+                for d in rep.discrepancies:
+                    assert (d.alpha, d.beta, d.B1, d.B2, d.D1, d.D2) == witness
+                assert rep.a2_printed == _sqrt(_printed_a2_sq(*args))
+                assert rep.a3_printed == float(_printed_a3_value(*args))
+                sigma = derived_sigma(tag, a, b)
+                pair = theorem_pair(tag, a, b, phi, psi)
+                aligned = {"a2": _printed_a2_sq(*args, sigma=sigma),
+                           "a3": _printed_a3_value(*args, sigma=sigma)}
+                generic = {"a2": _generic_a2_sq(pair), "a3": _generic_a3_value(pair)}
+                flagged = {d.field: d for d in rep.discrepancies}
+                for field, to_float in (("a2", _sqrt), ("a3", float)):
+                    assert (field in flagged) == (aligned[field] != generic[field])
+                    if field in flagged:
+                        assert flagged[field].printed == to_float(aligned[field])
+                        assert flagged[field].derived == to_float(generic[field])
+        if tag == "LL":
+            assert derived_sigma(tag, 1, 1) != printed_sigma(tag, 1, 1)
+
+    def test_degenerate_a2_bracket(self):
+        # PP at alpha = beta = 0 with B1 = D1 = 1, B2 = D2 = 2: both a2
+        # denominators vanish, the a3 values do not.
+        target = MindaTarget([1, 2])
+        rep = report("PP", 0, 0, target, target)
+        assert _printed_a2_sq("PP", 0, 0, 1, 2, 1, 2) is None
+        assert rep.degenerate
+        assert rep.a2_printed is None and rep.a2_generic is None
+        assert rep.a3_printed == float(_printed_a3_value("PP", 0, 0, 1, 2, 1, 2))
+        assert rep.a3_generic is not None
+        assert rep.discrepancies == ()
+        grid = audit("PP", [0, 1], [0], [(target, target)])
+        assert [r.degenerate for r in grid] == [True, False]
+
+    def test_pm_variant_note_per_target_pair(self):
+        half = Fraction(1, 2)
+        equal, skewed = audit("PM", [half], [half], [(CARA, CARA), (CARA, SKEW)])
+        assert equal.notes == ()
+        variant = pm_display_variant_a2_bound(half, half, 2, 2, 2, 1)
+        assert len(skewed.notes) == 1
+        assert repr(variant) in skewed.notes[0]
+        assert repr(skewed.a2_printed) in skewed.notes[0]
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+    def test_one_point_audit_checks_tag_and_tolerance(self, tolerance):
+        point = ([0], [0], [(CARA, CARA)])
+        with pytest.raises(ValueError, match="unknown pairing tag"):
+            audit("QQ", *point)
+        with pytest.raises(ValueError, match="unknown pairing tag"):
+            audit("QQ", *point, rel_tol=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            audit("PP", *point, rel_tol=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            report("PP", 0, 0, CARA, CARA, rel_tol=tolerance)
+
+    def test_invalid_parameters_raise_in_grid_order(self):
+        # (0, -1) comes before (2, 0): the beta error is the one raised.
+        with pytest.raises(ValueError, match="got -1"):
+            audit("LL", [0, 2], [0, -1], [(CARA, CARA)])
+        with pytest.raises(ValueError, match="got 2"):
+            audit("LL", [0, 2], [0, 1], [(CARA, CARA)])
+
+
 class TestTheoremTag:
     def test_kinds(self):
         assert theorem_tag("pl") == "PL"

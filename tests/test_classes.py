@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from bibounds import (
     triple,
 )
 from bibounds.classes import _within_disk
-from bibounds.series import mode_of
+from bibounds.series import coerce_scalar, mode_of
 from conftest import rand_qc
 from oracles import poly_pow_unit
 
@@ -101,6 +102,19 @@ class TestValidation:
         # Not an int subclass, so it never enters the exact tower.
         assert mode_of(np.int64(1)) == FLOAT
         assert mode_of(1, np.int64(1)) == FLOAT
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.float64(1)])
+    def test_numpy_scalars_build_a_float_point(self, value):
+        params = SchwarzParams(value, 0, 0)
+        assert params.mode == FLOAT
+        assert params == SchwarzParams(1.0, 0, 0)
+        assert type(params.c1) is complex
+        assert coerce_scalar(value, FLOAT) == 1 + 0j
+
+    def test_float_tower_rejects_non_numbers(self):
+        for value in ("1", Decimal(1), None):
+            with pytest.raises(TypeError, match="cannot build a float scalar"):
+                coerce_scalar(value, FLOAT)
 
     def test_within_disk_edges(self):
         assert _within_disk(QComplex(2))

@@ -346,10 +346,82 @@ print(sorted(name for name in sys.modules
 """
 
 
-def test_numpy_is_the_only_runtime_dependency():
+def _fresh_env():
+    # A fresh interpreter that imports this checkout's bibounds, with no
+    # config file supplying defaults.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop(cli.ENV_CONFIG, None)
+    return env
+
+
+def test_numpy_is_the_only_runtime_dependency():
     proc = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=_fresh_env(), check=True)
     assert proc.stdout == "[]\n"
+
+
+_LAZY_NUMPY_PROBE = """
+import contextlib, io, sys
+import bibounds, bibounds.cli
+from bibounds import cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["bound", "--pair", "PL", "--alpha", "1/2", "--beta", "1/3"],
+        ["audit", "--theorem", "LL", "--grid", "0:1:1/2", "--psi-coeffs", "2,1"],
+        ["expand", "--class", "L", "--alpha", "1/2", "--a2", "1", "--a3", "2"],
+        ["table"],
+        ["verify", "--suite", "all", "--samples", "2"],
+        ["verify", "--suite", "all", "--samples", "2", "--mode", "float"],
+    ):
+        codes.append(cli.main(argv))
+    print(codes, "numpy" in sys.modules, file=sys.stderr)
+    cli.main(["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0"])
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_for_the_sweeps():
+    proc = subprocess.run([sys.executable, "-c", _LAZY_NUMPY_PROBE],
+                          capture_output=True, text=True, env=_fresh_env(), check=True)
+    assert proc.stderr == "[0, 0, 0, 0, 0, 0] False\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] True\n"
+
+
+# Usage errors (from argparse and from the library), every exit code and
+# every output format, for a process that builds its parser once.
+_INTERLEAVED = [
+    ["bound", "--pair", "PM", "--alpha", "1/2", "--beta", "0", "--psi-coeffs", "2,1"],
+    ["audit", "--theorem", "QQ", "--grid", "0:1:1/2"],
+    ["audit", "--theorem", "LL", "--grid", "0:1:1/2", "--format", "csv"],
+    ["bound", "--pair", "PP", "--alpha", "0", "--beta", "0", "--format", "csv"],
+    ["verify", "--suite", "bounds", "--samples", "3", "--format", "pretty"],
+    ["bound", "--pair", "PP", "--alpha", "0", "--beta", "0",
+     "--phi-coeffs", "1,2", "--psi-coeffs", "1,2"],
+    [],
+    ["audit", "--theorem", "PM", "--grid", "0:1:1/2", "--psi-coeffs", "2,1",
+     "--format", "pretty"],
+    ["verify", "--samples", "0"],
+    ["bound", "--pair", "LL", "--alpha", "1", "--beta", "1", "--format", "pretty"],
+    ["audit", "--theorem", "PP", "--grid", "0:1:1/2", "--tolerance", "-1"],
+    ["verify", "--suite", "solver", "--seed", "3", "--samples", "2"],
+]
+
+
+def test_one_parser_serves_interleaved_commands(monkeypatch):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    alone = []
+    for argv in _INTERLEAVED:
+        proc = subprocess.run([sys.executable, "-m", "bibounds", *argv],
+                              capture_output=True, text=True, env=_fresh_env())
+        alone.append((proc.stdout, proc.stderr, proc.returncode))
+    assert {code for _, _, code in alone} == {0, 1, 2}
+    order = list(range(len(_INTERLEAVED)))
+    for index in order + order[::-1]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(_INTERLEAVED[index]))
+        assert (out.getvalue(), err.getvalue(), code) == alone[index], _INTERLEAVED[index]
+    assert cli.build_parser() is cli.build_parser()

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -85,6 +86,57 @@ class TestScalars:
         assert hash(QComplex(value)) == hash(value)
         assert value in {QComplex(value)}
         assert QComplex(value) in {value}
+
+
+real_operands = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(QComplex, real_operands, real_operands), real_operands)
+def test_real_operand_matches_the_lifted_formula(q, r):
+    # int, bool and Fraction operands take the part-by-part path; lifting
+    # them to QComplex(r) takes the full complex formula.
+    lifted = QComplex(r)
+    cases = [(q + r, q + lifted), (r + q, lifted + q), (q - r, q - lifted),
+             (r - q, lifted - q), (q * r, q * lifted), (r * q, lifted * q)]
+    if r != 0:
+        cases.append((q / r, q / lifted))
+    if q:
+        cases.append((r / q, lifted / q))
+    for got, want in cases:
+        assert type(got) is QComplex
+        assert (got.re, got.im) == (want.re, want.im)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+class TestRealOperands:
+    @pytest.mark.parametrize("zero", [0, False, Fraction(0)])
+    def test_zero_divisor_raises(self, zero):
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            qc(1, 2, 3, 4) / zero
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            Fraction(3, 2) / QComplex(zero)
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            3 / QComplex(zero)
+
+    @pytest.mark.parametrize("value", [0.5, 0.0, 2j, complex(1, 0)])
+    def test_floating_operand_raises_in_both_orders(self, value):
+        q = qc(1, 2, 3, 4)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ModeMismatchError):
+                op(q, value)
+            with pytest.raises(ModeMismatchError):
+                op(value, q)
+
+    def test_other_operands_are_not_implemented(self):
+        q = qc(1, 2, 3, 4)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__"):
+            assert getattr(q, name)("1") is NotImplemented, name
 
 
 class TestAdd:
