@@ -12,8 +12,9 @@ CSV renderer or ``None`` (``--format csv`` is offered only with one).
 :func:`_render` is the one renderer: JSON through :func:`render_json`,
 otherwise the row's renderers, which read only the payload.  ``main`` is the
 one place that turns a ``ValueError`` (from flag parsing or the library's
-own input checks) into a usage error; a ``RuntimeError`` such as a bound
-violation propagates.
+own input checks) or an ``OverflowError`` (a result that does not fit a
+float) into a usage error; a ``RuntimeError`` such as a bound violation
+propagates.
 
 Exit codes: 0 success, 1 usage error, 2 degenerate bound (the report is
 still printed), 3 verification failure.
@@ -480,6 +481,9 @@ def main(argv=None) -> int:
         payload, code = command.run(args, _load_config(args.config))
     except ValueError as exc:  # UsageError and the library's input checks
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # a huge rational met a float conversion
+        print(f"usage error: a result does not fit a float ({exc})", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(_render(command, args.format, payload))
     return code

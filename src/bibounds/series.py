@@ -13,18 +13,18 @@ modes exist:
     Native ``complex`` (double precision), used by the numeric sweeps.
 
 How exact kernels compute: multiplication (by a series or a scalar),
-series division, composition, the derivative, and the logarithm and
-exponential behind ``pow_unit`` change representation once on the way in
-and once on the way out.  On the way in each operand becomes Gaussian-integer
-numerators (one ``int`` list for the real parts, one for the imaginary
-parts) over one shared positive denominator, the lcm of its coefficient
-denominators; this is the design of FLINT's ``fmpq_poly``.  Every
-inner-loop step then runs on Python ``int``.  On the way out each
+series division, composition, ``pow_unit`` and the powers behind
+``revert`` change representation once on the way in and once on the way
+out.  On the way in each operand becomes Gaussian-integer numerators (one
+``int`` list for the real parts, one for the imaginary parts) over one
+shared positive denominator, the lcm of its coefficient denominators; this
+is the design of FLINT's ``fmpq_poly``.  Every inner-loop step then runs on
+Python ``int``.  On the way out each
 coefficient goes back to a :class:`QComplex` in lowest terms, one
 normalisation per coefficient, so ``coeffs`` is always a tuple of
 ``QComplex`` and equality and hashing see values, not representations.
-Addition, negation, the shifts and truncation work on ``QComplex``
-directly.  Float mode works on ``complex`` throughout.
+Addition, negation, the derivative, the shifts and truncation work on
+``QComplex`` directly.  Float mode works on ``complex`` throughout.
 
 The scalar rule lives here and nowhere else: :func:`mode_of` names the tower
 of a set of values (exact when every one is a ``QComplex``, ``Fraction`` or
@@ -352,9 +352,6 @@ class TruncatedSeries:
     def __iter__(self):
         return iter(self.coeffs)
 
-    def constant_term(self):
-        return self.coeffs[0]
-
     def has_unit_constant(self) -> bool:
         """Constant term 1: exactly in exact mode, to approx_equal in float mode.
 
@@ -531,14 +528,6 @@ class TruncatedSeries:
         The result is informationally one order shorter; ``valid_order``
         records that.
         """
-        if self.mode == EXACT:
-            re, im, den = _ints(self.coeffs)
-            return TruncatedSeries(
-                _from_ints([k * re[k] for k in range(1, self.order + 1)] + [0],
-                           [k * im[k] for k in range(1, self.order + 1)] + [0],
-                           [den] * (self.order + 1)),
-                mode=EXACT, order=self.order, valid_order=self.valid_order - 1,
-            )
         coeffs = [
             (k + 1) * self.coeffs[k + 1] for k in range(self.order)
         ]
@@ -607,69 +596,13 @@ class TruncatedSeries:
             result.coeffs, mode=self.mode, order=order, valid_order=valid
         )
 
-    def _log(self):
-        # log(self) for constant term exactly 1; no informational loss:
-        # coefficient k of the log needs input coefficients up to k only.
-        ratio = self.derivative() / self
-        if self.mode == EXACT:  # log_k = ratio_{k-1} / k
-            re, im, den = _ints(ratio.coeffs)
-            dens = [k * den for k in range(1, self.order + 1)]
-            return TruncatedSeries(
-                [self._scalar(0), *_from_ints(re, im, dens)],
-                mode=EXACT, order=self.order, valid_order=self.valid_order,
-            )
-        coeffs = [self._scalar(0)]
-        for k in range(1, self.order + 1):
-            coeffs.append(ratio.coeffs[k - 1] / k)
-        return TruncatedSeries(
-            coeffs,
-            mode=self.mode,
-            order=self.order,
-            valid_order=self.valid_order,
-        )
-
-    def _exp(self):
-        # exp(self) for vanishing constant term, by the standard recurrence
-        # n*e_n = sum_{k=1..n} k*s_k*e_{n-k}.
-        if self.mode == EXACT:
-            # s_k = S_k/d and e_n = E_n/(n! d**n), so E_0 = 1 and
-            # E_n = sum_k k S_k E_{n-k} (n-1)!/(n-k)! d**(k-1).
-            sr, si, d = _ints(self.coeffs)
-            er, ei = [1], [0]
-            dens = [1]
-            for n in range(1, self.order + 1):
-                accr = acci = 0
-                w = 1  # (n-1)!/(n-k)! * d**(k-1)
-                for k in range(1, n + 1):
-                    xr, xi, yr, yi = sr[k], si[k], er[n - k], ei[n - k]
-                    accr += k * w * (xr * yr - xi * yi)
-                    acci += k * w * (xr * yi + xi * yr)
-                    w *= (n - k) * d
-                er.append(accr)
-                ei.append(acci)
-                dens.append(dens[-1] * n * d)
-            return TruncatedSeries(
-                _from_ints(er, ei, dens),
-                mode=EXACT, order=self.order, valid_order=self.valid_order,
-            )
-        coeffs = [self._scalar(1)]
-        for n in range(1, self.order + 1):
-            acc = self._scalar(0)
-            for k in range(1, n + 1):
-                acc = acc + k * self.coeffs[k] * coeffs[n - k]
-            coeffs.append(acc / n)
-        return TruncatedSeries(
-            coeffs,
-            mode=self.mode,
-            order=self.order,
-            valid_order=self.valid_order,
-        )
-
     def pow_unit(self, exponent) -> "TruncatedSeries":
         """Real power of a series anchored at constant term 1.
 
-        Computed as exp(t*log(self)) so irrational exponents are fine in
-        float mode; exact mode takes int or Fraction exponents.
+        Miller's power formula: w = self**t satisfies self*w' = t*self'*w, so
+        self_0*n*w_n = sum_{k=1..n} (tk - (n-k)) self_k w_{n-k} with w_0 = 1.
+        Irrational exponents are fine in float mode; exact mode takes int or
+        Fraction exponents.
         """
         if not self.has_unit_constant():
             raise ValueError("pow_unit needs constant term exactly 1")
@@ -684,34 +617,69 @@ class TruncatedSeries:
             return TruncatedSeries.one(order=self.order, mode=self.mode)
         if exponent == 1:
             return self
-        return (self._log() * exponent)._exp()
+        if self.mode == EXACT:
+            # self_k = A_k/d, t = s/m and w_n = W_n/(n! m**n d**n), so W_0 = 1
+            # and W_n = sum_k (sk - m(n-k)) A_k W_{n-k} (n-1)!/(n-k)! (md)**(k-1).
+            ar, ai, d = _ints(self.coeffs)
+            s, m = exponent.numerator, exponent.denominator
+            wr, wi, dens = [1], [0], [1]
+            for n in range(1, self.order + 1):
+                accr = acci = 0
+                w = 1  # (n-1)!/(n-k)! * (m*d)**(k-1)
+                for k in range(1, n + 1):
+                    c = (s * k - m * (n - k)) * w
+                    xr, xi, yr, yi = ar[k], ai[k], wr[n - k], wi[n - k]
+                    accr += c * (xr * yr - xi * yi)
+                    acci += c * (xr * yi + xi * yr)
+                    w *= (n - k) * m * d
+                wr.append(accr)
+                wi.append(acci)
+                dens.append(dens[-1] * n * m * d)
+            coeffs = _from_ints(wr, wi, dens)
+        else:
+            # tk - (n-k), not (t+1)k - n, keeps a tiny t's precision; dividing
+            # by self_0 gives (self/self_0)**t for a roundoff-unit lead.
+            a = self.coeffs
+            coeffs = [self._scalar(1)]
+            for n in range(1, self.order + 1):
+                acc = self._scalar(0)
+                for k in range(1, n + 1):
+                    acc += (exponent * k - (n - k)) * a[k] * coeffs[n - k]
+                coeffs.append(acc / (n * a[0]))
+        return TruncatedSeries(
+            coeffs, mode=self.mode, order=self.order, valid_order=self.valid_order
+        )
 
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse g with g(self(z)) = z to the stored order.
 
-        Requires zero constant term and nonzero linear term.  Solved
-        triangularly: the coefficient of z^n in sum g_k self^k must vanish
-        for n >= 2.
+        Requires zero constant term and nonzero linear term.  Lagrange
+        inversion: g_n = [z^(n-1)] q**n / n with q = z/self.
         """
         if self.coeffs[0]:
             raise ValueError("reversion needs a vanishing constant term")
         if self.order < 1 or not self.coeffs[1]:
             raise ValueError("reversion needs a nonzero linear term")
-        lead = self.coeffs[1]
         order = self.order
-        g = [self._scalar(0), self._scalar(1) / lead]
-        power = self  # self**k, updated incrementally
-        powers = [None, self]
-        for k in range(2, order + 1):
-            power = power * self
-            powers.append(power)
-        lead_pow = lead
-        for n in range(2, order + 1):
-            lead_pow = lead_pow * lead
-            acc = self._scalar(0)
-            for k in range(1, n):
-                acc = acc + g[k] * powers[k].coeffs[n]
-            g.append(-acc / lead_pow)
+        q = 1 / TruncatedSeries(self.coeffs[1:], mode=self.mode, order=order - 1)
+        if self.mode == EXACT:
+            # q**n = P_n / dq**n, with no normalisation between products.
+            qr, qi, dq = _ints(q.coeffs)
+            pr, pi, dq_n = qr, qi, dq
+            gr, gi, dens = [0, qr[0]], [0, qi[0]], [1, dq]
+            for n in range(2, order + 1):
+                pr, pi = _convolve(pr, pi, qr, qi, order - 1)
+                dq_n *= dq
+                gr.append(pr[n - 1])
+                gi.append(pi[n - 1])
+                dens.append(n * dq_n)
+            g = _from_ints(gr, gi, dens)
+        else:
+            g = [self._scalar(0), q.coeffs[0]]
+            power = q
+            for n in range(2, order + 1):
+                power = power * q
+                g.append(power.coeffs[n - 1] / n)
         return TruncatedSeries(
             g, mode=self.mode, order=order, valid_order=self.valid_order
         )

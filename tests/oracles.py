@@ -106,8 +106,10 @@ def poly_pow_unit(u, t, order):
 def lagrange_revert(f, order):
     """Compositional inverse by the Lagrange inversion formula.
 
-    g_n = [z^(n-1)] (z/f)^n / n, a route fully independent of triangular
-    back-substitution.
+    g_n = [z^(n-1)] (z/f)^n / n on plain lists, with the Neumann-sum
+    reciprocal.  ``TruncatedSeries.revert`` uses the same formula, so this
+    oracle checks the engine's arithmetic, not its algorithm; the round trips
+    g(f(z)) = f(g(z)) = z are the independent check.
     """
     assert not f[0] and f[1], "reversion needs f(0) = 0, f'(0) != 0"
     h = poly_pad(f[1:], order)  # f/z

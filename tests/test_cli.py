@@ -245,6 +245,16 @@ REJECTED = {
     "bound_order_65": (None, BOUND + ["--order", "65"]),
     "config_order_65": ("order=65\n", BOUND),
 }
+# Rationals whose float conversion overflows.
+OVERFLOWS = {
+    "bound_alpha_beta_1e300": ["bound", "--pair", "PP", "--alpha", "1e300", "--beta", "1e300"],
+    "bound_alpha_1e400": ["bound", "--pair", "PP", "--alpha", "1e400", "--beta", "0"],
+    "expand_a2_1e400": ["expand", "--class", "P", "--alpha", "0", "--a2", "1e400", "--a3", "0"],
+    "bound_phi_coeffs_1e400": BOUND + ["--phi-coeffs", "1,1e400"],
+    "audit_grid_1e300": ["audit", "--theorem", "MM", "--grid", "1e300:1e300:1"],
+    "sweep_alpha_beta_1e300": ["sweep", "--pair", "MM", "--alpha", "1e300", "--beta", "1e300"],
+}
+REJECTED.update((name, (None, argv)) for name, argv in OVERFLOWS.items())
 
 
 class TestInputContract:
@@ -262,6 +272,14 @@ class TestInputContract:
             argv = ["--config", str(config), *argv]
         code, text = run_cli(argv)
         assert (code, text) == (cli.EXIT_USAGE, "")
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWS))
+    def test_float_overflow_is_one_usage_error_line(self, name, capsys):
+        assert cli.main(OVERFLOWS[name]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("usage error: a result does not fit a float")
 
     def test_order_cap_is_inclusive(self, tmp_path):
         assert run_cli(BOUND + ["--order", str(cli.MAX_ORDER)])[0] == cli.EXIT_OK
@@ -281,7 +299,7 @@ def _optional(flag, values):
 
 
 _COUNTS = [str(n) for n in range(-3, 13)]
-_RATIONALS = ["0", "1/3", "1/2", "1", "3/2", "-1", "1/0", "x"]
+_RATIONALS = ["0", "1/3", "1/2", "1", "3/2", "-1", "1/0", "x", "1e300", "1e400"]
 _TAGS = ["PP", "PM", "PL", "MM", "ML", "LL", "XX"]
 _PRESETS = ["caratheodory", "order:1/3", "strong:1/2", "strong:0", "order:1/0", "nope"]
 _COEFFS = ["2,2", "1", "1,2", "2,1,1/2", "0,1", "1,x"]

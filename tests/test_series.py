@@ -589,3 +589,74 @@ def test_revert_any_linear_term_matches_lagrange(lead, tail):
     coeffs = [QComplex(0), lead, *tail]
     f = TruncatedSeries(coeffs)
     assert list(f.revert().coeffs) == lagrange_revert(coeffs, f.order)
+
+
+# Complex coefficients with denominators up to 30.
+wide_fractions = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=30
+)
+wide_scalars = st.builds(QComplex, wide_fractions, wide_fractions)
+pow_exponents = st.one_of(
+    st.fractions(min_value=Fraction(-4), max_value=Fraction(-1, 12), max_denominator=12),
+    st.integers(-4, 4),
+    st.sampled_from([0, 1]),
+)
+
+
+def max_abs_error(got, want):
+    """Largest coefficient error over the largest oracle coefficient (at least 1)."""
+    scale = max(1.0, *(abs(w) for w in want))
+    return max(abs(g - w) for g, w in zip(got, want)) / scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(wide_scalars, min_size=1, max_size=12), pow_exponents, st.data())
+def test_exact_pow_unit_matches_exp_log_oracle(tail, t, data):
+    order = len(tail)
+    valid = data.draw(st.integers(0, order), label="valid_order")
+    coeffs = [QComplex(1), *tail]
+    got = TruncatedSeries(coeffs, order=order, valid_order=valid).pow_unit(t)
+    assert list(got.coeffs) == poly_pow_unit(coeffs, QComplex(t), order)
+    assert got.valid_order == (order if t == 0 else valid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(wide_scalars, min_size=1, max_size=12),
+       st.one_of(st.floats(-4, 4), st.integers(-4, 4).map(float)))
+def test_float_pow_unit_matches_exp_log_oracle(tail, t):
+    # The oracle runs exactly on the same inputs (a float is a rational): its
+    # alternating log series loses up to 2e-10 when run on complex itself.
+    coeffs = [QComplex(1), *tail]
+    got = TruncatedSeries(coeffs, mode=FLOAT).pow_unit(t)
+    want = poly_pow_unit(coeffs, QComplex(Fraction(t)), len(tail))
+    assert max_abs_error(got.coeffs, [complex(w) for w in want]) <= 1e-12
+
+
+def test_float_pow_unit_divides_out_a_roundoff_lead():
+    # A lead of 1 + 5e-13 passes has_unit_constant; the power is then that of
+    # the series over its lead, far closer than the lead's own offset.
+    base = TruncatedSeries([1.0, 0.5 - 0.25j, -1.5, 0.75j, 2.0], mode=FLOAT)
+    lead = 1 + 5e-13
+    shifted = base * lead
+    assert shifted.has_unit_constant()
+    for t in (0.5, -1.5, 3.0):
+        assert max_abs_error(shifted.pow_unit(t).coeffs, base.pow_unit(t).coeffs) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_scalars.filter(lambda c: c.im != 0),
+       st.lists(wide_scalars, min_size=0, max_size=11))
+def test_exact_revert_round_trips_with_complex_lead(lead, tail):
+    f = TruncatedSeries([QComplex(0), lead, *tail])
+    ident = TruncatedSeries.var(order=f.order)
+    assert f.revert().compose(f) == ident
+    assert f.compose(f.revert()) == ident
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_scalars.filter(bool), st.lists(wide_scalars, min_size=0, max_size=11))
+def test_float_revert_matches_lagrange_oracle(lead, tail):
+    coeffs = [QComplex(0), lead, *tail]
+    got = TruncatedSeries(coeffs, mode=FLOAT).revert()
+    want = lagrange_revert(coeffs, len(tail) + 1)
+    assert max_abs_error(got.coeffs, [complex(w) for w in want]) <= 1e-12
