@@ -72,7 +72,7 @@ class MindaTarget:
         if not values:
             raise ValueError("a target needs at least B1")
         if values[0] <= 0:
-            raise ValueError(f"B1 must be positive, got {values[0]}")
+            raise ValueError(f"B1 must be positive, got {brief(values[0])}")
         object.__setattr__(self, "coefficients", values)
 
     @property
@@ -110,11 +110,11 @@ class ClassSpec:
         if kind == KIND_L:
             if not 0 <= value <= 1:
                 raise ValueError(
-                    f"L-class parameter must lie in [0, 1], got {value}"
+                    f"L-class parameter must lie in [0, 1], got {brief(value)}"
                 )
         elif value < 0:
             raise ValueError(
-                f"{kind}-class parameter must be nonnegative, got {value}"
+                f"{kind}-class parameter must be nonnegative, got {brief(value)}"
             )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "param", value)
@@ -318,12 +318,40 @@ def sample_caratheodory(
     return acc
 
 
+# Fraction builds 10**exponent for a decimal exponent before any range check
+# can run; past this magnitude (the interpreter's default cap on digits in
+# an int-to-str conversion) the text is rejected instead.
+MAX_DECIMAL_EXPONENT = 4300
+
+
 def rational(text: str) -> Fraction:
-    """Parse a decimal or p/q; a zero denominator is a ValueError too."""
+    """Parse a decimal or p/q; a zero denominator is a ValueError too.
+
+    So is a decimal exponent above MAX_DECIMAL_EXPONENT in magnitude.
+    """
+    head, _, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if head and "/" not in head and digits.isdecimal() and (
+            len(digits) > 4 or int(digits) > MAX_DECIMAL_EXPONENT):
+        if len(text) > 60:  # keep the message to one short line
+            text = text[:28] + "..." + text[-28:]
+        raise ValueError(f"decimal exponent of {text!r} exceeds "
+                         f"{MAX_DECIMAL_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def brief(value) -> str:
+    """An int or Fraction for a message: exact when short, else to 6 digits."""
+    value = Fraction(value)
+    n, d = value.numerator, value.denominator
+    if max(abs(n).bit_length(), d.bit_length()) <= 100:
+        return str(value)
+    exponent = math.log10(abs(n)) - math.log10(d)
+    whole = math.floor(exponent)
+    return f"{'-' if n < 0 else ''}{10 ** (exponent - whole):.6g}e{whole:+d}"
 
 
 def target_preset(key: str, order=DEFAULT_ORDER) -> MindaTarget:
@@ -337,12 +365,14 @@ def target_preset(key: str, order=DEFAULT_ORDER) -> MindaTarget:
     if name == "order":
         gamma = rational(arg)
         if not 0 <= gamma < 1:
-            raise ValueError(f"order parameter must lie in [0, 1), got {gamma}")
+            raise ValueError(
+                f"order parameter must lie in [0, 1), got {brief(gamma)}")
         return MindaTarget([2 * (1 - gamma)] * order)
     if name == "strong":
         gamma = rational(arg)
         if not 0 < gamma <= 1:
-            raise ValueError(f"strong parameter must lie in (0, 1], got {gamma}")
+            raise ValueError(
+                f"strong parameter must lie in (0, 1], got {brief(gamma)}")
         base = caratheodory_kernel(1, order=order, mode=EXACT)
         powered = base.pow_unit(gamma)
         return MindaTarget([powered.coeffs[n].re for n in range(1, order + 1)])

@@ -32,16 +32,17 @@ import argparse
 import csv
 import functools
 import io
-import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 from .series import DEFAULT_ORDER, EXACT, FLOAT
-from .classes import (ClassSpec, MindaTarget, SchlichtCoeffs, expansion_f,
-                      functional, rational, target_preset, triple)
+from .classes import (ClassSpec, MindaTarget, SchlichtCoeffs, brief,
+                      expansion_f, functional, rational, target_preset, triple)
 from . import bounds as _bounds
 from . import harness as _harness
 
@@ -77,26 +78,75 @@ class _Parser(argparse.ArgumentParser):
 # canonical serialization and the one renderer
 
 
-def _canonical(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
-        return value
+def _float_text(value) -> str:
+    # repr of the value rounded to nine significant digits, with json's
+    # spellings of the non-finite values; every zero is written 0.0.
+    if value != value:
+        return "NaN"
+    if value == 0:
+        return "0.0"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(float(format(value, ".9g")))
+
+
+def _emit(value, newline, write):
+    # One value at the indentation that newline carries.
     if isinstance(value, float):
-        if value == 0:
-            return 0.0
-        return float(format(value, ".9g"))
-    if isinstance(value, Fraction):
-        return _canonical(float(value))
-    if isinstance(value, complex):
-        return [_canonical(value.real), _canonical(value.imag)]
-    if isinstance(value, dict):
-        return {key: _canonical(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
-    return value
+        write(_float_text(value))
+    elif isinstance(value, str):
+        write(_quote(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator, rest = "{" + inner, "," + inner
+        for key, item in value.items():
+            write(separator)
+            write(_quote(key))  # payload keys are strings
+            write(": ")
+            _emit(item, inner, write)
+            separator = rest
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        separator, rest = "[" + inner, "," + inner
+        for item in value:
+            write(separator)
+            _emit(item, inner, write)
+            separator = rest
+        write(newline + "]")
+    elif isinstance(value, Fraction):
+        write(_float_text(float(value)))
+    elif isinstance(value, complex):
+        _emit([value.real, value.imag], newline, write)
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        "is not JSON serializable")
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(_canonical(payload), indent=2) + "\n"
+    """The payload as ``json.dumps(..., indent=2)`` writes it, plus a newline.
+
+    One pass: floats (and Fractions) are rounded to nine significant
+    digits, complex numbers become ``[re, im]`` and tuples lists on the way.
+    """
+    out = []
+    _emit(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
 
 
 def _fmt(value):
@@ -127,9 +177,16 @@ def _record(obj, skip=()) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
 
 
+_REPORT_FIELDS = tuple(f.name for f in fields(_bounds.BoundReport))
+_DISCREPANCY_FIELDS = tuple(f.name for f in fields(_bounds.Discrepancy))
+
+
 def _report_record(rep, skip=()) -> dict:
-    record = _record(rep, skip)
-    record["discrepancies"] = [_record(d) for d in rep.discrepancies]
+    record = {name: getattr(rep, name) for name in _REPORT_FIELDS if name not in skip}
+    record["discrepancies"] = [
+        {name: getattr(d, name) for name in _DISCREPANCY_FIELDS}
+        for d in rep.discrepancies
+    ]
     return record
 
 
@@ -174,9 +231,9 @@ def _setting(args, config, key, fallback):
 def _order(args, config) -> int:
     order = _setting(args, config, "order", DEFAULT_ORDER)
     if order < MIN_ORDER:
-        raise UsageError(f"order must be at least {MIN_ORDER}, got {order}")
+        raise UsageError(f"order must be at least {MIN_ORDER}, got {brief(order)}")
     if order > MAX_ORDER:
-        raise UsageError(f"order must be at most {MAX_ORDER}, got {order}")
+        raise UsageError(f"order must be at most {MAX_ORDER}, got {brief(order)}")
     return order
 
 
@@ -206,7 +263,7 @@ def _parse_grid(text: str) -> list[Fraction]:
     count = int((stop - start) // step) + 1
     if count > MAX_GRID_POINTS:
         raise UsageError(
-            f"grid has {count} points per axis, more than {MAX_GRID_POINTS}")
+            f"grid has {brief(count)} points per axis, more than {MAX_GRID_POINTS}")
     return [start + index * step for index in range(count)]
 
 

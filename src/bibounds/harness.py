@@ -46,6 +46,7 @@ from .classes import (
     SchlichtCoeffs,
     SchwarzParams,
     _within_disk,
+    brief,
     expansion_f,
     expansion_g,
     functional,
@@ -648,7 +649,7 @@ def run_identity_suites(
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+        raise ValueError(f"samples must be at least 1, got {brief(samples)}")
     results = []
     for group in groups:
         for name, fn in _SUITE_CHECKS[group]:

@@ -28,9 +28,9 @@ exact constants; complex, float and ndarray inputs use float copies, so no
 Fraction ever multiplies an ndarray.  A :class:`PairSpec` computes its two
 triples when built, the exact constants on first use and the float copies
 on first float use, all outside its dataclass fields.  The exact constants
-come from :func:`closed_form_constants`, which takes the two triples and
-the targets directly, so the audit can evaluate many points from triples
-it built once per parameter.
+come from :func:`closed_form_constants`, which joins one
+:func:`side_constants` per side and their determinant, so the audit can
+evaluate many points from side parts it built once per parameter.
 
 Vanishing DEN or sigma_tilde marks the result degenerate (the coefficients
 divided by it are None); that is data, not an error, so parameter sweeps
@@ -90,8 +90,11 @@ class PairSpec:
 
     @cached_property
     def exact_constants(self) -> ClosedFormConstants:
-        return closed_form_constants(self._triple_f, self._triple_g,
-                                     sigma_tilde(self), self.phi, self.psi)
+        return closed_form_constants(
+            side_constants(self._triple_f, self.phi, self.psi),
+            side_constants(self._triple_g, self.psi, self.phi),
+            sigma_tilde(self),
+        )
 
     @cached_property
     def float_constants(self) -> ClosedFormConstants:
@@ -100,31 +103,45 @@ class PairSpec:
         )
 
 
-def closed_form_constants(tf: ClassTriple, tg: ClassTriple, st,
-                          phi: MindaTarget, psi: MindaTarget) -> ClosedFormConstants:
-    """Exact constants from the two triples, their determinant st and the targets.
+# One side's share of the closed-form constants, for a triple t with its own
+# target B and the other side's target D: t.q and t.r, shift = p^2 (B2 - B1)
+# / B1^2, q_other = q D1 and p_other = p D1, half = B1 / 2 and quarter =
+# (B2 - B1) / 4.
+SideConstants = namedtuple(
+    "SideConstants", "q r shift q_other p_other half quarter")
 
-    tf is the function-side triple, tg the inverse-side one and st their
-    :func:`triple_determinant`; a caller that holds these for many target
-    pairs need not build a PairSpec for each.
+
+def side_constants(t: ClassTriple, own: MindaTarget,
+                   other: MindaTarget) -> SideConstants:
+    """The parts of the closed-form constants that one side determines.
+
+    The function side is ``side_constants(tf, phi, psi)`` and the inverse
+    side ``side_constants(tg, psi, phi)``.
     """
-    B1, B2 = phi.B1, phi.B2
-    D1, D2 = psi.B1, psi.B2
-    den = (
-        st
-        - tg.q * tf.p * tf.p * (B2 - B1) / (B1 * B1)
-        - tf.q * tg.p * tg.p * (D2 - D1) / (D1 * D1)
-    )
+    B1, B2, D1 = own.B1, own.B2, other.B1
+    return SideConstants(t.q, t.r, t.p * t.p * (B2 - B1) / (B1 * B1),
+                         t.q * D1, t.p * D1, B1 / 2, (B2 - B1) / 4)
+
+
+def closed_form_constants(f: SideConstants, g: SideConstants,
+                          st) -> ClosedFormConstants:
+    """Exact constants from the two sides' parts and their determinant st.
+
+    f is the function side, g the inverse side and st the
+    :func:`triple_determinant` of their triples; a caller that holds the
+    side parts for many points need not build a PairSpec for each.
+    """
+    den = st - g.q * f.shift - f.q * g.shift
     g2 = d2 = gx = gy = None
     if den != 0:
-        g2 = tg.q * B1 / (2 * den)
-        d2 = tf.q * D1 / (2 * den)
+        twice = 2 * den
+        g2 = g.q_other / twice
+        d2 = f.q_other / twice
     if st != 0:
-        gx = tg.r / st
-        gy = tf.r / st
+        gx = g.r / st
+        gy = f.r / st
     return ClosedFormConstants(
-        tg.p * B1 / (tf.p * D1),
-        B1 / 2, (B2 - B1) / 4, D1 / 2, (D2 - D1) / 4,
+        g.p_other / f.p_other, f.half, f.quarter, g.half, g.quarter,
         den, g2, d2, gx, gy,
     )
 

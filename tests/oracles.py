@@ -1,9 +1,14 @@
-"""Independent oracles for the series-engine tests.
+"""Independent oracles for the series-engine and printed-bound tests.
 
 Plain-list truncated polynomial arithmetic, written without touching
 bibounds.series: only the scalar types are shared, so an engine bug cannot
 hide in its own oracle.  All routines take coefficient lists c[0..order]
 and return lists of the same length.
+
+The printed statements of the six pairings, term by term as the literature
+states them (sigma, the |a2| brackets, the |a3| right sides and the PM
+worked-display variant); ``bibounds.bounds`` evaluates the same statements
+through per-side factors.
 """
 
 from fractions import Fraction
@@ -129,3 +134,146 @@ def rational(num, den=1):
 
 def qc(re_num, re_den=1, im_num=0, im_den=1):
     return QComplex(Fraction(re_num, re_den), Fraction(im_num, im_den))
+
+
+# ----------------------------------------------------------------------
+# printed statements, verbatim
+
+# Multiplier of sigma |a3| on the left side of each stated |a3| inequality.
+STATEMENT_A3_MULTIPLIER = {"PP": 2, "PM": 2, "PL": 1, "MM": 2, "ML": 1, "LL": 2}
+
+
+def statement_sigma(tag, a, b):
+    """The stated sigma polynomial."""
+    if tag == "PP":
+        return 2 + 7 * a + 7 * b + 24 * a * b
+    if tag == "PM":
+        return 2 + 7 * a + 3 * b + 11 * a * b
+    if tag == "PL":
+        return 10 + 36 * a - 7 * b - 25 * a * b + b * b + 3 * a * b * b
+    if tag == "MM":
+        return 2 + 3 * a + 3 * b + 4 * a * b
+    if tag == "ML":
+        return 10 + 14 * a - 7 * b + b * b + 2 * a * b * b - 10 * a * b
+    return (
+        24 + 3 * a * a + 3 * b * b - 17 * a - 17 * b
+        - 2 * b * a * a - 2 * a * b * b - 12 * a * b
+    )
+
+
+def statement_a2_brackets(tag, a, b, B1, B2, D1, D2):
+    """The |a2| numerator bracket and the sigma-free part R of the denominator.
+
+    The denominator bracket is sigma B1^2 D1^2 - R.
+    """
+    if tag == "PP":
+        num = B1 * (1 + 3 * b) + D1 * (1 + 3 * a)
+        rest = (
+            (1 + 2 * a) ** 2 * (1 + 3 * b) * (B2 - B1) * D1**2
+            + (1 + 2 * b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
+        )
+        return num, rest
+    if tag == "PM":
+        num = B1 * (1 + 2 * b) + D1 * (1 + 3 * a)
+        rest = (
+            (1 + 2 * a) ** 2 * (1 + 2 * b) * (B2 - B1) * D1**2
+            + (1 + b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
+        )
+        return num, rest
+    if tag == "PL":
+        num = 2 * (B1 * (3 - 2 * b) + D1 * (1 + 3 * a))
+        rest = (
+            2 * (1 + 2 * a) ** 2 * (3 - 2 * b) * (B2 - B1) * D1**2
+            + 2 * (2 - b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
+        )
+        return num, rest
+    if tag == "MM":
+        num = B1 * (1 + 2 * b) + D1 * (1 + 2 * a)
+        rest = (
+            (1 + a) ** 2 * (1 + 2 * b) * (B2 - B1) * D1**2
+            + (1 + b) ** 2 * (1 + 2 * a) * (D2 - D1) * B1**2
+        )
+        return num, rest
+    if tag == "ML":
+        num = 2 * (B1 * (3 - 2 * b) + D1 * (1 + 2 * a))
+        rest = (
+            2 * (1 + a) ** 2 * (3 - 2 * b) * (B2 - B1) * D1**2
+            + 2 * (2 - b) ** 2 * (1 + 2 * a) * (D2 - D1) * B1**2
+        )
+        return num, rest
+    num = 2 * (B1 * (3 - 2 * b) + D1 * (3 - 2 * a))
+    rest = (
+        2 * (2 - a) ** 2 * (3 - 2 * b) * (B2 - B1) * D1**2
+        + 2 * (2 - b) ** 2 * (3 - 2 * a) * (D2 - D1) * B1**2
+    )
+    return num, rest
+
+
+def statement_pm_display_brackets(a, b, B1, B2, D1, D2):
+    """PM's |a2| brackets per the worked display: (1+2b)^2 on the |D2-D1| term."""
+    num = B1 * (1 + 2 * b) + D1 * (1 + 3 * a)
+    rest = (
+        (1 + 2 * a) ** 2 * (1 + 2 * b) * (B2 - B1) * D1**2
+        + (1 + 2 * b) ** 2 * (1 + 3 * a) * (D2 - D1) * B1**2
+    )
+    return num, rest
+
+
+def statement_a3_rhs(tag, a, b, B1, B2, D1, D2):
+    """The right side of the stated |a3| inequality."""
+    if tag == "PP":
+        return (
+            B1 * (3 + 10 * b) + D1 * (1 + 2 * a)
+            + (3 + 10 * b) * abs(B2 - B1)
+            + (1 + 2 * b) ** 2 * B1**2 * abs(D2 - D1) / (D1**2 * (1 + 2 * a))
+        )
+    if tag == "PM":
+        return (
+            B1 * (3 + 5 * b) + D1 * (1 + 2 * a)
+            + (3 + 5 * b) * abs(B2 - B1)
+            + (1 + b) ** 2 * B1**2 * abs(D2 - D1) / (D1**2 * (1 + 2 * a))
+        )
+    if tag == "PL":
+        poly = b * b - 11 * b + 16
+        return (
+            B1 * poly / 2 + D1 * (1 + 2 * a)
+            + poly * abs(B2 - B1) / 2
+            + (2 - b) ** 2 * B1**2 * abs(D2 - D1) / (D1**2 * (1 + 2 * a))
+        )
+    if tag == "MM":
+        return (
+            B1 * (3 + 5 * b) + D1 * (1 + 3 * a)
+            + (3 + 5 * b) * abs(B2 - B1)
+            + (1 + b) ** 2 * (1 + 3 * a) * B1**2 * abs(D2 - D1)
+            / (D1**2 * (1 + a) ** 2)
+        )
+    if tag == "ML":
+        poly = b * b - 11 * b + 16
+        return (
+            B1 * poly / 2 + D1 * (1 + 3 * a)
+            + poly * abs(B2 - B1) / 2
+            + (2 - b) ** 2 * (1 + 3 * a) * B1**2 * abs(D2 - D1)
+            / (D1**2 * (1 + a) ** 2)
+        )
+    poly = b * b - 11 * b + 16
+    return (
+        B1 * poly + D1 * (8 - 5 * a - a * a)
+        + poly * abs(B2 - B1)
+        + (2 - b) ** 2 * (a * a + 5 * a - 8) * B1**2 * abs(D2 - D1)
+        / (D1**2 * (2 - a) ** 2)
+    )
+
+
+def statement_a2_sq(brackets, sigma, B1, D1):
+    """B1^2 D1^2 num / |sigma B1^2 D1^2 - R|, or None when that vanishes."""
+    num, rest = brackets
+    den = sigma * B1**2 * D1**2 - rest
+    return None if den == 0 else B1**2 * D1**2 * num / abs(den)
+
+
+def statement_a3_value(tag, a, b, B1, B2, D1, D2, sigma):
+    """The stated |a3| bound rhs / (multiplier |sigma|), or None at sigma = 0."""
+    if sigma == 0:
+        return None
+    rhs = statement_a3_rhs(tag, a, b, B1, B2, D1, D2)
+    return rhs / (STATEMENT_A3_MULTIPLIER[tag] * abs(sigma))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bibounds import (
     MindaTarget,
@@ -30,6 +32,13 @@ from bibounds.bounds import (
     _printed_a2_sq,
     _printed_a3_value,
     pm_display_variant_a2_bound,
+)
+from oracles import (
+    statement_a2_brackets,
+    statement_a2_sq,
+    statement_a3_value,
+    statement_pm_display_brackets,
+    statement_sigma,
 )
 
 CARA = target_preset("caratheodory")
@@ -312,6 +321,17 @@ class TestAuditLoop:
             (float(a), float(b)) for a in alphas for b in betas]
 
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_audit_rows_are_reports_on_the_cli_grid(self, tag):
+        # The 11 x 11 grid 0:1:1/10 with an equal and a skewed target pair.
+        grid = [Fraction(k, 10) for k in range(11)]
+        pairs = [(CARA, CARA), (CARA, SKEW)]
+        rows = audit(tag, grid, grid, pairs)
+        assert len(rows) == len(grid) ** 2 * len(pairs)
+        points = [(a, b, phi, psi) for a in grid for b in grid for phi, psi in pairs]
+        for row, (a, b, phi, psi) in zip(rows, points):
+            assert row == report(tag, a, b, phi, psi)
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
     def test_report_values_are_the_module_functions(self, tag):
         # At the printed sigma the reported values are the printed ones; at
         # the derived sigma (which differs for LL off the axes) the aligned
@@ -412,3 +432,125 @@ class TestReductionTable:
         notes = " ".join(reduction_table()["notes"])
         assert "unspecified" in notes
         assert "does not reproduce" in notes
+
+
+# ----------------------------------------------------------------------
+# the factored statements against the verbatim ones
+
+
+def _outcome(fn, *args, **kwargs):
+    # A value, or the type of the exception it raised: ZeroDivisionError at
+    # a pole of the |a3| term, ValueError for the root of a negative square.
+    try:
+        return fn(*args, **kwargs)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+
+
+def _oracle_a3(tag, a, b, B1, B2, D1, D2, sigma):
+    return _outcome(statement_a3_value, tag, a, b, B1, B2, D1, D2, sigma)
+
+
+_RATIONAL = st.fractions(min_value=-2, max_value=4, max_denominator=12)
+_POSITIVE = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
+_ANY = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+def _class_param(kind):
+    upper = 1 if kind == "L" else 3
+    return st.fractions(min_value=0, max_value=upper, max_denominator=12)
+
+
+class TestStatementOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tag=st.sampled_from(THEOREM_TAGS), a=_RATIONAL, b=_RATIONAL,
+           B1=_POSITIVE, B2=_ANY, D1=_POSITIVE, D2=_ANY)
+    @example(tag="PP", a=Fraction(0), b=Fraction(0), B1=Fraction(1), B2=Fraction(2),
+             D1=Fraction(1), D2=Fraction(2))  # vanishing |a2| denominator
+    @example(tag="LL", a=Fraction(3), b=Fraction(0), B1=Fraction(2), B2=Fraction(2),
+             D1=Fraction(2), D2=Fraction(2))  # sigma = 0
+    @example(tag="PM", a=Fraction(1, 2), b=Fraction(1, 2), B1=Fraction(2),
+             B2=Fraction(2), D1=Fraction(2), D2=Fraction(1))  # D2 != D1
+    @example(tag="LL", a=Fraction(2), b=Fraction(0), B1=Fraction(2), B2=Fraction(1),
+             D1=Fraction(2), D2=Fraction(3))  # pole of the |a3| cross term
+    def test_single_point_functions(self, tag, a, b, B1, B2, D1, D2):
+        sigma = statement_sigma(tag, a, b)
+        brackets = statement_a2_brackets(tag, a, b, B1, B2, D1, D2)
+        a2_sq = statement_a2_sq(brackets, sigma, B1, D1)
+        a3 = _oracle_a3(tag, a, b, B1, B2, D1, D2, sigma)
+        args = (tag, a, b, B1, B2, D1, D2)
+        assert printed_sigma(tag, a, b) == sigma
+        assert _printed_a2_sq(*args) == a2_sq
+        assert _outcome(printed_a2_bound, *args) == _outcome(_sqrt, a2_sq)
+        assert _outcome(_printed_a3_value, *args) == a3
+        want_a3 = a3 if a3 is None or a3 is ZeroDivisionError else float(a3)
+        assert _outcome(printed_a3_bound, *args) == want_a3
+        other = sigma + Fraction(1, 3)
+        assert _printed_a2_sq(*args, sigma=other) == statement_a2_sq(
+            brackets, other, B1, D1)
+        assert _outcome(_printed_a3_value, *args, sigma=other) == _oracle_a3(
+            *args, other)
+        variant = statement_a2_sq(
+            statement_pm_display_brackets(a, b, B1, B2, D1, D2),
+            statement_sigma("PM", a, b), B1, D1)
+        assert _outcome(pm_display_variant_a2_bound, a, b, B1, B2, D1, D2) == \
+            _outcome(_sqrt, variant)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), tag=st.sampled_from(THEOREM_TAGS),
+           B1=_POSITIVE, B2=_ANY, D1=_POSITIVE, D2=_ANY)
+    def test_audit_rows(self, data, tag, B1, B2, D1, D2):
+        alphas = data.draw(st.lists(_class_param(tag[0]), min_size=1, max_size=3))
+        betas = data.draw(st.lists(_class_param(tag[1]), min_size=1, max_size=3))
+        phi, psi = MindaTarget([B1, B2]), MindaTarget([D1, D2])
+        rows = iter(audit(tag, alphas, betas, [(phi, psi), (psi, phi)]))
+        for a in alphas:
+            for b in betas:
+                for (P1, P2), (Q1, Q2) in [((B1, B2), (D1, D2)), ((D1, D2), (B1, B2))]:
+                    self._check_row(next(rows), tag, a, b, P1, P2, Q1, Q2)
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_audit_rows_at_the_degenerate_points(self, tag):
+        one_two = MindaTarget([1, 2])
+        for phi, psi in [(one_two, one_two), (CARA, SKEW), (SKEW, UNEVEN)]:
+            for a, b in [(0, 0), (1, 1), (Fraction(1, 2), Fraction(1, 3))]:
+                row = report(tag, a, b, phi, psi)
+                self._check_row(row, tag, Fraction(a), Fraction(b),
+                                phi.B1, phi.B2, psi.B1, psi.B2)
+
+    @staticmethod
+    def _check_row(row, tag, a, b, B1, B2, D1, D2):
+        sigma = statement_sigma(tag, a, b)
+        brackets = statement_a2_brackets(tag, a, b, B1, B2, D1, D2)
+        a2_sq = statement_a2_sq(brackets, sigma, B1, D1)
+        a3 = statement_a3_value(tag, a, b, B1, B2, D1, D2, sigma)
+        assert (row.alpha, row.beta) == (float(a), float(b))
+        assert row.sigma_printed == float(sigma)
+        assert row.a2_printed == _sqrt(a2_sq)
+        assert row.a3_printed == (None if a3 is None else float(a3))
+        # The a2/a3 discrepancies carry the statements at the derived sigma.
+        derived = derived_sigma(tag, a, b)
+        flagged = {d.field: d for d in row.discrepancies}
+        if "a2" in flagged:
+            want = _sqrt_nan(statement_a2_sq(brackets, derived, B1, D1))
+            assert _same_float(flagged["a2"].printed, want)
+        if "a3" in flagged:
+            value = statement_a3_value(tag, a, b, B1, B2, D1, D2, derived)
+            want = math.nan if value is None else float(value)
+            assert _same_float(flagged["a3"].printed, want)
+        if tag == "PM" and D2 != D1:
+            variant = _sqrt(statement_a2_sq(
+                statement_pm_display_brackets(a, b, B1, B2, D1, D2), sigma, B1, D1))
+            stated = _sqrt_nan(a2_sq)
+            if variant is None or abs(variant - stated) > 1e-10 * max(1.0, stated):
+                assert row.notes and repr(variant) in row.notes[0]
+            else:
+                assert row.notes == ()
+
+
+def _sqrt_nan(sq):
+    return math.nan if sq is None else math.sqrt(float(sq))
+
+
+def _same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))

@@ -25,7 +25,7 @@ from bibounds import (
     target_preset,
     triple,
 )
-from bibounds.classes import _within_disk
+from bibounds.classes import MAX_DECIMAL_EXPONENT, _within_disk, brief, rational
 from bibounds.series import coerce_scalar, mode_of
 from conftest import rand_qc
 from oracles import poly_pow_unit
@@ -385,3 +385,37 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             target_preset("bogus")
+
+
+class TestRational:
+    def test_exponent_limit_is_inclusive(self):
+        limit = MAX_DECIMAL_EXPONENT
+        assert rational(f"1e{limit}") == 10**limit
+        assert rational(f"1e-{limit}") == Fraction(1, 10**limit)
+        assert rational(" 2.5E+0_3 ") == 2500
+
+    @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "-3.5E+4301", "1e0_4301",
+                                      "1e99999999999999999999"])
+    def test_exponent_past_the_limit_is_rejected_quoting_the_text(self, text):
+        with pytest.raises(ValueError, match="decimal exponent of") as info:
+            rational(text)
+        assert repr(text) in str(info.value)
+
+    def test_other_forms_keep_their_messages(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            rational("1/0")
+        with pytest.raises(ValueError, match="Invalid literal"):
+            rational("1/1e4301")
+
+    def test_brief(self):
+        assert brief(Fraction(-3, 2)) == "-3/2"
+        assert brief(7) == "7"
+        assert brief(10**300) == "1e+300"
+        assert brief(Fraction(-1, 10**300)) == "-1e-300"
+        assert brief(Fraction(3 * 10**4300, 7)) == "4.28571e+4299"
+
+    def test_range_checks_format_huge_values_briefly(self):
+        with pytest.raises(ValueError, match=r"got 1e\+300$"):
+            ClassSpec("L", rational("1e300"))
+        with pytest.raises(ValueError, match=r"got -1e\+4300$"):
+            MindaTarget([rational("-1e4300")])

@@ -1,12 +1,15 @@
 import io
 import contextlib
+import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibounds import cli
@@ -255,6 +258,18 @@ OVERFLOWS = {
     "sweep_alpha_beta_1e300": ["sweep", "--pair", "MM", "--alpha", "1e300", "--beta", "1e300"],
 }
 REJECTED.update((name, (None, argv)) for name, argv in OVERFLOWS.items())
+# Decimal exponents past the parser's limit, and range checks on huge values.
+HUGE = {
+    "bound_alpha_1e4301": ["bound", "--pair", "PP", "--alpha", "1e4301", "--beta", "0"],
+    "bound_alpha_1e-4301": ["bound", "--pair", "PP", "--alpha", "1e-4301", "--beta", "0"],
+    "audit_grid_step_1e-4301": ["audit", "--theorem", "PP", "--grid", "0:1:1e-4301"],
+    "bound_phi_coeffs_1e4301": BOUND + ["--phi-coeffs", "1,1e4301"],
+    "expand_l_alpha_1e300": ["expand", "--class", "L", "--alpha", "1e300",
+                             "--a2", "1", "--a3", "1"],
+    "bound_alpha_minus_1e300": ["bound", "--pair", "PP", "--alpha=-1e300", "--beta", "0"],
+    "audit_grid_points_1e300": ["audit", "--theorem", "PP", "--grid", "0:1e300:1"],
+}
+REJECTED.update((name, (None, argv)) for name, argv in HUGE.items())
 
 
 class TestInputContract:
@@ -281,6 +296,20 @@ class TestInputContract:
         assert err.count("\n") == 1
         assert err.startswith("usage error: a result does not fit a float")
 
+    @pytest.mark.parametrize("name", sorted(HUGE))
+    def test_huge_values_give_one_short_usage_error_line(self, name, capsys):
+        assert cli.main(HUGE[name]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error: ")
+        assert len(err) < 200
+
+    def test_exponent_limit_quotes_the_text(self, capsys):
+        assert cli.main(["audit", "--theorem", "PP", "--grid", "0:1:1E-0_4301"]) == 1
+        assert "'1E-0_4301'" in capsys.readouterr().err
+        assert cli.main(HUGE["bound_alpha_1e4301"]) == 1
+        assert "'1e4301'" in capsys.readouterr().err
+
     def test_order_cap_is_inclusive(self, tmp_path):
         assert run_cli(BOUND + ["--order", str(cli.MAX_ORDER)])[0] == cli.EXIT_OK
         config = tmp_path / "defaults.cfg"
@@ -299,7 +328,8 @@ def _optional(flag, values):
 
 
 _COUNTS = [str(n) for n in range(-3, 13)]
-_RATIONALS = ["0", "1/3", "1/2", "1", "3/2", "-1", "1/0", "x", "1e300", "1e400"]
+_RATIONALS = ["0", "1/3", "1/2", "1", "3/2", "-1", "1/0", "x", "1e300", "1e400",
+              "1e4301", "1e-4301"]
 _TAGS = ["PP", "PM", "PL", "MM", "ML", "LL", "XX"]
 _PRESETS = ["caratheodory", "order:1/3", "strong:1/2", "strong:0", "order:1/0", "nope"]
 _COEFFS = ["2,2", "1", "1,2", "2,1,1/2", "0,1", "1,x"]
@@ -350,6 +380,76 @@ def test_fuzzed_argv_exits_with_a_contract_code(argv):
     assert code in (0, 1, 2, 3)
     if code == cli.EXIT_USAGE:
         assert buffer.getvalue() == ""
+        assert all(len(line) < 200 for line in errors.getvalue().splitlines())
+
+
+# ----------------------------------------------------------------------
+# the one-pass JSON writer against the two-pass reference
+
+
+def _canonical(value):
+    # The reference rounding: nine significant digits, 0.0 for every zero,
+    # Fractions as floats, complex numbers as [re, im], tuples as lists.
+    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, float):
+        if value == 0:
+            return 0.0
+        return float(format(value, ".9g"))
+    if isinstance(value, Fraction):
+        return _canonical(float(value))
+    if isinstance(value, complex):
+        return [_canonical(value.real), _canonical(value.imag)]
+    if isinstance(value, dict):
+        return {key: _canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    return value
+
+
+def _reference_json(payload):
+    return json.dumps(_canonical(payload), indent=2) + "\n"
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-10**60, max_value=10**60),
+    st.floats(),
+    st.sampled_from([0, 0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     5e-324, 1.7976931348623157e308, 0.1, 1e16, 123456789.5]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x3F)),
+    st.complex_numbers(),
+    st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**9),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_PAYLOADS)
+@example({})
+@example({"": [], "a": {}, "b": [[], {}, ()], "\u00e9\n\x00\"": {"\x1f\u2028": [True, 1, 1.0]}})
+@example([True, False, 1, 0, -0.0, 0.0, math.nan, math.inf, -math.inf, 2**200])
+@example({"c": complex(-0.0, math.nan), "f": Fraction(-1, 3), "t": (1, (2, ()))})
+def test_render_json_is_the_reference_bytes(payload):
+    assert cli.render_json(payload) == _reference_json(payload)
+
+
+def test_render_json_on_an_audit_payload():
+    args = cli.build_parser().parse_args(
+        ["audit", "--theorem", "PM", "--grid", "0:1:1/10", "--psi-coeffs", "2,1"])
+    payload, _ = cli._run_audit(args, {})
+    assert cli.render_json(payload) == _reference_json(payload)
 
 
 # Runs in a fresh interpreter, so nothing the test run imported is loaded.
