@@ -320,27 +320,56 @@ def sample_caratheodory(
 
 # Fraction builds 10**exponent for a decimal exponent before any range check
 # can run; past this magnitude (the interpreter's default cap on digits in
-# an int-to-str conversion) the text is rejected instead.
+# an int-to-str conversion) the text is rejected instead.  So is a literal
+# of more digits than this, which the conversion itself would refuse with a
+# message that names neither the flag nor the text.
 MAX_DECIMAL_EXPONENT = 4300
+
+
+class LiteralTooLargeError(ValueError):
+    """A numeric literal past MAX_DECIMAL_EXPONENT, in digits or exponent."""
+
+
+def _quoted(text: str) -> str:
+    if len(text) > 60:  # keep the message to one short line
+        text = text[:28] + "..." + text[-28:]
+    return repr(text)
+
+
+def _refuse_long_literal(text: str):
+    if len(text) > MAX_DECIMAL_EXPONENT and (
+            sum(map(str.isdigit, text)) > MAX_DECIMAL_EXPONENT):
+        raise LiteralTooLargeError(
+            f"digit count of {_quoted(text)} exceeds {MAX_DECIMAL_EXPONENT}")
 
 
 def rational(text: str) -> Fraction:
     """Parse a decimal or p/q; a zero denominator is a ValueError too.
 
-    So is a decimal exponent above MAX_DECIMAL_EXPONENT in magnitude.
+    So are a literal of more than MAX_DECIMAL_EXPONENT digits and a decimal
+    exponent above it in magnitude (both a :class:`LiteralTooLargeError`).
     """
+    _refuse_long_literal(text)
     head, _, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if head and "/" not in head and digits.isdecimal() and (
             len(digits) > 4 or int(digits) > MAX_DECIMAL_EXPONENT):
-        if len(text) > 60:  # keep the message to one short line
-            text = text[:28] + "..." + text[-28:]
-        raise ValueError(f"decimal exponent of {text!r} exceeds "
-                         f"{MAX_DECIMAL_EXPONENT} in magnitude")
+        raise LiteralTooLargeError(f"decimal exponent of {_quoted(text)} "
+                                   f"exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def integer(text: str) -> int:
+    """Parse a base-10 int; more than MAX_DECIMAL_EXPONENT digits is refused.
+
+    The refusal is a :class:`LiteralTooLargeError`, raised before ``int``
+    would attempt the conversion.
+    """
+    _refuse_long_literal(text)
+    return int(text)
 
 
 def brief(value) -> str:

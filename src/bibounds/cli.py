@@ -41,8 +41,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 from .series import DEFAULT_ORDER, EXACT, FLOAT
-from .classes import (ClassSpec, MindaTarget, SchlichtCoeffs, brief,
-                      expansion_f, functional, rational, target_preset, triple)
+from .classes import (ClassSpec, LiteralTooLargeError, MindaTarget,
+                      SchlichtCoeffs, brief, expansion_f, functional, integer,
+                      rational, target_preset, triple)
 from . import bounds as _bounds
 from . import harness as _harness
 
@@ -267,10 +268,31 @@ def _parse_grid(text: str) -> list[Fraction]:
     return [start + index * step for index in range(count)]
 
 
+def _flag_type(parse):
+    """parse as an argparse type.
+
+    argparse words a ValueError as "invalid <type> value: <the whole text>";
+    a LiteralTooLargeError passes on its own message, which quotes the text
+    shortened, so a huge literal still gives one short usage line.
+    """
+    @functools.wraps(parse)  # argparse names the type in its other messages
+    def parse_flag(text):
+        try:
+            return parse(text)
+        except LiteralTooLargeError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_flag
+
+
+_rational = _flag_type(rational)
+_integer = _flag_type(integer)
+
+
 def _pair_flags(parser):
     parser.add_argument("--pair", required=True, help="pairing tag, e.g. PP")
-    parser.add_argument("--alpha", required=True, type=rational)
-    parser.add_argument("--beta", required=True, type=rational)
+    parser.add_argument("--alpha", required=True, type=_rational)
+    parser.add_argument("--beta", required=True, type=_rational)
 
 
 def _target_flags(parser):
@@ -278,7 +300,7 @@ def _target_flags(parser):
     parser.add_argument("--psi", help="target preset for the inverse side")
     parser.add_argument("--phi-coeffs", help="explicit B1,B2,... (overrides --phi)")
     parser.add_argument("--psi-coeffs", help="explicit D1,D2,... (overrides --psi)")
-    parser.add_argument("--order", type=int)
+    parser.add_argument("--order", type=_integer)
 
 
 def _audit_flags(parser):
@@ -290,23 +312,23 @@ def _audit_flags(parser):
 
 def _sweep_flags(parser):
     parser.add_argument("--what", choices=("a2", "a3"), default="a2")
-    parser.add_argument("--radial-steps", dest="radial_steps", type=int)
-    parser.add_argument("--phase-steps", dest="phase_steps", type=int)
+    parser.add_argument("--radial-steps", dest="radial_steps", type=_integer)
+    parser.add_argument("--phase-steps", dest="phase_steps", type=_integer)
 
 
 def _expand_flags(parser):
     parser.add_argument("--class", dest="kind", required=True, choices=("P", "M", "L"))
-    parser.add_argument("--alpha", required=True, type=rational)
-    parser.add_argument("--a2", required=True, type=rational)
-    parser.add_argument("--a3", required=True, type=rational)
-    parser.add_argument("--order", type=int)
+    parser.add_argument("--alpha", required=True, type=_rational)
+    parser.add_argument("--a2", required=True, type=_rational)
+    parser.add_argument("--a3", required=True, type=_rational)
+    parser.add_argument("--order", type=_integer)
 
 
 def _verify_flags(parser):
     parser.add_argument("--suite", default="identities", choices=_harness.SUITE_NAMES)
     parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--samples", type=int)
+    parser.add_argument("--seed", type=_integer)
+    parser.add_argument("--samples", type=_integer)
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged

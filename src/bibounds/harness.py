@@ -50,6 +50,7 @@ from .classes import (
     expansion_f,
     expansion_g,
     functional,
+    inverse_triple,
     invert_schlicht,
     sample_caratheodory,
     subordinate_compose,
@@ -66,6 +67,7 @@ from .solver import (
     linked_b1,
     sigma_tilde,
     solve_forward,
+    triple_determinant,
 )
 from . import bounds as _bounds
 
@@ -567,15 +569,23 @@ def _check_consistency_chain(rng, mode, samples):
 
 
 def _check_sigma_relations(rng, mode, samples):
+    # Per tag, one function-side triple per alpha and one inverse-side triple
+    # and set of printed sigma coefficients per beta; each point then costs
+    # one determinant and one Horner step.  Alpha outer, beta inner, as the
+    # first failure's witness depends on the order.
     grid = [Fraction(k, 4) for k in range(5)]
     for tag in _bounds.THEOREM_TAGS:
         scale = _bounds.SIGMA_SCALE[tag]
-        for a in grid:
-            for b in grid:
-                printed = _bounds.printed_sigma(tag, a, b)
-                tilde = sigma_tilde(
-                    _bounds.theorem_pair(tag, a, b, MindaTarget([1]), MindaTarget([1]))
-                )
+        rows = [triple(ClassSpec(tag[0], a)) for a in grid]
+        columns = [
+            (inverse_triple(triple(ClassSpec(tag[1], b))),
+             _bounds._sigma_in_alpha(tag, b))
+            for b in grid
+        ]
+        for a, tf in zip(grid, rows):
+            for b, (tg, coefficients) in zip(grid, columns):
+                printed = _bounds._horner(coefficients, a)
+                tilde = triple_determinant(tf, tg)
                 if tag == "LL":
                     expected_gap = 24 * a * b  # derived minus printed
                     if tilde / scale - printed != expected_gap:

@@ -24,7 +24,16 @@ coefficient goes back to a :class:`QComplex` in lowest terms, one
 normalisation per coefficient, so ``coeffs`` is always a tuple of
 ``QComplex`` and equality and hashing see values, not representations.
 Addition, negation, the derivative, the shifts and truncation work on
-``QComplex`` directly.  Float mode works on ``complex`` throughout.
+``QComplex`` directly.  Float mode works on ``complex`` throughout: products,
+quotients and composition (one Horner loop) run on the local coefficient
+tuples, each sum starting at ``0j``.
+
+The constructor is the one checked entry point: it coerces callers'
+coefficients into the tower, pads or truncates them to the storage order
+and clamps ``valid_order``.  Kernel results are already tower values of the
+right length, so the ring operations, division, the derivative, the shifts,
+composition, ``pow_unit`` and ``revert`` return through a private
+constructor that skips that re-coercion.
 
 The scalar rule lives here and nowhere else: :func:`mode_of` names the tower
 of a set of values (exact when every one is a ``QComplex``, ``Fraction`` or
@@ -292,6 +301,20 @@ def _convolve(ar, ai, br, bi, order):
     return cr, ci
 
 
+def _float_product(a, b, order):
+    """Cauchy product of two complex coefficient sequences, truncated to order.
+
+    Each sum starts at 0j and adds a[i] * b[n - i] for i = 0..n in turn.
+    """
+    coeffs = []
+    for n in range(order + 1):
+        acc = 0j
+        for i in range(n + 1):
+            acc = acc + a[i] * b[n - i]
+        coeffs.append(acc)
+    return coeffs
+
+
 class TruncatedSeries:
     """Finite coefficient list of an analytic germ, with order bookkeeping.
 
@@ -318,6 +341,21 @@ class TruncatedSeries:
         self.coeffs = tuple(items)
         self.mode = mode
         self.valid_order = max(0, min(valid_order, order))
+
+    @classmethod
+    def _of(cls, coeffs, mode, valid_order):
+        """A kernel's result, stored without re-coercion.
+
+        The caller guarantees what ``__init__`` would establish: every
+        coefficient already in mode's tower (``complex``, or ``QComplex``
+        with ``Fraction`` parts), ``len(coeffs) == order + 1`` and
+        ``0 <= valid_order <= order``.
+        """
+        series = object.__new__(cls)
+        series.coeffs = tuple(coeffs)
+        series.mode = mode
+        series.valid_order = valid_order
+        return series
 
     # ------------------------------------------------------------------
     # constructors
@@ -390,24 +428,17 @@ class TruncatedSeries:
             coeffs = [
                 self.coeffs[k] + other.coeffs[k] for k in range(order + 1)
             ]
-            return TruncatedSeries(
-                coeffs, mode=self.mode, order=order, valid_order=valid
-            )
+            return TruncatedSeries._of(coeffs, self.mode, valid)
         value = self._scalar(other)
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + value
-        return TruncatedSeries(
-            coeffs, mode=self.mode, order=self.order, valid_order=self.valid_order
-        )
+        return TruncatedSeries._of(coeffs, self.mode, self.valid_order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            [-c for c in self.coeffs],
-            mode=self.mode,
-            order=self.order,
-            valid_order=self.valid_order,
+        return TruncatedSeries._of(
+            [-c for c in self.coeffs], self.mode, self.valid_order
         )
 
     def __sub__(self, other):
@@ -427,19 +458,11 @@ class TruncatedSeries:
                 ar, ai, da = _ints(self.coeffs[: order + 1])
                 br, bi, db = _ints(other.coeffs[: order + 1])
                 cr, ci = _convolve(ar, ai, br, bi, order)
-                return TruncatedSeries(
-                    _from_ints(cr, ci, [da * db] * (order + 1)),
-                    mode=EXACT, order=order, valid_order=valid,
+                return TruncatedSeries._of(
+                    _from_ints(cr, ci, [da * db] * (order + 1)), EXACT, valid
                 )
-            zero = self._scalar(0)
-            coeffs = []
-            for n in range(order + 1):
-                acc = zero
-                for i in range(n + 1):
-                    acc = acc + self.coeffs[i] * other.coeffs[n - i]
-                coeffs.append(acc)
-            return TruncatedSeries(
-                coeffs, mode=self.mode, order=order, valid_order=valid
+            return TruncatedSeries._of(
+                _float_product(self.coeffs, other.coeffs, order), FLOAT, valid
             )
         value = self._scalar(other)
         if self.mode == EXACT:
@@ -447,15 +470,12 @@ class TruncatedSeries:
             (vr,), (vi,), dv = _ints([value])
             pad = [0] * self.order  # the scalar as a constant series
             cr, ci = _convolve([vr, *pad], [vi, *pad], ar, ai, self.order)
-            return TruncatedSeries(
+            return TruncatedSeries._of(
                 _from_ints(cr, ci, [da * dv] * (self.order + 1)),
-                mode=EXACT, order=self.order, valid_order=self.valid_order,
+                EXACT, self.valid_order,
             )
-        return TruncatedSeries(
-            [c * value for c in self.coeffs],
-            mode=self.mode,
-            order=self.order,
-            valid_order=self.valid_order,
+        return TruncatedSeries._of(
+            [c * value for c in self.coeffs], FLOAT, self.valid_order
         )
 
     __rmul__ = __mul__
@@ -463,11 +483,8 @@ class TruncatedSeries:
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
             value = self._scalar(other)
-            return TruncatedSeries(
-                [c / value for c in self.coeffs],
-                mode=self.mode,
-                order=self.order,
-                valid_order=self.valid_order,
+            return TruncatedSeries._of(
+                [c / value for c in self.coeffs], self.mode, self.valid_order
             )
         self._require_same_mode(other)
         lead = other.coeffs[0]
@@ -499,20 +516,19 @@ class TruncatedSeries:
                     si -= (pr[i] * bi[n - i] + pi[i] * br[n - i]) * w
                 pr.append(sr)
                 pi.append(si)
-            return TruncatedSeries(
+            return TruncatedSeries._of(
                 _from_ints([p * db for p in pr], [p * db for p in pi],
                            [da * p for p in powers[1:]]),
-                mode=EXACT, order=order, valid_order=valid,
+                EXACT, valid,
             )
+        a, b = self.coeffs, other.coeffs
         quotient = []
         for n in range(order + 1):
-            acc = self.coeffs[n]
+            acc = a[n]
             for i in range(n):
-                acc = acc - quotient[i] * other.coeffs[n - i]
+                acc = acc - quotient[i] * b[n - i]
             quotient.append(acc / lead)
-        return TruncatedSeries(
-            quotient, mode=self.mode, order=order, valid_order=valid
-        )
+        return TruncatedSeries._of(quotient, FLOAT, valid)
 
     def __rtruediv__(self, other):
         return TruncatedSeries.constant(
@@ -532,21 +548,15 @@ class TruncatedSeries:
             (k + 1) * self.coeffs[k + 1] for k in range(self.order)
         ]
         coeffs.append(self._scalar(0))
-        return TruncatedSeries(
-            coeffs,
-            mode=self.mode,
-            order=self.order,
-            valid_order=self.valid_order - 1,
+        return TruncatedSeries._of(
+            coeffs, self.mode, max(0, self.valid_order - 1)
         )
 
     def shift_up(self):
         """Multiply by z (the top stored coefficient is dropped)."""
         coeffs = [self._scalar(0), *self.coeffs[:-1]]
-        return TruncatedSeries(
-            coeffs,
-            mode=self.mode,
-            order=self.order,
-            valid_order=min(self.valid_order + 1, self.order),
+        return TruncatedSeries._of(
+            coeffs, self.mode, min(self.valid_order + 1, self.order)
         )
 
     def shift_down(self):
@@ -554,11 +564,8 @@ class TruncatedSeries:
         if self.coeffs[0]:
             raise ValueError("cannot divide by z: constant term is nonzero")
         coeffs = [*self.coeffs[1:], self._scalar(0)]
-        return TruncatedSeries(
-            coeffs,
-            mode=self.mode,
-            order=self.order,
-            valid_order=self.valid_order - 1,
+        return TruncatedSeries._of(
+            coeffs, self.mode, max(0, self.valid_order - 1)
         )
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -583,18 +590,16 @@ class TruncatedSeries:
                 scale *= di
                 rr[0] += orr[k] * scale
                 ri[0] += ori[k] * scale
-            return TruncatedSeries(
-                _from_ints(rr, ri, [do * scale] * (order + 1)),
-                mode=EXACT, order=order, valid_order=valid,
+            return TruncatedSeries._of(
+                _from_ints(rr, ri, [do * scale] * (order + 1)), EXACT, valid
             )
-        result = TruncatedSeries.constant(
-            self.coeffs[order], order=order, mode=self.mode
-        )
+        # Horner on complex lists: r = r * inner + o_k, level by level.
+        a, b = self.coeffs, inner.coeffs
+        r = [a[order]] + [0j] * order
         for k in range(order - 1, -1, -1):
-            result = result * inner.truncated(order) + self.coeffs[k]
-        return TruncatedSeries(
-            result.coeffs, mode=self.mode, order=order, valid_order=valid
-        )
+            r = _float_product(r, b, order)
+            r[0] = r[0] + a[k]
+        return TruncatedSeries._of(r, FLOAT, valid)
 
     def pow_unit(self, exponent) -> "TruncatedSeries":
         """Real power of a series anchored at constant term 1.
@@ -646,9 +651,7 @@ class TruncatedSeries:
                 for k in range(1, n + 1):
                     acc += (exponent * k - (n - k)) * a[k] * coeffs[n - k]
                 coeffs.append(acc / (n * a[0]))
-        return TruncatedSeries(
-            coeffs, mode=self.mode, order=self.order, valid_order=self.valid_order
-        )
+        return TruncatedSeries._of(coeffs, self.mode, self.valid_order)
 
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse g with g(self(z)) = z to the stored order.
@@ -680,9 +683,7 @@ class TruncatedSeries:
             for n in range(2, order + 1):
                 power = power * q
                 g.append(power.coeffs[n - 1] / n)
-        return TruncatedSeries(
-            g, mode=self.mode, order=order, valid_order=self.valid_order
-        )
+        return TruncatedSeries._of(g, self.mode, self.valid_order)
 
     # ------------------------------------------------------------------
     # comparisons

@@ -25,7 +25,8 @@ from bibounds import (
     target_preset,
     triple,
 )
-from bibounds.classes import MAX_DECIMAL_EXPONENT, _within_disk, brief, rational
+from bibounds.classes import (MAX_DECIMAL_EXPONENT, LiteralTooLargeError, _within_disk,
+                              brief, integer, rational)
 from bibounds.series import coerce_scalar, mode_of
 from conftest import rand_qc
 from oracles import poly_pow_unit
@@ -400,6 +401,21 @@ class TestRational:
         with pytest.raises(ValueError, match="decimal exponent of") as info:
             rational(text)
         assert repr(text) in str(info.value)
+
+    def test_digit_limit_is_inclusive(self):
+        limit = MAX_DECIMAL_EXPONENT
+        assert rational("7" * limit) == int("7" * limit)
+        assert rational("1/" + "3" * (limit - 2)) == Fraction(1, int("3" * (limit - 2)))
+        assert integer("-" + "7" * limit) == -int("7" * limit)
+
+    @pytest.mark.parametrize("parse", [rational, integer])
+    @pytest.mark.parametrize("text", ["1" * 4301, "-" + "9" * 5000, "1_" * 4301, "1/" + "3" * 4300])
+    def test_too_many_digits_are_rejected_quoting_the_text_shortened(self, parse, text):
+        with pytest.raises(LiteralTooLargeError, match="digit count of") as info:
+            parse(text)
+        message = str(info.value)
+        assert len(message) < 120
+        assert repr(text[:28] + "..." + text[-28:]) in message
 
     def test_other_forms_keep_their_messages(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):

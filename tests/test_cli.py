@@ -268,6 +268,12 @@ HUGE = {
                              "--a2", "1", "--a3", "1"],
     "bound_alpha_minus_1e300": ["bound", "--pair", "PP", "--alpha=-1e300", "--beta", "0"],
     "audit_grid_points_1e300": ["audit", "--theorem", "PP", "--grid", "0:1e300:1"],
+    # Literals of more digits than the parser's limit, with no exponent.
+    "bound_alpha_5000_ones": ["bound", "--pair", "PP", "--alpha", "1" * 5000, "--beta", "0"],
+    "bound_order_5000_digits": BOUND + ["--order", "7" * 5000],
+    "bound_phi_coeffs_5000_digits": BOUND + ["--phi-coeffs", "1," + "7" * 5000],
+    "audit_grid_step_5000_digits": ["audit", "--theorem", "PP", "--grid", "0:1:" + "7" * 5000],
+    "verify_samples_5000_digits": ["verify", "--samples", "9" * 5000],
 }
 REJECTED.update((name, (None, argv)) for name, argv in HUGE.items())
 

@@ -6,6 +6,8 @@ import pytest
 
 from bibounds import (
     EXACT,
+    ClassSpec,
+    ClassTriple,
     FLOAT,
     DegeneratePairError,
     MindaTarget,
@@ -21,7 +23,7 @@ from bibounds import (
     target_preset,
     theorem_pair,
 )
-from bibounds import harness
+from bibounds import bounds, classes, harness, solver
 from bibounds.bounds import THEOREM_TAGS
 
 CARA = target_preset("caratheodory")
@@ -321,3 +323,113 @@ class TestIdentitySuites:
         # An empty run would pass every check vacuously.
         with pytest.raises(ValueError):
             run_identity_suites("series", samples=samples)
+
+
+def sigma_relations_per_point():
+    """The sigma-relations check evaluated point by point, one PairSpec each."""
+    grid = [Fraction(k, 4) for k in range(5)]
+    for tag in THEOREM_TAGS:
+        scale = bounds.SIGMA_SCALE[tag]
+        for a in grid:
+            for b in grid:
+                printed = bounds.printed_sigma(tag, a, b)
+                tilde = solver.sigma_tilde(
+                    theorem_pair(tag, a, b, MindaTarget([1]), MindaTarget([1])))
+                if tag == "LL":
+                    if tilde / scale - printed != 24 * a * b:
+                        return f"LL sigma gap wrong at alpha={a}, beta={b}"
+                elif printed * scale != tilde:
+                    return f"sigma relation failed for {tag} at alpha={a}, beta={b}"
+    return None
+
+
+def sigma_relations_witness():
+    rng = random.Random(7)
+    return harness._check_sigma_relations(rng, EXACT, 1)
+
+
+class TestSigmaRelations:
+    def test_passes_like_the_per_point_loop(self):
+        assert sigma_relations_per_point() is None
+        assert sigma_relations_witness() is None
+
+    def test_perturbed_sigma_coefficient_fails_at_the_same_point(self, monkeypatch):
+        stated = bounds._sigma_in_alpha
+
+        def perturbed(tag, b):
+            coefficients = stated(tag, b)
+            if tag == "PM" and b == Fraction(1, 2):
+                return coefficients[0], coefficients[1] + 1
+            return coefficients
+
+        monkeypatch.setattr(bounds, "_sigma_in_alpha", perturbed)
+        witness = "sigma relation failed for PM at alpha=1/4, beta=1/2"
+        assert sigma_relations_per_point() == witness
+        assert sigma_relations_witness() == witness
+
+    def test_flipped_ll_gap_fails_at_the_same_point(self, monkeypatch):
+        stated = bounds._sigma_in_alpha
+
+        def flipped(tag, b):
+            coefficients = stated(tag, b)
+            if tag == "LL":  # give the alpha*beta term the derived sign
+                c0, c1, c2 = coefficients
+                return c0, c1 + 24 * b, c2
+            return coefficients
+
+        monkeypatch.setattr(bounds, "_sigma_in_alpha", flipped)
+        witness = "LL sigma gap wrong at alpha=1/4, beta=1/4"
+        assert sigma_relations_per_point() == witness
+        assert sigma_relations_witness() == witness
+
+    def test_changed_inverse_triple_fails_at_the_same_point(self, monkeypatch):
+        stated = classes.inverse_triple
+        target = classes.triple(ClassSpec("M", Fraction(3, 4)))
+
+        def changed(t):
+            u = stated(t)
+            return ClassTriple(u.p, u.q, u.r + 1) if t == target else u
+
+        monkeypatch.setattr(solver, "inverse_triple", changed)
+        monkeypatch.setattr(harness, "inverse_triple", changed)
+        witness = "sigma relation failed for PM at alpha=0, beta=3/4"
+        assert sigma_relations_per_point() == witness
+        assert sigma_relations_witness() == witness
+
+    def test_first_failure_is_first_in_alpha_major_order(self, monkeypatch):
+        # A changed row (P at alpha = 1/2) and a changed column (M at
+        # beta = 3/4): alpha-major and beta-major order meet different
+        # failures first.
+        stated, stated_inverse = classes.triple, classes.inverse_triple
+        row = ClassSpec("P", Fraction(1, 2))
+        column = stated(ClassSpec("M", Fraction(3, 4)))
+
+        def changed(spec):
+            t = stated(spec)
+            return ClassTriple(t.p, t.q, t.r + 1) if spec == row else t
+
+        def changed_inverse(t):
+            u = stated_inverse(t)
+            return ClassTriple(u.p, u.q, u.r + 1) if t == column else u
+
+        for module in (solver, harness):
+            monkeypatch.setattr(module, "triple", changed)
+            monkeypatch.setattr(module, "inverse_triple", changed_inverse)
+        witness = "sigma relation failed for PP at alpha=0, beta=1/2"
+        assert sigma_relations_per_point() == witness
+        assert sigma_relations_witness() == witness
+
+    def test_one_triple_per_row_and_column(self, monkeypatch):
+        calls = {"triple": 0, "triple_determinant": 0}
+        for name in calls:
+            original = getattr(harness, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        assert sigma_relations_witness() is None
+        tags, side = len(THEOREM_TAGS), 5
+        assert calls == {"triple": tags * 2 * side,
+                         "triple_determinant": tags * side * side}

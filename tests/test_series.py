@@ -660,3 +660,93 @@ def test_float_revert_matches_lagrange_oracle(lead, tail):
     got = TruncatedSeries(coeffs, mode=FLOAT).revert()
     want = lagrange_revert(coeffs, len(tail) + 1)
     assert max_abs_error(got.coeffs, [complex(w) for w in want]) <= 1e-12
+
+
+# Kernel results skip the coercion of the public constructor; what they hold
+# must be what it would have built.
+
+cheap_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+exact_values = st.builds(QComplex, cheap_fractions, cheap_fractions)
+float_values = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+float_leads = st.complex_numbers(min_magnitude=0.5, max_magnitude=4,
+                                 allow_nan=False, allow_infinity=False)
+exact_leads = exact_values.filter(lambda q: q.abs2() >= Fraction(1, 4))
+TOWERS = {
+    EXACT: (exact_values, exact_leads,
+            st.one_of(exact_values, st.integers(-5, 5), cheap_fractions),
+            cheap_fractions),
+    FLOAT: (float_values, float_leads,
+            st.one_of(float_values, st.floats(-4, 4), st.integers(-5, 5), cheap_fractions),
+            st.floats(-3, 3)),
+}
+
+
+def tower_series(draw, mode, values, lead=None, min_order=0):
+    order = draw(st.integers(min_order, 8))
+    coeffs = draw(st.lists(values, min_size=order + 1, max_size=order + 1))
+    if lead is not None:
+        coeffs[lead[0]] = lead[1]
+    valid = draw(st.integers(0, order))
+    return TruncatedSeries(coeffs, mode=mode, order=order, valid_order=valid)
+
+
+def kernel_results(draw, mode):
+    values, leads, scalar_values, exponents = TOWERS[mode]
+    zero = 0 if mode == EXACT else 0j
+    a = tower_series(draw, mode, values)
+    b = tower_series(draw, mode, values)
+    divisor = tower_series(draw, mode, values, lead=(0, draw(leads)))
+    unit = tower_series(draw, mode, values, lead=(0, 1))
+    f = tower_series(draw, mode, values, lead=(1, draw(leads)), min_order=1)
+    f = TruncatedSeries([zero, *f.coeffs[1:]], mode=mode, valid_order=f.valid_order)
+    s = draw(scalar_values)
+    nonzero = draw(leads)
+    return {
+        "a + b": a + b, "a + s": a + s, "s + a": s + a,
+        "a - b": a - b, "a - s": a - s, "s - a": s - a, "-a": -a,
+        "a * b": a * b, "b * a": b * a, "a * s": a * s, "s * a": s * a,
+        "a / divisor": a / divisor, "a / nonzero": a / nonzero,
+        "s / divisor": s / divisor,
+        "a.compose(f)": a.compose(f), "f.compose(f)": f.compose(f),
+        "unit.pow_unit(t)": unit.pow_unit(draw(exponents)),
+        "f.revert()": f.revert(), "a.derivative()": a.derivative(),
+        "a.shift_up()": a.shift_up(), "f.shift_down()": f.shift_down(),
+    }
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_results_are_what_the_constructor_builds(mode, data):
+    for name, r in kernel_results(data.draw, mode).items():
+        assert r == TruncatedSeries(r.coeffs, mode=r.mode, order=r.order,
+                                    valid_order=r.valid_order), name
+        assert r.mode == mode and isinstance(r.coeffs, tuple), name
+        assert len(r.coeffs) == r.order + 1, name
+        assert 0 <= r.valid_order <= r.order, name
+        for c in r.coeffs:
+            if mode == FLOAT:
+                assert type(c) is complex, name
+            else:
+                assert type(c) is QComplex, name
+                assert type(c.re) is Fraction and type(c.im) is Fraction, name
+
+
+def compose_by_levels(outer, inner):
+    """outer(inner) built level by level with series * and +, the reference."""
+    order = min(outer.order, inner.order)
+    result = TruncatedSeries.constant(outer.coeffs[order], order=order, mode=outer.mode)
+    for k in range(order - 1, -1, -1):
+        result = result * inner.truncated(order) + outer.coeffs[k]
+    return result.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_compose_is_bit_identical_to_level_by_level_horner(data):
+    outer = tower_series(data.draw, FLOAT, float_values)
+    inner = tower_series(data.draw, FLOAT, float_values, lead=(0, 0j))
+    got = outer.compose(inner).coeffs
+    want = compose_by_levels(outer, inner)
+    assert [(c.real.hex(), c.imag.hex()) for c in got] == [
+        (c.real.hex(), c.imag.hex()) for c in want]
