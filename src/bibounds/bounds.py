@@ -59,7 +59,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import ClassSpec, MindaTarget, inverse_triple, triple
+from .classes import ClassSpec, MindaTarget, _quoted, inverse_triple, triple
 from .solver import (PairSpec, closed_form_constants, side_constants,
                      sigma_tilde, triple_determinant)
 
@@ -81,7 +81,7 @@ def theorem_tag(tag) -> str:
     """The upper-cased pairing tag; a ValueError unless it is one of the six."""
     tag = str(tag).upper()
     if tag not in THEOREM_TAGS:
-        raise ValueError(f"unknown pairing tag {tag!r}")
+        raise ValueError(f"unknown pairing tag {_quoted(tag)}")
     return tag
 
 

@@ -281,10 +281,11 @@ def caratheodory_kernel(x, order=DEFAULT_ORDER, mode=EXACT) -> TruncatedSeries:
 
 
 def _rational_circle_point(rng) -> QComplex:
-    # (1 - t^2 + 2 t i)/(1 + t^2) has exact modulus 1 for rational t.
-    t = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
-    d = 1 + t * t
-    return QComplex((1 - t * t) / d, 2 * t / d)
+    # (1 - t^2 + 2 t i)/(1 + t^2) has exact modulus 1 for rational t = a/b;
+    # over b^2 it is (b^2 - a^2 + 2ab i)/(a^2 + b^2).
+    a, b = rng.randint(-60, 60), rng.randint(1, 30)
+    d = a * a + b * b
+    return QComplex(Fraction(b * b - a * a, d), Fraction(2 * a * b, d))
 
 
 def sample_caratheodory(
@@ -359,7 +360,9 @@ def rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {_quoted(text)}") from None
+    except ValueError:  # Fraction's own message quotes the whole text
+        raise ValueError(f"Invalid literal for Fraction: {_quoted(text)}") from None
 
 
 def integer(text: str) -> int:
@@ -405,4 +408,4 @@ def target_preset(key: str, order=DEFAULT_ORDER) -> MindaTarget:
         base = caratheodory_kernel(1, order=order, mode=EXACT)
         powered = base.pow_unit(gamma)
         return MindaTarget([powered.coeffs[n].re for n in range(1, order + 1)])
-    raise ValueError(f"unknown target preset {key!r}")
+    raise ValueError(f"unknown target preset {_quoted(key)}")

@@ -42,8 +42,8 @@ from typing import Callable
 
 from .series import DEFAULT_ORDER, EXACT, FLOAT
 from .classes import (ClassSpec, LiteralTooLargeError, MindaTarget,
-                      SchlichtCoeffs, brief, expansion_f, functional, integer,
-                      rational, target_preset, triple)
+                      SchlichtCoeffs, _quoted, brief, expansion_f, functional,
+                      integer, rational, target_preset, triple)
 from . import bounds as _bounds
 from . import harness as _harness
 
@@ -70,8 +70,12 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags; the CLI contract wants 1.
+    # argparse exits with 2 on bad flags; the CLI contract wants 1.  Its own
+    # messages (an invalid choice, unrecognized arguments) quote the text
+    # whole, so a long one keeps only its two ends.
     def error(self, message):
+        if len(message) > 160:
+            message = message[:80] + "..." + message[-80:]
         raise UsageError(message)
 
 
@@ -213,14 +217,14 @@ def _load_config(path: str | None) -> dict:
         key, sep, raw = line.partition("=")
         key = key.strip()
         if not sep:
-            raise UsageError(f"bad config line: {line!r}")
+            raise UsageError(f"bad config line: {_quoted(line)}")
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key: {key!r}")
+            raise UsageError(f"unknown config key: {_quoted(key)}")
         try:
             values[key] = _CONFIG_KEYS[key](raw.strip())
         except ValueError:
             raise UsageError(
-                f"bad value for config key {key!r}: {raw.strip()!r}") from None
+                f"bad value for config key {key!r}: {_quoted(raw.strip())}") from None
     return values
 
 
@@ -253,7 +257,7 @@ def _targets(args, config):
 def _parse_grid(text: str) -> list[Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid must look like start:stop:step, got {text!r}")
+        raise UsageError(f"grid must look like start:stop:step, got {_quoted(text)}")
     start, stop, step = (rational(part) for part in parts)
     if stop < start:
         raise UsageError("grid stop must not precede start")
@@ -272,21 +276,26 @@ def _flag_type(parse):
     """parse as an argparse type.
 
     argparse words a ValueError as "invalid <type> value: <the whole text>";
-    a LiteralTooLargeError passes on its own message, which quotes the text
-    shortened, so a huge literal still gives one short usage line.
+    this words it the same way with the text shortened, and a
+    LiteralTooLargeError passes on its own message, which also quotes the
+    text shortened, so a huge or long literal gives one short usage line.
     """
-    @functools.wraps(parse)  # argparse names the type in its other messages
+    @functools.wraps(parse, updated=())  # argparse names the type in its messages
     def parse_flag(text):
         try:
             return parse(text)
         except LiteralTooLargeError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {_quoted(text)}") from None
 
     return parse_flag
 
 
 _rational = _flag_type(rational)
 _integer = _flag_type(integer)
+_float = _flag_type(float)
 
 
 def _pair_flags(parser):
@@ -307,7 +316,7 @@ def _audit_flags(parser):
     parser.add_argument("--theorem", required=True, help="pairing tag")
     parser.add_argument("--grid", required=True,
                         help="start:stop:step for alpha and beta")
-    parser.add_argument("--tolerance", type=float)
+    parser.add_argument("--tolerance", type=_float)
 
 
 def _sweep_flags(parser):
@@ -422,6 +431,12 @@ def _run_sweep(args, config):
         phase_steps=_setting(args, config, "phase_steps", 16),
     )
     pair = _bounds.theorem_pair(args.pair, args.alpha, args.beta, phi, psi)
+    # After the input checks, so a rejected sweep never loads numpy.
+    try:
+        import numpy  # noqa: F401  the sweeps' grids are numpy arrays
+    except ImportError:
+        raise UsageError("sweep needs numpy, the 'sweep' extra: "
+                         "pip install 'bibounds[sweep]'") from None
     sweep = _harness.sweep_a2 if args.what == "a2" else _harness.sweep_a3
     result = sweep(pair, cfg)
     payload = {

@@ -6,27 +6,33 @@ real powers anchored at 1, and compositional reversion.  Two coefficient
 modes exist:
 
 ``exact``
-    Gaussian rationals (:class:`QComplex`: ``Fraction`` real and imaginary
-    parts).  Equality is decidable; every algebraic-identity suite in this
-    package runs here.
+    Gaussian rationals (:class:`QComplex`).  Equality is decidable; every
+    algebraic-identity suite in this package runs here.
 ``float``
     Native ``complex`` (double precision), used by the numeric sweeps.
+
+The exact scalar is the design of FLINT's ``fmpq_poly`` at the scalar
+level: a :class:`QComplex` stores three ``int`` values ``(re, im, den)``,
+the Gaussian-integer numerator ``re + i*im`` over one denominator, in
+lowest terms (``den > 0`` and ``gcd(re, im, den) == 1``).  That form is
+unique, so equality compares three ints.  One normaliser, ``_reduced``,
+builds every arithmetic result and every kernel coefficient with one
+``math.gcd(re, im, den)`` and a sign fix; ``.re`` and ``.im`` are read-only
+``Fraction`` properties for callers that want the parts.
 
 How exact kernels compute: multiplication (by a series or a scalar),
 series division, composition, ``pow_unit`` and the powers behind
 ``revert`` change representation once on the way in and once on the way
 out.  On the way in each operand becomes Gaussian-integer numerators (one
 ``int`` list for the real parts, one for the imaginary parts) over one
-shared positive denominator, the lcm of its coefficient denominators; this
-is the design of FLINT's ``fmpq_poly``.  Every inner-loop step then runs on
-Python ``int``.  On the way out each
-coefficient goes back to a :class:`QComplex` in lowest terms, one
-normalisation per coefficient, so ``coeffs`` is always a tuple of
-``QComplex`` and equality and hashing see values, not representations.
-Addition, negation, the derivative, the shifts and truncation work on
-``QComplex`` directly.  Float mode works on ``complex`` throughout: products,
-quotients and composition (one Horner loop) run on the local coefficient
-tuples, each sum starting at ``0j``.
+shared positive denominator, the lcm of its coefficients' denominators,
+read straight from the stored ints.  Every inner-loop step then runs on
+Python ``int``.  On the way out each coefficient goes through the
+normaliser, so ``coeffs`` is always a tuple of ``QComplex`` in lowest
+terms.  Addition, negation, the derivative, the shifts and truncation work
+on ``QComplex`` directly.  Float mode works on ``complex`` throughout:
+products, quotients and composition (one Horner loop) run on the local
+coefficient tuples, each sum starting at ``0j``.
 
 The constructor is the one checked entry point: it coerces callers'
 coefficients into the tower, pads or truncates them to the storage order
@@ -84,30 +90,63 @@ def _not_exact(value, result=None):
     return result
 
 
-def _fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ModeMismatchError(
-        f"exact scalars take int or Fraction parts, not {type(value).__name__}"
-    )
+_new = object.__new__
+
+
+def _reduced(re, im, den):
+    """The QComplex (re + i*im)/den, den nonzero: one gcd and a sign fix."""
+    g = math.gcd(re, im, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        re, im, den = re // g, im // g, den // g
+    q = _new(QComplex)
+    q._re, q._im, q._den = re, im, den
+    return q
 
 
 class QComplex:
-    """Gaussian rational: a complex number with Fraction real/imaginary parts.
+    """Gaussian rational (re + i*im)/den on three ints in lowest terms.
+
+    The stored form is unique: ``den > 0`` and ``gcd(re, im, den) == 1``, so
+    equality compares three ints.  ``.re`` and ``.im`` are read-only
+    ``Fraction`` properties.  The constructor is the checked entry point: it
+    takes int or Fraction parts (int subclasses included) and raises
+    :class:`ModeMismatchError` for anything else.  Every arithmetic result
+    comes from one normaliser, :func:`_reduced`, which divides out
+    ``gcd(re, im, den)`` and makes ``den`` positive.
 
     Arithmetic is closed over QComplex, int and Fraction operands; float or
     complex operands raise :class:`ModeMismatchError`.  An int or Fraction
-    operand is a real number, so ``+ - * /`` with one work part by part
-    instead of lifting it to a QComplex.  Instances are treated as immutable.
+    operand is a real number, so ``+ - * /`` with one read its numerator and
+    denominator instead of lifting it to a QComplex.  Instances are
+    immutable.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re=0, im=0):
-        self.re = _fraction(re)
-        self.im = _fraction(im)
+        if not isinstance(im, _REAL_EXACT) or not isinstance(re, _REAL_EXACT):
+            bad = im if isinstance(re, _REAL_EXACT) else re
+            raise ModeMismatchError(
+                f"exact scalars take int or Fraction parts, not {type(bad).__name__}"
+            )
+        a, b, c, d = re.numerator, re.denominator, im.numerator, im.denominator
+        if b == d:
+            self._re, self._im, self._den = a, c, b
+        else:
+            # Both parts are in lowest terms, so over lcm(b, d) no common
+            # factor is left.
+            g = math.gcd(b, d)
+            self._re, self._im, self._den = a * (d // g), c * (b // g), b // g * d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
 
     @staticmethod
     def _coerce(value):
@@ -119,89 +158,109 @@ class QComplex:
 
     def __add__(self, other):
         if isinstance(other, QComplex):
-            return QComplex(self.re + other.re, self.im + other.im)
+            d, e = self._den, other._den
+            if d == e:
+                return _reduced(self._re + other._re, self._im + other._im, d)
+            return _reduced(self._re * e + other._re * d,
+                            self._im * e + other._im * d, d * e)
         if isinstance(other, _REAL_EXACT):
-            return QComplex(self.re + other, self.im)
+            n, e = other.numerator, other.denominator
+            return _reduced(self._re * e + n * self._den, self._im * e,
+                            self._den * e)
         return _not_exact(other, NotImplemented)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, QComplex):
-            return QComplex(self.re - other.re, self.im - other.im)
+            d, e = self._den, other._den
+            if d == e:
+                return _reduced(self._re - other._re, self._im - other._im, d)
+            return _reduced(self._re * e - other._re * d,
+                            self._im * e - other._im * d, d * e)
         if isinstance(other, _REAL_EXACT):
-            return QComplex(self.re - other, self.im)
+            n, e = other.numerator, other.denominator
+            return _reduced(self._re * e - n * self._den, self._im * e,
+                            self._den * e)
         return _not_exact(other, NotImplemented)
 
     def __rsub__(self, other):
         if isinstance(other, QComplex):
-            return QComplex(other.re - self.re, other.im - self.im)
+            return other - self
         if isinstance(other, _REAL_EXACT):
-            return QComplex(other - self.re, -self.im)
+            n, e = other.numerator, other.denominator
+            return _reduced(n * self._den - self._re * e, -self._im * e,
+                            self._den * e)
         return _not_exact(other, NotImplemented)
 
     def __mul__(self, other):
         if isinstance(other, QComplex):
-            return QComplex(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            ar, ai, br, bi = self._re, self._im, other._re, other._im
+            return _reduced(ar * br - ai * bi, ar * bi + ai * br,
+                            self._den * other._den)
         if isinstance(other, _REAL_EXACT):
-            return QComplex(self.re * other, self.im * other)
+            n = other.numerator
+            return _reduced(self._re * n, self._im * n,
+                            self._den * other.denominator)
         return _not_exact(other, NotImplemented)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, QComplex):
-            d = other.abs2()
-            if d == 0:
+            # (ar + i ai)/ad divided by (br + i bi)/bd is
+            # (ar + i ai)(br - i bi) bd / (ad (br^2 + bi^2)).
+            ar, ai, br, bi = self._re, self._im, other._re, other._im
+            norm = br * br + bi * bi
+            if not norm:
                 raise ZeroDivisionError("division by exact zero")
-            return QComplex(
-                (self.re * other.re + self.im * other.im) / d,
-                (self.im * other.re - self.re * other.im) / d,
-            )
+            e = other._den
+            return _reduced((ar * br + ai * bi) * e, (ai * br - ar * bi) * e,
+                            self._den * norm)
         if isinstance(other, _REAL_EXACT):
-            if other == 0:
+            n = other.numerator
+            if not n:
                 raise ZeroDivisionError("division by exact zero")
-            return QComplex(self.re / other, self.im / other)
+            e = other.denominator
+            return _reduced(self._re * e, self._im * e, self._den * n)
         return _not_exact(other, NotImplemented)
 
     def __rtruediv__(self, other):
         if isinstance(other, QComplex):
             return other / self
         if isinstance(other, _REAL_EXACT):
-            # other / self = other * conj(self) / |self|^2
-            d = self.abs2()
-            if d == 0:
+            # n/e divided by (re + i im)/den is n den (re - i im) / (e |.|^2).
+            re, im = self._re, self._im
+            norm = re * re + im * im
+            if not norm:
                 raise ZeroDivisionError("division by exact zero")
-            scale = other / d
-            return QComplex(self.re * scale, -self.im * scale)
+            scale = other.numerator * self._den
+            return _reduced(re * scale, -im * scale, other.denominator * norm)
         return _not_exact(other, NotImplemented)
 
     def __neg__(self):
-        return QComplex(-self.re, -self.im)
+        return _reduced(-self._re, -self._im, self._den)
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except ModeMismatchError:
-            return NotImplemented
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, QComplex):
+            return (self._re == other._re and self._im == other._im
+                    and self._den == other._den)
+        if isinstance(other, _REAL_EXACT):
+            return (not self._im and self._re == other.numerator
+                    and self._den == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         # Equal to int/Fraction values, so hashes must agree with theirs.
-        if self.im == 0:
+        if not self._im:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._re or self._im)
 
     def __abs__(self):
         # Approximate; exact comparisons should use abs2().
@@ -209,17 +268,19 @@ class QComplex:
 
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._re * self._re + self._im * self._im,
+                        self._den * self._den)
 
     def conjugate(self):
-        return QComplex(self.re, -self.im)
+        return _reduced(self._re, -self._im, self._den)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._im
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is.
+        return complex(self._re / self._den, self._im / self._den)
 
     def __repr__(self):
         return f"QComplex({self.re}, {self.im})"
@@ -275,16 +336,16 @@ def agree(x, y, mode, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
 
 def _ints(coeffs):
     """QComplex coefficients as (re ints, im ints, shared denominator)."""
-    den = math.lcm(*[c.re.denominator for c in coeffs],
-                   *[c.im.denominator for c in coeffs])
-    re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
-    im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
+    den = math.lcm(*[c._den for c in coeffs])
+    scales = [den // c._den for c in coeffs]
+    re = [c._re * s for c, s in zip(coeffs, scales)]
+    im = [c._im * s for c, s in zip(coeffs, scales)]
     return re, im, den
 
 
 def _from_ints(re, im, dens):
     """QComplex coefficients re[k]/dens[k] + i*im[k]/dens[k], in lowest terms."""
-    return [QComplex(Fraction(r, d), Fraction(i, d)) for r, i, d in zip(re, im, dens)]
+    return [_reduced(r, i, d) for r, i, d in zip(re, im, dens)]
 
 
 def _convolve(ar, ai, br, bi, order):
@@ -347,9 +408,8 @@ class TruncatedSeries:
         """A kernel's result, stored without re-coercion.
 
         The caller guarantees what ``__init__`` would establish: every
-        coefficient already in mode's tower (``complex``, or ``QComplex``
-        with ``Fraction`` parts), ``len(coeffs) == order + 1`` and
-        ``0 <= valid_order <= order``.
+        coefficient already in mode's tower (``complex`` or ``QComplex``),
+        ``len(coeffs) == order + 1`` and ``0 <= valid_order <= order``.
         """
         series = object.__new__(cls)
         series.coeffs = tuple(coeffs)

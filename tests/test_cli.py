@@ -28,6 +28,9 @@ PINNED = {
                     "--a2", "0.5", "--a3", "0.25"],
     "verify.json": ["verify", "--suite", "identities", "--mode", "exact",
                     "--seed", "7", "--samples", "10"],
+    # Every exact suite: bounds, solver, classes and series as well.
+    "verify_exact_all.json": ["verify", "--suite", "all", "--mode", "exact",
+                              "--seed", "3", "--samples", "4"],
     "table.json": ["table"],
 }
 
@@ -247,6 +250,8 @@ REJECTED = {
     "preset_zero_denominator": (None, BOUND + ["--phi", "order:1/0"]),
     "bound_order_65": (None, BOUND + ["--order", "65"]),
     "config_order_65": ("order=65\n", BOUND),
+    "config_order_5000_digits": ("order=" + "7" * 5000 + "\n", BOUND),
+    "config_key_5000_xs": ("x" * 5000 + "=1\n", BOUND),
 }
 # Rationals whose float conversion overflows.
 OVERFLOWS = {
@@ -274,6 +279,15 @@ HUGE = {
     "bound_phi_coeffs_5000_digits": BOUND + ["--phi-coeffs", "1," + "7" * 5000],
     "audit_grid_step_5000_digits": ["audit", "--theorem", "PP", "--grid", "0:1:" + "7" * 5000],
     "verify_samples_5000_digits": ["verify", "--samples", "9" * 5000],
+    # Long text that is not a number: every message quotes it shortened.
+    "bound_pair_5000_xs": ["bound", "--pair", "x" * 5000, "--alpha", "0", "--beta", "0"],
+    "bound_alpha_5000_xs": ["bound", "--pair", "PP", "--alpha", "x" * 5000, "--beta", "0"],
+    "bound_phi_5000_xs": BOUND + ["--phi", "x" * 5000],
+    "bound_phi_coeffs_5000_xs": BOUND + ["--phi-coeffs", "1," + "x" * 5000],
+    "audit_grid_5000_xs": ["audit", "--theorem", "PP", "--grid", "x" * 5000],
+    "audit_tolerance_5000_xs": AUDIT + ["--tolerance", "x" * 5000],
+    "verify_suite_5000_xs": ["verify", "--suite", "x" * 5000],
+    "table_5000_xs": ["table", "x" * 5000],
 }
 REJECTED.update((name, (None, argv)) for name, argv in HUGE.items())
 
@@ -293,6 +307,9 @@ class TestInputContract:
             argv = ["--config", str(config), *argv]
         code, text = run_cli(argv)
         assert (code, text) == (cli.EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error: ")
+        assert len(err) < 200
 
     @pytest.mark.parametrize("name", sorted(OVERFLOWS))
     def test_float_overflow_is_one_usage_error_line(self, name, capsys):
@@ -315,6 +332,20 @@ class TestInputContract:
         assert "'1E-0_4301'" in capsys.readouterr().err
         assert cli.main(HUGE["bound_alpha_1e4301"]) == 1
         assert "'1e4301'" in capsys.readouterr().err
+
+    def test_short_text_is_quoted_whole(self, capsys):
+        # Shortening leaves argparse's and the library's wording as it was.
+        for argv, message in (
+            (["bound", "--pair", "PP", "--alpha", "zebra", "--beta", "0"],
+             "argument --alpha: invalid rational value: 'zebra'"),
+            (["bound", "--pair", "xy", "--alpha", "0", "--beta", "0"],
+             "unknown pairing tag 'XY'"),
+            (AUDIT + ["--tolerance", "tiny"],
+             "argument --tolerance: invalid float value: 'tiny'"),
+            (BOUND + ["--phi-coeffs", "1,two"], "Invalid literal for Fraction: 'two'"),
+        ):
+            assert cli.main(argv) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == f"usage error: {message}\n"
 
     def test_order_cap_is_inclusive(self, tmp_path):
         assert run_cli(BOUND + ["--order", str(cli.MAX_ORDER)])[0] == cli.EXIT_OK
@@ -458,15 +489,35 @@ def test_render_json_on_an_audit_payload():
     assert cli.render_json(payload) == _reference_json(payload)
 
 
+# Every command but sweep, each in both verify modes.
+_NON_SWEEP_ARGVS = [
+    ["bound", "--pair", "PL", "--alpha", "1/2", "--beta", "1/3"],
+    ["audit", "--theorem", "LL", "--grid", "0:1:1/2", "--psi-coeffs", "2,1"],
+    ["expand", "--class", "L", "--alpha", "1/2", "--a2", "1", "--a3", "2"],
+    ["table"],
+    ["verify", "--suite", "all", "--samples", "2"],
+    ["verify", "--suite", "all", "--samples", "2", "--mode", "float"],
+]
+
 # Runs in a fresh interpreter, so nothing the test run imported is loaded.
-_RUNTIME_PROBE = """
+# numpy is hidden, as if only the package without extras were installed.
+_RUNTIME_PROBE = f"""
 import contextlib, io, sys
+before = set(sys.modules)
+sys.modules["numpy"] = None
 from bibounds import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["table"]) == 0
-    assert cli.main(["verify", "--suite", "series", "--samples", "2"]) == 0
-print(sorted(name for name in sys.modules
-             if name.split(".")[0] in ("sympy", "hypothesis", "pytest", "_pytest")))
+    codes = [cli.main(argv) for argv in {_NON_SWEEP_ARGVS!r}]
+loaded = {{name.split(".")[0] for name, module in sys.modules.items()
+          if module is not None and name not in before}}
+print(codes, sorted(loaded - set(sys.stdlib_module_names) - {{"bibounds"}}))
+"""
+
+_NO_NUMPY_SWEEP_PROBE = """
+import sys
+sys.modules["numpy"] = None
+from bibounds import cli
+sys.exit(cli.main(["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0"]))
 """
 
 
@@ -480,27 +531,29 @@ def _fresh_env():
     return env
 
 
-def test_numpy_is_the_only_runtime_dependency():
+def test_five_commands_need_no_third_party_package():
     proc = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE],
                           capture_output=True, text=True, env=_fresh_env(), check=True)
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] []\n"
 
 
-_LAZY_NUMPY_PROBE = """
+def test_sweep_without_numpy_is_one_usage_error_line():
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SWEEP_PROBE],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
+    assert proc.stderr == ("usage error: sweep needs numpy, the 'sweep' extra: "
+                           "pip install 'bibounds[sweep]'\n")
+
+
+_LAZY_NUMPY_PROBE = f"""
 import contextlib, io, sys
 import bibounds, bibounds.cli
 from bibounds import cli
-codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (
-        ["bound", "--pair", "PL", "--alpha", "1/2", "--beta", "1/3"],
-        ["audit", "--theorem", "LL", "--grid", "0:1:1/2", "--psi-coeffs", "2,1"],
-        ["expand", "--class", "L", "--alpha", "1/2", "--a2", "1", "--a3", "2"],
-        ["table"],
-        ["verify", "--suite", "all", "--samples", "2"],
-        ["verify", "--suite", "all", "--samples", "2", "--mode", "float"],
-    ):
-        codes.append(cli.main(argv))
+    codes = [cli.main(argv) for argv in {_NON_SWEEP_ARGVS!r}]
+    with contextlib.redirect_stderr(io.StringIO()):  # a rejected sweep
+        codes.append(cli.main(["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0",
+                               "--phase-steps", "3"]))
     print(codes, "numpy" in sys.modules, file=sys.stderr)
     cli.main(["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0"])
 print(codes, "numpy" in sys.modules)
@@ -510,8 +563,8 @@ print(codes, "numpy" in sys.modules)
 def test_numpy_loads_only_for_the_sweeps():
     proc = subprocess.run([sys.executable, "-c", _LAZY_NUMPY_PROBE],
                           capture_output=True, text=True, env=_fresh_env(), check=True)
-    assert proc.stderr == "[0, 0, 0, 0, 0, 0] False\n"
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0] True\n"
+    assert proc.stderr == "[0, 0, 0, 0, 0, 0, 1] False\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0, 1] True\n"
 
 
 # Usage errors (from argparse and from the library), every exit code and

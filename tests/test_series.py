@@ -139,6 +139,119 @@ class TestRealOperands:
             assert getattr(q, name)("1") is NotImplemented, name
 
 
+# ----------------------------------------------------------------------
+# the stored form: three ints (re, im, den) in lowest terms
+
+wide_fractions = st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
+                              max_denominator=10**4)
+real_exact = st.one_of(st.integers(-10**9, 10**9), st.booleans(), wide_fractions)
+qcomplexes = st.builds(QComplex, real_exact, real_exact)
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def fraction_parts(value):
+    """(re, im) of an exact scalar as plain Fractions: the reference form."""
+    if isinstance(value, QComplex):
+        return Fraction(value.re), Fraction(value.im)
+    return Fraction(value), Fraction(0)
+
+
+def reference(op, x, y):
+    """op(x, y) computed on (Fraction, Fraction) pairs."""
+    (a, b), (c, d) = fraction_parts(x), fraction_parts(y)
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return a * c - b * d, a * d + b * c
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def assert_canonical(q):
+    assert type(q) is QComplex
+    re, im, den = q._re, q._im, q._den
+    assert type(re) is int and type(im) is int and type(den) is int
+    assert den > 0 and math.gcd(re, im, den) == 1
+
+
+class _Int(int):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(qcomplexes, st.one_of(qcomplexes, real_exact), st.booleans())
+def test_results_are_canonical_and_match_fraction_pairs(q, other, reflected):
+    x, y = (other, q) if reflected else (q, other)
+    assert_canonical(q)
+    for op in OPERATORS:
+        if op is operator.truediv and fraction_parts(y) == (0, 0):
+            with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+                op(x, y)
+            continue
+        got = op(x, y)
+        assert_canonical(got)
+        assert (got.re, got.im) == reference(op, x, y), op
+    for got, want in ((-q, (-q.re, -q.im)), (q.conjugate(), (q.re, -q.im)),
+                      (+q, (q.re, q.im))):
+        assert_canonical(got)
+        assert (got.re, got.im) == want
+    assert q.abs2() == q.re ** 2 + q.im ** 2 and type(q.abs2()) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_exact, real_exact)
+def test_parts_are_fractions_in_lowest_terms(re, im):
+    for q in (QComplex(re, im), QComplex(_Int(int(re)), Fraction(im))):
+        assert_canonical(q)
+        for part in (q.re, q.im):
+            assert type(part) is Fraction
+            assert part.denominator > 0
+            assert math.gcd(part.numerator, part.denominator) == 1
+    assert (QComplex(re, im).re, QComplex(re, im).im) == (re, im)
+    with pytest.raises(AttributeError):
+        QComplex(re, im).re = 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_exact, real_exact)
+def test_eq_and_hash_agree_with_int_and_fraction(r, s):
+    # The same real value reached by construction and by arithmetic.
+    for q in (QComplex(r), QComplex(r, s) - QComplex(0, s),
+              QComplex(r, 1) * 1 - QComplex(0, 1)):
+        assert q == r and r == q and q == Fraction(r)
+        assert hash(q) == hash(r) == hash(Fraction(r))
+        assert {q: 1}[r] == 1 and {r: 1}[q] == 1
+        assert q != Fraction(r) + Fraction(1, 7)
+    q = QComplex(r, s)
+    assert (q == r) == (s == 0)
+    if s:
+        assert hash(q) == hash((Fraction(r), Fraction(s)))
+
+
+floating = st.one_of(st.floats(), st.complex_numbers())
+
+
+@settings(max_examples=100, deadline=None)
+@given(qcomplexes, floating)
+def test_floating_operands_raise_and_exact_zero_divisors_raise(q, value):
+    for op in OPERATORS:
+        with pytest.raises(ModeMismatchError):
+            op(q, value)
+        with pytest.raises(ModeMismatchError):
+            op(value, q)
+    with pytest.raises(ModeMismatchError):
+        QComplex(value)
+    with pytest.raises(ModeMismatchError):
+        QComplex(0, value)
+    for zero in (0, False, Fraction(0), QComplex(0), QComplex(Fraction(0), 0)):
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            q / zero
+    with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+        Fraction(1, 3) / QComplex(0)
+
+
 class TestAdd:
     def test_cancellation(self):
         assert (exact([1, 1]) + exact([1, -1])).agrees_with(exact([2]))
@@ -456,7 +569,7 @@ class TestExactResults:
         for result in self.kernel_results(rng):
             assert isinstance(result.coeffs, tuple)
             for c in result.coeffs:
-                assert type(c) is QComplex
+                assert_canonical(c)
                 for part in (c.re, c.im):
                     assert type(part) is Fraction
                     assert part.denominator > 0
@@ -729,7 +842,7 @@ def test_kernel_results_are_what_the_constructor_builds(mode, data):
                 assert type(c) is complex, name
             else:
                 assert type(c) is QComplex, name
-                assert type(c.re) is Fraction and type(c.im) is Fraction, name
+                assert_canonical(c)
 
 
 def compose_by_levels(outer, inner):
