@@ -427,8 +427,10 @@ def _audit_csv(payload):
 def _run_sweep(args, config):
     phi, psi = _targets(args, config)
     cfg = _harness.SweepConfig(
-        radial_steps=_setting(args, config, "radial_steps", 9),
-        phase_steps=_setting(args, config, "phase_steps", 16),
+        radial_steps=_setting(args, config, "radial_steps",
+                              _harness.SweepConfig.radial_steps),
+        phase_steps=_setting(args, config, "phase_steps",
+                             _harness.SweepConfig.phase_steps),
     )
     pair = _bounds.theorem_pair(args.pair, args.alpha, args.beta, phi, psi)
     # After the input checks, so a rejected sweep never loads numpy.
@@ -473,9 +475,8 @@ def _run_expand(args, config):
     spec = ClassSpec(args.kind, args.alpha)
     t = triple(spec)
     e1, e2 = expansion_f(t, args.a2, args.a3)
-    series = functional(spec, SchlichtCoeffs([args.a2, args.a3]), order=order,
-                        mode=EXACT)
-    s1, s2 = series.coeffs[1], series.coeffs[2]
+    # The input's and the closed form's floats come first, so an output that
+    # overflows a float is refused before the exact series work.
     payload = {
         "command": "expand",
         "class": spec.kind,
@@ -484,9 +485,12 @@ def _run_expand(args, config):
         "a3": float(args.a3),
         "triple": [float(t.p), float(t.q), float(t.r)],
         "closed_form": {"e1": float(e1), "e2": float(e2)},
-        "series_engine": {"e1": float(s1.re), "e2": float(s2.re)},
-        "match": s1 == e1 and s2 == e2,
     }
+    series = functional(spec, SchlichtCoeffs([args.a2, args.a3]), order=order,
+                        mode=EXACT)
+    s1, s2 = series.coeffs[1], series.coeffs[2]
+    payload["series_engine"] = {"e1": float(s1.re), "e2": float(s2.re)}
+    payload["match"] = s1 == e1 and s2 == e2
     return payload, EXIT_OK
 
 
@@ -501,8 +505,8 @@ def _expand_pretty(payload):
 
 
 def _run_verify(args, config):
-    seed = _setting(args, config, "seed", 7)
-    samples = _setting(args, config, "samples", 60)
+    seed = _setting(args, config, "seed", _harness.VERIFY_SEED)
+    samples = _setting(args, config, "samples", _harness.VERIFY_SAMPLES)
     results = _harness.run_identity_suites(args.suite, args.mode, seed, samples)
     passed = all(r.passed for r in results)
     payload = {

@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import partial
 
 from .series import (
-    DEFAULT_ORDER,
     EXACT,
     FLOAT,
     QComplex,
@@ -78,6 +77,13 @@ ATTAIN_TOL = 1e-9
 # roundoff reaches a few 1e-13 there; 1e-9 clears that by far and still
 # catches a relative error of 1e-6 in any coefficient.
 VERIFY_TOL = 1e-9
+
+# run_identity_suites' defaults, which the CLI ``verify`` shares.
+VERIFY_SEED = 7
+VERIFY_SAMPLES = 60
+
+# end_to_end's sample mixes this many rotation kernels, at the default order.
+END_TO_END_KERNELS = 3
 
 # Largest sweep grid (values of the main array); the fine benchmark grid,
 # 17 radial by 32 phase steps, is 557,056.
@@ -272,8 +278,6 @@ class EndToEndReport:
 def end_to_end(
     pair: PairSpec,
     seed: int,
-    m: int = 3,
-    order: int = DEFAULT_ORDER,
     mode: str = EXACT,
     p_series: TruncatedSeries | None = None,
 ) -> EndToEndReport:
@@ -285,13 +289,13 @@ def end_to_end(
     reported in ``subordination_plausible``).
     """
     if p_series is None:
-        p_series = sample_caratheodory(seed, m, order=order, mode=mode)
+        p_series = sample_caratheodory(seed, END_TO_END_KERNELS, mode=mode)
     c1 = p_series.coeffs[1]
     c2 = p_series.coeffs[2]
     a2, a3 = solve_forward(pair.class_f, pair.phi, p_series)
     g2, g3 = invert_schlicht(a2, a3)
     inverse_side = functional(
-        pair.class_g, SchlichtCoeffs([g2, g3]), order=order, mode=mode
+        pair.class_g, SchlichtCoeffs([g2, g3]), mode=mode
     )
     e1 = inverse_side.coeffs[1]
     e2 = inverse_side.coeffs[2]
@@ -644,8 +648,8 @@ SUITE_NAMES = ("identities", "all") + tuple(_SUITE_CHECKS)
 def run_identity_suites(
     suite: str = "identities",
     mode: str = EXACT,
-    seed: int = 7,
-    samples: int = 60,
+    seed: int = VERIFY_SEED,
+    samples: int = VERIFY_SAMPLES,
 ) -> list[CheckResult]:
     """Run the named identity suite; one CheckResult per check, in order."""
     if suite == "identities":

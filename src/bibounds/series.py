@@ -20,19 +20,21 @@ builds every arithmetic result and every kernel coefficient with one
 ``math.gcd(re, im, den)`` and a sign fix; ``.re`` and ``.im`` are read-only
 ``Fraction`` properties for callers that want the parts.
 
-How exact kernels compute: multiplication (by a series or a scalar),
-series division, composition, ``pow_unit`` and the powers behind
-``revert`` change representation once on the way in and once on the way
-out.  On the way in each operand becomes Gaussian-integer numerators (one
-``int`` list for the real parts, one for the imaginary parts) over one
-shared positive denominator, the lcm of its coefficients' denominators,
-read straight from the stored ints.  Every inner-loop step then runs on
-Python ``int``.  On the way out each coefficient goes through the
-normaliser, so ``coeffs`` is always a tuple of ``QComplex`` in lowest
-terms.  Addition, negation, the derivative, the shifts and truncation work
-on ``QComplex`` directly.  Float mode works on ``complex`` throughout:
-products, quotients and composition (one Horner loop) run on the local
-coefficient tuples, each sum starting at ``0j``.
+How exact kernels compute: series multiplication, series division,
+composition, ``pow_unit`` and the powers behind ``revert`` change
+representation once on the way in and once on the way out.  On the way in
+each operand becomes Gaussian-integer numerators (one ``int`` list for the
+real parts, one for the imaginary parts) over one shared positive
+denominator, the lcm of its coefficients' denominators, read straight from
+the stored ints.  Every inner-loop step then runs on Python ``int``.  On the
+way out each coefficient goes through the normaliser, so ``coeffs`` is
+always a tuple of ``QComplex`` in lowest terms.  Addition, negation, the
+derivative, the shifts and truncation work on ``QComplex`` directly, and so
+do a product by a scalar and a quotient by one: one coefficient at a time,
+the same line in both modes, with no scalar padded into a series.  Float
+mode works on ``complex`` throughout: products, quotients and composition
+(one Horner loop) run on the local coefficient tuples, each sum starting
+at ``0j``.
 
 The constructor is the one checked entry point: it coerces callers'
 coefficients into the tower, pads or truncates them to the storage order
@@ -82,14 +84,6 @@ class ModeMismatchError(TypeError):
 # The real operands of the exact tower.
 _REAL_EXACT = (int, Fraction)
 
-
-def _not_exact(value, result=None):
-    """result for an operand outside the exact tower; float or complex raises."""
-    if isinstance(value, (float, complex)):
-        raise ModeMismatchError("cannot mix floating values into exact arithmetic")
-    return result
-
-
 _new = object.__new__
 
 
@@ -105,6 +99,31 @@ def _reduced(re, im, den):
     return q
 
 
+def _parts(value):
+    """An exact operand as (re, im, den): a QComplex's ints, n/d as (n, 0, d).
+
+    None for any other type, except that a float or complex raises.
+    """
+    if isinstance(value, QComplex):
+        return value._re, value._im, value._den
+    if isinstance(value, _REAL_EXACT):
+        return value.numerator, 0, value.denominator
+    if isinstance(value, (float, complex)):
+        raise ModeMismatchError("cannot mix floating values into exact arithmetic")
+    return None
+
+
+def _quotient(ar, ai, ad, br, bi, bd):
+    """(ar + i*ai)/ad divided by (br + i*bi)/bd.
+
+    That is (ar + i*ai)(br - i*bi) bd / (ad (br**2 + bi**2)).
+    """
+    norm = br * br + bi * bi
+    if not norm:
+        raise ZeroDivisionError("division by exact zero")
+    return _reduced((ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd, ad * norm)
+
+
 class QComplex:
     """Gaussian rational (re + i*im)/den on three ints in lowest terms.
 
@@ -117,10 +136,9 @@ class QComplex:
     ``gcd(re, im, den)`` and makes ``den`` positive.
 
     Arithmetic is closed over QComplex, int and Fraction operands; float or
-    complex operands raise :class:`ModeMismatchError`.  An int or Fraction
-    operand is a real number, so ``+ - * /`` with one read its numerator and
-    denominator instead of lifting it to a QComplex.  Instances are
-    immutable.
+    complex operands raise :class:`ModeMismatchError`.  Each of ``+ - * /``
+    has one formula: it reads the other operand as ``(re, im, den)``, so a
+    real n/d is ``(n, 0, d)``.  Instances are immutable.
     """
 
     __slots__ = ("_re", "_im", "_den")
@@ -148,95 +166,47 @@ class QComplex:
     def im(self) -> Fraction:
         return Fraction(self._im, self._den)
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, QComplex):
-            return value
-        if isinstance(value, _REAL_EXACT):
-            return QComplex(value)
-        return _not_exact(value)
-
     def __add__(self, other):
-        if isinstance(other, QComplex):
-            d, e = self._den, other._den
-            if d == e:
-                return _reduced(self._re + other._re, self._im + other._im, d)
-            return _reduced(self._re * e + other._re * d,
-                            self._im * e + other._im * d, d * e)
-        if isinstance(other, _REAL_EXACT):
-            n, e = other.numerator, other.denominator
-            return _reduced(self._re * e + n * self._den, self._im * e,
-                            self._den * e)
-        return _not_exact(other, NotImplemented)
+        if (parts := _parts(other)) is None:
+            return NotImplemented
+        br, bi, e = parts
+        d = self._den
+        return _reduced(self._re * e + br * d, self._im * e + bi * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, QComplex):
-            d, e = self._den, other._den
-            if d == e:
-                return _reduced(self._re - other._re, self._im - other._im, d)
-            return _reduced(self._re * e - other._re * d,
-                            self._im * e - other._im * d, d * e)
-        if isinstance(other, _REAL_EXACT):
-            n, e = other.numerator, other.denominator
-            return _reduced(self._re * e - n * self._den, self._im * e,
-                            self._den * e)
-        return _not_exact(other, NotImplemented)
+        if (parts := _parts(other)) is None:
+            return NotImplemented
+        br, bi, e = parts
+        d = self._den
+        return _reduced(self._re * e - br * d, self._im * e - bi * d, d * e)
 
     def __rsub__(self, other):
-        if isinstance(other, QComplex):
-            return other - self
-        if isinstance(other, _REAL_EXACT):
-            n, e = other.numerator, other.denominator
-            return _reduced(n * self._den - self._re * e, -self._im * e,
-                            self._den * e)
-        return _not_exact(other, NotImplemented)
+        if (parts := _parts(other)) is None:
+            return NotImplemented
+        br, bi, e = parts
+        d = self._den
+        return _reduced(br * d - self._re * e, bi * d - self._im * e, d * e)
 
     def __mul__(self, other):
-        if isinstance(other, QComplex):
-            ar, ai, br, bi = self._re, self._im, other._re, other._im
-            return _reduced(ar * br - ai * bi, ar * bi + ai * br,
-                            self._den * other._den)
-        if isinstance(other, _REAL_EXACT):
-            n = other.numerator
-            return _reduced(self._re * n, self._im * n,
-                            self._den * other.denominator)
-        return _not_exact(other, NotImplemented)
+        if (parts := _parts(other)) is None:
+            return NotImplemented
+        br, bi, e = parts
+        ar, ai = self._re, self._im
+        return _reduced(ar * br - ai * bi, ar * bi + ai * br, self._den * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, QComplex):
-            # (ar + i ai)/ad divided by (br + i bi)/bd is
-            # (ar + i ai)(br - i bi) bd / (ad (br^2 + bi^2)).
-            ar, ai, br, bi = self._re, self._im, other._re, other._im
-            norm = br * br + bi * bi
-            if not norm:
-                raise ZeroDivisionError("division by exact zero")
-            e = other._den
-            return _reduced((ar * br + ai * bi) * e, (ai * br - ar * bi) * e,
-                            self._den * norm)
-        if isinstance(other, _REAL_EXACT):
-            n = other.numerator
-            if not n:
-                raise ZeroDivisionError("division by exact zero")
-            e = other.denominator
-            return _reduced(self._re * e, self._im * e, self._den * n)
-        return _not_exact(other, NotImplemented)
+        if (parts := _parts(other)) is None:
+            return NotImplemented
+        return _quotient(self._re, self._im, self._den, *parts)
 
     def __rtruediv__(self, other):
-        if isinstance(other, QComplex):
-            return other / self
-        if isinstance(other, _REAL_EXACT):
-            # n/e divided by (re + i im)/den is n den (re - i im) / (e |.|^2).
-            re, im = self._re, self._im
-            norm = re * re + im * im
-            if not norm:
-                raise ZeroDivisionError("division by exact zero")
-            scale = other.numerator * self._den
-            return _reduced(re * scale, -im * scale, other.denominator * norm)
-        return _not_exact(other, NotImplemented)
+        if (parts := _parts(other)) is None:
+            return NotImplemented
+        return _quotient(*parts, self._re, self._im, self._den)
 
     def __neg__(self):
         return _reduced(-self._re, -self._im, self._den)
@@ -309,12 +279,7 @@ def coerce_scalar(value, mode):
     floating scalars included) and any QComplex.
     """
     if mode == EXACT:
-        coerced = QComplex._coerce(value)
-        if coerced is None:
-            raise ModeMismatchError(
-                f"cannot build an exact scalar from {type(value).__name__}"
-            )
-        return coerced
+        return value if isinstance(value, QComplex) else QComplex(value)
     if mode == FLOAT:
         if isinstance(value, _FLOAT_INPUTS):
             return complex(value)
@@ -360,6 +325,12 @@ def _convolve(ar, ai, br, bi, order):
             cr[i + j] += xr * yr - xi * yi
             ci[i + j] += xr * yi + xi * yr
     return cr, ci
+
+
+def _times(xr, xi, re, im):
+    """xr + i*xi times each Gaussian integer re[k] + i*im[k]."""
+    return ([xr * r - xi * i for r, i in zip(re, im)],
+            [xr * i + xi * r for r, i in zip(re, im)])
 
 
 def _float_product(a, b, order):
@@ -525,17 +496,8 @@ class TruncatedSeries:
                 _float_product(self.coeffs, other.coeffs, order), FLOAT, valid
             )
         value = self._scalar(other)
-        if self.mode == EXACT:
-            ar, ai, da = _ints(self.coeffs)
-            (vr,), (vi,), dv = _ints([value])
-            pad = [0] * self.order  # the scalar as a constant series
-            cr, ci = _convolve([vr, *pad], [vi, *pad], ar, ai, self.order)
-            return TruncatedSeries._of(
-                _from_ints(cr, ci, [da * dv] * (self.order + 1)),
-                EXACT, self.valid_order,
-            )
         return TruncatedSeries._of(
-            [c * value for c in self.coeffs], FLOAT, self.valid_order
+            [c * value for c in self.coeffs], self.mode, self.valid_order
         )
 
     __rmul__ = __mul__
@@ -560,10 +522,9 @@ class TruncatedSeries:
             # P_n = A_n L**n - sum_{i<n} P_i B_{n-i} L**(n-1-i).
             ar, ai, da = _ints(self.coeffs[: order + 1])
             br, bi, db = _ints(other.coeffs[: order + 1])
-            pad = [0] * order
-            conj = [br[0], *pad], [-bi[0], *pad]
-            ar, ai = _convolve(*conj, ar, ai, order)
-            br, bi = _convolve(*conj, br, bi, order)
+            conj = br[0], -bi[0]
+            ar, ai = _times(*conj, ar, ai)
+            br, bi = _times(*conj, br, bi)
             powers = [1]
             for _ in range(order + 1):
                 powers.append(powers[-1] * br[0])

@@ -258,6 +258,10 @@ OVERFLOWS = {
     "bound_alpha_beta_1e300": ["bound", "--pair", "PP", "--alpha", "1e300", "--beta", "1e300"],
     "bound_alpha_1e400": ["bound", "--pair", "PP", "--alpha", "1e400", "--beta", "0"],
     "expand_a2_1e400": ["expand", "--class", "P", "--alpha", "0", "--a2", "1e400", "--a3", "0"],
+    "expand_l_a2_1e300_order_64": ["expand", "--class", "L", "--alpha", "1/3", "--a2", "1e300",
+                                   "--a3", "1", "--order", "64"],
+    "expand_l_a2_1e1000_order_64": ["expand", "--class", "L", "--alpha", "1/3", "--a2", "1e1000",
+                                    "--a3", "1", "--order", "64"],
     "bound_phi_coeffs_1e400": BOUND + ["--phi-coeffs", "1,1e400"],
     "audit_grid_1e300": ["audit", "--theorem", "MM", "--grid", "1e300:1e300:1"],
     "sweep_alpha_beta_1e300": ["sweep", "--pair", "MM", "--alpha", "1e300", "--beta", "1e300"],
@@ -317,6 +321,19 @@ class TestInputContract:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1
+        assert err.startswith("usage error: a result does not fit a float")
+
+    @pytest.mark.parametrize("name", sorted(n for n, argv in OVERFLOWS.items()
+                                            if argv[0] == "expand"))
+    def test_expand_overflow_is_refused_before_the_series(self, name, monkeypatch,
+                                                          capsys):
+        # The floats of the input and the closed form overflow first, so the
+        # exact series work never starts.
+        def series_engine(*args, **kwargs):
+            raise AssertionError("expand ran the series engine")
+        monkeypatch.setattr(cli, "functional", series_engine)
+        assert cli.main(OVERFLOWS[name]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
         assert err.startswith("usage error: a result does not fit a float")
 
     @pytest.mark.parametrize("name", sorted(HUGE))

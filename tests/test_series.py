@@ -98,8 +98,8 @@ real_operands = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.builds(QComplex, real_operands, real_operands), real_operands)
 def test_real_operand_matches_the_lifted_formula(q, r):
-    # int, bool and Fraction operands take the part-by-part path; lifting
-    # them to QComplex(r) takes the full complex formula.
+    # An int, bool or Fraction operand r and its lift QComplex(r) give the
+    # same result, on either side of every operator.
     lifted = QComplex(r)
     cases = [(q + r, q + lifted), (r + q, lifted + q), (q - r, q - lifted),
              (r - q, lifted - q), (q * r, q * lifted), (r * q, lifted * q)]
@@ -315,9 +315,25 @@ class TestMul:
 
     def test_scalar_product_matches_coefficientwise(self, rng):
         s = rand_exact_series(rng, den=30)
-        c = complex_lead(rng)
-        assert list((s * c).coeffs) == [x * c for x in s.coeffs]
-        assert list((c * s).coeffs) == [x * c for x in s.coeffs]
+        scalars = [rng.randint(-10**6, 10**6), True, False, Fraction(-5, 12),
+                   Fraction(rng.randint(-99, 99), rng.randint(2, 99)),
+                   complex_lead(rng), QComplex(rng.randint(-9, 9))]
+        for c in scalars:
+            want = [reference(operator.mul, x, c) for x in s.coeffs]
+            for got in (s * c, c * s):
+                assert (got.mode, got.order, got.valid_order) == (EXACT, 8, 8)
+                for q in got.coeffs:
+                    assert_canonical(q)
+                assert [(q.re, q.im) for q in got.coeffs] == want
+
+    @pytest.mark.parametrize("value", [0.5, 2j, 1.0])
+    def test_floating_scalar_into_exact_series_raises(self, rng, value):
+        s = rand_exact_series(rng)
+        for op in OPERATORS:
+            with pytest.raises(ModeMismatchError):
+                op(s, value)
+            with pytest.raises(ModeMismatchError):
+                op(value, s)
 
 
 class TestDiv:
