@@ -61,7 +61,7 @@ from fractions import Fraction
 
 from .classes import ClassSpec, MindaTarget, _quoted, inverse_triple, triple
 from .solver import (PairSpec, closed_form_constants, side_constants,
-                     sigma_tilde, triple_determinant)
+                     triple_determinant)
 
 # A tag names the class kinds of its two sides, function side first.
 THEOREM_TAGS = ("PP", "PM", "PL", "MM", "ML", "LL")
@@ -230,8 +230,9 @@ def printed_sigma(tag, alpha, beta) -> Fraction:
 def derived_sigma(tag, alpha, beta) -> Fraction:
     """sigma recovered from the elimination determinant, scaled per pairing."""
     tag = theorem_tag(tag)
-    pair = theorem_pair(tag, alpha, beta, MindaTarget([1]), MindaTarget([1]))
-    return sigma_tilde(pair) / SIGMA_SCALE[tag]
+    tf = triple(ClassSpec(tag[0], alpha))
+    tg = inverse_triple(triple(ClassSpec(tag[1], beta)))
+    return triple_determinant(tf, tg) / SIGMA_SCALE[tag]
 
 
 def _printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
@@ -246,14 +247,14 @@ def _printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
 
 def printed_a2_bound(tag, alpha, beta, B1, B2, D1, D2):
     """The stated |a2| bound, or None when its denominator bracket vanishes."""
-    return _sqrt_or_none(_printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2))
+    return _sqrt_or(_printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2))
 
 
 def pm_display_variant_a2_bound(alpha, beta, B1, B2, D1, D2):
     """The PM |a2| value per the worked-display variant ((1+2*beta)^2 term)."""
     tag, a, b, t = _point("PM", alpha, beta, B1, B2, D1, D2)
     num, rest = _join_a2(_function_side(tag, a, t), _pm_display_side(b, t))
-    return _sqrt_or_none(_a2_sq(num, rest, printed_sigma(tag, a, b), t.b1d1_sq))
+    return _sqrt_or(_a2_sq(num, rest, printed_sigma(tag, a, b), t.b1d1_sq))
 
 
 def _printed_a3_value(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
@@ -271,8 +272,7 @@ def _printed_a3_value(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
 
 def printed_a3_bound(tag, alpha, beta, B1, B2, D1, D2):
     """The stated |a3| bound normalized to |a3| itself, or None at sigma = 0."""
-    value = _printed_a3_value(tag, alpha, beta, B1, B2, D1, D2)
-    return None if value is None else float(value)
+    return _float_or(_printed_a3_value(tag, alpha, beta, B1, B2, D1, D2))
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +292,7 @@ def generic_a2_bound(pair: PairSpec):
 
     Symmetric under swapping the two sides of the pair.
     """
-    return _sqrt_or_none(_generic_a2_sq(pair))
+    return _sqrt_or(_generic_a2_sq(pair))
 
 
 def _generic_a3_value(pair: PairSpec):
@@ -317,8 +317,7 @@ def generic_a3_bound(pair: PairSpec):
     kappa^2 (D2 - D1) pull in opposite directions the supremum of |a3| can
     be strictly smaller (see ``sweep_a3``).
     """
-    value = _generic_a3_value(pair)
-    return None if value is None else float(value)
+    return _float_or(_generic_a3_value(pair))
 
 
 # ----------------------------------------------------------------------
@@ -442,34 +441,19 @@ def _report_at(tag, point: _Point, t: _Targets, row: _Row, col: _Column,
 
     witness = dict(alpha=point.alpha, beta=point.beta, **t.witness)
     discrepancies = []
-    if _mismatch(sig_printed, sig_derived, rel_tol):
-        discrepancies.append(
-            Discrepancy("sigma", float(sig_printed), float(sig_derived), **witness)
-        )
-    if _mismatch(a2_aligned_sq, a2_generic_sq, rel_tol):
-        discrepancies.append(
-            Discrepancy(
-                "a2",
-                _sqrt_or_nan(a2_aligned_sq),
-                _sqrt_or_nan(a2_generic_sq),
-                **witness,
-            )
-        )
-    if _mismatch(a3_aligned, a3_generic, rel_tol):
-        discrepancies.append(
-            Discrepancy(
-                "a3",
-                float(a3_aligned) if a3_aligned is not None else math.nan,
-                float(a3_generic) if a3_generic is not None else math.nan,
-                **witness,
-            )
-        )
+    for field, printed, derived, to_float in (
+            ("sigma", sig_printed, sig_derived, _float_or),
+            ("a2", a2_aligned_sq, a2_generic_sq, _sqrt_or),
+            ("a3", a3_aligned, a3_generic, _float_or)):
+        if _mismatch(printed, derived, rel_tol):
+            discrepancies.append(Discrepancy(field, to_float(printed, math.nan),
+                                             to_float(derived, math.nan), **witness))
 
     notes = []
     if col.display is not None:
         num, rest = _join_a2(F, col.display)
-        variant = _sqrt_or_none(_a2_sq(num, rest, sig_printed, tx.b1d1_sq))
-        stated = _sqrt_or_nan(a2_printed_sq)
+        variant = _sqrt_or(_a2_sq(num, rest, sig_printed, tx.b1d1_sq))
+        stated = _sqrt_or(a2_printed_sq, math.nan)
         if variant is None or abs(variant - stated) > rel_tol * max(1.0, stated):
             notes.append(
                 "PM |a2| worked-display variant ((1+2*beta)^2 term) gives "
@@ -495,22 +479,22 @@ def _report_at(tag, point: _Point, t: _Targets, row: _Row, col: _Column,
         sigma_printed=float(sig_printed),
         sigma_derived=float(sig_derived),
         sigma_tilde=float(point.sigma_tilde),
-        a2_printed=_sqrt_or_none(a2_printed_sq),
-        a2_generic=_sqrt_or_none(a2_generic_sq),
-        a3_printed=float(a3_printed) if a3_printed is not None else None,
-        a3_generic=float(a3_generic) if a3_generic is not None else None,
+        a2_printed=_sqrt_or(a2_printed_sq),
+        a2_generic=_sqrt_or(a2_generic_sq),
+        a3_printed=_float_or(a3_printed),
+        a3_generic=_float_or(a3_generic),
         degenerate=degenerate,
         discrepancies=tuple(discrepancies),
         notes=tuple(notes),
     )
 
 
-def _sqrt_or_none(sq):
-    return None if sq is None else math.sqrt(float(sq))
+def _float_or(value, missing=None):
+    return missing if value is None else float(value)
 
 
-def _sqrt_or_nan(sq):
-    return math.nan if sq is None else math.sqrt(float(sq))
+def _sqrt_or(sq, missing=None):
+    return missing if sq is None else math.sqrt(float(sq))
 
 
 def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):

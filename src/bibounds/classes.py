@@ -146,14 +146,6 @@ class SchlichtCoeffs:
     def __init__(self, values):
         object.__setattr__(self, "values", tuple(values))
 
-    @property
-    def a2(self):
-        return self.values[0] if self.values else 0
-
-    @property
-    def a3(self):
-        return self.values[1] if len(self.values) > 1 else 0
-
     def series(self, order=DEFAULT_ORDER, mode=EXACT) -> TruncatedSeries:
         coeffs = [0, 1, *self.values]
         return TruncatedSeries(coeffs[: order + 1], mode=mode, order=order)
@@ -250,12 +242,11 @@ def functional(
     fp = fs.derivative()
     alpha = spec.param if mode == EXACT else float(spec.param)
     if spec.kind == KIND_P:
-        return (fp + fs.derivative().derivative().shift_up() * alpha) / h
-    if spec.kind == KIND_M:
-        convex = 1 + fp.derivative().shift_up() / fp
-        return (fp / h) * (1 - alpha) + convex * alpha
+        return (fp + fp.derivative().shift_up() * alpha) / h
     starlike = fp / h
     convex = 1 + fp.derivative().shift_up() / fp
+    if spec.kind == KIND_M:
+        return starlike * (1 - alpha) + convex * alpha
     return starlike.pow_unit(alpha) * convex.pow_unit(1 - alpha)
 
 
@@ -288,6 +279,11 @@ def _rational_circle_point(rng) -> QComplex:
     return QComplex(Fraction(b * b - a * a, d), Fraction(2 * a * b, d))
 
 
+def _float_circle_point(rng) -> complex:
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return complex(math.cos(theta), math.sin(theta))
+
+
 def sample_caratheodory(
     seed: int, m: int, order=DEFAULT_ORDER, mode=FLOAT
 ) -> TruncatedSeries:
@@ -303,18 +299,13 @@ def sample_caratheodory(
     rng = random.Random(seed)
     if mode == EXACT:
         weights = [Fraction(rng.randint(1, 100)) for _ in range(m)]
-        total = sum(weights)
         points = [_rational_circle_point(rng) for _ in range(m)]
-        acc = TruncatedSeries.zero(order=order, mode=mode)
-        for w, x in zip(weights, points):
-            acc = acc + caratheodory_kernel(x, order, mode) * (w / total)
-        return acc
-    weights = [rng.random() + 1e-9 for _ in range(m)]
+    else:
+        weights = [rng.random() + 1e-9 for _ in range(m)]
+        points = [_float_circle_point(rng) for _ in range(m)]
     total = sum(weights)
     acc = TruncatedSeries.zero(order=order, mode=mode)
-    for w in weights:
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        x = complex(math.cos(theta), math.sin(theta))
+    for w, x in zip(weights, points):
         acc = acc + caratheodory_kernel(x, order, mode) * (w / total)
     return acc
 

@@ -32,6 +32,11 @@ PINNED = {
     "verify_exact_all.json": ["verify", "--suite", "all", "--mode", "exact",
                               "--seed", "3", "--samples", "4"],
     "table.json": ["table"],
+    # Skewed psi: six PM display-variant notes; LL sigma and a3 discrepancies.
+    "audit_pm_skewed.json": ["audit", "--theorem", "PM", "--grid", "0:1:1/2",
+                             "--phi", "caratheodory", "--psi-coeffs", "2,1"],
+    "audit_ll_skewed.json": ["audit", "--theorem", "LL", "--grid", "0:1:1/2",
+                             "--phi", "caratheodory", "--psi-coeffs", "2,1"],
 }
 
 
@@ -104,6 +109,14 @@ class TestExitCodes:
         assert code == cli.EXIT_VERIFY_FAILED
         assert '"passed": false' in text
         assert "witness text" in capsys.readouterr().err
+
+    def test_large_target_a3_sweep_succeeds(self):
+        code, text = run_cli(
+            ["sweep", "--pair", "PM", "--alpha", "1/2", "--beta", "1/3",
+             "--phi-coeffs", "2,1e8", "--what", "a3"]
+        )
+        assert code == 0
+        assert '"gap": 0.0' in text
 
     def test_verify_success(self):
         code, text = run_cli(
