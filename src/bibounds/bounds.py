@@ -20,9 +20,12 @@ section of printed statements).  The printed sigma is a polynomial in
 alpha whose coefficients depend on beta.  The generic constants split the
 same way (:func:`bibounds.solver.side_constants`).
 
-All internal arithmetic is exact (Fractions); square roots are taken only
-when converting a final value to float, so printed and generic bounds that
-agree algebraically agree bit-for-bit as floats.
+All internal arithmetic is exact, on int numerators over per-row and
+per-column denominators (see the comment that opens the printed
+statements); square roots are taken only when converting a final value to
+float, one correctly rounded int/int division, so printed and generic
+bounds that agree algebraically agree bit-for-bit as floats.  The
+single-point functions return Fractions (or their floats).
 
 :func:`audit` is the one evaluation loop; :func:`report` is a one-point
 audit.  The audit evaluates each quantity at the level where it last
@@ -55,12 +58,14 @@ the audit notes (:func:`pm_display_variant_a2_bound`).
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import ClassSpec, MindaTarget, _quoted, inverse_triple, triple
-from .solver import (PairSpec, closed_form_constants, side_constants,
+from .solver import (ClosedFormConstants, PairSpec, closed_form_constants,
+                     integer_ratios, over_one_denominator, side_constants,
                      triple_determinant)
 
 # A tag names the class kinds of its two sides, function side first.
@@ -109,40 +114,57 @@ def _f(value) -> Fraction:
 #     rhs  = F.rhs + G.rhs + F.x G.x
 #
 # and sigma is a polynomial in alpha whose coefficients depend on beta.
+#
+# The arithmetic runs on ints.  A parameter n/d enters each factor times
+# d^2 (so 1 + 3a reads d^2 + 3nd), the targets enter as numerators over
+# one common denominator T, each side holds its fields as numerators over
+# one denominator of its own, and an exact value at a point is a
+# (numerator, positive denominator) pair, or None where it is undefined.
 
-# Target-only factors of the statements: B1^2 D1^2, D1^2, (B2 - B1) D1^2,
-# (D2 - D1) B1^2, B1^2 |D2 - D1|, sup_x = B1 + |B2 - B1| and |D2 - D1|.
+# Target-only factors of the statements, as int numerators over powers of
+# the common denominator T: B1, B2, D1, D2, sup_x = B1 + |B2 - B1| and
+# |D2 - D1| over T; D1^2 over T^2; (B2 - B1) D1^2, (D2 - D1) B1^2 and
+# B1^2 |D2 - D1| over T^3; B1^2 D1^2 over T^4.
 _TargetFactors = namedtuple(
     "_TargetFactors",
-    "B1 B2 D1 D2 b1d1_sq d1_sq db_d1sq dd_b1sq b1sq_dd sup_x dd_abs")
+    "T B1 B2 D1 D2 b1d1_sq d1_sq db_d1sq dd_b1sq b1sq_dd sup_x dd_abs")
 
-# One side of a statement; the function side's x is None at a pole of the
-# |a3| cross term (a parameter outside its class, or D1 = 0).
-_Side = namedtuple("_Side", "num r1 r2 rhs x")
+# One side of a statement as int numerators over its denominator den; the
+# function side's x is None at a pole of the |a3| cross term (a parameter
+# outside its class, or D1 = 0).
+_Side = namedtuple("_Side", "num r1 r2 rhs x den")
 
 
 def _target_factors(B1, B2, D1, D2) -> _TargetFactors:
+    (B1, B2, D1, D2), T = integer_ratios(B1, B2, D1, D2)
     b1_sq, d1_sq, dd_abs = B1 * B1, D1 * D1, abs(D2 - D1)
     return _TargetFactors(
-        B1, B2, D1, D2, b1_sq * d1_sq, d1_sq, (B2 - B1) * d1_sq,
+        T, B1, B2, D1, D2, b1_sq * d1_sq, d1_sq, (B2 - B1) * d1_sq,
         (D2 - D1) * b1_sq, b1_sq * dd_abs, B1 + abs(B2 - B1), dd_abs,
     )
 
 
-def _sigma_in_alpha(tag, b) -> tuple:
-    """Coefficients of the printed sigma as a polynomial in alpha, at beta = b."""
+def _sigma_in_alpha(tag, b, d=1) -> tuple:
+    """Coefficients of the printed sigma as a polynomial in alpha.
+
+    At beta = b/d, each coefficient times d^2: with the default d = 1 and
+    a Fraction b they are the coefficients themselves, and with int b and d
+    they are int numerators over d^2.
+    """
+    dd = d * d
     if tag == "PP":  # 2 + 7a + 7b + 24ab
-        return 2 + 7 * b, 7 + 24 * b
+        return 2 * dd + 7 * d * b, 7 * dd + 24 * d * b
     if tag == "PM":  # 2 + 7a + 3b + 11ab
-        return 2 + 3 * b, 7 + 11 * b
+        return 2 * dd + 3 * d * b, 7 * dd + 11 * d * b
     if tag == "PL":  # 10 + 36a - 7b - 25ab + b^2 + 3ab^2
-        return 10 - 7 * b + b * b, 36 - 25 * b + 3 * b * b
+        return 10 * dd - 7 * d * b + b * b, 36 * dd - 25 * d * b + 3 * b * b
     if tag == "MM":  # 2 + 3a + 3b + 4ab
-        return 2 + 3 * b, 3 + 4 * b
+        return 2 * dd + 3 * d * b, 3 * dd + 4 * d * b
     if tag == "ML":  # 10 + 14a - 7b + b^2 + 2ab^2 - 10ab
-        return 10 - 7 * b + b * b, 14 - 10 * b + 2 * b * b
+        return 10 * dd - 7 * d * b + b * b, 14 * dd - 10 * d * b + 2 * b * b
     # LL: 24 + 3a^2 + 3b^2 - 17a - 17b - 2ba^2 - 2ab^2 - 12ab
-    return 24 - 17 * b + 3 * b * b, -17 - 12 * b - 2 * b * b, 3 - 2 * b
+    return (24 * dd - 17 * d * b + 3 * b * b, -17 * dd - 12 * d * b - 2 * b * b,
+            3 * dd - 2 * d * b)
 
 
 def _horner(coefficients, a):
@@ -160,19 +182,26 @@ def _function_side(tag, a, t: _TargetFactors) -> _Side:
     of the |a3| right side and x_num / x_den the alpha factor of its
     |D2 - D1| term.
     """
+    n, d = a.numerator, a.denominator
+    dd = d * d
     if tag[0] == "P":
-        s, sq, rhs = 1 + 3 * a, (1 + 2 * a) ** 2, 1 + 2 * a
-        x_num, x_den = 1, 1 + 2 * a
+        s, sq, rhs = dd + 3 * n * d, (d + 2 * n) ** 2, dd + 2 * n * d
+        x_num, x_den = dd, dd + 2 * n * d
     elif tag[0] == "M":
-        s, sq, rhs = 1 + 2 * a, (1 + a) ** 2, 1 + 3 * a
-        x_num, x_den = 1 + 3 * a, sq
+        s, sq, rhs = dd + 2 * n * d, (d + n) ** 2, dd + 3 * n * d
+        x_num, x_den = dd + 3 * n * d, sq
     else:
-        s, sq, rhs = 3 - 2 * a, (2 - a) ** 2, 8 - 5 * a - a * a
-        x_num, x_den = a * a + 5 * a - 8, sq
+        s, sq, rhs = 3 * dd - 2 * n * d, (2 * d - n) ** 2, 8 * dd - 5 * n * d - n * n
+        x_num, x_den = n * n + 5 * n * d - 8 * dd, sq
     m = 2 if tag[1] == "L" else 1  # the L-inverse |a2| statements are doubled
+    T = t.T
+    fields = [(m * t.D1 * s, T * dd), (sq * t.db_d1sq, T**3 * dd), (s, dd),
+              (t.D1 * rhs, T * dd)]
     x_den = t.d1_sq * x_den
-    x = x_num * t.b1sq_dd / x_den if x_den != 0 else None
-    return _Side(m * t.D1 * s, sq * t.db_d1sq, s, t.D1 * rhs, x)
+    if x_den != 0:
+        fields.append((x_num * t.b1sq_dd, T * x_den))
+    values, den = over_one_denominator(*fields)
+    return _Side(*values[:4], values[4] if x_den != 0 else None, den)
 
 
 def _inverse_side(tag, b, t: _TargetFactors) -> _Side:
@@ -181,45 +210,69 @@ def _inverse_side(tag, b, t: _TargetFactors) -> _Side:
     s, sq and c play the parts of F's s, sq and rhs with the two target
     differences swapped; sq is also the beta factor of the |a3| cross term.
     """
-    m = 1
+    n, d = b.numerator, b.denominator
+    dd = d * d
+    m = c_den = 1
     if tag[1] == "P":
-        s, sq, c = 1 + 3 * b, (1 + 2 * b) ** 2, 3 + 10 * b
+        s, sq, c = dd + 3 * n * d, (d + 2 * n) ** 2, 3 * dd + 10 * n * d
     elif tag[1] == "M":
-        s, sq, c = 1 + 2 * b, (1 + b) ** 2, 3 + 5 * b
+        s, sq, c = dd + 2 * n * d, (d + n) ** 2, 3 * dd + 5 * n * d
     else:
-        m, s, sq, c = 2, 3 - 2 * b, (2 - b) ** 2, b * b - 11 * b + 16
+        m, s, sq, c = 2, 3 * dd - 2 * n * d, (2 * d - n) ** 2, n * n - 11 * n * d + 16 * dd
         if tag != "LL":  # PL and ML halve the polynomial, LL does not
-            c = c / 2
-    return _Side(m * t.B1 * s, m * s, m * sq * t.dd_b1sq, c * t.sup_x, sq)
+            c_den = 2
+    T = t.T
+    values, den = over_one_denominator(
+        (m * t.B1 * s, T * dd), (m * s, dd), (m * sq * t.dd_b1sq, T**3 * dd),
+        (c * t.sup_x, c_den * T * dd), (sq, dd))
+    return _Side(*values, den)
 
 
 def _pm_display_side(b, t: _TargetFactors) -> _Side:
     """PM's G with the worked display's (1+2*beta)^2 on its |D2 - D1| term."""
-    return _inverse_side("PM", b, t)._replace(r2=(1 + 2 * b) ** 2 * t.dd_b1sq)
+    G = _inverse_side("PM", b, t)
+    n, d = b.numerator, b.denominator
+    # G.den is a multiple of r2's own denominator d^2 T^3.
+    return G._replace(r2=(d + 2 * n) ** 2 * t.dd_b1sq * (G.den // (d * d * t.T**3)))
 
 
 def _join_a2(F: _Side, G: _Side):
-    """The |a2| numerator bracket and the sigma-free part of the denominator."""
-    return F.num + G.num, F.r1 * G.r1 + F.r2 * G.r2
+    """The |a2| numerator bracket and the sigma-free part of the denominator.
+
+    Both are numerators over F.den * G.den.
+    """
+    return F.num * G.den + G.num * F.den, F.r1 * G.r1 + F.r2 * G.r2
 
 
 def _join_a3(F: _Side, G: _Side):
-    """The right side of the |a3| inequality."""
-    return F.rhs + G.rhs + F.x * G.x
+    """The right side of the |a3| inequality, over F.den * G.den."""
+    return F.rhs * G.den + G.rhs * F.den + F.x * G.x
 
 
-def _a2_sq(num, rest, sigma, b1d1_sq):
-    den = sigma * b1d1_sq - rest
-    return None if den == 0 else b1d1_sq * num / abs(den)
+def _a2_sq(num, rest, den, sigma, t: _TargetFactors):
+    # B1^2 D1^2 num / |sigma B1^2 D1^2 - rest| for num and rest over den.
+    (sn, sd), b = sigma, t.b1d1_sq
+    bracket = sn * b * den - rest * sd * t.T**4
+    return None if bracket == 0 else (b * num * sd, abs(bracket))
 
 
-def _a3_value(tag, rhs, sigma):
-    return None if sigma == 0 else rhs / (A3_MULTIPLIER[tag] * abs(sigma))
+def _a3_value(tag, rhs, den, sigma):
+    # rhs / (sigma_m |sigma|) for rhs over den.
+    sn, sd = sigma
+    return None if sn == 0 else (rhs * sd, A3_MULTIPLIER[tag] * abs(sn) * den)
 
 
-def _point(tag, alpha, beta, B1, B2, D1, D2):
-    return theorem_tag(tag), _f(alpha), _f(beta), _target_factors(
-        _f(B1), _f(B2), _f(D1), _f(D2))
+def _point(tag, alpha, beta, B1, B2, D1, D2, sigma):
+    # The single-point functions' inputs; sigma defaults to the printed one.
+    tag, a, b = theorem_tag(tag), _f(alpha), _f(beta)
+    if sigma is None:
+        sigma = printed_sigma(tag, a, b)
+    t = _target_factors(_f(B1), _f(B2), _f(D1), _f(D2))
+    return tag, a, b, t, _f(sigma).as_integer_ratio()
+
+
+def _fraction(value):
+    return None if value is None else Fraction(*value)
 
 
 def printed_sigma(tag, alpha, beta) -> Fraction:
@@ -235,56 +288,78 @@ def derived_sigma(tag, alpha, beta) -> Fraction:
     return triple_determinant(tf, tg) / SIGMA_SCALE[tag]
 
 
+def _printed_a2(tag, alpha, beta, B1, B2, D1, D2, sigma=None, display=False):
+    # The squared stated |a2| bound as a pair (with the PM worked-display G
+    # when display is set), or None when the denominator bracket vanishes.
+    tag, a, b, t, sigma = _point(tag, alpha, beta, B1, B2, D1, D2, sigma)
+    F = _function_side(tag, a, t)
+    G = _pm_display_side(b, t) if display else _inverse_side(tag, b, t)
+    num, rest = _join_a2(F, G)
+    return _a2_sq(num, rest, F.den * G.den, sigma, t)
+
+
 def _printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
     # The squared stated |a2| bound, a Fraction, or None when the
     # denominator bracket vanishes.
-    tag, a, b, t = _point(tag, alpha, beta, B1, B2, D1, D2)
-    if sigma is None:
-        sigma = printed_sigma(tag, a, b)
-    num, rest = _join_a2(_function_side(tag, a, t), _inverse_side(tag, b, t))
-    return _a2_sq(num, rest, sigma, t.b1d1_sq)
+    return _fraction(_printed_a2(tag, alpha, beta, B1, B2, D1, D2, sigma))
 
 
 def printed_a2_bound(tag, alpha, beta, B1, B2, D1, D2):
     """The stated |a2| bound, or None when its denominator bracket vanishes."""
-    return _sqrt_or(_printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2))
+    return _sqrt_or(_printed_a2(tag, alpha, beta, B1, B2, D1, D2))
 
 
 def pm_display_variant_a2_bound(alpha, beta, B1, B2, D1, D2):
     """The PM |a2| value per the worked-display variant ((1+2*beta)^2 term)."""
-    tag, a, b, t = _point("PM", alpha, beta, B1, B2, D1, D2)
-    num, rest = _join_a2(_function_side(tag, a, t), _pm_display_side(b, t))
-    return _sqrt_or(_a2_sq(num, rest, printed_sigma(tag, a, b), t.b1d1_sq))
+    return _sqrt_or(_printed_a2("PM", alpha, beta, B1, B2, D1, D2, display=True))
 
 
-def _printed_a3_value(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
-    # The stated |a3| right side over sigma_m |sigma|; None at sigma = 0.
-    tag, a, b, t = _point(tag, alpha, beta, B1, B2, D1, D2)
-    if sigma is None:
-        sigma = printed_sigma(tag, a, b)
-    if sigma == 0:
+def _printed_a3(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
+    # The stated |a3| right side over sigma_m |sigma| as a pair; None at
+    # sigma = 0.
+    tag, a, b, t, sigma = _point(tag, alpha, beta, B1, B2, D1, D2, sigma)
+    if sigma[0] == 0:
         return None
     F = _function_side(tag, a, t)
     if F.x is None:
         raise ZeroDivisionError("the |a3| statement has a pole at this alpha or D1")
-    return _a3_value(tag, _join_a3(F, _inverse_side(tag, b, t)), sigma)
+    G = _inverse_side(tag, b, t)
+    return _a3_value(tag, _join_a3(F, G), F.den * G.den, sigma)
+
+
+def _printed_a3_value(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
+    # The stated |a3| right side over sigma_m |sigma|; None at sigma = 0.
+    return _fraction(_printed_a3(tag, alpha, beta, B1, B2, D1, D2, sigma))
 
 
 def printed_a3_bound(tag, alpha, beta, B1, B2, D1, D2):
     """The stated |a3| bound normalized to |a3| itself, or None at sigma = 0."""
-    return _float_or(_printed_a3_value(tag, alpha, beta, B1, B2, D1, D2))
+    return _float_or(_printed_a3(tag, alpha, beta, B1, B2, D1, D2))
 
 
 # ----------------------------------------------------------------------
 # generic bounds from the unified elimination
 
+def _constant_pairs(pair: PairSpec) -> ClosedFormConstants:
+    # The pair's exact constants back as (numerator, denominator) pairs.
+    return ClosedFormConstants._make(
+        None if v is None else v.as_integer_ratio() for v in pair.exact_constants)
+
+
+def _generic_a2(pair: PairSpec):
+    return _generic_a2_sq_at(_constant_pairs(pair))
+
+
 def _generic_a2_sq(pair: PairSpec):
-    return _generic_a2_sq_at(pair.exact_constants)
+    return _fraction(_generic_a2(pair))
 
 
 def _generic_a2_sq_at(k):
     # |a2^2| <= 2 |g2| + 2 |d2| over |c2|, |b2| <= 2.
-    return None if k.g2 is None else 2 * (abs(k.g2) + abs(k.d2))
+    if k.g2 is None:
+        return None
+    (gn, gd), (dn, dd) = k.g2, k.d2
+    return 2 * (abs(gn * dd) + abs(dn * gd)), abs(gd * dd)
 
 
 def generic_a2_bound(pair: PairSpec):
@@ -292,21 +367,29 @@ def generic_a2_bound(pair: PairSpec):
 
     Symmetric under swapping the two sides of the pair.
     """
-    return _sqrt_or(_generic_a2_sq(pair))
+    return _sqrt_or(_generic_a2(pair))
+
+
+def _generic_a3(pair: PairSpec):
+    phi, psi = pair.phi, pair.psi
+    t = _target_factors(phi.B1, phi.B2, psi.B1, psi.B2)
+    return _generic_a3_at(_constant_pairs(pair), t)
 
 
 def _generic_a3_value(pair: PairSpec):
-    phi, psi = pair.phi, pair.psi
-    t = _target_factors(phi.B1, phi.B2, psi.B1, psi.B2)
-    return _generic_a3_at(pair.exact_constants, t)
+    return _fraction(_generic_a3(pair))
 
 
 def _generic_a3_at(k, t: _TargetFactors):
-    # |a3| <= |gx| sup|X| + |gy| sup|Y| over |c1|, |c2|, |b2| <= 2.
+    # |a3| <= |gx| sup|X| + |gy| sup|Y| over |c1|, |c2|, |b2| <= 2, with
+    # sup|Y| = D1 + kappa^2 |D2 - D1|.
     if k.gx is None:
         return None
-    sup_y = t.D1 + k.kappa**2 * t.dd_abs
-    return abs(k.gx) * t.sup_x + abs(k.gy) * sup_y
+    (xn, xd), (yn, yd), (kn, kd) = k.gx, k.gy, k.kappa
+    xd, yd, kd_sq = abs(xd), abs(yd), kd * kd
+    sup_y = t.D1 * kd_sq + kn * kn * t.dd_abs  # over T kd^2
+    return (abs(xn) * t.sup_x * yd * kd_sq + abs(yn) * sup_y * xd,
+            xd * yd * t.T * kd_sq)
 
 
 def generic_a3_bound(pair: PairSpec):
@@ -317,7 +400,7 @@ def generic_a3_bound(pair: PairSpec):
     kappa^2 (D2 - D1) pull in opposite directions the supremum of |a3| can
     be strictly smaller (see ``sweep_a3``).
     """
-    return _float_or(_generic_a3_value(pair))
+    return _float_or(_generic_a3(pair))
 
 
 # ----------------------------------------------------------------------
@@ -360,14 +443,23 @@ class BoundReport:
 
 
 def _mismatch(left, right, rel_tol=AUDIT_REL_TOL) -> bool:
-    # Exact Fractions (or None) on both sides; the tolerance is part of the
-    # documented contract but exact comparison decides first.
+    # Exact pairs (or None) on both sides; exact comparison decides first.
+    # A difference then flags when it exceeds rel_tol * max(|left|,
+    # |right|), with that product as Fraction arithmetic forms it: the float
+    # rel_tol * float(scale) for a float tolerance (so a scale too large for
+    # a float raises OverflowError), exact for an int or Fraction one.  The
+    # float product is finite, as rel_tol < 1.
     if left is None or right is None:
         return (left is None) != (right is None)
-    if left == right:
+    (ln, ld), (rn, rd) = left, right
+    if ln * rd == rn * ld:
         return False
-    scale = max(abs(left), abs(right))
-    return abs(left - right) > rel_tol * scale
+    sn, sd = left if abs(ln) * rd >= abs(rn) * ld else right
+    if isinstance(rel_tol, float):
+        tn, td = (rel_tol * (abs(sn) / sd)).as_integer_ratio()
+    else:
+        tn, td = rel_tol.numerator * abs(sn), rel_tol.denominator * sd
+    return abs(ln * rd - rn * ld) * td > tn * ld * rd
 
 
 def report(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget,
@@ -393,9 +485,8 @@ _Row = namedtuple("_Row", "printed generic")
 # inverse-side constants.
 _Column = namedtuple("_Column", "printed display generic")
 
-# Per (alpha, beta): the float parameters, the printed sigma, sigma_tilde
-# and the derived sigma.
-_Point = namedtuple("_Point", "alpha beta sigma_printed sigma_tilde sigma_derived")
+# Per (alpha, beta): the float parameters and the printed sigma.
+_Point = namedtuple("_Point", "alpha beta sigma")
 
 
 def _targets(phi: MindaTarget, psi: MindaTarget) -> _Targets:
@@ -423,19 +514,24 @@ def _column(tag, b, tg, t: _Targets) -> _Column:
 
 def _report_at(tag, point: _Point, t: _Targets, row: _Row, col: _Column,
                rel_tol) -> BoundReport:
-    sig_printed, sig_derived = point.sigma_printed, point.sigma_derived
-    tx, F = t.factors, row.printed
+    sig_printed, tx, F = point.sigma, t.factors, row.printed
+    f, g = row.generic, col.generic
+    st = triple_determinant(f, g)  # sigma_tilde over f.den * g.den
+    fg = f.den * g.den
+    sig_derived = st, fg * SIGMA_SCALE[tag]
     # One bracket and one right side serve both sigmas.
+    den = F.den * col.printed.den
     num, rest = _join_a2(F, col.printed)
     rhs = _join_a3(F, col.printed)
-    a2_printed_sq = _a2_sq(num, rest, sig_printed, tx.b1d1_sq)
-    a3_printed = _a3_value(tag, rhs, sig_printed)
-    if sig_derived == sig_printed:  # all but LL points with alpha*beta != 0
+    a2_printed_sq = _a2_sq(num, rest, den, sig_printed, tx)
+    a3_printed = _a3_value(tag, rhs, den, sig_printed)
+    # The two sigmas agree everywhere but at LL points with alpha*beta != 0.
+    if st * sig_printed[1] == sig_printed[0] * sig_derived[1]:
         a2_aligned_sq, a3_aligned = a2_printed_sq, a3_printed
     else:
-        a2_aligned_sq = _a2_sq(num, rest, sig_derived, tx.b1d1_sq)
-        a3_aligned = _a3_value(tag, rhs, sig_derived)
-    k = closed_form_constants(row.generic, col.generic, point.sigma_tilde)
+        a2_aligned_sq = _a2_sq(num, rest, den, sig_derived, tx)
+        a3_aligned = _a3_value(tag, rhs, den, sig_derived)
+    k = closed_form_constants(f, g, st)
     a2_generic_sq = _generic_a2_sq_at(k)
     a3_generic = _generic_a3_at(k, tx)
 
@@ -451,8 +547,9 @@ def _report_at(tag, point: _Point, t: _Targets, row: _Row, col: _Column,
 
     notes = []
     if col.display is not None:
-        num, rest = _join_a2(F, col.display)
-        variant = _sqrt_or(_a2_sq(num, rest, sig_printed, tx.b1d1_sq))
+        G = col.display
+        num, rest = _join_a2(F, G)
+        variant = _sqrt_or(_a2_sq(num, rest, F.den * G.den, sig_printed, tx))
         stated = _sqrt_or(a2_printed_sq, math.nan)
         if variant is None or abs(variant - stated) > rel_tol * max(1.0, stated):
             notes.append(
@@ -476,9 +573,9 @@ def _report_at(tag, point: _Point, t: _Targets, row: _Row, col: _Column,
         beta=point.beta,
         phi=t.phi_floats,
         psi=t.psi_floats,
-        sigma_printed=float(sig_printed),
-        sigma_derived=float(sig_derived),
-        sigma_tilde=float(point.sigma_tilde),
+        sigma_printed=sig_printed[0] / sig_printed[1],
+        sigma_derived=st / sig_derived[1],
+        sigma_tilde=st / fg,
         a2_printed=_sqrt_or(a2_printed_sq),
         a2_generic=_sqrt_or(a2_generic_sq),
         a3_printed=_float_or(a3_printed),
@@ -490,11 +587,13 @@ def _report_at(tag, point: _Point, t: _Targets, row: _Row, col: _Column,
 
 
 def _float_or(value, missing=None):
-    return missing if value is None else float(value)
+    # An exact pair's float: the int true division rounds correctly, as
+    # float() of the Fraction does.
+    return missing if value is None else value[0] / value[1]
 
 
 def _sqrt_or(sq, missing=None):
-    return missing if sq is None else math.sqrt(float(sq))
+    return missing if sq is None else math.sqrt(sq[0] / sq[1])
 
 
 def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
@@ -512,11 +611,12 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
         raise ValueError("audit needs a nonempty grid")
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {rel_tol!r}")
+    if rel_tol >= 1:  # no same-sign mismatch could flag
+        raise ValueError(f"tolerance must be below 1, got {rel_tol!r}")
     targets = [_targets(phi, psi) for phi, psi in target_pairs]
-    scale = SIGMA_SCALE[tag]
     # Per beta, filled by the first row: its float, the printed sigma's
-    # coefficients in alpha, the inverse-side triple and a _Column per
-    # target pair.
+    # coefficients in alpha as numerators over its d^2, that d^2, and a
+    # _Column per target pair.
     columns = []
     out = []
     for alpha in alphas:
@@ -524,16 +624,18 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
         tf = triple(ClassSpec(tag[0], a))
         rows = [_row(tag, a, tf, t) for t in targets]
         a_float = float(a)
+        n, d = a.numerator, a.denominator
+        powers = d * d, n * d, n * n  # sigma is at most quadratic in alpha
         for j, beta in enumerate(betas):
             if j == len(columns):
                 b = _f(beta)
                 tg = inverse_triple(triple(ClassSpec(tag[1], b)))
-                columns.append((float(b), _sigma_in_alpha(tag, b), tg,
+                columns.append((float(b), _sigma_in_alpha(tag, b.numerator, b.denominator),
+                                b.denominator ** 2,
                                 [_column(tag, b, tg, t) for t in targets]))
-            b_float, sigma_coefficients, tg, cols = columns[j]
-            st = triple_determinant(tf, tg)
-            point = _Point(a_float, b_float, _horner(sigma_coefficients, a),
-                           st, st / scale)
+            b_float, coefficients, c_den, cols = columns[j]
+            sigma = sum(map(operator.mul, coefficients, powers)), c_den * powers[0]
+            point = _Point(a_float, b_float, sigma)
             out.extend(_report_at(tag, point, t, row, col, rel_tol)
                        for t, row, col in zip(targets, rows, cols))
     return out

@@ -30,7 +30,10 @@ triples when built, the exact constants on first use and the float copies
 on first float use, all outside its dataclass fields.  The exact constants
 come from :func:`closed_form_constants`, which joins one
 :func:`side_constants` per side and their determinant, so the audit can
-evaluate many points from side parts it built once per parameter.
+evaluate many points from side parts it built once per parameter.  Both
+work on int numerators: a side's parts share one denominator, and each
+joined constant is a (numerator, denominator) pair, which a PairSpec
+turns into a Fraction.
 
 Vanishing DEN or sigma_tilde marks the result degenerate (the coefficients
 divided by it are None); that is data, not an error, so parameter sweeps
@@ -39,6 +42,7 @@ can pass through such points.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,9 +58,10 @@ from .classes import (
     triple,
 )
 
-# Constants of the closed forms in one scalar tower: X = half_b1 c2 +
-# quarter_db c1^2, Y = half_d1 b2 + quarter_dd b1^2; g2, d2 are None when
-# DEN vanishes and gx, gy when sigma_tilde does.
+# Constants of the closed forms: X = half_b1 c2 + quarter_db c1^2, Y =
+# half_d1 b2 + quarter_dd b1^2; g2, d2 are None when DEN vanishes and gx, gy
+# when sigma_tilde does.  closed_form_constants gives each as a (numerator,
+# denominator) int pair; a PairSpec holds them as Fractions and as floats.
 ClosedFormConstants = namedtuple(
     "ClosedFormConstants",
     "kappa half_b1 quarter_db half_d1 quarter_dd denominator g2 d2 gx gy",
@@ -90,10 +95,11 @@ class PairSpec:
 
     @cached_property
     def exact_constants(self) -> ClosedFormConstants:
-        return closed_form_constants(
-            side_constants(self._triple_f, self.phi, self.psi),
-            side_constants(self._triple_g, self.psi, self.phi),
-            sigma_tilde(self),
+        f = side_constants(self._triple_f, self.phi, self.psi)
+        g = side_constants(self._triple_g, self.psi, self.phi)
+        return ClosedFormConstants._make(
+            None if v is None else Fraction(*v)
+            for v in closed_form_constants(f, g, triple_determinant(f, g))
         )
 
     @cached_property
@@ -103,12 +109,30 @@ class PairSpec:
         )
 
 
-# One side's share of the closed-form constants, for a triple t with its own
-# target B and the other side's target D: t.q and t.r, shift = p^2 (B2 - B1)
-# / B1^2, q_other = q D1 and p_other = p D1, half = B1 / 2 and quarter =
-# (B2 - B1) / 4.
+def over_one_denominator(*pairs):
+    """Int (numerator, denominator) pairs as numerators over one denominator.
+
+    Returns (numerators, den) with den the least common multiple of the
+    denominators, positive when they are nonzero.
+    """
+    # Lists, not generators, feed the star-arguments: a tuple unpacked from
+    # a generator is resized, and when freed it joins CPython's tuple free
+    # list without having come from it, so the list would only grow.
+    den = math.lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def integer_ratios(*values):
+    """Ints or Fractions as int numerators over their least common denominator."""
+    return over_one_denominator(*[v.as_integer_ratio() for v in values])
+
+
+# One side's share of the closed-form constants, as int numerators over the
+# side's denominator den: for a triple t with its own target B and the other
+# side's target D, t.q and t.r, shift = p^2 (B2 - B1) / B1^2, q_other = q D1
+# and p_other = p D1, half = B1 / 2 and quarter = (B2 - B1) / 4.
 SideConstants = namedtuple(
-    "SideConstants", "q r shift q_other p_other half quarter")
+    "SideConstants", "q r shift q_other p_other half quarter den")
 
 
 def side_constants(t: ClassTriple, own: MindaTarget,
@@ -118,31 +142,37 @@ def side_constants(t: ClassTriple, own: MindaTarget,
     The function side is ``side_constants(tf, phi, psi)`` and the inverse
     side ``side_constants(tg, psi, phi)``.
     """
-    B1, B2, D1 = own.B1, own.B2, other.B1
-    return SideConstants(t.q, t.r, t.p * t.p * (B2 - B1) / (B1 * B1),
-                         t.q * D1, t.p * D1, B1 / 2, (B2 - B1) / 4)
+    (p, q, r), td = integer_ratios(t.p, t.q, t.r)
+    (b1, b2, d1), T = integer_ratios(own.B1, own.B2, other.B1)
+    values, den = over_one_denominator(
+        (q, td), (r, td), (p * p * (b2 - b1) * T, td * td * b1 * b1),
+        (q * d1, td * T), (p * d1, td * T), (b1, 2 * T), (b2 - b1, 4 * T))
+    return SideConstants(*values, den)
 
 
 def closed_form_constants(f: SideConstants, g: SideConstants,
                           st) -> ClosedFormConstants:
-    """Exact constants from the two sides' parts and their determinant st.
+    """The constants as int pairs, from the two sides' parts and st.
 
-    f is the function side, g the inverse side and st the
-    :func:`triple_determinant` of their triples; a caller that holds the
-    side parts for many points need not build a PairSpec for each.
+    f is the function side, g the inverse side and st their
+    :func:`triple_determinant`, the numerator of sigma_tilde over
+    f.den * g.den; a caller that holds the side parts for many points need
+    not build a PairSpec for each.  g2 and d2 share the denominator 2 DEN,
+    gx and gy the denominator st.
     """
-    den = st - g.q * f.shift - f.q * g.shift
+    den = st - g.q * f.shift - f.q * g.shift  # over f.den * g.den
     g2 = d2 = gx = gy = None
     if den != 0:
         twice = 2 * den
-        g2 = g.q_other / twice
-        d2 = f.q_other / twice
+        g2 = g.q_other * f.den, twice
+        d2 = f.q_other * g.den, twice
     if st != 0:
-        gx = g.r / st
-        gy = f.r / st
+        gx = g.r * f.den, st
+        gy = f.r * g.den, st
     return ClosedFormConstants(
-        g.p_other / f.p_other, f.half, f.quarter, g.half, g.quarter,
-        den, g2, d2, gx, gy,
+        (g.p_other * f.den, f.p_other * g.den), (f.half, f.den),
+        (f.quarter, f.den), (g.half, g.den), (g.quarter, g.den),
+        (den, f.den * g.den), g2, d2, gx, gy,
     )
 
 
@@ -187,7 +217,11 @@ def linked_b1(pair: PairSpec, c1):
 
 
 def triple_determinant(tf: ClassTriple, tg: ClassTriple) -> Fraction:
-    """q r' - q' r of a function-side triple and an inverse-side triple."""
+    """q r' - q' r of a function-side triple and an inverse-side triple.
+
+    On two :class:`SideConstants` it is the numerator of sigma_tilde over
+    the product of their denominators.
+    """
     return tf.q * tg.r - tg.q * tf.r
 
 

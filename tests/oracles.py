@@ -8,12 +8,15 @@ and return lists of the same length.
 The printed statements of the six pairings, term by term as the literature
 states them (sigma, the |a2| brackets, the |a3| right sides and the PM
 worked-display variant); ``bibounds.bounds`` evaluates the same statements
-through per-side factors.
+through per-side factors.  The generic bounds, in Fractions straight from
+the closed forms that the ``bibounds.solver`` docstring states; the package
+computes them on int numerators over per-side denominators.
 """
 
 from fractions import Fraction
 
 from bibounds import QComplex
+from bibounds.classes import ClassSpec, inverse_triple, triple
 
 
 def _zero_like(c):
@@ -277,3 +280,53 @@ def statement_a3_value(tag, a, b, B1, B2, D1, D2, sigma):
         return None
     rhs = statement_a3_rhs(tag, a, b, B1, B2, D1, D2)
     return rhs / (STATEMENT_A3_MULTIPLIER[tag] * abs(sigma))
+
+
+# ----------------------------------------------------------------------
+# generic bounds, from the solver's closed forms
+
+
+def generic_reference(tag, a, b, B1, B2, D1, D2):
+    """(sigma_tilde, |a2|^2 bound, |a3| bound) of the unified elimination.
+
+    With (p, q, r) the function-side triple and (p', q', r') the inverse-side
+    triple (r' = 2 q' - r_G):
+
+        sigma_tilde = q r' - q' r
+        DEN   = sigma_tilde - q' p^2 (B2 - B1)/B1^2 - q p'^2 (D2 - D1)/D1^2
+        kappa = p' B1 / (p D1)
+        g2 = q' B1 / (2 DEN),  d2 = q D1 / (2 DEN)
+        gx = r' / sigma_tilde, gy = r / sigma_tilde
+
+    and the bounds are |a2|^2 <= 2 |g2| + 2 |d2| and |a3| <= |gx| (B1 + |B2 -
+    B1|) + |gy| (D1 + kappa^2 |D2 - D1|); each is None where DEN or
+    sigma_tilde vanishes.
+    """
+    tf = triple(ClassSpec(tag[0], a))
+    tg = inverse_triple(triple(ClassSpec(tag[1], b)))
+    p, q, r = tf.p, tf.q, tf.r
+    pg, qg, rg = tg.p, tg.q, tg.r
+    sigma_tilde = q * rg - qg * r
+    den = sigma_tilde - qg * p**2 * (B2 - B1) / B1**2 - q * pg**2 * (D2 - D1) / D1**2
+    kappa = pg * B1 / (p * D1)
+    a2_sq = a3 = None
+    if den != 0:
+        g2, d2 = qg * B1 / (2 * den), q * D1 / (2 * den)
+        a2_sq = 2 * abs(g2) + 2 * abs(d2)
+    if sigma_tilde != 0:
+        gx, gy = rg / sigma_tilde, r / sigma_tilde
+        a3 = abs(gx) * (B1 + abs(B2 - B1)) + abs(gy) * (D1 + kappa**2 * abs(D2 - D1))
+    return sigma_tilde, a2_sq, a3
+
+
+def compare_reference(printed, derived, rel_tol):
+    """The audit's compare rule on Fractions (or None): True flags a mismatch.
+
+    An exact difference flags when it exceeds rel_tol * max(|printed|,
+    |derived|), that product taken as Fraction arithmetic takes it.
+    """
+    if printed is None or derived is None:
+        return (printed is None) != (derived is None)
+    if printed == derived:
+        return False
+    return abs(printed - derived) > rel_tol * max(abs(printed), abs(derived))

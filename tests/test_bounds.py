@@ -29,11 +29,14 @@ from bibounds.bounds import (
     THEOREM_TAGS,
     _generic_a2_sq,
     _generic_a3_value,
+    _mismatch,
     _printed_a2_sq,
     _printed_a3_value,
     pm_display_variant_a2_bound,
 )
 from oracles import (
+    compare_reference,
+    generic_reference,
     statement_a2_brackets,
     statement_a2_sq,
     statement_a3_value,
@@ -382,6 +385,20 @@ class TestAuditLoop:
         assert repr(variant) in skewed.notes[0]
         assert repr(skewed.a2_printed) in skewed.notes[0]
 
+    @pytest.mark.parametrize("tolerance", [1, 1.0, 2.0, 1e300, Fraction(3, 2)])
+    def test_tolerance_of_one_or_more_rejected(self, tolerance):
+        # At 1 no same-sign mismatch can flag, and from 2 on nothing can.
+        point = ([0], [0], [(CARA, CARA)])
+        with pytest.raises(ValueError, match="tolerance must be below 1"):
+            audit("LL", *point, rel_tol=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be below 1"):
+            report("LL", 1, 1, CARA, CARA, rel_tol=tolerance)
+
+    def test_tolerance_just_below_one_still_flags_a_sign_flip(self):
+        # The LL sigma at alpha = beta = 1 is printed -20 and derived 4.
+        rep = report("LL", 1, 1, CARA, CARA, rel_tol=0.999)
+        assert [d.field for d in rep.discrepancies] == ["sigma"]
+
     @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
     def test_one_point_audit_checks_tag_and_tolerance(self, tolerance):
         point = ([0], [0], [(CARA, CARA)])
@@ -554,3 +571,122 @@ def _sqrt_nan(sq):
 
 def _same_float(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
+
+
+# ----------------------------------------------------------------------
+# every audit field against oracles that share none of its arithmetic
+
+
+def _grid_value(upper):
+    # Mixed denominators up to 12 across one axis.
+    return st.integers(1, 12).flatmap(
+        lambda d: st.integers(0, upper * d).map(lambda n: Fraction(n, d)))
+
+
+_TOLERANCES = st.one_of(st.sampled_from([0, 0.0, 1e-10, 0.25]),
+                        st.floats(0, 1, exclude_max=True))
+_TARGET_PAIR = st.tuples(_POSITIVE, _ANY, _POSITIVE, _ANY)
+
+
+def _float_or_nan(value):
+    return math.nan if value is None else float(value)
+
+
+class TestAuditOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), tag=st.sampled_from(THEOREM_TAGS),
+           targets=st.lists(_TARGET_PAIR, min_size=1, max_size=2),
+           rel_tol=_TOLERANCES)
+    @example(data=None, tag="LL", targets=[(Fraction(2), Fraction(2), Fraction(2),
+                                            Fraction(1))], rel_tol=0.25)
+    @example(data=None, tag="PM", targets=[(Fraction(3, 2), Fraction(-7, 8),
+                                            Fraction(5, 4), Fraction(-3))], rel_tol=0)
+    def test_every_field_of_every_row(self, data, tag, targets, rel_tol):
+        if data is None:  # the explicit examples: sevenths and elevenths
+            alphas = [Fraction(0), Fraction(3, 7), Fraction(10, 11), Fraction(1)]
+            betas = [Fraction(2, 7), Fraction(5, 12), Fraction(1, 11)]
+        else:
+            alphas = data.draw(st.lists(_grid_value(1), min_size=1, max_size=4))
+            betas = data.draw(st.lists(_grid_value(1), min_size=1, max_size=4))
+        pairs = [(MindaTarget([B1, B2]), MindaTarget([D1, D2]))
+                 for B1, B2, D1, D2 in targets]
+        rows = iter(audit(tag, alphas, betas, pairs, rel_tol=rel_tol))
+        for a in alphas:
+            for b in betas:
+                for B1, B2, D1, D2 in targets:
+                    self._check(next(rows), tag, a, b, B1, B2, D1, D2, rel_tol)
+
+    @staticmethod
+    def _check(row, tag, a, b, B1, B2, D1, D2, rel_tol):
+        sigma = statement_sigma(tag, a, b)
+        sigma_tilde, a2_generic, a3_generic = generic_reference(tag, a, b, B1, B2, D1, D2)
+        derived = sigma_tilde / SIGMA_SCALE[tag]
+        brackets = statement_a2_brackets(tag, a, b, B1, B2, D1, D2)
+        a2_printed = statement_a2_sq(brackets, sigma, B1, D1)
+        a3_printed = statement_a3_value(tag, a, b, B1, B2, D1, D2, sigma)
+        assert (row.theorem, row.alpha, row.beta) == (tag, float(a), float(b))
+        assert (row.phi, row.psi) == ((float(B1), float(B2)), (float(D1), float(D2)))
+        assert row.sigma_printed == float(sigma)
+        assert row.sigma_derived == float(derived)
+        assert row.sigma_tilde == float(sigma_tilde)
+        assert row.a2_printed == _sqrt(a2_printed)
+        assert row.a2_generic == _sqrt(a2_generic)
+        assert row.a3_printed == (None if a3_printed is None else float(a3_printed))
+        assert row.a3_generic == (None if a3_generic is None else float(a3_generic))
+        assert row.degenerate == (None in (a2_printed, a2_generic, a3_printed, a3_generic))
+        # The a2/a3 rows compare the statements at the derived sigma.
+        compared = (
+            ("sigma", sigma, derived, _float_or_nan),
+            ("a2", statement_a2_sq(brackets, derived, B1, D1), a2_generic, _sqrt_nan),
+            ("a3", statement_a3_value(tag, a, b, B1, B2, D1, D2, derived), a3_generic,
+             _float_or_nan),
+        )
+        witness = tuple(float(v) for v in (a, b, B1, B2, D1, D2))
+        want = [(field, to_float(printed), to_float(generic)) + witness
+                for field, printed, generic, to_float in compared
+                if compare_reference(printed, generic, rel_tol)]
+        got = [(d.field, d.printed, d.derived, d.alpha, d.beta, d.B1, d.B2, d.D1, d.D2)
+               for d in row.discrepancies]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[0] == w[0] and all(map(_same_float, g[1:], w[1:])), (g, w)
+        notes = []
+        if tag == "PM" and D2 != D1:
+            variant = _sqrt(statement_a2_sq(
+                statement_pm_display_brackets(a, b, B1, B2, D1, D2), sigma, B1, D1))
+            stated = _sqrt_nan(a2_printed)
+            if variant is None or abs(variant - stated) > rel_tol * max(1.0, stated):
+                notes.append(f"{variant!r}; the statement value {stated!r} matches")
+        if tag == "LL" and D2 != D1:
+            notes.append("LL |a3| statement carries")
+        assert len(row.notes) == len(notes)
+        for note, part in zip(row.notes, notes):
+            assert part in note
+
+
+class TestCompareRule:
+    def test_boundary_is_the_float_product(self):
+        # A difference equal to the float rel_tol * float(scale) does not
+        # flag; one 1e-30 larger does.  Either argument may be the scale.
+        rel_tol, scale = 0.1, Fraction(1, 3)
+        limit = Fraction(rel_tol * float(scale))
+        assert limit != Fraction(rel_tol) * scale  # the float product, not the exact one
+        for below in (scale - limit, scale - limit - Fraction(1, 10**30)):
+            flags = _mismatch(scale.as_integer_ratio(), below.as_integer_ratio(), rel_tol)
+            assert flags == (scale - below > limit)
+            assert _mismatch(below.as_integer_ratio(), scale.as_integer_ratio(),
+                             rel_tol) == flags
+        assert not _mismatch((1, 3), (2, 6), 0.0)
+        assert _mismatch((1, 3), (10**40 + 1, 3 * 10**40), 0)
+
+    def test_int_tolerance_is_exact(self):
+        # An int tolerance scales exactly, so no float conversion of the
+        # scale happens; a float tolerance converts it, as Fraction does.
+        huge, other = (10**400, 1), (10**400 + 1, 1)
+        assert _mismatch(huge, other, 0)
+        with pytest.raises(OverflowError, match="integer division result too large"):
+            _mismatch(huge, other, 0.0)
+
+    def test_none_flags_only_against_a_value(self):
+        assert not _mismatch(None, None, 0.25)
+        assert _mismatch(None, (1, 2), 0.25) and _mismatch((1, 2), None, 0.25)

@@ -37,6 +37,13 @@ PINNED = {
                              "--phi", "caratheodory", "--psi-coeffs", "2,1"],
     "audit_ll_skewed.json": ["audit", "--theorem", "LL", "--grid", "0:1:1/2",
                              "--phi", "caratheodory", "--psi-coeffs", "2,1"],
+    # Thirds on both axes; both brackets vanish at (0, 0), a degenerate row.
+    "audit_pp_thirds_degenerate.json": ["audit", "--theorem", "PP", "--grid", "0:1:1/3",
+                                        "--phi-coeffs", "1,2", "--psi-coeffs", "1,2"],
+    # A tolerance of 0.5 keeps 11 of the 41 LL discrepancy rows.
+    "audit_ll_tolerance.csv": ["audit", "--theorem", "LL", "--grid", "0:1:1/4",
+                               "--phi", "caratheodory", "--psi-coeffs", "2,1",
+                               "--tolerance", "0.5", "--format", "csv"],
 }
 
 
@@ -260,6 +267,12 @@ REJECTED = {
     "audit_tolerance_inf": (None, AUDIT + ["--tolerance", "inf"]),
     "audit_tolerance_negative": (None, AUDIT + ["--tolerance", "-1"]),
     "config_tolerance_nan": ("tolerance=nan\n", AUDIT),
+    # A relative tolerance of 1 or more would let the audit pass vacuously.
+    "audit_tolerance_1": (None, AUDIT + ["--tolerance", "1"]),
+    "audit_tolerance_2": (None, AUDIT + ["--tolerance", "2"]),
+    "audit_tolerance_1e300": (None, AUDIT + ["--tolerance", "1e300"]),
+    "config_tolerance_1": ("tolerance=1\n", AUDIT),
+    "config_tolerance_2": ("tolerance=2.5\n", AUDIT),
     "preset_zero_denominator": (None, BOUND + ["--phi", "order:1/0"]),
     "bound_order_65": (None, BOUND + ["--order", "65"]),
     "config_order_65": ("order=65\n", BOUND),
@@ -376,6 +389,16 @@ class TestInputContract:
         ):
             assert cli.main(argv) == cli.EXIT_USAGE
             assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_tolerance_of_one_or_more_is_refused(self, tmp_path, capsys):
+        assert cli.main(AUDIT + ["--tolerance", "2"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: tolerance must be below 1, got 2.0\n"
+        config = tmp_path / "defaults.cfg"
+        config.write_text("tolerance=1\n")
+        assert cli.main(["--config", str(config), *AUDIT]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: tolerance must be below 1, got 1.0\n"
+        code, text = run_cli(AUDIT + ["--tolerance", "0.999"])
+        assert code == cli.EXIT_OK and '"tolerance": 0.999' in text
 
     def test_order_cap_is_inclusive(self, tmp_path):
         assert run_cli(BOUND + ["--order", str(cli.MAX_ORDER)])[0] == cli.EXIT_OK
