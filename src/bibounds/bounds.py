@@ -64,9 +64,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import ClassSpec, MindaTarget, _quoted, inverse_triple, triple
-from .solver import (ClosedFormConstants, PairSpec, closed_form_constants,
-                     integer_ratios, over_one_denominator, side_constants,
-                     triple_determinant)
+from .solver import (PairSpec, closed_form_constants, integer_ratios,
+                     over_one_denominator, side_constants, triple_determinant)
 
 # A tag names the class kinds of its two sides, function side first.
 THEOREM_TAGS = ("PP", "PM", "PL", "MM", "ML", "LL")
@@ -340,14 +339,8 @@ def printed_a3_bound(tag, alpha, beta, B1, B2, D1, D2):
 # ----------------------------------------------------------------------
 # generic bounds from the unified elimination
 
-def _constant_pairs(pair: PairSpec) -> ClosedFormConstants:
-    # The pair's exact constants back as (numerator, denominator) pairs.
-    return ClosedFormConstants._make(
-        None if v is None else v.as_integer_ratio() for v in pair.exact_constants)
-
-
 def _generic_a2(pair: PairSpec):
-    return _generic_a2_sq_at(_constant_pairs(pair))
+    return _generic_a2_sq_at(pair.constant_pairs)
 
 
 def _generic_a2_sq(pair: PairSpec):
@@ -373,7 +366,7 @@ def generic_a2_bound(pair: PairSpec):
 def _generic_a3(pair: PairSpec):
     phi, psi = pair.phi, pair.psi
     t = _target_factors(phi.B1, phi.B2, psi.B1, psi.B2)
-    return _generic_a3_at(_constant_pairs(pair), t)
+    return _generic_a3_at(pair.constant_pairs, t)
 
 
 def _generic_a3_value(pair: PairSpec):
@@ -485,22 +478,15 @@ _Row = namedtuple("_Row", "printed generic")
 # inverse-side constants.
 _Column = namedtuple("_Column", "printed display generic")
 
-# Per (alpha, beta): the float parameters and the printed sigma.
-_Point = namedtuple("_Point", "alpha beta sigma")
-
 
 def _targets(phi: MindaTarget, psi: MindaTarget) -> _Targets:
     B1, B2, D1, D2 = phi.B1, phi.B2, psi.B1, psi.B2
     return _Targets(
         phi, psi, _target_factors(B1, B2, D1, D2),
         dict(B1=float(B1), B2=float(B2), D1=float(D1), D2=float(D2)),
-        tuple(float(c) for c in phi.coefficients),
-        tuple(float(c) for c in psi.coefficients),
+        tuple([float(c) for c in phi.coefficients]),
+        tuple([float(c) for c in psi.coefficients]),
     )
-
-
-def _row(tag, a, tf, t: _Targets) -> _Row:
-    return _Row(_function_side(tag, a, t.factors), side_constants(tf, t.phi, t.psi))
 
 
 def _column(tag, b, tg, t: _Targets) -> _Column:
@@ -512,9 +498,9 @@ def _column(tag, b, tg, t: _Targets) -> _Column:
     )
 
 
-def _report_at(tag, point: _Point, t: _Targets, row: _Row, col: _Column,
-               rel_tol) -> BoundReport:
-    sig_printed, tx, F = point.sigma, t.factors, row.printed
+def _report_at(tag, alpha, beta, sig_printed, t: _Targets, row: _Row,
+               col: _Column, rel_tol) -> BoundReport:
+    tx, F = t.factors, row.printed
     f, g = row.generic, col.generic
     st = triple_determinant(f, g)  # sigma_tilde over f.den * g.den
     fg = f.den * g.den
@@ -535,7 +521,7 @@ def _report_at(tag, point: _Point, t: _Targets, row: _Row, col: _Column,
     a2_generic_sq = _generic_a2_sq_at(k)
     a3_generic = _generic_a3_at(k, tx)
 
-    witness = dict(alpha=point.alpha, beta=point.beta, **t.witness)
+    witness = dict(alpha=alpha, beta=beta, **t.witness)
     discrepancies = []
     for field, printed, derived, to_float in (
             ("sigma", sig_printed, sig_derived, _float_or),
@@ -569,8 +555,8 @@ def _report_at(tag, point: _Point, t: _Targets, row: _Row, col: _Column,
     )
     return BoundReport(
         theorem=tag,
-        alpha=point.alpha,
-        beta=point.beta,
+        alpha=alpha,
+        beta=beta,
         phi=t.phi_floats,
         psi=t.psi_floats,
         sigma_printed=sig_printed[0] / sig_printed[1],
@@ -622,7 +608,8 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
     for alpha in alphas:
         a = _f(alpha)
         tf = triple(ClassSpec(tag[0], a))
-        rows = [_row(tag, a, tf, t) for t in targets]
+        rows = [_Row(_function_side(tag, a, t.factors), side_constants(tf, t.phi, t.psi))
+                for t in targets]
         a_float = float(a)
         n, d = a.numerator, a.denominator
         powers = d * d, n * d, n * n  # sigma is at most quadratic in alpha
@@ -635,8 +622,7 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
                                 [_column(tag, b, tg, t) for t in targets]))
             b_float, coefficients, c_den, cols = columns[j]
             sigma = sum(map(operator.mul, coefficients, powers)), c_den * powers[0]
-            point = _Point(a_float, b_float, sigma)
-            out.extend(_report_at(tag, point, t, row, col, rel_tol)
+            out.extend(_report_at(tag, a_float, b_float, sigma, t, row, col, rel_tol)
                        for t, row, col in zip(targets, rows, cols))
     return out
 

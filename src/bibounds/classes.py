@@ -66,9 +66,7 @@ class MindaTarget:
     coefficients: tuple
 
     def __init__(self, coefficients):
-        values = tuple(
-            _real_fraction(c, "target coefficient") for c in coefficients
-        )
+        values = tuple([_real_fraction(c, "target coefficient") for c in coefficients])
         if not values:
             raise ValueError("a target needs at least B1")
         if values[0] <= 0:
@@ -191,14 +189,16 @@ class SchwarzParams:
 
 def triple(spec: ClassSpec) -> ClassTriple:
     """The (p, q, r) expansion triple of a class functional."""
-    a = spec.param
+    # At a parameter n/d: p and q as numerators over d, r as a Fraction.
+    n, d = spec.param.numerator, spec.param.denominator
     if spec.kind == KIND_P:
-        return ClassTriple(1 + 2 * a, 2 * (1 + 3 * a), 1 + 2 * a)
-    if spec.kind == KIND_M:
-        return ClassTriple(1 + a, 2 * (1 + 2 * a), 1 + 3 * a)
-    return ClassTriple(
-        2 - a, 2 * (3 - 2 * a), Fraction(8 - 5 * a - a * a, 2)
-    )
+        p, q, r = d + 2 * n, 2 * (d + 3 * n), Fraction(d + 2 * n, d)
+    elif spec.kind == KIND_M:
+        p, q, r = d + n, 2 * (d + 2 * n), Fraction(d + 3 * n, d)
+    else:  # r = (8 - 5a - a^2) / 2
+        p, q = 2 * d - n, 2 * (3 * d - 2 * n)
+        r = Fraction(8 * d * d - 5 * n * d - n * n, 2 * d * d)
+    return ClassTriple(Fraction(p, d), Fraction(q, d), r)
 
 
 def inverse_triple(t: ClassTriple) -> ClassTriple:

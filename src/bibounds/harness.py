@@ -75,8 +75,18 @@ ATTAIN_TOL = 1e-9
 # Float tolerance of the identity suites.  Their checks cancel terms of size
 # 1e2..1e3 (quotient coefficients, the a2^2 chain) down to about 1e-2, so
 # roundoff reaches a few 1e-13 there; 1e-9 clears that by far and still
-# catches a relative error of 1e-6 in any coefficient.
+# catches a relative error of 1e-6 in any coefficient.  The checks compare
+# through these two helpers, relative and absolute alike.
 VERIFY_TOL = 1e-9
+
+
+def _agree(x, y, mode):
+    return agree(x, y, mode, VERIFY_TOL, VERIFY_TOL)
+
+
+def _agrees_with(a, b):
+    return a.agrees_with(b, VERIFY_TOL, VERIFY_TOL)
+
 
 # run_identity_suites' defaults, which the CLI ``verify`` shares.
 VERIFY_SEED = 7
@@ -380,13 +390,13 @@ def _check_series_ring(rng, mode, samples):
     for _ in range(samples):
         a = _rand_series(rng, mode)
         b = _rand_series(rng, mode)
-        if not (a * b).agrees_with(b * a, VERIFY_TOL, VERIFY_TOL):
+        if not _agrees_with(a * b, b * a):
             return f"commutativity failed for {a!r}, {b!r}"
         c = _rand_series(rng, mode)
-        if not ((a * b) * c).agrees_with(a * (b * c), VERIFY_TOL, VERIFY_TOL):
+        if not _agrees_with((a * b) * c, a * (b * c)):
             return f"associativity failed for {a!r}, {b!r}, {c!r}"
         nz = _rand_series(rng, mode, constant=1)
-        if not ((a / nz) * nz).agrees_with(a, VERIFY_TOL, VERIFY_TOL):
+        if not _agrees_with((a / nz) * nz, a):
             return f"div/mul round trip failed for {a!r}, {nz!r}"
     return None
 
@@ -397,7 +407,7 @@ def _check_product_rule(rng, mode, samples):
         b = _rand_series(rng, mode)
         lhs = (a * b).derivative()
         rhs = a.derivative() * b + a * b.derivative()
-        if not lhs.agrees_with(rhs, VERIFY_TOL, VERIFY_TOL):
+        if not _agrees_with(lhs, rhs):
             return f"product rule failed for {a!r}, {b!r}"
     return None
 
@@ -413,7 +423,7 @@ def _check_pow_additivity(rng, mode, samples):
             t = rng.uniform(-1.5, 1.5)
         lhs = a.pow_unit(s) * a.pow_unit(t)
         rhs = a.pow_unit(s + t)
-        if not lhs.agrees_with(rhs, VERIFY_TOL, VERIFY_TOL):
+        if not _agrees_with(lhs, rhs):
             return f"power additivity failed for {a!r}, s={s}, t={t}"
     return None
 
@@ -425,13 +435,11 @@ def _check_reversion(rng, mode, samples):
         f = TruncatedSeries(coeffs, mode=mode, order=order)
         g = f.revert()
         ident = TruncatedSeries.var(order=order, mode=mode)
-        if not g.compose(f).agrees_with(ident, VERIFY_TOL, VERIFY_TOL):
+        if not _agrees_with(g.compose(f), ident):
             return f"reversion round trip failed for {f!r}"
         a2, a3 = f.coeffs[2], f.coeffs[3]
-        if not (
-            agree(g.coeffs[2], -a2, mode, VERIFY_TOL, VERIFY_TOL)
-            and agree(g.coeffs[3], 2 * a2 * a2 - a3, mode, VERIFY_TOL, VERIFY_TOL)
-        ):
+        if not (_agree(g.coeffs[2], -a2, mode)
+                and _agree(g.coeffs[3], 2 * a2 * a2 - a3, mode)):
             return f"cubic inverse prefix failed for {f!r}"
     return None
 
@@ -447,10 +455,8 @@ def _check_expansions(side, rng, mode, samples):
         coeffs = invert_schlicht(a2, a3) if inverse else (a2, a3)
         series = functional(spec, SchlichtCoeffs(coeffs), mode=mode)
         e1, e2 = (expansion_g if inverse else expansion_f)(triple(spec), a2, a3)
-        if not (
-            agree(series.coeffs[1], e1, mode, VERIFY_TOL, VERIFY_TOL)
-            and agree(series.coeffs[2], e2, mode, VERIFY_TOL, VERIFY_TOL)
-        ):
+        if not (_agree(series.coeffs[1], e1, mode)
+                and _agree(series.coeffs[2], e2, mode)):
             return f"{side} expansion failed for {spec!r}, a2={a2!r}, a3={a3!r}"
     return None
 
@@ -465,10 +471,8 @@ def _check_subordination_form(rng, mode, samples):
         B1, B2 = target.B1, target.B2
         want1 = B1 * c1 / 2
         want2 = B1 * (c2 - c1 * c1 / 2) / 2 + B2 * c1 * c1 / 4
-        if not (
-            agree(composed.coeffs[1], want1, mode, VERIFY_TOL, VERIFY_TOL)
-            and agree(composed.coeffs[2], want2, mode, VERIFY_TOL, VERIFY_TOL)
-        ):
+        if not (_agree(composed.coeffs[1], want1, mode)
+                and _agree(composed.coeffs[2], want2, mode)):
             return f"subordination form failed for {target!r}, c1={c1!r}, c2={c2!r}"
     return None
 
@@ -484,7 +488,7 @@ def _check_starlike_three_ways(rng, mode, samples):
         ]
         base = variants[0]
         for other in variants[1:]:
-            if not base.agrees_with(other, VERIFY_TOL, VERIFY_TOL):
+            if not _agrees_with(base, other):
                 return f"starlike functionals disagree for {f!r}"
     return None
 
@@ -507,7 +511,7 @@ def _check_linkage(rng, mode, samples):
         got = linked_b1(pair, c1)
         top, bottom = _PRINTED_B1_LINKS[tag](pair.class_f.param, pair.class_g.param)
         want = -(pair.phi.B1 * top) / (pair.psi.B1 * bottom) * c1
-        if not agree(got, want, mode, VERIFY_TOL, VERIFY_TOL):
+        if not _agree(got, want, mode):
             return f"b1 linkage failed for {tag} {pair!r}"
     return None
 
@@ -523,17 +527,9 @@ def _check_consistency_chain(rng, mode, samples):
             continue
         # Draws stay well inside the admissible region so that the implied
         # b2 usually lands inside it too.
-        scale = Fraction(1, 16)
-        if mode == EXACT:
-            c1 = QComplex(
-                _rand_fraction(rng) * scale, _rand_fraction(rng) * scale
-            )
-            c2 = QComplex(
-                _rand_fraction(rng) * scale, _rand_fraction(rng) * scale
-            )
-        else:
-            c1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            c2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        scale = Fraction(1, 16) if mode == EXACT else 0.25
+        c1 = _rand_scalar(rng, mode) * scale
+        c2 = _rand_scalar(rng, mode) * scale
         b2 = implied_b2(pair, c1, c2)
         if not _within_disk(b2):
             continue
@@ -542,7 +538,7 @@ def _check_consistency_chain(rng, mode, samples):
         result = eliminate(pair, sp)
         tf = pair.triple_f()
         lhs = tf.q * result.a3 - tf.r * result.a2_squared
-        if not agree(lhs, result.rhs_f, mode, VERIFY_TOL, VERIFY_TOL):
+        if not _agree(lhs, result.rhs_f, mode):
             return f"forward equation not recovered for {pair!r}, sp={sp!r}"
         residual = consistency_residual(pair, sp, result)
         if mode == EXACT:
@@ -555,10 +551,8 @@ def _check_consistency_chain(rng, mode, samples):
             pair.phi,
             TruncatedSeries([1, c1, c2], mode=mode, order=4),
         )
-        if not (
-            agree(result.a2_squared, a2 * a2, mode, VERIFY_TOL, VERIFY_TOL)
-            and agree(result.a3, a3, mode, VERIFY_TOL, VERIFY_TOL)
-        ):
+        if not (_agree(result.a2_squared, a2 * a2, mode)
+                and _agree(result.a3, a3, mode)):
             return f"closed forms disagree with forward solve for {pair!r}"
         if made == samples:
             return None

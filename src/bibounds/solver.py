@@ -26,14 +26,14 @@ rest of this module, the harness sweeps and checks, and the generic bounds
 build on it or on its constants.  QComplex, Fraction and int inputs use the
 exact constants; complex, float and ndarray inputs use float copies, so no
 Fraction ever multiplies an ndarray.  A :class:`PairSpec` computes its two
-triples when built, the exact constants on first use and the float copies
-on first float use, all outside its dataclass fields.  The exact constants
-come from :func:`closed_form_constants`, which joins one
-:func:`side_constants` per side and their determinant, so the audit can
-evaluate many points from side parts it built once per parameter.  Both
-work on int numerators: a side's parts share one denominator, and each
-joined constant is a (numerator, denominator) pair, which a PairSpec
-turns into a Fraction.
+triples when built and its constants on first use, all outside its
+dataclass fields.  The constants come from :func:`closed_form_constants`,
+which joins one :func:`side_constants` per side and their determinant, so
+the audit can evaluate many points from side parts it built once per
+parameter.  Both work on int numerators: a side's parts share one
+denominator, and each joined constant is a (numerator, denominator) pair.
+A PairSpec holds those pairs once and reads its Fractions and its floats
+(one int/int division each) from them.
 
 Vanishing DEN or sigma_tilde marks the result degenerate (the coefficients
 divided by it are None); that is data, not an error, so parameter sweeps
@@ -61,7 +61,7 @@ from .classes import (
 # Constants of the closed forms: X = half_b1 c2 + quarter_db c1^2, Y =
 # half_d1 b2 + quarter_dd b1^2; g2, d2 are None when DEN vanishes and gx, gy
 # when sigma_tilde does.  closed_form_constants gives each as a (numerator,
-# denominator) int pair; a PairSpec holds them as Fractions and as floats.
+# denominator) int pair, as PairSpec.constant_pairs holds them.
 ClosedFormConstants = namedtuple(
     "ClosedFormConstants",
     "kappa half_b1 quarter_db half_d1 quarter_dd denominator g2 d2 gx gy",
@@ -94,19 +94,21 @@ class PairSpec:
         return PairSpec(self.class_g, self.psi, self.class_f, self.phi)
 
     @cached_property
-    def exact_constants(self) -> ClosedFormConstants:
+    def constant_pairs(self) -> ClosedFormConstants:
         f = side_constants(self._triple_f, self.phi, self.psi)
         g = side_constants(self._triple_g, self.psi, self.phi)
+        return closed_form_constants(f, g, triple_determinant(f, g))
+
+    @cached_property
+    def exact_constants(self) -> ClosedFormConstants:
         return ClosedFormConstants._make(
-            None if v is None else Fraction(*v)
-            for v in closed_form_constants(f, g, triple_determinant(f, g))
-        )
+            [None if v is None else Fraction(*v) for v in self.constant_pairs])
 
     @cached_property
     def float_constants(self) -> ClosedFormConstants:
+        # One correctly rounded int/int division each, as float(Fraction).
         return ClosedFormConstants._make(
-            None if v is None else float(v) for v in self.exact_constants
-        )
+            [None if v is None else v[0] / v[1] for v in self.constant_pairs])
 
 
 def over_one_denominator(*pairs):

@@ -8,9 +8,10 @@ and return lists of the same length.
 The printed statements of the six pairings, term by term as the literature
 states them (sigma, the |a2| brackets, the |a3| right sides and the PM
 worked-display variant); ``bibounds.bounds`` evaluates the same statements
-through per-side factors.  The generic bounds, in Fractions straight from
-the closed forms that the ``bibounds.solver`` docstring states; the package
-computes them on int numerators over per-side denominators.
+through per-side factors.  The closed-form constants and the generic
+bounds, in Fractions straight from the closed forms that the
+``bibounds.solver`` docstring states; the package computes them on int
+numerators over per-side denominators.
 """
 
 from fractions import Fraction
@@ -286,8 +287,8 @@ def statement_a3_value(tag, a, b, B1, B2, D1, D2, sigma):
 # generic bounds, from the solver's closed forms
 
 
-def generic_reference(tag, a, b, B1, B2, D1, D2):
-    """(sigma_tilde, |a2|^2 bound, |a3| bound) of the unified elimination.
+def constants_reference(tag, a, b, B1, B2, D1, D2):
+    """sigma_tilde and the solver's closed-form constants, as Fractions.
 
     With (p, q, r) the function-side triple and (p', q', r') the inverse-side
     triple (r' = 2 q' - r_G):
@@ -295,12 +296,13 @@ def generic_reference(tag, a, b, B1, B2, D1, D2):
         sigma_tilde = q r' - q' r
         DEN   = sigma_tilde - q' p^2 (B2 - B1)/B1^2 - q p'^2 (D2 - D1)/D1^2
         kappa = p' B1 / (p D1)
+        X = B1 c2 / 2 + (B2 - B1) c1^2 / 4,  Y = D1 b2 / 2 + (D2 - D1) b1^2 / 4
         g2 = q' B1 / (2 DEN),  d2 = q D1 / (2 DEN)
         gx = r' / sigma_tilde, gy = r / sigma_tilde
 
-    and the bounds are |a2|^2 <= 2 |g2| + 2 |d2| and |a3| <= |gx| (B1 + |B2 -
-    B1|) + |gy| (D1 + kappa^2 |D2 - D1|); each is None where DEN or
-    sigma_tilde vanishes.
+    Returns (sigma_tilde, constants), the constants a dict keyed by the
+    field names of ``ClosedFormConstants``; g2 and d2 are None where DEN
+    vanishes, gx and gy where sigma_tilde does.
     """
     tf = triple(ClassSpec(tag[0], a))
     tg = inverse_triple(triple(ClassSpec(tag[1], b)))
@@ -308,14 +310,33 @@ def generic_reference(tag, a, b, B1, B2, D1, D2):
     pg, qg, rg = tg.p, tg.q, tg.r
     sigma_tilde = q * rg - qg * r
     den = sigma_tilde - qg * p**2 * (B2 - B1) / B1**2 - q * pg**2 * (D2 - D1) / D1**2
-    kappa = pg * B1 / (p * D1)
-    a2_sq = a3 = None
+    constants = dict(
+        kappa=pg * B1 / (p * D1),
+        half_b1=B1 / 2, quarter_db=(B2 - B1) / 4,
+        half_d1=D1 / 2, quarter_dd=(D2 - D1) / 4,
+        denominator=den, g2=None, d2=None, gx=None, gy=None,
+    )
     if den != 0:
-        g2, d2 = qg * B1 / (2 * den), q * D1 / (2 * den)
-        a2_sq = 2 * abs(g2) + 2 * abs(d2)
+        constants.update(g2=qg * B1 / (2 * den), d2=q * D1 / (2 * den))
     if sigma_tilde != 0:
-        gx, gy = rg / sigma_tilde, r / sigma_tilde
-        a3 = abs(gx) * (B1 + abs(B2 - B1)) + abs(gy) * (D1 + kappa**2 * abs(D2 - D1))
+        constants.update(gx=rg / sigma_tilde, gy=r / sigma_tilde)
+    return sigma_tilde, constants
+
+
+def generic_reference(tag, a, b, B1, B2, D1, D2):
+    """(sigma_tilde, |a2|^2 bound, |a3| bound) of the unified elimination.
+
+    From the constants of :func:`constants_reference`, the bounds are
+    |a2|^2 <= 2 |g2| + 2 |d2| and |a3| <= |gx| (B1 + |B2 - B1|) + |gy| (D1 +
+    kappa^2 |D2 - D1|); each is None where DEN or sigma_tilde vanishes.
+    """
+    sigma_tilde, k = constants_reference(tag, a, b, B1, B2, D1, D2)
+    a2_sq = a3 = None
+    if k["g2"] is not None:
+        a2_sq = 2 * abs(k["g2"]) + 2 * abs(k["d2"])
+    if k["gx"] is not None:
+        a3 = (abs(k["gx"]) * (B1 + abs(B2 - B1))
+              + abs(k["gy"]) * (D1 + k["kappa"] ** 2 * abs(D2 - D1)))
     return sigma_tilde, a2_sq, a3
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bibounds import (
     ClassSpec,
@@ -27,8 +29,9 @@ from bibounds import (
     theorem_pair,
 )
 from bibounds.bounds import SIGMA_SCALE, THEOREM_TAGS, derived_sigma
-from bibounds.solver import closed_forms
+from bibounds.solver import ClosedFormConstants, closed_forms
 from conftest import rand_fraction, rand_qc
+from oracles import constants_reference
 
 CARA = target_preset("caratheodory")
 
@@ -491,3 +494,43 @@ class TestClosedFormsKernel:
     def test_accessors_stay_plain_methods(self):
         for name in ("triple_f", "triple_g_inverse", "swapped"):
             assert callable(PairSpec.__dict__[name])
+
+
+# ----------------------------------------------------------------------
+# every field of the pair's constants against the Fraction oracle
+
+# Parameters in [0, 1] with denominators up to 12, sevenths and elevenths
+# among them; targets with negative second coefficients.
+_PARAM = st.integers(1, 12).flatmap(
+    lambda d: st.integers(0, d).map(lambda n: Fraction(n, d)))
+_FIRST = st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12)
+_SECOND = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+class TestConstantsOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(tag=st.sampled_from(THEOREM_TAGS), a=_PARAM, b=_PARAM,
+           B1=_FIRST, B2=_SECOND, D1=_FIRST, D2=_SECOND)
+    @example(tag="PP", a=Fraction(0), b=Fraction(0), B1=Fraction(1), B2=Fraction(2),
+             D1=Fraction(1), D2=Fraction(2))
+    @example(tag="LL", a=Fraction(3, 7), b=Fraction(10, 11), B1=Fraction(5, 12),
+             B2=Fraction(-7, 11), D1=Fraction(2, 7), D2=Fraction(-3))
+    def test_every_field(self, tag, a, b, B1, B2, D1, D2):
+        pair = theorem_pair(tag, a, b, MindaTarget([B1, B2]), MindaTarget([D1, D2]))
+        _, want = constants_reference(tag, a, b, B1, B2, D1, D2)
+        for field in ClosedFormConstants._fields:
+            exact = getattr(pair.exact_constants, field)
+            assert exact == want[field] and type(exact) is type(want[field]), field
+            value = getattr(pair.float_constants, field)
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(value) == repr(None if exact is None else float(exact)), field
+
+    def test_degenerate_pp_has_no_a2_constants(self):
+        # PP(0, 0) with B = D = (1, 2), the first example above: DEN vanishes
+        # and sigma_tilde does not.
+        target = MindaTarget([1, 2])
+        pair = theorem_pair("PP", 0, 0, target, target)
+        assert pair.exact_constants.denominator == 0
+        assert pair.exact_constants.g2 is pair.exact_constants.d2 is None
+        assert pair.float_constants.g2 is pair.float_constants.d2 is None
+        assert pair.exact_constants.gx is not None
