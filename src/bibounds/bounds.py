@@ -467,7 +467,7 @@ def report(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget,
 
 
 # Per target pair, what every audit point reads: the targets, their
-# factors, and the float witness values and coefficient tuples.
+# factors, the float witness values (B1, B2, D1, D2) and coefficient tuples.
 _Targets = namedtuple("_Targets", "phi psi factors witness phi_floats psi_floats")
 
 # Per (alpha, target pair): the printed F and the function-side constants.
@@ -481,12 +481,15 @@ _Column = namedtuple("_Column", "printed display generic")
 
 def _targets(phi: MindaTarget, psi: MindaTarget) -> _Targets:
     B1, B2, D1, D2 = phi.B1, phi.B2, psi.B1, psi.B2
-    return _Targets(
-        phi, psi, _target_factors(B1, B2, D1, D2),
-        dict(B1=float(B1), B2=float(B2), D1=float(D1), D2=float(D2)),
-        tuple([float(c) for c in phi.coefficients]),
-        tuple([float(c) for c in psi.coefficients]),
-    )
+    return _Targets(phi, psi, _target_factors(B1, B2, D1, D2),
+                    _floats((B1, B2, D1, D2)), _floats(phi.coefficients),
+                    _floats(psi.coefficients))
+
+
+def _floats(values) -> tuple:
+    # int/int true division rounds as float() of the Fraction does, and
+    # raises the same OverflowError, without numbers.Rational.__float__.
+    return tuple([v.numerator / v.denominator for v in values])
 
 
 def _column(tag, b, tg, t: _Targets) -> _Column:
@@ -521,7 +524,6 @@ def _report_at(tag, alpha, beta, sig_printed, t: _Targets, row: _Row,
     a2_generic_sq = _generic_a2_sq_at(k)
     a3_generic = _generic_a3_at(k, tx)
 
-    witness = dict(alpha=alpha, beta=beta, **t.witness)
     discrepancies = []
     for field, printed, derived, to_float in (
             ("sigma", sig_printed, sig_derived, _float_or),
@@ -529,7 +531,8 @@ def _report_at(tag, alpha, beta, sig_printed, t: _Targets, row: _Row,
             ("a3", a3_aligned, a3_generic, _float_or)):
         if _mismatch(printed, derived, rel_tol):
             discrepancies.append(Discrepancy(field, to_float(printed, math.nan),
-                                             to_float(derived, math.nan), **witness))
+                                             to_float(derived, math.nan),
+                                             alpha, beta, *t.witness))
 
     notes = []
     if col.display is not None:

@@ -10,7 +10,13 @@ Each command is a row of ``_COMMANDS``: help text, flag adders, a run
 function ``(args, config) -> (payload, exit_code)``, a pretty renderer and a
 CSV renderer or ``None`` (``--format csv`` is offered only with one).
 :func:`_render` is the one renderer: JSON through :func:`render_json`,
-otherwise the row's renderers, which read only the payload.  ``main`` is the
+otherwise the row's renderers, which read only the payload.
+:func:`render_json` is the one JSON writer, one pass over the payload.
+Within one call it formats each distinct float once (a memo passed down the
+recursion, dropped when the call returns), and a list whose items are plain
+dicts with one key sequence (the audit's reports, each discrepancy list,
+verify's checks, the table's rows) builds each key's text once for the
+list; every other value takes the general path.  ``main`` is the
 one place that turns a ``ValueError`` (from flag parsing or the library's
 own input checks) or an ``OverflowError`` (a result that does not fit a
 float) into a usage error; a ``RuntimeError`` such as a bound violation
@@ -85,20 +91,31 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_text(value) -> str:
     # repr of the value rounded to nine significant digits, with json's
-    # spellings of the non-finite values; every zero is written 0.0.
+    # spellings of the non-finite values; every zero is written 0.0.  A
+    # ".9g" text without an exponent is already that repr once an integer
+    # text gains ".0": with at most nine significant digits it is the
+    # shortest text that reads back as its float, and repr's fixed-point
+    # range (exponents -4 to 15) holds ".9g"'s (-4 to 8).
     if value != value:
         return "NaN"
     if value == 0:
         return "0.0"
     if value in (math.inf, -math.inf):
         return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(float(format(value, ".9g")))
+    text = format(value, ".9g")
+    if "e" in text:
+        return float.__repr__(float(text))
+    return text if "." in text else text + ".0"
 
 
-def _emit(value, newline, write):
-    # One value at the indentation that newline carries.
+def _emit(value, newline, write, texts):
+    # One value at the indentation that newline carries; texts maps each
+    # float already written in this render to its text.
     if isinstance(value, float):
-        write(_float_text(value))
+        text = texts.get(value)
+        if text is None:
+            text = texts[value] = _float_text(value)
+        write(text)
     elif isinstance(value, str):
         write(_quote(value))
     elif value is None:
@@ -119,7 +136,7 @@ def _emit(value, newline, write):
             write(separator)
             write(_quote(key))  # payload keys are strings
             write(": ")
-            _emit(item, inner, write)
+            _emit(item, inner, write, texts)
             separator = rest
         write(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -127,16 +144,30 @@ def _emit(value, newline, write):
             write("[]")
             return
         inner = newline + "  "
+        # Rows: the items that are plain dicts with the first item's keys,
+        # in its order, share one key text per field, built here once.
+        keys = tuple(value[0]) if type(value[0]) is dict else ()
+        if keys:
+            field = inner + "  "
+            heads = ["," + field + _quote(key) + ": " for key in keys]
+            heads[0] = "{" + heads[0][1:]  # the first key opens the row
+            close = inner + "}"
         separator, rest = "[" + inner, "," + inner
         for item in value:
             write(separator)
-            _emit(item, inner, write)
+            if keys and type(item) is dict and tuple(item) == keys:
+                for head, cell in zip(heads, item.values()):
+                    write(head)
+                    _emit(cell, field, write, texts)
+                write(close)
+            else:
+                _emit(item, inner, write, texts)
             separator = rest
         write(newline + "]")
     elif isinstance(value, Fraction):
-        write(_float_text(float(value)))
+        _emit(float(value), newline, write, texts)
     elif isinstance(value, complex):
-        _emit([value.real, value.imag], newline, write)
+        _emit([value.real, value.imag], newline, write, texts)
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} "
                         "is not JSON serializable")
@@ -147,9 +178,12 @@ def render_json(payload: dict) -> str:
 
     One pass: floats (and Fractions) are rounded to nine significant
     digits, complex numbers become ``[re, im]`` and tuples lists on the way.
+    Each distinct float is formatted once per call (a memo that lives for
+    this call only), and a list of plain dicts with one key sequence, such
+    as the audit's reports, builds each key's text once for the list.
     """
     out = []
-    _emit(payload, "\n", out.append)
+    _emit(payload, "\n", out.append, {})
     out.append("\n")
     return "".join(out)
 
@@ -183,11 +217,14 @@ def _record(obj, skip=()) -> dict:
 
 
 _REPORT_FIELDS = tuple(f.name for f in fields(_bounds.BoundReport))
+# Per-point audit rows drop what the audit payload states once.
+_AUDIT_ROW_FIELDS = tuple(name for name in _REPORT_FIELDS if name not in
+                          ("theorem", "phi", "psi", "sigma_tilde", "notes"))
 _DISCREPANCY_FIELDS = tuple(f.name for f in fields(_bounds.Discrepancy))
 
 
-def _report_record(rep, skip=()) -> dict:
-    record = {name: getattr(rep, name) for name in _REPORT_FIELDS if name not in skip}
+def _report_record(rep, names=_REPORT_FIELDS) -> dict:
+    record = {name: getattr(rep, name) for name in names}
     record["discrepancies"] = [
         {name: getattr(d, name) for name in _DISCREPANCY_FIELDS}
         for d in rep.discrepancies
@@ -360,8 +397,6 @@ def build_parser() -> _Parser:
 
 _BOUND_KEYS = ("sigma_printed", "sigma_derived", "a2_printed", "a2_generic",
                "a3_printed", "a3_generic")
-# Per-point audit rows drop what the audit payload states once.
-_AUDIT_ROW_SKIP = ("theorem", "phi", "psi", "sigma_tilde", "notes")
 _AUDIT_CSV = ("theorem", "alpha", "beta", "B1", "B2", "D1", "D2",
               "field", "printed", "derived")
 _SWEEP_CSV = ("theorem", "alpha", "beta", "B1", "B2", "D1", "D2",
@@ -398,7 +433,7 @@ def _run_audit(args, config):
         "phi": reports[0].phi,
         "psi": reports[0].psi,
         "tolerance": tolerance,
-        "reports": [_report_record(rep, _AUDIT_ROW_SKIP) for rep in reports],
+        "reports": [_report_record(rep, _AUDIT_ROW_FIELDS) for rep in reports],
         "discrepancy_count": sum(len(rep.discrepancies) for rep in reports),
         "notes": sorted({note for rep in reports for note in rep.notes}),
     }

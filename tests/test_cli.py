@@ -1,10 +1,12 @@
 import io
 import contextlib
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibounds import cli
+from bibounds.bounds import BoundReport, Discrepancy
 from bibounds.harness import CheckResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +57,52 @@ def run_cli(argv):
     return code, buffer.getvalue()
 
 
+# The audit-grid benchmark's argv shapes at full size (an 11 x 11 grid), in
+# every format: sha256 of repr((exit code, stdout, stderr)).
+AUDIT_GRID_TARGETS = {
+    "equal": ["--phi", "caratheodory", "--psi", "caratheodory"],
+    "skewed": ["--phi", "caratheodory", "--psi-coeffs", "2,1"],
+}
+AUDIT_GRID_DIGESTS = {
+    ("PP", "equal", "json"): "de3b1d13de95faa8f0b4d287af471a97d869acdc3974079427939cff210b2a37",
+    ("PP", "equal", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("PP", "equal", "pretty"): "b74f46f5213ee7bec6e63b9c707db071c24a855e4057d28bf8cff4cfd265116a",
+    ("PP", "skewed", "json"): "fdd669b0d3b24bd00a2f1fe7d8f3cd04f22999aa2e3cb9d5bb16d7194debbc9f",
+    ("PP", "skewed", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("PP", "skewed", "pretty"): "b74f46f5213ee7bec6e63b9c707db071c24a855e4057d28bf8cff4cfd265116a",
+    ("PM", "equal", "json"): "f7722f46033f0173517a803cf5da284fb2b529c0753a550093c4f316406fa9be",
+    ("PM", "equal", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("PM", "equal", "pretty"): "752610ce9ac66d8fc85325ded648ba0af82389850e08f67d9d4f1260a27cce1c",
+    ("PM", "skewed", "json"): "819e6771f2c2dde165678b6598ee61e94a66d49597ff41a2ccd71395aa4d2f70",
+    ("PM", "skewed", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("PM", "skewed", "pretty"): "752610ce9ac66d8fc85325ded648ba0af82389850e08f67d9d4f1260a27cce1c",
+    ("PL", "equal", "json"): "194ac3b008ee4c5cabe1f62614e5c47f3fc00b9491b7e7ae74a5613f820c9088",
+    ("PL", "equal", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("PL", "equal", "pretty"): "f323eabfa52a6c67f22fc98d8463c0ca305db869a5dda4f52169b072bb584a7a",
+    ("PL", "skewed", "json"): "3117686ce23ee7c909eb84c5ea011a90b0f2b990d84acf13f7b9f5b26f60d42f",
+    ("PL", "skewed", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("PL", "skewed", "pretty"): "f323eabfa52a6c67f22fc98d8463c0ca305db869a5dda4f52169b072bb584a7a",
+    ("MM", "equal", "json"): "7db85cd0acf72a997d500043feb205fc28aa7704a2515ae4d17b2530cdfb97c8",
+    ("MM", "equal", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("MM", "equal", "pretty"): "4a2e2c2214b0c4347bc62d2333561af2c81e3e8cdf16b868a76201c3e08cb10d",
+    ("MM", "skewed", "json"): "69ba571bb343bca73a6d612f7d9aada02317bc4444dceadd3ebbd47e7efc0a5c",
+    ("MM", "skewed", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("MM", "skewed", "pretty"): "4a2e2c2214b0c4347bc62d2333561af2c81e3e8cdf16b868a76201c3e08cb10d",
+    ("ML", "equal", "json"): "ebc0b1fab03a9876281abd0576de0e49a137a0632e068352a8c3524ace84703c",
+    ("ML", "equal", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("ML", "equal", "pretty"): "7b6e67ef14f067df77853fc9f05644ab72d9beea63441e0b62382a4ce6d65acc",
+    ("ML", "skewed", "json"): "dc882f30b7da77dde7d9aa29ad102414a6f454168d971f5f56cfe319ee0b13cf",
+    ("ML", "skewed", "csv"): "cd0ffe2908c92ccc2528771ad321255f13c281a1192c90137f7a97e0e246e907",
+    ("ML", "skewed", "pretty"): "7b6e67ef14f067df77853fc9f05644ab72d9beea63441e0b62382a4ce6d65acc",
+    ("LL", "equal", "json"): "8705f1320d98a69926a90f0d799f5771f2ddef795f5d1b7833afded039e1f6d7",
+    ("LL", "equal", "csv"): "f13f79ac50552adbca132bac648e35dfd6477c472623c76f4448cbf56be19fa7",
+    ("LL", "equal", "pretty"): "5428dd3c0c108d9159dafff9a4a00d46af862b545f6da7a19f0ba48e6fa844eb",
+    ("LL", "skewed", "json"): "3b7370a8c306164bfa7884d5b63ca3f4cdae8706f58faa9094702d1317944e7c",
+    ("LL", "skewed", "csv"): "b0c86e38254782640ad58340429e9057e4effa5e66c915f13c5629ba2e121b71",
+    ("LL", "skewed", "pretty"): "c62ac9838215a2c293063c7884a670095840044bc9e6dd51b22b87ab6e8004b4",
+}
+
+
 class TestGolden:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_pinned_output(self, name):
@@ -82,6 +131,16 @@ class TestGolden:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
         assert outputs.pop() == (GOLDEN / "bound.json").read_text()
+
+    @pytest.mark.parametrize("tag, targets, fmt", sorted(AUDIT_GRID_DIGESTS))
+    def test_audit_grid_digest(self, tag, targets, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["audit", "--theorem", tag, "--grid", "0:1:1/10",
+                             *AUDIT_GRID_TARGETS[targets], "--format", fmt])
+        text = repr((code, out.getvalue(), err.getvalue()))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            AUDIT_GRID_DIGESTS[tag, targets, fmt]
 
 
 class TestExitCodes:
@@ -531,6 +590,22 @@ _JSON_PAYLOADS = st.recursive(
 @example({"": [], "a": {}, "b": [[], {}, ()], "\u00e9\n\x00\"": {"\x1f\u2028": [True, 1, 1.0]}})
 @example([True, False, 1, 0, -0.0, 0.0, math.nan, math.inf, -math.inf, 2**200])
 @example({"c": complex(-0.0, math.nan), "f": Fraction(-1, 3), "t": (1, (2, ()))})
+# Float texts on both sides of ".9g"'s switch to an exponent, and at the ends
+# of the float range.
+@example([1e-4, 9.99999999e-5, -1e-4, -9.99999999e-5, 999999999.4, 999999999.6,
+          1e9, 1e16, 5e-324, -5e-324, 1.7976931348623157e308])
+@example([24.0, 123456789.0, 1234567890123.0, -24.0, 0.5, 1e-4, 1e-4])
+# Lists of dicts: one key sequence, a dict with another order or key set, an
+# empty first dict, dicts mixed with other values, and an OrderedDict.
+@example([{"a": 1.5, "b": [{"c": 1e-4}, {"c": 24.0}]}, {"a": None, "b": []},
+          {"a": "x", "b": {"c": 2}}])
+@example(({"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}, {"a": 1, "b": 2, "c": 3},
+          {"a": 1, "b": 2}))
+@example([{}, {"a": 1}, {}])
+@example([{"a": 1.0}, 2, [{"a": 1.0}], None, {"a": 0.5}, "a", (), {"a": {}}])
+@example([{"a": 1, "b": 2}, OrderedDict([("a", 1), ("b", 2)]),
+          OrderedDict([("b", 0.25)]), {"a": 3, "b": 4}])
+@example([OrderedDict([("a", 1)]), {"a": 2}])
 def test_render_json_is_the_reference_bytes(payload):
     assert cli.render_json(payload) == _reference_json(payload)
 
@@ -539,6 +614,54 @@ def test_render_json_on_an_audit_payload():
     args = cli.build_parser().parse_args(
         ["audit", "--theorem", "PM", "--grid", "0:1:1/10", "--psi-coeffs", "2,1"])
     payload, _ = cli._run_audit(args, {})
+    assert cli.render_json(payload) == _reference_json(payload)
+
+
+@pytest.mark.parametrize("targets", [
+    ["--phi", "caratheodory", "--psi", "caratheodory"],
+    ["--psi-coeffs", "2,1"],
+    # Degenerate rows where a grid reaches alpha = 0 (LL: alpha = beta = 1).
+    ["--phi-coeffs", "1,2", "--psi-coeffs", "1,2"],
+], ids=["equal", "skewed", "degenerate"])
+@pytest.mark.parametrize("grid", ["0:1:1/10", "0:1:1/3", "1/7:1:2/7", "1/3:1/3:1"])
+@pytest.mark.parametrize("tag", ["PP", "PM", "PL", "MM", "ML", "LL"])
+def test_render_json_on_audit_payloads(tag, grid, targets):
+    args = cli.build_parser().parse_args(
+        ["audit", "--theorem", tag, "--grid", grid, *targets])
+    payload, _ = cli._run_audit(args, {})
+    assert cli.render_json(payload) == _reference_json(payload)
+
+
+def _hand_report(alpha, discrepancies, **values):
+    fields = dict(theorem="LL", alpha=alpha, beta=0.5, phi=(2.0, -0.0), psi=(),
+                  sigma_printed=1.0, sigma_derived=1.0, sigma_tilde=-0.0,
+                  a2_printed=None, a2_generic=None, a3_printed=None,
+                  a3_generic=None, degenerate=True, discrepancies=(),
+                  notes=("a note",))
+    fields.update(values)
+    witness = dict(alpha=alpha, beta=0.5, B1=2.0, B2=-0.0, D1=math.inf, D2=math.nan)
+    fields["discrepancies"] = tuple(
+        Discrepancy(field, printed, derived, **witness)
+        for field, printed, derived in discrepancies)
+    return BoundReport(**fields)
+
+
+def test_render_json_on_hand_built_reports():
+    # Rows that hold None, NaN, infinities and -0.0, and a row with three
+    # discrepancies, in the audit's row shape and in bound's.
+    reports = [
+        _hand_report(0.0, []),
+        _hand_report(-0.0, [("sigma", math.nan, -0.0), ("a2", math.inf, -math.inf),
+                            ("a3", 1e-4, 9.99999999e-5)],
+                     sigma_printed=math.nan, a2_printed=math.inf,
+                     a2_generic=-math.inf, a3_printed=-0.0, a3_generic=24.0,
+                     degenerate=False),
+        _hand_report(1e16, [("a2", 5e-324, 1.7976931348623157e308)],
+                     a3_printed=123456789.0),
+    ]
+    payload = {"reports": [cli._report_record(rep, cli._AUDIT_ROW_FIELDS)
+                           for rep in reports],
+               "bound": [cli._report_record(rep) for rep in reports]}
     assert cli.render_json(payload) == _reference_json(payload)
 
 
