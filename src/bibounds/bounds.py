@@ -60,7 +60,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import ClassSpec, MindaTarget, _quoted, inverse_triple, triple
@@ -399,40 +398,15 @@ def generic_a3_bound(pair: PairSpec):
 # ----------------------------------------------------------------------
 # audit
 
-@dataclass(frozen=True)
-class Discrepancy:
-    """One printed-vs-derived mismatch with its witness parameters."""
+# One printed-vs-derived mismatch with its witness parameters.
+Discrepancy = namedtuple(
+    "Discrepancy", "field printed derived alpha beta B1 B2 D1 D2")
 
-    field: str
-    printed: float
-    derived: float
-    alpha: float
-    beta: float
-    B1: float
-    B2: float
-    D1: float
-    D2: float
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Printed and derived values at one parameter/target point."""
-
-    theorem: str
-    alpha: float
-    beta: float
-    phi: tuple
-    psi: tuple
-    sigma_printed: float
-    sigma_derived: float
-    sigma_tilde: float
-    a2_printed: object
-    a2_generic: object
-    a3_printed: object
-    a3_generic: object
-    degenerate: bool
-    discrepancies: tuple
-    notes: tuple
+# Printed and derived values at one parameter/target point.
+BoundReport = namedtuple(
+    "BoundReport",
+    "theorem alpha beta phi psi sigma_printed sigma_derived sigma_tilde "
+    "a2_printed a2_generic a3_printed a3_generic degenerate discrepancies notes")
 
 
 def _mismatch(left, right, rel_tol=AUDIT_REL_TOL) -> bool:
@@ -613,14 +587,15 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
         tf = triple(ClassSpec(tag[0], a))
         rows = [_Row(_function_side(tag, a, t.factors), side_constants(tf, t.phi, t.psi))
                 for t in targets]
-        a_float = float(a)
         n, d = a.numerator, a.denominator
+        a_float = n / d
         powers = d * d, n * d, n * n  # sigma is at most quadratic in alpha
         for j, beta in enumerate(betas):
             if j == len(columns):
                 b = _f(beta)
                 tg = inverse_triple(triple(ClassSpec(tag[1], b)))
-                columns.append((float(b), _sigma_in_alpha(tag, b.numerator, b.denominator),
+                columns.append((b.numerator / b.denominator,
+                                _sigma_in_alpha(tag, b.numerator, b.denominator),
                                 b.denominator ** 2,
                                 [_column(tag, b, tg, t) for t in targets]))
             b_float, coefficients, c_den, cols = columns[j]

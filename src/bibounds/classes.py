@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .series import (
@@ -56,22 +56,35 @@ def _real_fraction(value, what="value"):
     raise TypeError(f"{what} must be real, got {value!r}")
 
 
-@dataclass(frozen=True)
-class MindaTarget:
+class CheckedRecord:
+    """Base for a namedtuple whose constructor checks or converts its fields.
+
+    ``_make``, and so ``_replace``, builds through the constructor, so no
+    replacement gives a value that the constructor refuses.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class MindaTarget(CheckedRecord, namedtuple("MindaTarget", "coefficients")):
     """Real coefficients B1.. of a target ``1 + B1 z + B2 z^2 + ...``.
 
     B1 must be positive; coefficients beyond the stored ones are zero.
     """
 
-    coefficients: tuple
+    __slots__ = ()
 
-    def __init__(self, coefficients):
+    def __new__(cls, coefficients):
         values = tuple([_real_fraction(c, "target coefficient") for c in coefficients])
         if not values:
             raise ValueError("a target needs at least B1")
         if values[0] <= 0:
             raise ValueError(f"B1 must be positive, got {brief(values[0])}")
-        object.__setattr__(self, "coefficients", values)
+        return tuple.__new__(cls, (values,))
 
     @property
     def B1(self) -> Fraction:
@@ -94,14 +107,12 @@ class MindaTarget:
         return TruncatedSeries(coeffs, mode=mode, order=order)
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(CheckedRecord, namedtuple("ClassSpec", "kind param")):
     """A class kind plus its real parameter."""
 
-    kind: str
-    param: Fraction
+    __slots__ = ()
 
-    def __init__(self, kind, param):
+    def __new__(cls, kind, param):
         if kind not in CLASS_KINDS:
             raise ValueError(f"unknown class kind {kind!r}")
         value = _real_fraction(param, "class parameter")
@@ -114,35 +125,29 @@ class ClassSpec:
             raise ValueError(
                 f"{kind}-class parameter must be nonnegative, got {brief(value)}"
             )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "param", value)
+        return tuple.__new__(cls, (kind, value))
 
 
-@dataclass(frozen=True)
-class ClassTriple:
+class ClassTriple(CheckedRecord, namedtuple("ClassTriple", "p q r")):
     """Expansion triple (p, q, r): functional = 1 + p a2 z + (q a3 - r a2^2) z^2."""
 
-    p: Fraction
-    q: Fraction
-    r: Fraction
+    __slots__ = ()
 
-    def __init__(self, p, q, r):
-        object.__setattr__(self, "p", _real_fraction(p, "p"))
-        object.__setattr__(self, "q", _real_fraction(q, "q"))
-        object.__setattr__(self, "r", _real_fraction(r, "r"))
+    def __new__(cls, p, q, r):
+        return tuple.__new__(cls, (_real_fraction(p, "p"), _real_fraction(q, "q"),
+                                   _real_fraction(r, "r")))
 
 
-@dataclass(frozen=True)
-class SchlichtCoeffs:
+class SchlichtCoeffs(CheckedRecord, namedtuple("SchlichtCoeffs", "values")):
     """Coefficients a2.. of a normalized function z + a2 z^2 + a3 z^3 + ...
 
     No univalence check is performed or implied.
     """
 
-    values: tuple
+    __slots__ = ()
 
-    def __init__(self, values):
-        object.__setattr__(self, "values", tuple(values))
+    def __new__(cls, values):
+        return tuple.__new__(cls, (tuple(values),))
 
     def series(self, order=DEFAULT_ORDER, mode=EXACT) -> TruncatedSeries:
         coeffs = [0, 1, *self.values]
@@ -158,19 +163,16 @@ def _within_disk(value) -> bool:
     return abs(complex(value)) <= 2 + 1e-9
 
 
-@dataclass(frozen=True)
-class SchwarzParams:
+class SchwarzParams(CheckedRecord, namedtuple("SchwarzParams", "c1 c2 b2")):
     """Free coefficients (c1, c2, b2) of the two unit-disk transforms.
 
     Each modulus is at most 2; b1 is never stored, it is derived from c1
     through the class linkage (:func:`bibounds.solver.linked_b1`).
     """
 
-    c1: object
-    c2: object
-    b2: object
+    __slots__ = ()
 
-    def __init__(self, c1, c2, b2):
+    def __new__(cls, c1, c2, b2):
         values = []
         mode = mode_of(c1, c2, b2)
         for name, value in (("c1", c1), ("c2", c2), ("b2", b2)):
@@ -178,9 +180,7 @@ class SchwarzParams:
             if not _within_disk(value):
                 raise ValueError(f"|{name}| must be at most 2, got {value!r}")
             values.append(value)
-        object.__setattr__(self, "c1", values[0])
-        object.__setattr__(self, "c2", values[1])
-        object.__setattr__(self, "b2", values[2])
+        return tuple.__new__(cls, values)
 
     @property
     def mode(self) -> str:

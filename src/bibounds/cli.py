@@ -41,10 +41,9 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable
 
 from .series import DEFAULT_ORDER, EXACT, FLOAT
 from .classes import (ClassSpec, LiteralTooLargeError, MindaTarget,
@@ -211,24 +210,14 @@ def _render(command, fmt, payload) -> str:
     return "".join(line + "\n" for line in command.pretty(payload))
 
 
-def _record(obj, skip=()) -> dict:
-    """A dataclass's fields in declaration order (shallow: no leaf copies)."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
-
-
-_REPORT_FIELDS = tuple(f.name for f in fields(_bounds.BoundReport))
 # Per-point audit rows drop what the audit payload states once.
-_AUDIT_ROW_FIELDS = tuple(name for name in _REPORT_FIELDS if name not in
+_AUDIT_ROW_FIELDS = tuple(name for name in _bounds.BoundReport._fields if name not in
                           ("theorem", "phi", "psi", "sigma_tilde", "notes"))
-_DISCREPANCY_FIELDS = tuple(f.name for f in fields(_bounds.Discrepancy))
 
 
-def _report_record(rep, names=_REPORT_FIELDS) -> dict:
+def _report_record(rep, names=_bounds.BoundReport._fields) -> dict:
     record = {name: getattr(rep, name) for name in names}
-    record["discrepancies"] = [
-        {name: getattr(d, name) for name in _DISCREPANCY_FIELDS}
-        for d in rep.discrepancies
-    ]
+    record["discrepancies"] = [d._asdict() for d in rep.discrepancies]
     return record
 
 
@@ -280,9 +269,11 @@ def _order(args, config) -> int:
 
 
 def _target(preset_key, coeffs_text, order) -> MindaTarget:
-    if coeffs_text:
+    # A flag given an empty value is parsed, and refused, not read as absent.
+    if coeffs_text is not None:
         return MindaTarget([rational(part) for part in coeffs_text.split(",")])
-    return target_preset(preset_key or "caratheodory", order=order)
+    return target_preset("caratheodory" if preset_key is None else preset_key,
+                         order=order)
 
 
 def _targets(args, config):
@@ -461,12 +452,9 @@ def _audit_csv(payload):
 
 def _run_sweep(args, config):
     phi, psi = _targets(args, config)
-    cfg = _harness.SweepConfig(
-        radial_steps=_setting(args, config, "radial_steps",
-                              _harness.SweepConfig.radial_steps),
-        phase_steps=_setting(args, config, "phase_steps",
-                             _harness.SweepConfig.phase_steps),
-    )
+    cfg = _harness.SweepConfig(**{
+        key: _setting(args, config, key, default)
+        for key, default in _harness.SweepConfig._field_defaults.items()})
     pair = _bounds.theorem_pair(args.pair, args.alpha, args.beta, phi, psi)
     # After the input checks, so a rejected sweep never loads numpy.
     try:
@@ -475,7 +463,8 @@ def _run_sweep(args, config):
         raise UsageError("sweep needs numpy, the 'sweep' extra: "
                          "pip install 'bibounds[sweep]'") from None
     sweep = _harness.sweep_a2 if args.what == "a2" else _harness.sweep_a3
-    result = sweep(pair, cfg)
+    result = sweep(pair, cfg)._asdict()
+    argmax = result.pop("argmax")
     payload = {
         "command": "sweep",
         "theorem": _bounds.theorem_tag(args.pair),
@@ -483,9 +472,9 @@ def _run_sweep(args, config):
         "beta": float(args.beta),
         "phi": [float(c) for c in phi.coefficients],
         "psi": [float(c) for c in psi.coefficients],
-        **_record(result, ("argmax",)),
-        "argmax": _record(result.argmax),
-        "config": {"radial_steps": cfg.radial_steps, "phase_steps": cfg.phase_steps},
+        **result,
+        "argmax": argmax._asdict(),
+        "config": cfg._asdict(),
     }
     return payload, EXIT_OK
 
@@ -550,7 +539,7 @@ def _run_verify(args, config):
         "mode": args.mode,
         "seed": seed,
         "samples": samples,
-        "checks": [_record(r) for r in results],
+        "checks": [r._asdict() for r in results],
         "passed": passed,
     }
     if passed:
@@ -580,13 +569,9 @@ def _table_pretty(payload):
     ]
 
 
-@dataclass(frozen=True)
-class _Command:
-    help: str
-    flags: tuple  # functions that each add some of the command's flags
-    run: Callable
-    pretty: Callable
-    csv: Callable | None = None
+# flags: functions that each add some of the command's flags; csv: None
+# when the command offers no CSV.
+_Command = namedtuple("_Command", "help flags run pretty csv", defaults=(None,))
 
 
 _COMMANDS = {

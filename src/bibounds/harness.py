@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -40,6 +40,7 @@ from .series import (
 )
 from .classes import (
     CLASS_KINDS,
+    CheckedRecord,
     ClassSpec,
     MindaTarget,
     SchlichtCoeffs,
@@ -112,14 +113,14 @@ class BoundViolationError(RuntimeError):
     """A sweep or random check exceeded its bound beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(CheckedRecord, namedtuple(
+        "SweepConfig", "radial_steps phase_steps", defaults=(9, 16))):
     """Grid resolution and sampling parameters for the sweeps."""
 
-    radial_steps: int = 9
-    phase_steps: int = 16
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.radial_steps < 2:
             raise ValueError("need at least 2 radial steps")
         if self.phase_steps < 4:
@@ -132,16 +133,11 @@ class SweepConfig:
                 f"sweep grid of {points} points exceeds the cap of "
                 f"{MAX_SWEEP_POINTS}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    quantity: str
-    max_value: float
-    argmax: SchwarzParams
-    bound: float
-    gap: float
-    attained: bool
+SweepResult = namedtuple(
+    "SweepResult", "quantity max_value argmax bound gap attained")
 
 
 def _phase_ring(cfg: SweepConfig):
@@ -230,13 +226,8 @@ def sweep_a3(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     )
 
 
-@dataclass(frozen=True)
-class RandomCheckReport:
-    samples: int
-    a2_bound: float
-    a3_bound: float
-    max_a2_ratio: float
-    max_a3_ratio: float
+RandomCheckReport = namedtuple(
+    "RandomCheckReport", "samples a2_bound a3_bound max_a2_ratio max_a3_ratio")
 
 
 def check_bounds_random(pair: PairSpec, seed: int, n: int) -> RandomCheckReport:
@@ -271,17 +262,10 @@ def check_bounds_random(pair: PairSpec, seed: int, n: int) -> RandomCheckReport:
     )
 
 
-@dataclass(frozen=True)
-class EndToEndReport:
-    a2: object
-    a3: object
-    b1: object
-    b2: object
-    b1_matches_linkage: bool
-    closed_forms_match: bool
-    residual: object
-    subordination_plausible: bool
-    degenerate: bool
+EndToEndReport = namedtuple(
+    "EndToEndReport",
+    "a2 a3 b1 b2 b1_matches_linkage closed_forms_match residual "
+    "subordination_plausible degenerate")
 
 
 def end_to_end(
@@ -341,11 +325,7 @@ def end_to_end(
 # identity suites behind the CLI verify command
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: str | None
+CheckResult = namedtuple("CheckResult", "name passed witness")
 
 
 def _rand_fraction(rng, span=8, den=6) -> Fraction:

@@ -26,14 +26,15 @@ rest of this module, the harness sweeps and checks, and the generic bounds
 build on it or on its constants.  QComplex, Fraction and int inputs use the
 exact constants; complex, float and ndarray inputs use float copies, so no
 Fraction ever multiplies an ndarray.  A :class:`PairSpec` computes its two
-triples when built and its constants on first use, all outside its
-dataclass fields.  The constants come from :func:`closed_form_constants`,
-which joins one :func:`side_constants` per side and their determinant, so
-the audit can evaluate many points from side parts it built once per
-parameter.  Both work on int numerators: a side's parts share one
-denominator, and each joined constant is a (numerator, denominator) pair.
-A PairSpec holds those pairs once and reads its Fractions and its floats
-(one int/int division each) from them.
+triples when built and its constants on first use, and keeps them in its
+instance ``__dict__``, outside its four namedtuple fields.  The constants
+come from :func:`closed_form_constants`, which joins one
+:func:`side_constants` per side and their determinant, so the audit can
+evaluate many points from side parts it built once per parameter.  Both
+work on int numerators: a side's parts share one denominator, and each
+joined constant is a (numerator, denominator) pair.  A PairSpec holds
+those pairs once and reads its Fractions and its floats (one int/int
+division each) from them.
 
 Vanishing DEN or sigma_tilde marks the result degenerate (the coefficients
 divided by it are None); that is data, not an error, so parameter sweeps
@@ -44,12 +45,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .series import EXACT, TruncatedSeries, mode_of
 from .classes import (
+    CheckedRecord,
     ClassSpec,
     ClassTriple,
     MindaTarget,
@@ -69,20 +70,16 @@ ClosedFormConstants = namedtuple(
 ClosedForms = namedtuple("ClosedForms", "x y a2_squared a3")
 
 
-@dataclass(frozen=True)
-class PairSpec:
+class PairSpec(CheckedRecord, namedtuple("PairSpec", "class_f phi class_g psi")):
     """Class-plus-target data for the function and for its inverse."""
 
-    class_f: ClassSpec
-    phi: MindaTarget
-    class_g: ClassSpec
-    psi: MindaTarget
+    # No __slots__: the triples and the cached constants live in __dict__.
 
-    def __post_init__(self):
-        object.__setattr__(self, "_triple_f", triple(self.class_f))
-        object.__setattr__(
-            self, "_triple_g", inverse_triple(triple(self.class_g))
-        )
+    def __new__(cls, class_f, phi, class_g, psi):
+        self = tuple.__new__(cls, (class_f, phi, class_g, psi))
+        self._triple_f = triple(class_f)
+        self._triple_g = inverse_triple(triple(class_g))
+        return self
 
     def triple_f(self) -> ClassTriple:
         return self._triple_f
@@ -178,17 +175,10 @@ def closed_form_constants(f: SideConstants, g: SideConstants,
     )
 
 
-@dataclass(frozen=True)
-class EliminationResult:
-    """Closed-form solution data; degenerate entries are None."""
-
-    a2_squared: object
-    a3: object
-    rhs_f: object
-    rhs_g: object
-    sigma_tilde: Fraction
-    denominator: Fraction
-    degenerate: bool
+# Closed-form solution data; degenerate entries are None.
+EliminationResult = namedtuple(
+    "EliminationResult",
+    "a2_squared a3 rhs_f rhs_g sigma_tilde denominator degenerate")
 
 
 def _constants(pair: PairSpec, *values) -> ClosedFormConstants:

@@ -337,6 +337,21 @@ REJECTED = {
     "config_order_65": ("order=65\n", BOUND),
     "config_order_5000_digits": ("order=" + "7" * 5000 + "\n", BOUND),
     "config_key_5000_xs": ("x" * 5000 + "=1\n", BOUND),
+    # An empty target flag is refused, not read as the Caratheodory default.
+    "bound_phi_empty": (None, BOUND + ["--phi", ""]),
+    "bound_psi_empty": (None, BOUND + ["--psi", ""]),
+    "bound_phi_coeffs_empty": (None, BOUND + ["--phi-coeffs", ""]),
+    "bound_psi_coeffs_empty": (None, BOUND + ["--psi-coeffs", ""]),
+    "bound_psi_coeffs_empty_beside_psi": (None, BOUND + ["--psi", "caratheodory",
+                                                        "--psi-coeffs", ""]),
+    "audit_phi_empty": (None, AUDIT + ["--phi", ""]),
+    "audit_psi_empty": (None, AUDIT + ["--psi", ""]),
+    "audit_phi_coeffs_empty": (None, AUDIT + ["--phi-coeffs", ""]),
+    "audit_psi_coeffs_empty": (None, AUDIT + ["--psi-coeffs", ""]),
+    "sweep_phi_empty": (None, SWEEP + ["--phi", ""]),
+    "sweep_psi_empty": (None, SWEEP + ["--psi", ""]),
+    "sweep_phi_coeffs_empty": (None, SWEEP + ["--phi-coeffs", ""]),
+    "sweep_psi_coeffs_empty": (None, SWEEP + ["--psi-coeffs", ""]),
 }
 # Rationals whose float conversion overflows.
 OVERFLOWS = {
@@ -734,6 +749,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0"])
 print(codes, "numpy" in sys.modules)
 """
+
+
+# Run with -I, so PYTHONPATH is ignored and the checkout's src goes first.
+_NO_DATACLASSES_PROBE = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
+import bibounds.cli
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    proc = subprocess.run([sys.executable, "-I", "-c", _NO_DATACLASSES_PROBE],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_numpy_loads_only_for_the_sweeps():
