@@ -17,7 +17,10 @@ reported informationally, never asserted.
 ``run_identity_suites`` packages the algebraic identity checks behind the
 CLI ``verify`` command; each check reports its first failure witness.  In
 float mode every check compares with :data:`VERIFY_TOL`, relative and
-absolute alike.
+absolute alike.  The ``bounds`` suite is exact whatever the mode: its two
+checks compare rationals with equality.  ``sigma_relations`` also ignores
+the sample count, as it always checks the same 150 points: the six
+pairings on the 5 x 5 grid of quarters.
 
 numpy is imported inside the sweeps and the random check, the only code
 that uses it, so the other commands never load it.
@@ -34,8 +37,8 @@ from functools import partial
 from .series import (
     EXACT,
     FLOAT,
-    QComplex,
     TruncatedSeries,
+    _reduced,
     agree,
 )
 from .classes import (
@@ -63,6 +66,7 @@ from .solver import (
     eliminate,
     elimination_denominator,
     implied_b2,
+    integer_ratios,
     inverse_residual,
     linked_b1,
     sigma_tilde,
@@ -334,7 +338,12 @@ def _rand_fraction(rng, span=8, den=6) -> Fraction:
 
 def _rand_scalar(rng, mode):
     if mode == EXACT:
-        return QComplex(_rand_fraction(rng), _rand_fraction(rng))
+        # The four draws of QComplex(_rand_fraction(rng), _rand_fraction(rng)),
+        # in the same order, over b * d: lowest terms are unique, so the
+        # normaliser gives the same scalar without the two Fractions.
+        a, b = rng.randint(-8, 8), rng.randint(1, 6)
+        c, d = rng.randint(-8, 8), rng.randint(1, 6)
+        return _reduced(a * d, c * b, b * d)
     return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
 
 
@@ -539,29 +548,56 @@ def _check_consistency_chain(rng, mode, samples):
     return f"only {made} of {samples} draws accepted in {attempts} attempts"
 
 
+# A triple's q and r as int numerators over a denominator kept beside it:
+# all that triple_determinant reads.
+_IntQR = namedtuple("_IntQR", "q r")
+
+
+def _int_qr(t):
+    (q, r), den = integer_ratios(t.q, t.r)
+    return _IntQR(q, r), den
+
+
+def _horner_over(coefficients, n, d):
+    """The polynomial with these coefficients at n/d, as (numerator, d**degree)."""
+    value, weight = coefficients[-1], 1
+    for c in coefficients[-2::-1]:
+        weight *= d
+        value = value * n + c * weight
+    return value, weight
+
+
 def _check_sigma_relations(rng, mode, samples):
+    # Exact whatever the mode, and the same 5 x 5 grid whatever the samples.
     # Per tag, one function-side triple per alpha and one inverse-side triple
-    # and set of printed sigma coefficients per beta; each point then costs
-    # one determinant and one Horner step.  Alpha outer, beta inner, as the
-    # first failure's witness depends on the order.
+    # and set of printed sigma coefficients per beta, each turned once into
+    # int numerators over one denominator; each point then costs one
+    # determinant, one Horner step and one cross-multiplied comparison.
+    # Alpha outer, beta inner, as the first failure's witness depends on the
+    # order.
     grid = [Fraction(k, 4) for k in range(5)]
     for tag in _bounds.THEOREM_TAGS:
         scale = _bounds.SIGMA_SCALE[tag]
-        rows = [triple(ClassSpec(tag[0], a)) for a in grid]
-        columns = [
-            (inverse_triple(triple(ClassSpec(tag[1], b))),
-             _bounds._sigma_in_alpha(tag, b))
-            for b in grid
-        ]
-        for a, tf in zip(grid, rows):
-            for b, (tg, coefficients) in zip(grid, columns):
-                printed = _bounds._horner(coefficients, a)
-                tilde = triple_determinant(tf, tg)
+        rows = [_int_qr(triple(ClassSpec(tag[0], a))) for a in grid]
+        columns = []
+        for b in grid:
+            tg, tg_den = _int_qr(inverse_triple(triple(ClassSpec(tag[1], b))))
+            coefficients, c_den = integer_ratios(*_bounds._sigma_in_alpha(tag, b))
+            columns.append((tg, scale * tg_den, coefficients, c_den))
+        for a, (tf, tf_den) in zip(grid, rows):
+            n, d = a.numerator, a.denominator
+            for b, (tg, scaled_den, coefficients, c_den) in zip(grid, columns):
+                printed, printed_den = _horner_over(coefficients, n, d)
+                printed_den *= c_den
+                # tilde / scale - printed, over tf_den * scaled_den * printed_den
+                gap = (triple_determinant(tf, tg) * printed_den
+                       - printed * scaled_den * tf_den)
                 if tag == "LL":
-                    expected_gap = 24 * a * b  # derived minus printed
-                    if tilde / scale - printed != expected_gap:
+                    # derived minus printed is 24 a b
+                    expected = 24 * n * b.numerator * tf_den * scaled_den * printed_den
+                    if gap * d * b.denominator != expected:
                         return f"LL sigma gap wrong at alpha={a}, beta={b}"
-                elif printed * scale != tilde:
+                elif gap:
                     return f"sigma relation failed for {tag} at alpha={a}, beta={b}"
     return None
 

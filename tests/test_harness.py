@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -349,6 +350,35 @@ class TestIdentitySuites:
             run_identity_suites("series", samples=samples)
 
 
+# sha256 of repr([(re, im, den), ...]) for the first 1,000 exact draws of
+# random.Random("7:series_ring_laws"), recorded when each draw still built
+# two Fractions.
+FIRST_EXACT_DRAWS_SHA256 = (
+    "e856098ff68aadf9de180ec79391a6c916467810ac4f7b43d170bcd8f0087a18")
+
+
+class TestExactDraws:
+    # The verify goldens pin only pass flags, so these pin the draw stream.
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, "3:consistency_chain"])
+    def test_same_scalars_and_rng_state_as_two_fractions(self, seed):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            got = harness._rand_scalar(rng, EXACT)
+            want = QComplex(harness._rand_fraction(twin),
+                            harness._rand_fraction(twin))
+            assert got._re == want._re
+            assert got._im == want._im
+            assert got._den == want._den
+        assert rng.getstate() == twin.getstate()
+
+    def test_first_draws_of_a_suite_stream_are_pinned(self):
+        rng = random.Random("7:series_ring_laws")
+        draws = [harness._rand_scalar(rng, EXACT) for _ in range(1000)]
+        text = repr([(q._re, q._im, q._den) for q in draws])
+        assert hashlib.sha256(text.encode()).hexdigest() == FIRST_EXACT_DRAWS_SHA256
+
+
 def sigma_relations_per_point():
     """The sigma-relations check evaluated point by point, one PairSpec each."""
     grid = [Fraction(k, 4) for k in range(5)]
@@ -403,6 +433,39 @@ class TestSigmaRelations:
 
         monkeypatch.setattr(bounds, "_sigma_in_alpha", flipped)
         witness = "LL sigma gap wrong at alpha=1/4, beta=1/4"
+        assert sigma_relations_per_point() == witness
+        assert sigma_relations_witness() == witness
+
+    def test_perturbed_ll_alpha_squared_coefficient_fails_at_the_same_point(
+            self, monkeypatch):
+        # The only degree-2 term: the int Horner weights it by n^2 where the
+        # constant gets d^2.  A third does not divide any other denominator.
+        stated = bounds._sigma_in_alpha
+
+        def perturbed(tag, b):
+            coefficients = stated(tag, b)
+            if tag == "LL" and b == Fraction(1, 2):
+                c0, c1, c2 = coefficients
+                return c0, c1, c2 + Fraction(1, 3)
+            return coefficients
+
+        monkeypatch.setattr(bounds, "_sigma_in_alpha", perturbed)
+        witness = "LL sigma gap wrong at alpha=1/4, beta=1/2"
+        assert sigma_relations_per_point() == witness
+        assert sigma_relations_witness() == witness
+
+    def test_perturbed_constant_coefficient_fails_in_the_alpha_zero_row(
+            self, monkeypatch):
+        stated = bounds._sigma_in_alpha
+
+        def perturbed(tag, b):
+            coefficients = stated(tag, b)
+            if tag == "MM" and b == Fraction(3, 4):
+                return (coefficients[0] + Fraction(1, 5),) + coefficients[1:]
+            return coefficients
+
+        monkeypatch.setattr(bounds, "_sigma_in_alpha", perturbed)
+        witness = "sigma relation failed for MM at alpha=0, beta=3/4"
         assert sigma_relations_per_point() == witness
         assert sigma_relations_witness() == witness
 
