@@ -7,6 +7,12 @@ what the bound derivations actually use, so the |a2| sweep attains its bound
 at the aligned corner c2 = b2 = 2 whenever B2 = B1 and D2 = D1; the |a3|
 sweep only reports the gap.  Analytic corner candidates are computed first
 (the quantities are affine in c2 and b2), then a grid pass confirms them.
+Each grid value is |p + q| (for a2 its square root) of the two addends that
+:func:`bibounds.solver.closed_form_addends` returns, one grid row per c2
+value (a2) or per c1 value (a3).  A row whose bound max |p| + max |q| falls
+short of a computed maximum cannot hold it, and a row equal to row 0 repeats
+it, so the pass builds only the other rows, outer-ring rows mostly.  It
+finds the same maximum and first index as ``np.argmax`` over the full grid.
 
 ``end_to_end`` runs the whole pipeline on a genuine positive-real-part
 sample: forward solve, inversion, inverse-side functional through the series
@@ -61,6 +67,7 @@ from .classes import (
 )
 from .solver import (
     PairSpec,
+    closed_form_addends,
     closed_forms,
     consistency_residual,
     eliminate,
@@ -164,17 +171,56 @@ def _exceeds(value, limit) -> bool:
     return value > limit * (1 + ATTAIN_TOL) + ATTAIN_TOL
 
 
-def _sweep_result(quantity, bound, best, best_params, values, axes):
-    """Settle a sweep: the exact corner unless the grid beats it, then the gap.
+def _grid_max(p, q, root=False):
+    """Value and first flat index of the maximum of f(p[r, j] + q[r, k]).
 
-    ``values[i, j, k]`` is the quantity at (c1, c2, b2) = (axes[0][i],
-    axes[1][j], axes[2][k]).
+    f is abs, or sqrt of abs when ``root``; p has shape (R, J), q shape
+    (R, K) or (1, K), and the (R, J, K) grid is indexed in C order.  Only
+    the rows that can hold the maximum are built.  Row r's values are at
+    most U_r = max_j |p[r, j]| + max_k |q[r, k]|, and m is the computed
+    |p + q| maximum of the row with the largest U_r.  A row with
+    U_r (1 + 1e-9) + tiny < m (1 - 1e-9) stays below m, as roundoff is
+    about 1e-15 relative (tiny, the smallest normal float, covers subnormal
+    values), so it holds no maximum; the strict margin outlasts the square
+    root.  A later row equal to row 0 (by ``==``, so +-0 match) repeats row
+    0's values, so its first maximum comes after row 0's.  A non-finite
+    bound keeps every row.  The kept rows, in order, go through the full
+    grid's elementwise operations, so value and index are those of
+    ``np.argmax`` over the full grid.
     """
     import numpy as np
 
-    index = np.unravel_index(int(np.argmax(values)), values.shape)
-    if _exceeds(values[index], best):  # a tie keeps the exact corner
-        best = float(values[index])
+    def magnitudes(rows):
+        q_rows = q if len(q) == 1 else q[rows]
+        return np.abs(p[rows, :, None] + q_rows[:, None, :])
+
+    bound = np.abs(p).max(axis=1) + np.abs(q).max(axis=1)
+    rows = np.arange(len(p))
+    if np.isfinite(bound).all():
+        top = magnitudes([np.argmax(bound)]).max()
+        keep = bound * (1 + 1e-9) + np.finfo(float).tiny >= top * (1 - 1e-9)
+        repeats = (p == p[0]).all(axis=1) & (q == q[0]).all(axis=1)
+        keep[1:] &= ~repeats[1:]
+        rows = rows[keep]
+    values = magnitudes(rows)
+    if root:
+        values = np.sqrt(values)
+    flat = int(np.argmax(values))
+    row, offset = divmod(flat, values[0].size)
+    return values.flat[flat], int(rows[row]) * values[0].size + offset
+
+
+def _sweep_result(quantity, bound, best, best_params, top, flat, axes):
+    """Settle a sweep: the exact corner unless the grid beats it, then the gap.
+
+    ``top`` is the grid maximum and ``flat`` its first index in the C-order
+    grid of (c1, c2, b2) = (axes[0][i], axes[1][j], axes[2][k]).
+    """
+    import numpy as np
+
+    if _exceeds(top, best):  # a tie keeps the exact corner
+        best = float(top)
+        index = np.unravel_index(flat, [len(axis) for axis in axes])
         best_params = SchwarzParams(*(axis[i] for axis, i in zip(axes, index)))
     if _exceeds(best, bound):
         raise BoundViolationError(
@@ -189,7 +235,10 @@ def sweep_a2(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     """Maximize |a2| over the relaxed region and report the gap to the bound.
 
     a2^2 is affine in c2 and b2 and independent of c1, so the aligned corner
-    c2 = b2 = 2 is the analytic maximum; the grid pass is a safety net.
+    c2 = b2 = 2 is the analytic maximum; the grid pass is a safety net.  Its
+    rows are the c2 values, each a2^2 = g2 c2 + d2 b2 with the b2 addends
+    shared, and :func:`_grid_max` builds only the rows that can hold the
+    grid maximum (on the outer ring), with ``np.argmax``'s value and index.
     """
     import numpy as np
 
@@ -198,10 +247,11 @@ def sweep_a2(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     corner_sq = closed_forms(pair, 0, 2, 2).a2_squared  # exact
     grid = _disk_grid(cfg)
     axes = (np.zeros(1), grid, grid)
-    values = np.sqrt(np.abs(closed_forms(pair, *np.ix_(*axes)).a2_squared))
+    _, _, (g2_c2, d2_b2), _ = closed_form_addends(pair, *axes)
     return _sweep_result(
         "a2", _bounds.generic_a2_bound(pair), math.sqrt(float(abs(corner_sq))),
-        SchwarzParams(0.0, 2.0, 2.0), values, axes,
+        SchwarzParams(0.0, 2.0, 2.0),
+        *_grid_max(g2_c2[:, None], d2_b2[None, :], root=True), axes,
     )
 
 
@@ -211,7 +261,11 @@ def sweep_a3(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     For fixed c1 the maximum over c2, b2 sits at modulus 2 with both phases
     aligned to the c1^2 contribution; the best c1 modulus is 2.  Attainment
     of the bound is not asserted (the triangle inequality in the bound need
-    not be tight when the two second-coefficient gaps pull apart).
+    not be tight when the two second-coefficient gaps pull apart).  The grid
+    pass has one row per c1, a3 = gx X + gy Y with X over (c1, c2) and Y
+    over (c1, b2), and :func:`_grid_max` builds only the rows that can hold
+    the grid maximum, with ``np.argmax``'s value and index.  With B2 = B1
+    and D2 = D1, X and Y do not depend on c1, so row 0 alone is built.
     """
     import numpy as np
 
@@ -223,10 +277,11 @@ def sweep_a3(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     )
     ring = 2.0 * _phase_ring(cfg)
     axes = (_disk_grid(cfg), ring, ring)
-    values = np.abs(closed_forms(pair, *np.ix_(*axes)).a3)
+    _, _, _, (gx_x, gy_y) = closed_form_addends(
+        pair, axes[0][:, None], ring[None, :], ring[None, :])
     return _sweep_result(
         "a3", _bounds.generic_a3_bound(pair), float(analytic),
-        SchwarzParams(2.0, 2.0 * sign, 2.0 * sign), values, axes,
+        SchwarzParams(2.0, 2.0 * sign, 2.0 * sign), *_grid_max(gx_x, gy_y), axes,
     )
 
 

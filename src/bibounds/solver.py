@@ -23,18 +23,19 @@ DEN = sigma_tilde - q' p^2 (B2-B1)/B1^2 - q p'^2 (D2-D1)/D1^2.
 
 :func:`closed_forms` is the one kernel that evaluates (X, Y, a2^2, a3); the
 rest of this module, the harness sweeps and checks, and the generic bounds
-build on it or on its constants.  QComplex, Fraction and int inputs use the
-exact constants; complex, float and ndarray inputs use float copies, so no
-Fraction ever multiplies an ndarray.  A :class:`PairSpec` computes its two
-triples when built and its constants on first use, and keeps them in its
-instance ``__dict__``, outside its four namedtuple fields.  The constants
-come from :func:`closed_form_constants`, which joins one
-:func:`side_constants` per side and their determinant, so the audit can
-evaluate many points from side parts it built once per parameter.  Both
-work on int numerators: a side's parts share one denominator, and each
-joined constant is a (numerator, denominator) pair.  A PairSpec holds
-those pairs once and reads its Fractions and its floats (one int/int
-division each) from them.
+build on it or on its constants.  It sums the two addends of a2^2 and of a3
+that :func:`closed_form_addends` returns, which the sweeps read unsummed.
+QComplex, Fraction and int inputs use the exact constants; complex, float
+and ndarray inputs use float copies, so no Fraction ever multiplies an
+ndarray.  A :class:`PairSpec` computes its two triples when built and its
+constants on first use, and keeps them in its instance ``__dict__``, outside
+its four namedtuple fields.  The constants come from
+:func:`closed_form_constants`, which joins one :func:`side_constants` per
+side and their determinant, so the audit can evaluate many points from side
+parts it built once per parameter.  Both work on int numerators: a side's
+parts share one denominator, and each joined constant is a (numerator,
+denominator) pair.  A PairSpec holds those pairs once and reads its
+Fractions and its floats (one int/int division each) from them.
 
 Vanishing DEN or sigma_tilde marks the result degenerate (the coefficients
 divided by it are None); that is data, not an error, so parameter sweeps
@@ -187,20 +188,32 @@ def _constants(pair: PairSpec, *values) -> ClosedFormConstants:
     return pair.float_constants
 
 
-def closed_forms(pair: PairSpec, c1, c2, b2, b1=None) -> ClosedForms:
-    """Evaluate X, Y, a2^2 and a3 at scalars or broadcastable ndarrays.
+def closed_form_addends(pair: PairSpec, c1, c2, b2, b1=None):
+    """X, Y, then a2^2 and a3 each as the two addends that closed_forms sums.
 
-    b1 defaults to the linkage value -kappa c1; a caller that extracted b1
-    independently passes it so the linkage stays a separate check.
+    The addends are (g2 c2, d2 b2) and (gx X, gy Y), or None where the
+    coefficients are.  A caller that bounds a sum by its addends (the harness
+    sweeps) reads them here, before they are summed.
     """
     k = _constants(pair, c1, c2, b2)
     if b1 is None:
         b1 = -k.kappa * c1
     x = k.half_b1 * c2 + k.quarter_db * c1 * c1
     y = k.half_d1 * b2 + k.quarter_dd * b1 * b1
-    a2_squared = None if k.g2 is None else k.g2 * c2 + k.d2 * b2
-    a3 = None if k.gx is None else k.gx * x + k.gy * y
-    return ClosedForms(x, y, a2_squared, a3)
+    a2 = None if k.g2 is None else (k.g2 * c2, k.d2 * b2)
+    a3 = None if k.gx is None else (k.gx * x, k.gy * y)
+    return x, y, a2, a3
+
+
+def closed_forms(pair: PairSpec, c1, c2, b2, b1=None) -> ClosedForms:
+    """Evaluate X, Y, a2^2 and a3 at scalars or broadcastable ndarrays.
+
+    b1 defaults to the linkage value -kappa c1; a caller that extracted b1
+    independently passes it so the linkage stays a separate check.
+    """
+    x, y, a2, a3 = closed_form_addends(pair, c1, c2, b2, b1)
+    return ClosedForms(x, y, None if a2 is None else a2[0] + a2[1],
+                       None if a3 is None else a3[0] + a3[1])
 
 
 def linked_b1(pair: PairSpec, c1):

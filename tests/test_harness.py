@@ -1,9 +1,13 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibounds import (
     EXACT,
@@ -11,9 +15,12 @@ from bibounds import (
     ClassTriple,
     FLOAT,
     DegeneratePairError,
+    BoundViolationError,
     MindaTarget,
     QComplex,
+    SchwarzParams,
     SweepConfig,
+    SweepResult,
     TruncatedSeries,
     caratheodory_kernel,
     check_bounds_random,
@@ -165,6 +172,188 @@ def test_sweep_a3_large_target_is_not_a_violation(tag, b2):
     assert c1 == 2 and c2 == b2_at and c2 in (2, -2), result.argmax
     assert result.gap == 0.0
     assert result.attained
+
+
+
+def full_grid_max(p, q, root=False):
+    """Every value of f(p[r, j] + q[r, k]), then np.argmax: the reference."""
+    values = np.abs(p[:, :, None] + q[:, None, :])
+    if root:
+        values = np.sqrt(values)
+    flat = int(np.argmax(values))
+    return values.flat[flat], flat
+
+
+def flip_zero_signs(z):
+    return complex(-z.real if z.real == 0 else z.real,
+                   -z.imag if z.imag == 0 else z.imag)
+
+
+# Small integers make exact ties; the full float range brings overflow to
+# inf in p + q and subnormal values.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0),
+)
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def addend_grids(draw):
+    """(p, q, root): rows drawn from a few distinct ones, so rows repeat."""
+    n_rows, j, k = (draw(st.integers(1, n)) for n in (7, 4, 5))
+    shared = draw(st.booleans())
+
+    def distinct(width):
+        return [[complex(draw(_PARTS), draw(_PARTS)) for _ in range(width)]
+                for _ in range(draw(st.integers(1, 3)))]
+
+    def rows(pool):
+        picked = draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=n_rows, max_size=n_rows))
+        flips = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+        return np.array([[flip_zero_signs(z) if flip else z for z in pool[i]]
+                         for i, flip in zip(picked, flips)])
+
+    p = rows(distinct(j))
+    q = np.array(distinct(k)[:1]) if shared else rows(distinct(k))
+    if draw(st.booleans()):  # one non-finite part somewhere
+        target = draw(st.sampled_from([p, q]))
+        r, c = (draw(st.integers(0, n - 1)) for n in target.shape)
+        part = draw(_NON_FINITE)
+        target[r, c] = complex(part, target[r, c].imag) if draw(st.booleans()) \
+            else complex(target[r, c].real, part)
+    return p, q, draw(st.booleans())
+
+
+class TestGridMax:
+    """harness._grid_max builds only the rows that can hold the maximum."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(addend_grids())
+    def test_same_value_and_first_index_as_the_full_grid(self, grid):
+        p, q, root = grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = full_grid_max(p, q, root)
+            value, flat = harness._grid_max(p, q, root)
+        assert flat == expected[1]
+        assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+
+    def test_repeats_of_row_zero_keep_its_first_index(self):
+        # Rows 1 and 3 equal row 0 up to the sign of a zero; row 2 ties it.
+        p = np.array([[1 + 0j], [complex(1, -0.0)], [1j], [1 + 0j]])
+        q = np.array([[1 + 1j, -0.0j]])
+        assert harness._grid_max(p, q) == full_grid_max(p, q) == (math.sqrt(5), 0)
+
+    @pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parts_keep_every_row(self, part):
+        # A NaN bound compares false with everything, so pruning by it would
+        # drop the row whose NaN np.argmax returns.
+        p = np.array([[100 + 0j], [complex(part, 0)], [1 + 0j]])
+        q = np.array([[1 + 0j, 2 + 0j]])
+        with np.errstate(invalid="ignore"):
+            value, flat = harness._grid_max(p, q)
+            expected = full_grid_max(p, q)
+        assert flat == expected[1] == 2
+        assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+
+    def test_rows_within_roundoff_of_the_maximum_are_kept(self):
+        # Row 0's addends are nearly aligned: with numpy's AVX-512 complex abs,
+        # its |p| + |q| rounds one ulp below its |p + q|, which row 1, with
+        # the larger bound, only ties.
+        p = np.array([[complex(-1.326961426560111, -0.09874498595011956)],
+                      [complex(1.4056371322954846, 2.8447535802517994)]])
+        q = np.array([[complex(-1.4056371322954846, -0.10459958827838345)]])
+        assert harness._grid_max(p, q) == full_grid_max(p, q)
+        assert full_grid_max(p, q)[1] == 0
+
+    def test_subnormal_rows_are_not_pruned_by_roundoff(self):
+        # Rounded to the subnormal grid, row 0's |p| + |q| is 2t but its value
+        # |p + q| is 3t, the maximum; a relative margin alone would drop it.
+        t = 5e-324
+        p = np.array([[complex(t, t)], [complex(2 * t, 0)]])
+        q = np.array([[complex(t, t)]])
+        assert harness._grid_max(p, q) == full_grid_max(p, q) == (3 * t, 0)
+
+
+def full_grid_sweep(what, pair, cfg):
+    """A sweep as it was before its grid pass skipped rows.
+
+    Builds every grid value with closed_forms on the np.ix_ grid and takes
+    np.argmax; returns the SweepResult and the grid's (maximum, flat index).
+    """
+    if what == "a2":
+        best = math.sqrt(float(abs(solver.closed_forms(pair, 0, 2, 2).a2_squared)))
+        best_params = SchwarzParams(0.0, 2.0, 2.0)
+        grid = harness._disk_grid(cfg)
+        axes = (np.zeros(1), grid, grid)
+        values = np.sqrt(np.abs(solver.closed_forms(pair, *np.ix_(*axes)).a2_squared))
+        bound = bounds.generic_a2_bound(pair)
+    else:
+        analytic, sign = max(
+            (abs(solver.closed_forms(pair, 2, 2 * s, 2 * s).a3), s) for s in (1, -1))
+        best, best_params = float(analytic), SchwarzParams(2.0, 2.0 * sign, 2.0 * sign)
+        ring = 2.0 * harness._phase_ring(cfg)
+        axes = (harness._disk_grid(cfg), ring, ring)
+        values = np.abs(solver.closed_forms(pair, *np.ix_(*axes)).a3)
+        bound = bounds.generic_a3_bound(pair)
+    flat = int(np.argmax(values))
+    index = np.unravel_index(flat, values.shape)
+    top = values[index]
+    if harness._exceeds(top, best):
+        best = float(top)
+        best_params = SchwarzParams(*(axis[i] for axis, i in zip(axes, index)))
+    if harness._exceeds(best, bound):
+        raise BoundViolationError(f"{what} sweep exceeded its bound")
+    result = SweepResult(what, best, best_params, bound, bound - best,
+                         not harness._exceeds(bound, best))
+    return result, (top, flat)
+
+
+def oracle_pairs():
+    rng = random.Random(20)
+    pairs = [rand_pair(rng, tag, equal_tail) for tag in THEOREM_TAGS
+             for equal_tail in (False, True)]
+    pairs += [theorem_pair(tag, Fraction(1, 2), Fraction(1, 3), MindaTarget([2, b2]), CARA)
+              for tag in ("PM", "LL") for b2 in (10**8, 10**12, -10**9)]
+    return pairs
+
+
+@pytest.mark.parametrize("cfg", [SweepConfig(2, 4), SweepConfig(9, 16),
+                                 SweepConfig(17, 32), SweepConfig(16, 64)],
+                         ids=["2x4", "9x16", "17x32", "16x64"])
+@pytest.mark.parametrize("what", ["a2", "a3"])
+def test_sweeps_match_the_full_grid(what, cfg, monkeypatch):
+    grid_max, seen = harness._grid_max, []
+
+    def recording(*args, **kwargs):
+        seen.append(grid_max(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "_grid_max", recording)
+    sweep = sweep_a2 if what == "a2" else sweep_a3
+    for pair in oracle_pairs():  # none is degenerate
+        seen.clear()
+        result = sweep(pair, cfg)
+        assert (result, *seen) == full_grid_sweep(what, pair, cfg)
+
+
+@pytest.mark.parametrize("what", ["a2", "a3"])
+@pytest.mark.parametrize("psi", [CARA, MindaTarget([2, 1])], ids=["equal", "skewed"])
+def test_fine_sweep_peak_memory(what, psi):
+    # tracemalloc counts numpy's buffers; the full grids peaked at 9.3 (a2)
+    # and 12.8 MiB (a3).
+    pair = theorem_pair("PL", Fraction(1, 3), Fraction(1, 2), CARA, psi)
+    sweep = sweep_a2 if what == "a2" else sweep_a3
+    sweep(pair, SweepConfig(17, 32))
+    tracemalloc.start()
+    try:
+        sweep(pair, SweepConfig(17, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 class TestRandomChecks:
