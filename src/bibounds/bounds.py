@@ -58,7 +58,6 @@ the audit notes (:func:`pm_display_variant_a2_bound`).
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -142,12 +141,10 @@ def _target_factors(B1, B2, D1, D2) -> _TargetFactors:
     )
 
 
-def _sigma_in_alpha(tag, b, d=1) -> tuple:
+def _sigma_in_alpha(tag, b, d) -> tuple:
     """Coefficients of the printed sigma as a polynomial in alpha.
 
-    At beta = b/d, each coefficient times d^2: with the default d = 1 and
-    a Fraction b they are the coefficients themselves, and with int b and d
-    they are int numerators over d^2.
+    At beta = b/d, as int numerators over d^2.
     """
     dd = d * d
     if tag == "PP":  # 2 + 7a + 7b + 24ab
@@ -165,11 +162,20 @@ def _sigma_in_alpha(tag, b, d=1) -> tuple:
             3 * dd - 2 * d * b)
 
 
-def _horner(coefficients, a):
-    value = coefficients[-1]
+def _horner(coefficients, n, d):
+    """The polynomial with these coefficients at n/d, as (numerator, d**degree)."""
+    value, weight = coefficients[-1], 1
     for c in coefficients[-2::-1]:
-        value = value * a + c
-    return value
+        weight *= d
+        value = value * n + c * weight
+    return value, weight
+
+
+def _sigma_pair(tag, a, b):
+    # The printed sigma at Fractions a and b as (numerator, denominator).
+    d = b.denominator
+    num, den = _horner(_sigma_in_alpha(tag, b.numerator, d), a.numerator, a.denominator)
+    return num, den * d * d
 
 
 def _function_side(tag, a, t: _TargetFactors) -> _Side:
@@ -263,10 +269,9 @@ def _a3_value(tag, rhs, den, sigma):
 def _point(tag, alpha, beta, B1, B2, D1, D2, sigma):
     # The single-point functions' inputs; sigma defaults to the printed one.
     tag, a, b = theorem_tag(tag), _f(alpha), _f(beta)
-    if sigma is None:
-        sigma = printed_sigma(tag, a, b)
+    sigma = _sigma_pair(tag, a, b) if sigma is None else _f(sigma).as_integer_ratio()
     t = _target_factors(_f(B1), _f(B2), _f(D1), _f(D2))
-    return tag, a, b, t, _f(sigma).as_integer_ratio()
+    return tag, a, b, t, sigma
 
 
 def _fraction(value):
@@ -275,7 +280,7 @@ def _fraction(value):
 
 def printed_sigma(tag, alpha, beta) -> Fraction:
     """Literal evaluation of the stated sigma polynomial."""
-    return _horner(_sigma_in_alpha(theorem_tag(tag), _f(beta)), _f(alpha))
+    return Fraction(*_sigma_pair(theorem_tag(tag), _f(alpha), _f(beta)))
 
 
 def derived_sigma(tag, alpha, beta) -> Fraction:
@@ -589,7 +594,6 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
                 for t in targets]
         n, d = a.numerator, a.denominator
         a_float = n / d
-        powers = d * d, n * d, n * n  # sigma is at most quadratic in alpha
         for j, beta in enumerate(betas):
             if j == len(columns):
                 b = _f(beta)
@@ -599,7 +603,8 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
                                 b.denominator ** 2,
                                 [_column(tag, b, tg, t) for t in targets]))
             b_float, coefficients, c_den, cols = columns[j]
-            sigma = sum(map(operator.mul, coefficients, powers)), c_den * powers[0]
+            sigma_num, sigma_den = _horner(coefficients, n, d)
+            sigma = sigma_num, c_den * sigma_den
             out.extend(_report_at(tag, a_float, b_float, sigma, t, row, col, rel_tol)
                        for t, row, col in zip(targets, rows, cols))
     return out

@@ -26,7 +26,9 @@ float mode every check compares with :data:`VERIFY_TOL`, relative and
 absolute alike.  The ``bounds`` suite is exact whatever the mode: its two
 checks compare rationals with equality.  ``sigma_relations`` also ignores
 the sample count, as it always checks the same 150 points: the six
-pairings on the 5 x 5 grid of quarters.
+pairings on the 5 x 5 grid of quarters, with the printed sigma evaluated
+by :mod:`bibounds.bounds` itself.  The sample count is capped at
+:data:`MAX_SAMPLES`.
 
 numpy is imported inside the sweeps and the random check, the only code
 that uses it, so the other commands never load it.
@@ -73,9 +75,9 @@ from .solver import (
     eliminate,
     elimination_denominator,
     implied_b2,
-    integer_ratios,
     inverse_residual,
     linked_b1,
+    side_constants,
     sigma_tilde,
     solve_forward,
     triple_determinant,
@@ -103,6 +105,10 @@ def _agrees_with(a, b):
 # run_identity_suites' defaults, which the CLI ``verify`` shares.
 VERIFY_SEED = 7
 VERIFY_SAMPLES = 60
+
+# Most samples per check.  Exact ``--suite all`` takes about 3.5 ms a sample
+# (Python 3.11 on a shared 2-vCPU Xeon), so the cap is about 35 s of work.
+MAX_SAMPLES = 10_000
 
 # end_to_end's sample mixes this many rotation kernels, at the default order.
 END_TO_END_KERNELS = 3
@@ -603,53 +609,36 @@ def _check_consistency_chain(rng, mode, samples):
     return f"only {made} of {samples} draws accepted in {attempts} attempts"
 
 
-# A triple's q and r as int numerators over a denominator kept beside it:
-# all that triple_determinant reads.
-_IntQR = namedtuple("_IntQR", "q r")
-
-
-def _int_qr(t):
-    (q, r), den = integer_ratios(t.q, t.r)
-    return _IntQR(q, r), den
-
-
-def _horner_over(coefficients, n, d):
-    """The polynomial with these coefficients at n/d, as (numerator, d**degree)."""
-    value, weight = coefficients[-1], 1
-    for c in coefficients[-2::-1]:
-        weight *= d
-        value = value * n + c * weight
-    return value, weight
-
-
 def _check_sigma_relations(rng, mode, samples):
     # Exact whatever the mode, and the same 5 x 5 grid whatever the samples.
     # Per tag, one function-side triple per alpha and one inverse-side triple
-    # and set of printed sigma coefficients per beta, each turned once into
-    # int numerators over one denominator; each point then costs one
-    # determinant, one Horner step and one cross-multiplied comparison.
-    # Alpha outer, beta inner, as the first failure's witness depends on the
-    # order.
+    # and set of printed sigma coefficients per beta, each held once as int
+    # numerators over one denominator: the triples' q and r, all that the
+    # determinant reads, as side constants (on a placeholder target, which q
+    # and r do not depend on).  Each point then costs one determinant, one
+    # Horner step and one cross-multiplied comparison.  Alpha outer, beta
+    # inner, as the first failure's witness depends on the order.
     grid = [Fraction(k, 4) for k in range(5)]
+    one = MindaTarget([1])
     for tag in _bounds.THEOREM_TAGS:
         scale = _bounds.SIGMA_SCALE[tag]
-        rows = [_int_qr(triple(ClassSpec(tag[0], a))) for a in grid]
+        rows = [side_constants(triple(ClassSpec(tag[0], a)), one, one) for a in grid]
         columns = []
         for b in grid:
-            tg, tg_den = _int_qr(inverse_triple(triple(ClassSpec(tag[1], b))))
-            coefficients, c_den = integer_ratios(*_bounds._sigma_in_alpha(tag, b))
-            columns.append((tg, scale * tg_den, coefficients, c_den))
-        for a, (tf, tf_den) in zip(grid, rows):
+            tg = side_constants(inverse_triple(triple(ClassSpec(tag[1], b))), one, one)
+            coefficients = _bounds._sigma_in_alpha(tag, b.numerator, b.denominator)
+            columns.append((tg, scale * tg.den, coefficients, b.denominator ** 2))
+        for a, tf in zip(grid, rows):
             n, d = a.numerator, a.denominator
             for b, (tg, scaled_den, coefficients, c_den) in zip(grid, columns):
-                printed, printed_den = _horner_over(coefficients, n, d)
+                printed, printed_den = _bounds._horner(coefficients, n, d)
                 printed_den *= c_den
-                # tilde / scale - printed, over tf_den * scaled_den * printed_den
+                # tilde / scale - printed, over tf.den * scaled_den * printed_den
                 gap = (triple_determinant(tf, tg) * printed_den
-                       - printed * scaled_den * tf_den)
+                       - printed * scaled_den * tf.den)
                 if tag == "LL":
                     # derived minus printed is 24 a b
-                    expected = 24 * n * b.numerator * tf_den * scaled_den * printed_den
+                    expected = 24 * n * b.numerator * tf.den * scaled_den * printed_den
                     if gap * d * b.denominator != expected:
                         return f"LL sigma gap wrong at alpha={a}, beta={b}"
                 elif gap:
@@ -717,6 +706,8 @@ def run_identity_suites(
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {brief(samples)}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {brief(samples)}")
     results = []
     for group in groups:
         for name, fn in _SUITE_CHECKS[group]:

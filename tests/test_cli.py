@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from bibounds import cli
 from bibounds.bounds import BoundReport, Discrepancy
-from bibounds.harness import CheckResult
+from bibounds.harness import MAX_SAMPLES, CheckResult
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -563,6 +563,9 @@ REJECTED = {
     "verify_samples_0": (None, ["verify", "--samples", "0"]),
     "verify_samples_negative": (None, ["verify", "--samples", "-5"]),
     "config_samples_0": ("samples=0\n", ["verify", "--suite", "series"]),
+    # Uncapped, one flag could keep verify running for hours.
+    "verify_samples_above_cap": (None, ["verify", "--samples", str(MAX_SAMPLES + 1)]),
+    "config_samples_above_cap": (f"samples={MAX_SAMPLES + 1}\n", ["verify", "--suite", "series"]),
     "sweep_phase_steps_3": (None, SWEEP + ["--phase-steps", "3"]),
     "sweep_radial_steps_1": (None, SWEEP + ["--radial-steps", "1"]),
     "config_order_not_int": ("order=abc\n", ["table"]),

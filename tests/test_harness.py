@@ -532,9 +532,10 @@ class TestIdentitySuites:
         with pytest.raises(ValueError):
             run_identity_suites("bogus")
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, harness.MAX_SAMPLES + 1])
     def test_no_samples_rejected(self, samples):
-        # An empty run would pass every check vacuously.
+        # An empty run would pass every check vacuously, and an unbounded
+        # one would not end.
         with pytest.raises(ValueError):
             run_identity_suites("series", samples=samples)
 
@@ -599,10 +600,11 @@ class TestSigmaRelations:
     def test_perturbed_sigma_coefficient_fails_at_the_same_point(self, monkeypatch):
         stated = bounds._sigma_in_alpha
 
-        def perturbed(tag, b):
-            coefficients = stated(tag, b)
-            if tag == "PM" and b == Fraction(1, 2):
-                return coefficients[0], coefficients[1] + 1
+        def perturbed(tag, b, d):
+            # Numerators over d^2: adding d^2 adds 1 to the alpha coefficient.
+            coefficients = stated(tag, b, d)
+            if tag == "PM" and Fraction(b, d) == Fraction(1, 2):
+                return coefficients[0], coefficients[1] + d * d
             return coefficients
 
         monkeypatch.setattr(bounds, "_sigma_in_alpha", perturbed)
@@ -613,11 +615,11 @@ class TestSigmaRelations:
     def test_flipped_ll_gap_fails_at_the_same_point(self, monkeypatch):
         stated = bounds._sigma_in_alpha
 
-        def flipped(tag, b):
-            coefficients = stated(tag, b)
+        def flipped(tag, b, d):
+            coefficients = stated(tag, b, d)
             if tag == "LL":  # give the alpha*beta term the derived sign
                 c0, c1, c2 = coefficients
-                return c0, c1 + 24 * b, c2
+                return c0, c1 + 24 * b * d, c2
             return coefficients
 
         monkeypatch.setattr(bounds, "_sigma_in_alpha", flipped)
@@ -631,11 +633,11 @@ class TestSigmaRelations:
         # constant gets d^2.  A third does not divide any other denominator.
         stated = bounds._sigma_in_alpha
 
-        def perturbed(tag, b):
-            coefficients = stated(tag, b)
-            if tag == "LL" and b == Fraction(1, 2):
+        def perturbed(tag, b, d):
+            coefficients = stated(tag, b, d)
+            if tag == "LL" and Fraction(b, d) == Fraction(1, 2):
                 c0, c1, c2 = coefficients
-                return c0, c1, c2 + Fraction(1, 3)
+                return c0, c1, c2 + Fraction(d * d, 3)
             return coefficients
 
         monkeypatch.setattr(bounds, "_sigma_in_alpha", perturbed)
@@ -647,10 +649,10 @@ class TestSigmaRelations:
             self, monkeypatch):
         stated = bounds._sigma_in_alpha
 
-        def perturbed(tag, b):
-            coefficients = stated(tag, b)
-            if tag == "MM" and b == Fraction(3, 4):
-                return (coefficients[0] + Fraction(1, 5),) + coefficients[1:]
+        def perturbed(tag, b, d):
+            coefficients = stated(tag, b, d)
+            if tag == "MM" and Fraction(b, d) == Fraction(3, 4):
+                return (coefficients[0] + Fraction(d * d, 5),) + coefficients[1:]
             return coefficients
 
         monkeypatch.setattr(bounds, "_sigma_in_alpha", perturbed)
