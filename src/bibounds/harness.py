@@ -3,16 +3,18 @@
 The sweeps maximize the closed-form |a2| and |a3| of
 :func:`bibounds.solver.closed_forms` over the relaxed coefficient region
 (independent moduli |c1|, |c2|, |b2| <= 2, with b1 linked).  That region is
-what the bound derivations actually use, so the |a2| sweep attains its bound
-at the aligned corner c2 = b2 = 2 whenever B2 = B1 and D2 = D1; the |a3|
-sweep only reports the gap.  Analytic corner candidates are computed first
-(the quantities are affine in c2 and b2), then a grid pass confirms them.
+what the bound derivations actually use.  On every valid pairing the two
+addends of a2^2 have coefficients of one sign, and so do those of a3 in c2
+and b2, so an exact corner is the supremum: c2 = b2 = 2 for |a2|, which
+therefore attains its bound on every non-degenerate pairing, and c1 = 2,
+c2 = b2 = +-2 for |a3|, whose sweep only reports the gap.  A grid pass then
+checks the corner: a grid maximum above it means the algebra is wrong.
 Each grid value is |p + q| (for a2 its square root) of the two addends that
 :func:`bibounds.solver.closed_form_addends` returns, one grid row per c2
 value (a2) or per c1 value (a3).  A row whose bound max |p| + max |q| falls
 short of a computed maximum cannot hold it, and a row equal to row 0 repeats
 it, so the pass builds only the other rows, outer-ring rows mostly.  It
-finds the same maximum and first index as ``np.argmax`` over the full grid.
+finds the same maximum as the full grid, bit for bit.
 
 ``end_to_end`` runs the whole pipeline on a genuine positive-real-part
 sample: forward solve, inversion, inverse-side functional through the series
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
@@ -85,6 +88,9 @@ from .solver import (
 from . import bounds as _bounds
 
 ATTAIN_TOL = 1e-9
+
+# The smallest normal float: the sweeps' absolute floor.
+_TINY = sys.float_info.min
 
 # Float tolerance of the identity suites.  Their checks cancel terms of size
 # 1e2..1e3 (quotient coefficients, the a2^2 chain) down to about 1e-2, so
@@ -173,26 +179,25 @@ def _disk_grid(cfg: SweepConfig):
 
 
 def _exceeds(value, limit) -> bool:
-    # The sweeps' and the random check's one rule: 1e-9 relative plus absolute.
-    return value > limit * (1 + ATTAIN_TOL) + ATTAIN_TOL
+    # The sweeps' and the random check's one rule: 1e-9 relative, with the
+    # smallest normal float as the floor, so it holds at every scale.
+    return value > limit * (1 + ATTAIN_TOL) + _TINY
 
 
 def _grid_max(p, q, root=False):
-    """Value and first flat index of the maximum of f(p[r, j] + q[r, k]).
+    """The maximum of f(p[r, j] + q[r, k]) over the (R, J, K) grid.
 
     f is abs, or sqrt of abs when ``root``; p has shape (R, J), q shape
-    (R, K) or (1, K), and the (R, J, K) grid is indexed in C order.  Only
-    the rows that can hold the maximum are built.  Row r's values are at
-    most U_r = max_j |p[r, j]| + max_k |q[r, k]|, and m is the computed
-    |p + q| maximum of the row with the largest U_r.  A row with
-    U_r (1 + 1e-9) + tiny < m (1 - 1e-9) stays below m, as roundoff is
-    about 1e-15 relative (tiny, the smallest normal float, covers subnormal
-    values), so it holds no maximum; the strict margin outlasts the square
-    root.  A later row equal to row 0 (by ``==``, so +-0 match) repeats row
-    0's values, so its first maximum comes after row 0's.  A non-finite
-    bound keeps every row.  The kept rows, in order, go through the full
-    grid's elementwise operations, so value and index are those of
-    ``np.argmax`` over the full grid.
+    (R, K) or (1, K).  Only the rows that can hold the maximum are built.
+    Row r's values are at most U_r = max_j |p[r, j]| + max_k |q[r, k]|, and
+    m is the computed |p + q| maximum of the row with the largest U_r.  A
+    row with U_r (1 + 1e-9) + tiny < m (1 - 1e-9) stays below m, as roundoff
+    is about 1e-15 relative (tiny, the smallest normal float, covers
+    subnormal values), so it holds no maximum.  A later row equal to row 0
+    (by ``==``, so +-0 match) repeats row 0's values.  A non-finite bound
+    keeps every row.  The kept rows go through the full grid's elementwise
+    operations, and sqrt is monotone and correctly rounded, so the value is
+    the full grid's maximum bit for bit.
     """
     import numpy as np
 
@@ -201,33 +206,27 @@ def _grid_max(p, q, root=False):
         return np.abs(p[rows, :, None] + q_rows[:, None, :])
 
     bound = np.abs(p).max(axis=1) + np.abs(q).max(axis=1)
-    rows = np.arange(len(p))
+    keep = slice(None)
     if np.isfinite(bound).all():
         top = magnitudes([np.argmax(bound)]).max()
-        keep = bound * (1 + 1e-9) + np.finfo(float).tiny >= top * (1 - 1e-9)
+        keep = bound * (1 + 1e-9) + _TINY >= top * (1 - 1e-9)
         repeats = (p == p[0]).all(axis=1) & (q == q[0]).all(axis=1)
         keep[1:] &= ~repeats[1:]
-        rows = rows[keep]
-    values = magnitudes(rows)
-    if root:
-        values = np.sqrt(values)
-    flat = int(np.argmax(values))
-    row, offset = divmod(flat, values[0].size)
-    return values.flat[flat], int(rows[row]) * values[0].size + offset
+    top = magnitudes(keep).max()
+    return np.sqrt(top) if root else top
 
 
-def _sweep_result(quantity, bound, best, best_params, top, flat, axes):
-    """Settle a sweep: the exact corner unless the grid beats it, then the gap.
+def _sweep_result(quantity, bound, best, best_params, top):
+    """Settle a sweep at its exact corner ``best``, checked by the grid's ``top``.
 
-    ``top`` is the grid maximum and ``flat`` its first index in the C-order
-    grid of (c1, c2, b2) = (axes[0][i], axes[1][j], axes[2][k]).
+    The corner is the supremum, so a grid maximum above it means the
+    closed-form algebra is wrong, and raises like a bound violation.
     """
-    import numpy as np
-
-    if _exceeds(top, best):  # a tie keeps the exact corner
-        best = float(top)
-        index = np.unravel_index(flat, [len(axis) for axis in axes])
-        best_params = SchwarzParams(*(axis[i] for axis, i in zip(axes, index)))
+    if _exceeds(top, best):
+        raise BoundViolationError(
+            f"{quantity} grid maximum {float(top)!r} exceeds the exact corner "
+            f"{best!r}"
+        )
     if _exceeds(best, bound):
         raise BoundViolationError(
             f"{quantity} sweep exceeded its bound: max {best!r} vs "
@@ -240,54 +239,48 @@ def _sweep_result(quantity, bound, best, best_params, top, flat, axes):
 def sweep_a2(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     """Maximize |a2| over the relaxed region and report the gap to the bound.
 
-    a2^2 is affine in c2 and b2 and independent of c1, so the aligned corner
-    c2 = b2 = 2 is the analytic maximum; the grid pass is a safety net.  Its
-    rows are the c2 values, each a2^2 = g2 c2 + d2 b2 with the b2 addends
+    a2^2 = g2 c2 + d2 b2 with g2 d2 > 0 and no c1, so the aligned corner
+    c2 = b2 = 2 is the maximum, and it attains the bound.  The grid pass
+    checks it: its rows are the c2 values, each a2^2 with the b2 addends
     shared, and :func:`_grid_max` builds only the rows that can hold the
-    grid maximum (on the outer ring), with ``np.argmax``'s value and index.
+    grid maximum (on the outer ring).
     """
-    import numpy as np
-
     if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
         raise DegeneratePairError("a2 sweep needs a non-degenerate pairing")
     corner_sq = closed_forms(pair, 0, 2, 2).a2_squared  # exact
     grid = _disk_grid(cfg)
-    axes = (np.zeros(1), grid, grid)
-    _, _, (g2_c2, d2_b2), _ = closed_form_addends(pair, *axes)
+    _, _, (g2_c2, d2_b2), _ = closed_form_addends(pair, 0.0, grid, grid)
     return _sweep_result(
         "a2", _bounds.generic_a2_bound(pair), math.sqrt(float(abs(corner_sq))),
         SchwarzParams(0.0, 2.0, 2.0),
-        *_grid_max(g2_c2[:, None], d2_b2[None, :], root=True), axes,
+        _grid_max(g2_c2[:, None], d2_b2[None, :], root=True),
     )
 
 
 def sweep_a3(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     """Maximize |a3| over the relaxed region, c1 phases included.
 
-    For fixed c1 the maximum over c2, b2 sits at modulus 2 with both phases
-    aligned to the c1^2 contribution; the best c1 modulus is 2.  Attainment
-    of the bound is not asserted (the triangle inequality in the bound need
-    not be tight when the two second-coefficient gaps pull apart).  The grid
-    pass has one row per c1, a3 = gx X + gy Y with X over (c1, c2) and Y
-    over (c1, b2), and :func:`_grid_max` builds only the rows that can hold
-    the grid maximum, with ``np.argmax``'s value and index.  With B2 = B1
-    and D2 = D1, X and Y do not depend on c1, so row 0 alone is built.
+    a3 = (gx B1 / 2) c2 + (gy D1 / 2) b2 + W c1^2 with gx gy > 0, so the
+    maximum sits at c1 = 2 and c2 = b2 = 2 sign(W gx), the larger of the two
+    exact corners c2 = b2 = +-2.  Attainment of the bound is not asserted
+    (the triangle inequality in the bound need not be tight when the two
+    second-coefficient gaps pull apart).  The grid pass checks the corner
+    with one row per c1, a3 = gx X + gy Y with X over (c1, c2) and Y over
+    (c1, b2), and :func:`_grid_max` builds only the rows that can hold the
+    grid maximum.  With B2 = B1 and D2 = D1, X and Y do not depend on c1,
+    so row 0 alone is built.
     """
-    import numpy as np
-
     if sigma_tilde(pair) == 0:
         raise DegeneratePairError("a3 sweep needs a nonzero determinant")
-    # Exact corners c1 = 2, c2 = b2 = +-2; the larger one is the maximum.
     analytic, sign = max(
         (abs(closed_forms(pair, 2, 2 * s, 2 * s).a3), s) for s in (1, -1)
     )
     ring = 2.0 * _phase_ring(cfg)
-    axes = (_disk_grid(cfg), ring, ring)
     _, _, _, (gx_x, gy_y) = closed_form_addends(
-        pair, axes[0][:, None], ring[None, :], ring[None, :])
+        pair, _disk_grid(cfg)[:, None], ring[None, :], ring[None, :])
     return _sweep_result(
         "a3", _bounds.generic_a3_bound(pair), float(analytic),
-        SchwarzParams(2.0, 2.0 * sign, 2.0 * sign), *_grid_max(gx_x, gy_y), axes,
+        SchwarzParams(2.0, 2.0 * sign, 2.0 * sign), _grid_max(gx_x, gy_y),
     )
 
 
@@ -298,7 +291,8 @@ RandomCheckReport = namedtuple(
 def check_bounds_random(pair: PairSpec, seed: int, n: int) -> RandomCheckReport:
     """n pseudo-random admissible draws; verify neither bound is exceeded.
 
-    Raises :class:`BoundViolationError` past bound * (1 + 1e-9) + 1e-9.
+    Raises :class:`BoundViolationError` past bound * (1 + 1e-9) plus the
+    smallest normal float.
     """
     import numpy as np
 

@@ -428,6 +428,20 @@ class TestExitCodes:
         assert code == 0
         assert '"gap": 0.0' in text
 
+    @pytest.mark.parametrize("scale", ["", "e-12"], ids=["1", "1e-12"])
+    def test_small_target_a3_gap_is_not_attained(self, scale):
+        # The gap is a quarter of the bound at every scale; an absolute
+        # tolerance of 1e-9 would call it attained below about 1e-9.
+        code, text = run_cli(
+            ["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0", "--what", "a3",
+             "--phi-coeffs", f"2{scale},4{scale}", "--psi-coeffs", f"2{scale},0"]
+        )
+        payload = json.loads(text)
+        assert code == 0
+        assert payload["max_value"] == float(f"3{scale}")
+        assert payload["bound"] == float(f"4{scale}")
+        assert payload["attained"] is False
+
     def test_verify_success(self):
         code, text = run_cli(
             ["verify", "--suite", "series", "--seed", "1", "--samples", "5"]

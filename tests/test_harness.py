@@ -84,7 +84,7 @@ TIE_POINTS = {
                          ids=["default", "fine"])
 def test_sweep_ties_keep_the_exact_corner(tag, what, cfg):
     # The grid contains the corner up to roundoff; a float tie must not
-    # replace the exact corner or turn the gap negative.
+    # read as a grid maximum above the corner or turn the gap negative.
     targets = [(CARA, CARA),
                (target_preset("strong:1/2"), target_preset("order:1/3"))]
     for phi, psi in targets:
@@ -107,13 +107,19 @@ class TestSweepA2:
         assert complex(result.argmax.c2) == 2 + 0j
         assert complex(result.argmax.b2) == 2 + 0j
 
-    def test_attained_whenever_tails_match(self):
+    @pytest.mark.parametrize("equal_tail", [True, False], ids=["equal", "skewed"])
+    def test_attained_on_every_pairing(self, equal_tail):
+        # g2 d2 > 0, so the corner c2 = b2 = 2 reaches 2 |g2| + 2 |d2|.
         rng = random.Random(7)
         for tag in THEOREM_TAGS:
-            pair = rand_pair(rng, tag, equal_tail=True)
-            result = sweep_a2(pair)
-            assert result.attained
-            assert result.gap >= -1e-9
+            for _ in range(5):
+                pair = rand_pair(rng, tag, equal_tail)
+                try:
+                    result = sweep_a2(pair)
+                except DegeneratePairError:
+                    continue
+                assert result.attained
+                assert result.gap >= -1e-9
 
     def test_gap_nonnegative_generally(self):
         rng = random.Random(8)
@@ -164,7 +170,7 @@ class TestSweepA3:
 @pytest.mark.parametrize("b2", [10**8, 10**12, -10**9])
 def test_sweep_a3_large_target_is_not_a_violation(tag, b2):
     # Past about 1e7 the grid's roundoff exceeds 1e-9 absolute; the relative
-    # part of the tolerance keeps the exact corner and a zero gap.
+    # tolerance keeps it from reading as a grid maximum above the corner.
     pair = theorem_pair(tag, Fraction(1, 2), Fraction(1, 3), MindaTarget([2, b2]), CARA)
     result = sweep_a3(pair)
     at = result.argmax
@@ -176,12 +182,11 @@ def test_sweep_a3_large_target_is_not_a_violation(tag, b2):
 
 
 def full_grid_max(p, q, root=False):
-    """Every value of f(p[r, j] + q[r, k]), then np.argmax: the reference."""
+    """Every value of f(p[r, j] + q[r, k]), then their maximum: the reference."""
     values = np.abs(p[:, :, None] + q[:, None, :])
     if root:
         values = np.sqrt(values)
-    flat = int(np.argmax(values))
-    return values.flat[flat], flat
+    return values.max()
 
 
 def flip_zero_signs(z):
@@ -232,56 +237,54 @@ class TestGridMax:
 
     @settings(max_examples=400, deadline=None)
     @given(addend_grids())
-    def test_same_value_and_first_index_as_the_full_grid(self, grid):
+    def test_same_value_as_the_full_grid(self, grid):
         p, q, root = grid
         with np.errstate(over="ignore", invalid="ignore"):
             expected = full_grid_max(p, q, root)
-            value, flat = harness._grid_max(p, q, root)
-        assert flat == expected[1]
-        assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+            value = harness._grid_max(p, q, root)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
-    def test_repeats_of_row_zero_keep_its_first_index(self):
+    def test_repeats_of_row_zero_are_skipped(self):
         # Rows 1 and 3 equal row 0 up to the sign of a zero; row 2 ties it.
         p = np.array([[1 + 0j], [complex(1, -0.0)], [1j], [1 + 0j]])
         q = np.array([[1 + 1j, -0.0j]])
-        assert harness._grid_max(p, q) == full_grid_max(p, q) == (math.sqrt(5), 0)
+        assert harness._grid_max(p, q) == full_grid_max(p, q) == math.sqrt(5)
 
     @pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
     def test_non_finite_parts_keep_every_row(self, part):
         # A NaN bound compares false with everything, so pruning by it would
-        # drop the row whose NaN np.argmax returns.
+        # drop the non-finite row and report row 0's 102.
         p = np.array([[100 + 0j], [complex(part, 0)], [1 + 0j]])
         q = np.array([[1 + 0j, 2 + 0j]])
         with np.errstate(invalid="ignore"):
-            value, flat = harness._grid_max(p, q)
+            value = harness._grid_max(p, q)
             expected = full_grid_max(p, q)
-        assert flat == expected[1] == 2
-        assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+        assert not math.isfinite(value)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
     def test_rows_within_roundoff_of_the_maximum_are_kept(self):
         # Row 0's addends are nearly aligned: with numpy's AVX-512 complex abs,
         # its |p| + |q| rounds one ulp below its |p + q|, which row 1, with
-        # the larger bound, only ties.
+        # the larger bound, ties.
         p = np.array([[complex(-1.326961426560111, -0.09874498595011956)],
                       [complex(1.4056371322954846, 2.8447535802517994)]])
         q = np.array([[complex(-1.4056371322954846, -0.10459958827838345)]])
         assert harness._grid_max(p, q) == full_grid_max(p, q)
-        assert full_grid_max(p, q)[1] == 0
 
     def test_subnormal_rows_are_not_pruned_by_roundoff(self):
         # Rounded to the subnormal grid, row 0's |p| + |q| is 2t but its value
-        # |p + q| is 3t, the maximum; a relative margin alone would drop it.
+        # |p + q| is 3t, the maximum.
         t = 5e-324
         p = np.array([[complex(t, t)], [complex(2 * t, 0)]])
         q = np.array([[complex(t, t)]])
-        assert harness._grid_max(p, q) == full_grid_max(p, q) == (3 * t, 0)
+        assert harness._grid_max(p, q) == full_grid_max(p, q) == 3 * t
 
 
 def full_grid_sweep(what, pair, cfg):
     """A sweep as it was before its grid pass skipped rows.
 
     Builds every grid value with closed_forms on the np.ix_ grid and takes
-    np.argmax; returns the SweepResult and the grid's (maximum, flat index).
+    its maximum; returns the SweepResult and that maximum.
     """
     if what == "a2":
         best = math.sqrt(float(abs(solver.closed_forms(pair, 0, 2, 2).a2_squared)))
@@ -298,17 +301,12 @@ def full_grid_sweep(what, pair, cfg):
         axes = (harness._disk_grid(cfg), ring, ring)
         values = np.abs(solver.closed_forms(pair, *np.ix_(*axes)).a3)
         bound = bounds.generic_a3_bound(pair)
-    flat = int(np.argmax(values))
-    index = np.unravel_index(flat, values.shape)
-    top = values[index]
-    if harness._exceeds(top, best):
-        best = float(top)
-        best_params = SchwarzParams(*(axis[i] for axis, i in zip(axes, index)))
-    if harness._exceeds(best, bound):
-        raise BoundViolationError(f"{what} sweep exceeded its bound")
+    top = values.max()
+    if harness._exceeds(top, best) or harness._exceeds(best, bound):
+        raise BoundViolationError(f"{what} sweep exceeded its corner or bound")
     result = SweepResult(what, best, best_params, bound, bound - best,
                          not harness._exceeds(bound, best))
-    return result, (top, flat)
+    return result, top
 
 
 def oracle_pairs():
@@ -337,6 +335,55 @@ def test_sweeps_match_the_full_grid(what, cfg, monkeypatch):
         seen.clear()
         result = sweep(pair, cfg)
         assert (result, *seen) == full_grid_sweep(what, pair, cfg)
+
+
+@pytest.mark.parametrize("what", ["a2", "a3"])
+def test_grid_maximum_above_the_corner_raises(what, monkeypatch):
+    # The corner is the supremum, so a grid value above it means the algebra
+    # is wrong; it must not be reported as the sweep's maximum.
+    sweep = sweep_a2 if what == "a2" else sweep_a3
+    pair = theorem_pair("PL", Fraction(1, 3), Fraction(1, 2), CARA, MindaTarget([2, 1]))
+    corner = sweep(pair).max_value
+    monkeypatch.setattr(harness, "_grid_max",
+                        lambda p, q, root=False: corner * (1 + 1e-6))
+    with pytest.raises(BoundViolationError, match="exceeds the exact corner"):
+        sweep(pair)
+
+
+_KIND_PARAMS = {"P": Fraction(8), "M": Fraction(8), "L": Fraction(1)}
+
+
+@st.composite
+def valid_pairs(draw):
+    """Any two class kinds, each parameter in its range, any B2 and D2."""
+    def spec():
+        kind = draw(st.sampled_from(classes.CLASS_KINDS))
+        top = _KIND_PARAMS[kind]
+        return classes.ClassSpec(kind, top * draw(st.fractions(0, 1, max_denominator=24)))
+
+    def target():
+        return MindaTarget([draw(st.fractions(Fraction(1, 16), 8, max_denominator=16)),
+                            draw(st.fractions(-8, 8, max_denominator=16))])
+
+    return solver.PairSpec(spec(), target(), spec(), target())
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_pairs())
+def test_exact_corners_are_the_suprema(pair):
+    # a2^2 = g2 c2 + d2 b2 and a3 = (gx B1 / 2) c2 + (gy D1 / 2) b2 + W c1^2:
+    # with g2 d2 > 0 and gx gy > 0 the corners reach the termwise sums.
+    k = pair.exact_constants
+    B1, D1 = 2 * k.half_b1, 2 * k.half_d1
+    if k.g2 is not None:
+        assert k.g2 * k.d2 > 0
+        corner_sq = abs(solver.closed_forms(pair, 0, 2, 2).a2_squared)
+        assert corner_sq == 2 * abs(k.g2) + 2 * abs(k.d2) == bounds._generic_a2_sq(pair)
+    if k.gx is not None:
+        assert k.gx * k.gy > 0
+        w = k.gx * k.quarter_db + k.gy * k.quarter_dd * k.kappa ** 2
+        corner = max(abs(solver.closed_forms(pair, 2, 2 * s, 2 * s).a3) for s in (1, -1))
+        assert corner == abs(k.gx) * B1 + abs(k.gy) * D1 + 4 * abs(w)
 
 
 @pytest.mark.parametrize("what", ["a2", "a3"])
@@ -381,6 +428,19 @@ class TestRandomChecks:
     def test_degenerate_raises(self):
         with pytest.raises(DegeneratePairError):
             check_bounds_random(DEGENERATE, seed=0, n=10)
+
+    @pytest.mark.parametrize("scale", [1, Fraction(1, 10**12)], ids=["1", "1e-12"])
+    def test_halved_bound_raises_at_every_scale(self, scale, monkeypatch):
+        # The tolerance's absolute floor is the smallest normal float, so a
+        # violation of tiny targets is not lost under it.
+        pair = theorem_pair("PL", Fraction(1, 3), Fraction(1, 2),
+                            MindaTarget([2 * scale, 2 * scale]),
+                            MindaTarget([2 * scale, scale]))
+        generic_a2_bound = bounds.generic_a2_bound
+        monkeypatch.setattr(bounds, "generic_a2_bound",
+                            lambda pair: generic_a2_bound(pair) / 2)
+        with pytest.raises(BoundViolationError, match="a2"):
+            check_bounds_random(pair, seed=1, n=1000)
 
     def test_deterministic(self):
         a = check_bounds_random(CANONICAL, seed=5, n=500)
