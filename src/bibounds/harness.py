@@ -8,7 +8,7 @@ addends of a2^2 have coefficients of one sign, and so do those of a3 in c2
 and b2, so an exact corner is the supremum: c2 = b2 = 2 for |a2|, which
 therefore attains its bound on every non-degenerate pairing, and c1 = 2,
 c2 = b2 = +-2 for |a3|, whose sweep only reports the gap.  A grid pass then
-checks the corner: a grid maximum above it means the algebra is wrong.
+checks the corner: a grid maximum above it beyond roundoff means wrong algebra.
 Each grid value is |p + q| (for a2 its square root) of the two addends that
 :func:`bibounds.solver.closed_form_addends` returns, one grid row per c2
 value (a2) or per c1 value (a3).  A row whose bound max |p| + max |q| falls
@@ -185,7 +185,7 @@ def _exceeds(value, limit) -> bool:
 
 
 def _grid_max(p, q, root=False):
-    """The maximum of f(p[r, j] + q[r, k]) over the (R, J, K) grid.
+    """(maximum, scale) of f(p[r, j] + q[r, k]) over the (R, J, K) grid.
 
     f is abs, or sqrt of abs when ``root``; p has shape (R, J), q shape
     (R, K) or (1, K).  Only the rows that can hold the maximum are built.
@@ -197,7 +197,8 @@ def _grid_max(p, q, root=False):
     (by ``==``, so +-0 match) repeats row 0's values.  A non-finite bound
     keeps every row.  The kept rows go through the full grid's elementwise
     operations, and sqrt is monotone and correctly rounded, so the value is
-    the full grid's maximum bit for bit.
+    the full grid's maximum bit for bit.  The scale, f of the largest U_r,
+    sizes the values' roundoff, which cancelling addends do not shrink.
     """
     import numpy as np
 
@@ -212,17 +213,18 @@ def _grid_max(p, q, root=False):
         keep = bound * (1 + 1e-9) + _TINY >= top * (1 - 1e-9)
         repeats = (p == p[0]).all(axis=1) & (q == q[0]).all(axis=1)
         keep[1:] &= ~repeats[1:]
-    top = magnitudes(keep).max()
-    return np.sqrt(top) if root else top
+    top, scale = magnitudes(keep).max(), bound.max()
+    return (np.sqrt(top), np.sqrt(scale)) if root else (top, scale)
 
 
-def _sweep_result(quantity, bound, best, best_params, top):
-    """Settle a sweep at its exact corner ``best``, checked by the grid's ``top``.
+def _sweep_result(quantity, bound, best, best_params, top, scale):
+    """Settle a sweep at its exact corner ``best``, checked by the grid.
 
-    The corner is the supremum, so a grid maximum above it means the
-    closed-form algebra is wrong, and raises like a bound violation.
+    The corner is the supremum, so a grid maximum ``top`` above it by more
+    than 1e-9 of the grid's ``scale`` means the algebra is wrong, and
+    raises like a bound violation.
     """
-    if _exceeds(top, best):
+    if _exceeds(top, best + ATTAIN_TOL * scale):
         raise BoundViolationError(
             f"{quantity} grid maximum {float(top)!r} exceeds the exact corner "
             f"{best!r}"
@@ -253,7 +255,7 @@ def sweep_a2(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
     return _sweep_result(
         "a2", _bounds.generic_a2_bound(pair), math.sqrt(float(abs(corner_sq))),
         SchwarzParams(0.0, 2.0, 2.0),
-        _grid_max(g2_c2[:, None], d2_b2[None, :], root=True),
+        *_grid_max(g2_c2[:, None], d2_b2[None, :], root=True),
     )
 
 
@@ -280,7 +282,7 @@ def sweep_a3(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
         pair, _disk_grid(cfg)[:, None], ring[None, :], ring[None, :])
     return _sweep_result(
         "a3", _bounds.generic_a3_bound(pair), float(analytic),
-        SchwarzParams(2.0, 2.0 * sign, 2.0 * sign), _grid_max(gx_x, gy_y),
+        SchwarzParams(2.0, 2.0 * sign, 2.0 * sign), *_grid_max(gx_x, gy_y),
     )
 
 

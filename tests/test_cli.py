@@ -428,6 +428,16 @@ class TestExitCodes:
         assert code == 0
         assert '"gap": 0.0' in text
 
+    def test_cancelling_large_target_a3_sweep_succeeds(self):
+        # W's two terms, about 2e11 each, cancel: the grid's roundoff near
+        # 1e-4 must not read as a maximum above the corner S3 = 2.
+        code, text = run_cli(
+            ["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0", "--what", "a3",
+             "--phi-coeffs", "2,1000000000002", "--psi-coeffs", "2,-2999999999998"]
+        )
+        assert code == 0
+        assert json.loads(text)["max_value"] == 2.0
+
     @pytest.mark.parametrize("scale", ["", "e-12"], ids=["1", "1e-12"])
     def test_small_target_a3_gap_is_not_attained(self, scale):
         # The gap is a quarter of the bound at every scale; an absolute
