@@ -456,14 +456,8 @@ def _run_sweep(args, config):
         key: _setting(args, config, key, default)
         for key, default in _harness.SweepConfig._field_defaults.items()})
     pair = _bounds.theorem_pair(args.pair, args.alpha, args.beta, phi, psi)
-    # After the input checks, so a rejected sweep never loads numpy.
-    try:
-        import numpy  # noqa: F401  the sweeps' grids are numpy arrays
-    except ImportError:
-        raise UsageError("sweep needs numpy, the 'sweep' extra: "
-                         "pip install 'bibounds[sweep]'") from None
     sweep = _harness.sweep_a2 if args.what == "a2" else _harness.sweep_a3
-    result = sweep(pair, cfg)._asdict()
+    result = sweep(pair)._asdict()
     argmax = result.pop("argmax")
     payload = {
         "command": "sweep",

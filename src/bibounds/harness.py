@@ -7,14 +7,9 @@ what the bound derivations actually use.  On every valid pairing the two
 addends of a2^2 have coefficients of one sign, and so do those of a3 in c2
 and b2, so an exact corner is the supremum: c2 = b2 = 2 for |a2|, which
 therefore attains its bound on every non-degenerate pairing, and c1 = 2,
-c2 = b2 = +-2 for |a3|, whose sweep only reports the gap.  A grid pass then
-checks the corner: a grid maximum above it beyond roundoff means wrong algebra.
-Each grid value is |p + q| (for a2 its square root) of the two addends that
-:func:`bibounds.solver.closed_form_addends` returns, one grid row per c2
-value (a2) or per c1 value (a3).  A row whose bound max |p| + max |q| falls
-short of a computed maximum cannot hold it, and a row equal to row 0 repeats
-it, so the pass builds only the other rows, outer-ring rows mostly.  It
-finds the same maximum as the full grid, bit for bit.
+c2 = b2 = +-2 for |a3|, whose sweep only reports the gap.  The sweeps
+evaluate those corners and build no grid; the tests hold them against a
+full numpy grid.
 
 ``end_to_end`` runs the whole pipeline on a genuine positive-real-part
 sample: forward solve, inversion, inverse-side functional through the series
@@ -32,8 +27,8 @@ pairings on the 5 x 5 grid of quarters, with the printed sigma evaluated
 by :mod:`bibounds.bounds` itself.  The sample count is capped at
 :data:`MAX_SAMPLES`.
 
-numpy is imported inside the sweeps and the random check, the only code
-that uses it, so the other commands never load it.
+numpy is imported inside the random check, the only code that uses it, so
+no CLI command loads it.
 """
 
 from __future__ import annotations
@@ -72,7 +67,6 @@ from .classes import (
 )
 from .solver import (
     PairSpec,
-    closed_form_addends,
     closed_forms,
     consistency_residual,
     eliminate,
@@ -119,8 +113,9 @@ MAX_SAMPLES = 10_000
 # end_to_end's sample mixes this many rotation kernels, at the default order.
 END_TO_END_KERNELS = 3
 
-# Largest sweep grid (values of the main array); the fine benchmark grid,
-# 17 radial by 32 phase steps, is 557,056.
+# Largest grid a SweepConfig describes (values of the main array); the fine
+# benchmark grid, 17 radial by 32 phase steps, is 557,056.  The sweeps read
+# no config, but the CLI still checks, caps and echoes it.
 MAX_SWEEP_POINTS = 2**22
 
 # The consistency chain gives up after this many draws per accepted sample
@@ -138,7 +133,11 @@ class BoundViolationError(RuntimeError):
 
 class SweepConfig(CheckedRecord, namedtuple(
         "SweepConfig", "radial_steps phase_steps", defaults=(9, 16))):
-    """Grid resolution and sampling parameters for the sweeps."""
+    """Grid resolution of a sweep: checked, capped and echoed by the CLI.
+
+    The sweeps take their exact corners and read no grid; the tests build
+    the full grid of a config as the sweeps' reference.
+    """
 
     __slots__ = ()
 
@@ -163,72 +162,14 @@ SweepResult = namedtuple(
     "SweepResult", "quantity max_value argmax bound gap attained")
 
 
-def _phase_ring(cfg: SweepConfig):
-    import numpy as np
-
-    phases = np.linspace(0.0, 2.0 * math.pi, cfg.phase_steps, endpoint=False)
-    return np.exp(1j * phases)
-
-
-def _disk_grid(cfg: SweepConfig):
-    import numpy as np
-
-    moduli = np.linspace(0.0, 2.0, cfg.radial_steps)
-    grid = (moduli[:, None] * _phase_ring(cfg)[None, :]).ravel()
-    return grid
-
-
 def _exceeds(value, limit) -> bool:
     # The sweeps' and the random check's one rule: 1e-9 relative, with the
     # smallest normal float as the floor, so it holds at every scale.
     return value > limit * (1 + ATTAIN_TOL) + _TINY
 
 
-def _grid_max(p, q, root=False):
-    """(maximum, scale) of f(p[r, j] + q[r, k]) over the (R, J, K) grid.
-
-    f is abs, or sqrt of abs when ``root``; p has shape (R, J), q shape
-    (R, K) or (1, K).  Only the rows that can hold the maximum are built.
-    Row r's values are at most U_r = max_j |p[r, j]| + max_k |q[r, k]|, and
-    m is the computed |p + q| maximum of the row with the largest U_r.  A
-    row with U_r (1 + 1e-9) + tiny < m (1 - 1e-9) stays below m, as roundoff
-    is about 1e-15 relative (tiny, the smallest normal float, covers
-    subnormal values), so it holds no maximum.  A later row equal to row 0
-    (by ``==``, so +-0 match) repeats row 0's values.  A non-finite bound
-    keeps every row.  The kept rows go through the full grid's elementwise
-    operations, and sqrt is monotone and correctly rounded, so the value is
-    the full grid's maximum bit for bit.  The scale, f of the largest U_r,
-    sizes the values' roundoff, which cancelling addends do not shrink.
-    """
-    import numpy as np
-
-    def magnitudes(rows):
-        q_rows = q if len(q) == 1 else q[rows]
-        return np.abs(p[rows, :, None] + q_rows[:, None, :])
-
-    bound = np.abs(p).max(axis=1) + np.abs(q).max(axis=1)
-    keep = slice(None)
-    if np.isfinite(bound).all():
-        top = magnitudes([np.argmax(bound)]).max()
-        keep = bound * (1 + 1e-9) + _TINY >= top * (1 - 1e-9)
-        repeats = (p == p[0]).all(axis=1) & (q == q[0]).all(axis=1)
-        keep[1:] &= ~repeats[1:]
-    top, scale = magnitudes(keep).max(), bound.max()
-    return (np.sqrt(top), np.sqrt(scale)) if root else (top, scale)
-
-
-def _sweep_result(quantity, bound, best, best_params, top, scale):
-    """Settle a sweep at its exact corner ``best``, checked by the grid.
-
-    The corner is the supremum, so a grid maximum ``top`` above it by more
-    than 1e-9 of the grid's ``scale`` means the algebra is wrong, and
-    raises like a bound violation.
-    """
-    if _exceeds(top, best + ATTAIN_TOL * scale):
-        raise BoundViolationError(
-            f"{quantity} grid maximum {float(top)!r} exceeds the exact corner "
-            f"{best!r}"
-        )
+def _sweep_result(quantity, bound, best, best_params):
+    """Settle a sweep at its exact corner ``best``, the supremum."""
     if _exceeds(best, bound):
         raise BoundViolationError(
             f"{quantity} sweep exceeded its bound: max {best!r} vs "
@@ -238,51 +179,38 @@ def _sweep_result(quantity, bound, best, best_params, top, scale):
                        not _exceeds(bound, best))
 
 
-def sweep_a2(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
+def sweep_a2(pair: PairSpec) -> SweepResult:
     """Maximize |a2| over the relaxed region and report the gap to the bound.
 
     a2^2 = g2 c2 + d2 b2 with g2 d2 > 0 and no c1, so the aligned corner
-    c2 = b2 = 2 is the maximum, and it attains the bound.  The grid pass
-    checks it: its rows are the c2 values, each a2^2 with the b2 addends
-    shared, and :func:`_grid_max` builds only the rows that can hold the
-    grid maximum (on the outer ring).
+    c2 = b2 = 2 is the maximum, and it attains the bound.
     """
     if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
         raise DegeneratePairError("a2 sweep needs a non-degenerate pairing")
     corner_sq = closed_forms(pair, 0, 2, 2).a2_squared  # exact
-    grid = _disk_grid(cfg)
-    _, _, (g2_c2, d2_b2), _ = closed_form_addends(pair, 0.0, grid, grid)
     return _sweep_result(
         "a2", _bounds.generic_a2_bound(pair), math.sqrt(float(abs(corner_sq))),
         SchwarzParams(0.0, 2.0, 2.0),
-        *_grid_max(g2_c2[:, None], d2_b2[None, :], root=True),
     )
 
 
-def sweep_a3(pair: PairSpec, cfg: SweepConfig = SweepConfig()) -> SweepResult:
+def sweep_a3(pair: PairSpec) -> SweepResult:
     """Maximize |a3| over the relaxed region, c1 phases included.
 
     a3 = (gx B1 / 2) c2 + (gy D1 / 2) b2 + W c1^2 with gx gy > 0, so the
     maximum sits at c1 = 2 and c2 = b2 = 2 sign(W gx), the larger of the two
     exact corners c2 = b2 = +-2.  Attainment of the bound is not asserted
     (the triangle inequality in the bound need not be tight when the two
-    second-coefficient gaps pull apart).  The grid pass checks the corner
-    with one row per c1, a3 = gx X + gy Y with X over (c1, c2) and Y over
-    (c1, b2), and :func:`_grid_max` builds only the rows that can hold the
-    grid maximum.  With B2 = B1 and D2 = D1, X and Y do not depend on c1,
-    so row 0 alone is built.
+    second-coefficient gaps pull apart).
     """
     if sigma_tilde(pair) == 0:
         raise DegeneratePairError("a3 sweep needs a nonzero determinant")
     analytic, sign = max(
         (abs(closed_forms(pair, 2, 2 * s, 2 * s).a3), s) for s in (1, -1)
     )
-    ring = 2.0 * _phase_ring(cfg)
-    _, _, _, (gx_x, gy_y) = closed_form_addends(
-        pair, _disk_grid(cfg)[:, None], ring[None, :], ring[None, :])
     return _sweep_result(
         "a3", _bounds.generic_a3_bound(pair), float(analytic),
-        SchwarzParams(2.0, 2.0 * sign, 2.0 * sign), *_grid_max(gx_x, gy_y),
+        SchwarzParams(2.0, 2.0 * sign, 2.0 * sign),
     )
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from bibounds import cli
 from bibounds.bounds import BoundReport, Discrepancy
 from bibounds.harness import MAX_SAMPLES, CheckResult
+from oracles import generic_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -386,6 +387,23 @@ class TestGolden:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             SWEEP_DIGESTS[tag, what, grid, targets, fmt]
 
+    @pytest.mark.parametrize("radial, phase", [(2, 4), (9, 16), (17, 32), (16, 64)],
+                             ids=["2x4", "9x16", "17x32", "16x64"])
+    @pytest.mark.parametrize("what", ["a2", "a3"])
+    def test_grid_flags_change_only_the_echoed_config(self, what, radial, phase):
+        # The sweeps take their exact corners, so the grid flags are checked
+        # and echoed under config but move nothing else.
+        argv = ["sweep", "--pair", "PL", "--alpha", "1/3", "--beta", "1/2",
+                "--psi-coeffs", "2,1", "--what", what]
+        _, default = run_cli(argv)
+        code, text = run_cli(argv + ["--radial-steps", str(radial),
+                                     "--phase-steps", str(phase)])
+        payload, expected = json.loads(text), json.loads(default)
+        assert code == 0
+        assert payload.pop("config") == {"radial_steps": radial, "phase_steps": phase}
+        assert expected.pop("config") == {"radial_steps": 9, "phase_steps": 16}
+        assert payload == expected
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -429,14 +447,38 @@ class TestExitCodes:
         assert '"gap": 0.0' in text
 
     def test_cancelling_large_target_a3_sweep_succeeds(self):
-        # W's two terms, about 2e11 each, cancel: the grid's roundoff near
-        # 1e-4 must not read as a maximum above the corner S3 = 2.
+        # W's two terms, about 2e11 each, cancel: the corner S3 = 2 lies
+        # far below the termwise bound of about 1.5e12.
         code, text = run_cli(
             ["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0", "--what", "a3",
              "--phi-coeffs", "2,1000000000002", "--psi-coeffs", "2,-2999999999998"]
         )
         assert code == 0
         assert json.loads(text)["max_value"] == 2.0
+
+    @pytest.mark.parametrize("what", ["a2", "a3"])
+    def test_huge_parameter_sweep_is_its_exact_corner(self, what):
+        # The corners are exact, so alpha = beta = 1e300 overflows no float
+        # constant; with equal targets either corner reaches its bound.
+        big = Fraction(10**300)
+        _, a2_sq, a3 = generic_reference("MM", big, big, 2, 2, 2, 2)
+        want = math.sqrt(a2_sq) if what == "a2" else float(a3)
+        code, text = run_cli(["sweep", "--pair", "MM", "--alpha", "1e300",
+                              "--beta", "1e300", "--what", what])
+        payload = json.loads(text)
+        assert code == 0
+        assert payload["max_value"] == payload["bound"] == float(f"{want:.9g}")
+        assert payload["attained"] is True
+
+    def test_a2_degenerate_pair_still_sweeps_a3(self):
+        # DEN vanishes, so the a2 sweep is refused, but a3 needs only the
+        # determinant sigma_tilde = 4; equal tails put the corner at the bound.
+        code, text = run_cli(SWEEP + ["--phi-coeffs", "1,2", "--psi-coeffs", "1,2",
+                                      "--what", "a3"])
+        payload = json.loads(text)
+        assert code == 0
+        assert payload["max_value"] == payload["bound"] == 2.0
+        assert payload["attained"] is True
 
     @pytest.mark.parametrize("scale", ["", "e-12"], ids=["1", "1e-12"])
     def test_small_target_a3_gap_is_not_attained(self, scale):
@@ -623,6 +665,8 @@ REJECTED = {
     "sweep_psi_empty": (None, SWEEP + ["--psi", ""]),
     "sweep_phi_coeffs_empty": (None, SWEEP + ["--phi-coeffs", ""]),
     "sweep_psi_coeffs_empty": (None, SWEEP + ["--psi-coeffs", ""]),
+    # DEN vanishes: |a2| has no bound to sweep against.
+    "sweep_a2_degenerate": (None, SWEEP + ["--phi-coeffs", "1,2", "--psi-coeffs", "1,2"]),
 }
 # Rationals whose float conversion overflows.
 OVERFLOWS = {
@@ -635,7 +679,8 @@ OVERFLOWS = {
                                     "--a3", "1", "--order", "64"],
     "bound_phi_coeffs_1e400": BOUND + ["--phi-coeffs", "1,1e400"],
     "audit_grid_1e300": ["audit", "--theorem", "MM", "--grid", "1e300:1e300:1"],
-    "sweep_alpha_beta_1e300": ["sweep", "--pair", "MM", "--alpha", "1e300", "--beta", "1e300"],
+    "sweep_alpha_beta_1e400": ["sweep", "--pair", "MM", "--alpha", "1e400", "--beta", "1e400"],
+    "sweep_phi_coeffs_1e400": SWEEP + ["--phi-coeffs", "1,1e400", "--what", "a3"],
 }
 REJECTED.update((name, (None, argv)) for name, argv in OVERFLOWS.items())
 # Decimal exponents past the parser's limit, and range checks on huge values.
@@ -951,35 +996,36 @@ def test_render_json_on_hand_built_reports():
     assert cli.render_json(payload) == _reference_json(payload)
 
 
-# Every command but sweep, each in both verify modes.
-_NON_SWEEP_ARGVS = [
+# The sweeps whose goldens the no-numpy probe compares with.
+_SWEEP_GOLDENS = ("sweep.json", "sweep_a3_fine_skewed.json")
+
+# Every command, verify in both modes, and the default and the fine sweep.
+_COMMAND_ARGVS = [
     ["bound", "--pair", "PL", "--alpha", "1/2", "--beta", "1/3"],
     ["audit", "--theorem", "LL", "--grid", "0:1:1/2", "--psi-coeffs", "2,1"],
     ["expand", "--class", "L", "--alpha", "1/2", "--a2", "1", "--a3", "2"],
     ["table"],
     ["verify", "--suite", "all", "--samples", "2"],
     ["verify", "--suite", "all", "--samples", "2", "--mode", "float"],
+    *(PINNED[name] for name in _SWEEP_GOLDENS),
 ]
 
 # Runs in a fresh interpreter, so nothing the test run imported is loaded.
 # numpy is hidden, as if only the package without extras were installed.
 _RUNTIME_PROBE = f"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 before = set(sys.modules)
 sys.modules["numpy"] = None
 from bibounds import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in {_NON_SWEEP_ARGVS!r}]
+codes, outputs = [], []
+for argv in {_COMMAND_ARGVS!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes.append(cli.main(argv))
+    outputs.append(out.getvalue())
 loaded = {{name.split(".")[0] for name, module in sys.modules.items()
           if module is not None and name not in before}}
-print(codes, sorted(loaded - set(sys.stdlib_module_names) - {{"bibounds"}}))
-"""
-
-_NO_NUMPY_SWEEP_PROBE = """
-import sys
-sys.modules["numpy"] = None
-from bibounds import cli
-sys.exit(cli.main(["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0"]))
+print(json.dumps([codes, sorted(loaded - set(sys.stdlib_module_names) - {{"bibounds"}}),
+                  outputs[-{len(_SWEEP_GOLDENS)}:]]))
 """
 
 
@@ -993,18 +1039,12 @@ def _fresh_env():
     return env
 
 
-def test_five_commands_need_no_third_party_package():
+def test_six_commands_need_no_third_party_package():
     proc = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE],
                           capture_output=True, text=True, env=_fresh_env(), check=True)
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0] []\n"
-
-
-def test_sweep_without_numpy_is_one_usage_error_line():
-    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SWEEP_PROBE],
-                          capture_output=True, text=True, env=_fresh_env())
-    assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
-    assert proc.stderr == ("usage error: sweep needs numpy, the 'sweep' extra: "
-                           "pip install 'bibounds[sweep]'\n")
+    codes, loaded, sweeps = json.loads(proc.stdout)
+    assert (codes, loaded) == ([0] * len(_COMMAND_ARGVS), [])
+    assert sweeps == [(GOLDEN / name).read_text() for name in _SWEEP_GOLDENS]
 
 
 _LAZY_NUMPY_PROBE = f"""
@@ -1012,12 +1052,10 @@ import contextlib, io, sys
 import bibounds, bibounds.cli
 from bibounds import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in {_NON_SWEEP_ARGVS!r}]
+    codes = [cli.main(argv) for argv in {_COMMAND_ARGVS!r}]
     with contextlib.redirect_stderr(io.StringIO()):  # a rejected sweep
         codes.append(cli.main(["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0",
                                "--phase-steps", "3"]))
-    print(codes, "numpy" in sys.modules, file=sys.stderr)
-    cli.main(["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0"])
 print(codes, "numpy" in sys.modules)
 """
 
@@ -1037,11 +1075,10 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_numpy_loads_only_for_the_sweeps():
+def test_no_command_loads_numpy():
     proc = subprocess.run([sys.executable, "-c", _LAZY_NUMPY_PROBE],
                           capture_output=True, text=True, env=_fresh_env(), check=True)
-    assert proc.stderr == "[0, 0, 0, 0, 0, 0, 1] False\n"
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0, 1] True\n"
+    assert proc.stdout == f"{[0] * len(_COMMAND_ARGVS) + [1]} False\n"
 
 
 # Usage errors (from argparse and from the library), every exit code and

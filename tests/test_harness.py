@@ -80,16 +80,14 @@ TIE_POINTS = {
 
 @pytest.mark.parametrize("tag", THEOREM_TAGS)
 @pytest.mark.parametrize("what", ["a2", "a3"])
-@pytest.mark.parametrize("cfg", [SweepConfig(), SweepConfig(17, 32)],
-                         ids=["default", "fine"])
-def test_sweep_ties_keep_the_exact_corner(tag, what, cfg):
-    # The grid contains the corner up to roundoff; a float tie must not
-    # read as a grid maximum above the corner or turn the gap negative.
+def test_sweep_ties_keep_the_exact_corner(tag, what):
+    # A float tie between the corner and the bound must not turn the gap
+    # negative.
     targets = [(CARA, CARA),
                (target_preset("strong:1/2"), target_preset("order:1/3"))]
     for phi, psi in targets:
         pair = theorem_pair(tag, *TIE_POINTS[tag], phi, psi)
-        result = (sweep_a2 if what == "a2" else sweep_a3)(pair, cfg)
+        result = (sweep_a2 if what == "a2" else sweep_a3)(pair)
         at = result.argmax
         c1, c2, b2 = complex(at.c1), complex(at.c2), complex(at.b2)
         if what == "a2":
@@ -169,8 +167,8 @@ class TestSweepA3:
 @pytest.mark.parametrize("tag", THEOREM_TAGS)
 @pytest.mark.parametrize("b2", [10**8, 10**12, -10**9])
 def test_sweep_a3_large_target_is_not_a_violation(tag, b2):
-    # Past about 1e7 the grid's roundoff exceeds 1e-9 absolute; the relative
-    # tolerance keeps it from reading as a grid maximum above the corner.
+    # The corner reaches the termwise bound; at |B2| of 1e8 and more the
+    # relative rule must still read that as attained, not as a violation.
     pair = theorem_pair(tag, Fraction(1, 2), Fraction(1, 3), MindaTarget([2, b2]), CARA)
     result = sweep_a3(pair)
     at = result.argmax
@@ -192,122 +190,60 @@ def test_sweep_a3_cancelling_large_targets_are_not_a_violation():
     assert result.argmax == SchwarzParams(2.0, 2.0, 2.0)
 
 
-def full_grid_max(p, q, root=False):
-    """Every value of f(p[r, j] + q[r, k]), then their maximum: the reference."""
-    values = np.abs(p[:, :, None] + q[:, None, :])
-    if root:
-        values = np.sqrt(values)
-    return values.max()
+@pytest.mark.parametrize("tag", THEOREM_TAGS)
+def test_sweep_a3_corner_sign_follows_w_gx(tag):
+    # At c1 = 2, a3 = 2 s (gx B1 / 2 + gy D1 / 2) + 4 W on c2 = b2 = 2 s, so
+    # s = sign(W gx) aligns the two parts; equal tails make W = 0, a tie
+    # that keeps s = 1.
+    rng = random.Random(12)
+    seen = set()
+    for equal_tail in [False] * 12 + [True]:
+        pair = rand_pair(rng, tag, equal_tail)
+        k = pair.exact_constants
+        w = k.gx * k.quarter_db + k.gy * k.quarter_dd * k.kappa ** 2
+        sign = -1.0 if w * k.gx < 0 else 1.0
+        assert sweep_a3(pair).argmax == SchwarzParams(2.0, 2 * sign, 2 * sign)
+        seen.add((w == 0, sign))
+    assert seen == {(False, 1.0), (False, -1.0), (True, 1.0)}
 
 
-def flip_zero_signs(z):
-    return complex(-z.real if z.real == 0 else z.real,
-                   -z.imag if z.imag == 0 else z.imag)
+@pytest.mark.parametrize("scale", [1, Fraction(1, 10**12)], ids=["1", "1e-12"])
+@pytest.mark.parametrize("what", ["a2", "a3"])
+def test_sweep_halved_bound_raises_at_every_scale(what, scale, monkeypatch):
+    # The corner is the supremum, so a bound below it means the algebra is
+    # wrong: the sweep must raise, not report a negative gap.  The tolerance's
+    # absolute floor is the smallest normal float, so tiny targets raise too.
+    pair = theorem_pair("PL", Fraction(1, 3), Fraction(1, 2),
+                        MindaTarget([2 * scale, 2 * scale]),
+                        MindaTarget([2 * scale, scale]))
+    name = f"generic_{what}_bound"
+    generic_bound = getattr(bounds, name)
+    monkeypatch.setattr(bounds, name, lambda pair: generic_bound(pair) / 2)
+    sweep = sweep_a2 if what == "a2" else sweep_a3
+    with pytest.raises(BoundViolationError, match=f"{what} sweep exceeded its bound"):
+        sweep(pair)
 
 
-# Small integers make exact ties; the full float range brings overflow to
-# inf in p + q and subnormal values.
-_PARTS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(-4.0, 4.0),
-)
-_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+def disk_grid(cfg):
+    """cfg.radial_steps moduli in [0, 2] times cfg.phase_steps unit phases."""
+    moduli = np.linspace(0.0, 2.0, cfg.radial_steps)
+    return (moduli[:, None] * phase_ring(cfg)[None, :]).ravel()
 
 
-@st.composite
-def addend_grids(draw):
-    """(p, q, root): rows drawn from a few distinct ones, so rows repeat."""
-    n_rows, j, k = (draw(st.integers(1, n)) for n in (7, 4, 5))
-    shared = draw(st.booleans())
-
-    def distinct(width):
-        return [[complex(draw(_PARTS), draw(_PARTS)) for _ in range(width)]
-                for _ in range(draw(st.integers(1, 3)))]
-
-    def rows(pool):
-        picked = draw(st.lists(st.integers(0, len(pool) - 1),
-                               min_size=n_rows, max_size=n_rows))
-        flips = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
-        return np.array([[flip_zero_signs(z) if flip else z for z in pool[i]]
-                         for i, flip in zip(picked, flips)])
-
-    p = rows(distinct(j))
-    q = np.array(distinct(k)[:1]) if shared else rows(distinct(k))
-    if draw(st.booleans()):  # one non-finite part somewhere
-        target = draw(st.sampled_from([p, q]))
-        r, c = (draw(st.integers(0, n - 1)) for n in target.shape)
-        part = draw(_NON_FINITE)
-        target[r, c] = complex(part, target[r, c].imag) if draw(st.booleans()) \
-            else complex(target[r, c].real, part)
-    return p, q, draw(st.booleans())
-
-
-class TestGridMax:
-    """harness._grid_max builds only the rows that can hold the maximum."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(addend_grids())
-    def test_same_value_as_the_full_grid(self, grid):
-        p, q, root = grid
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = full_grid_max(p, q, root)
-            value = harness._grid_max(p, q, root)[0]
-        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
-
-    def test_repeats_of_row_zero_are_skipped(self):
-        # Rows 1 and 3 equal row 0 up to the sign of a zero; row 2 ties it.
-        p = np.array([[1 + 0j], [complex(1, -0.0)], [1j], [1 + 0j]])
-        q = np.array([[1 + 1j, -0.0j]])
-        assert harness._grid_max(p, q)[0] == full_grid_max(p, q) == math.sqrt(5)
-
-    @pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
-    def test_non_finite_parts_keep_every_row(self, part):
-        # A NaN bound compares false with everything, so pruning by it would
-        # drop the non-finite row and report row 0's 102.
-        p = np.array([[100 + 0j], [complex(part, 0)], [1 + 0j]])
-        q = np.array([[1 + 0j, 2 + 0j]])
-        with np.errstate(invalid="ignore"):
-            value = harness._grid_max(p, q)[0]
-            expected = full_grid_max(p, q)
-        assert not math.isfinite(value)
-        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
-
-    def test_rows_within_roundoff_of_the_maximum_are_kept(self):
-        # Row 0's addends are nearly aligned, so its bound |p| + |q| is its
-        # value |p + q| up to roundoff.  Row 1's value, one ulp above row
-        # 0's bound, is its bound, the larger one: pruned by the bare bound,
-        # row 0 would take its maximum with it.
-        p0 = complex(0.728197921303927, -0.09457904961167138)
-        q0 = complex(1.2355282633672848, -0.1604716038378722)
-        row0_bound = np.abs(p0) + np.abs(q0)
-        between = np.nextafter(row0_bound, np.inf)
-        if not between < np.abs(p0 + q0):
-            pytest.skip("this complex abs rounds row 0's bound within an ulp")
-        p = np.array([[p0], [complex(between, 0)]])
-        q = np.array([[q0], [0j]])
-        assert harness._grid_max(p, q)[0] == full_grid_max(p, q) == np.abs(p0 + q0)
-
-    def test_subnormal_rows_are_not_pruned_by_roundoff(self):
-        # Rounded to the subnormal grid, row 0's |p| + |q| is 2t but its value
-        # |p + q| is 3t, the maximum.
-        t = 5e-324
-        p = np.array([[complex(t, t)], [complex(2 * t, 0)]])
-        q = np.array([[complex(t, t)]])
-        assert harness._grid_max(p, q)[0] == full_grid_max(p, q) == 3 * t
+def phase_ring(cfg):
+    phases = np.linspace(0.0, 2.0 * math.pi, cfg.phase_steps, endpoint=False)
+    return np.exp(1j * phases)
 
 
 def full_grid_sweep(what, pair, cfg):
-    """A sweep as it was before its grid pass skipped rows.
+    """The reference sweep: every value of the closed forms on cfg's grid.
 
-    Builds every grid value with closed_forms on the np.ix_ grid and takes
-    its maximum; returns the SweepResult and that maximum.  The maximum is
-    not held against the corner here, as that needs the addends' scale.
+    Returns the SweepResult of the exact corner and the grid's maximum.
     """
     if what == "a2":
         best = math.sqrt(float(abs(solver.closed_forms(pair, 0, 2, 2).a2_squared)))
         best_params = SchwarzParams(0.0, 2.0, 2.0)
-        grid = harness._disk_grid(cfg)
+        grid = disk_grid(cfg)
         axes = (np.zeros(1), grid, grid)
         values = np.sqrt(np.abs(solver.closed_forms(pair, *np.ix_(*axes)).a2_squared))
         bound = bounds.generic_a2_bound(pair)
@@ -315,8 +251,8 @@ def full_grid_sweep(what, pair, cfg):
         analytic, sign = max(
             (abs(solver.closed_forms(pair, 2, 2 * s, 2 * s).a3), s) for s in (1, -1))
         best, best_params = float(analytic), SchwarzParams(2.0, 2.0 * sign, 2.0 * sign)
-        ring = 2.0 * harness._phase_ring(cfg)
-        axes = (harness._disk_grid(cfg), ring, ring)
+        ring = 2.0 * phase_ring(cfg)
+        axes = (disk_grid(cfg), ring, ring)
         values = np.abs(solver.closed_forms(pair, *np.ix_(*axes)).a3)
         bound = bounds.generic_a3_bound(pair)
     top = values.max()
@@ -340,35 +276,17 @@ def oracle_pairs():
                                  SweepConfig(17, 32), SweepConfig(16, 64)],
                          ids=["2x4", "9x16", "17x32", "16x64"])
 @pytest.mark.parametrize("what", ["a2", "a3"])
-def test_sweeps_match_the_full_grid(what, cfg, monkeypatch):
-    grid_max, seen = harness._grid_max, []
-
-    def recording(*args, **kwargs):
-        seen.append(grid_max(*args, **kwargs))
-        return seen[-1]
-
-    monkeypatch.setattr(harness, "_grid_max", recording)
+def test_sweeps_match_the_full_grid(what, cfg):
+    # The corner is the supremum, so no grid value may exceed it beyond
+    # roundoff.  The termwise bound is at least max |p| + max |q| of the
+    # grid's two addends, so 1e-9 of it covers their roundoff, which
+    # cancelling addends (CANCELLING) do not shrink.
     sweep = sweep_a2 if what == "a2" else sweep_a3
     for pair in oracle_pairs():  # none is degenerate
-        seen.clear()
-        result = sweep(pair, cfg)
-        assert (result, *(top for top, _ in seen)) == full_grid_sweep(what, pair, cfg)
-
-
-@pytest.mark.parametrize("what", ["a2", "a3"])
-def test_grid_maximum_above_the_corner_raises(what, monkeypatch):
-    # The corner is the supremum, so a grid value above it means the algebra
-    # is wrong; it must not be reported as the sweep's maximum.
-    sweep = sweep_a2 if what == "a2" else sweep_a3
-    pair = theorem_pair("PL", Fraction(1, 3), Fraction(1, 2), CARA, MindaTarget([2, 1]))
-    corner, grid_max = sweep(pair).max_value, harness._grid_max
-
-    def above(p, q, root=False):
-        return corner * (1 + 1e-6), grid_max(p, q, root)[1]
-
-    monkeypatch.setattr(harness, "_grid_max", above)
-    with pytest.raises(BoundViolationError, match="exceeds the exact corner"):
-        sweep(pair)
+        result = sweep(pair)
+        expected, top = full_grid_sweep(what, pair, cfg)
+        assert result == expected
+        assert not harness._exceeds(top, result.max_value + 1e-9 * result.bound)
 
 
 _KIND_PARAMS = {"P": Fraction(8), "M": Fraction(8), "L": Fraction(1)}
@@ -410,14 +328,14 @@ def test_exact_corners_are_the_suprema(pair):
 @pytest.mark.parametrize("what", ["a2", "a3"])
 @pytest.mark.parametrize("psi", [CARA, MindaTarget([2, 1])], ids=["equal", "skewed"])
 def test_fine_sweep_peak_memory(what, psi):
-    # tracemalloc counts numpy's buffers; the full grids peaked at 9.3 (a2)
-    # and 12.8 MiB (a3).
+    # tracemalloc counts numpy's buffers; a full 17 x 32 grid peaks at 9.3
+    # (a2) and 12.8 MiB (a3), and the sweeps build none.
     pair = theorem_pair("PL", Fraction(1, 3), Fraction(1, 2), CARA, psi)
     sweep = sweep_a2 if what == "a2" else sweep_a3
-    sweep(pair, SweepConfig(17, 32))
+    sweep(pair)
     tracemalloc.start()
     try:
-        sweep(pair, SweepConfig(17, 32))
+        sweep(pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
