@@ -19,17 +19,21 @@ verify's checks, the table's rows) builds each key's text once for the
 list; every other value takes the general path.  ``main`` is the
 one place that turns a ``ValueError`` (from flag parsing or the library's
 own input checks) or an ``OverflowError`` (a result that does not fit a
-float) into a usage error; a ``RuntimeError`` such as a bound violation
-propagates.
+float) into a usage error, and a sweep's ``BoundViolationError`` into a
+verification failure.
 
 Exit codes: 0 success, 1 usage error, 2 degenerate bound (the report is
-still printed), 3 verification failure.
+still printed), 3 verification failure (a failed ``verify`` check, with its
+payload, or a violated sweep bound, with no payload).
 
-A flat ``key=value`` config file may supply defaults (``order``,
-``radial_steps``, ``phase_steps``, ``seed``, ``samples``, ``tolerance``;
-only ``verify`` reads ``seed``); point to it with ``--config`` or the
-``BIBOUNDS_CONFIG`` environment variable.  Command-line flags win over the
-file.
+No command takes a truncation order, as no computed value reads past z^3:
+target presets are built at the library's default order (``phi`` and
+``psi`` echo their coefficients) and ``expand`` runs the series at order 3.
+
+A flat ``key=value`` config file may supply defaults (``radial_steps``,
+``phase_steps``, ``seed``, ``samples``, ``tolerance``; only ``verify`` reads
+``seed``); point to it with ``--config`` or the ``BIBOUNDS_CONFIG``
+environment variable.  Command-line flags win over the file.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .series import DEFAULT_ORDER, EXACT, FLOAT
+from .series import EXACT, FLOAT
 from .classes import (ClassSpec, LiteralTooLargeError, MindaTarget,
                       SchlichtCoeffs, _quoted, brief, expansion_f, functional,
                       integer, rational, target_preset, triple)
@@ -59,15 +63,11 @@ EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 EXIT_VERIFY_FAILED = 3
 
-# The order-2 derivations read series coefficients up to z^3; the cap keeps
-# a target's coefficient list and the exact series work small.
-MIN_ORDER = 3
-MAX_ORDER = 64
 # Audit grid points per axis; the audit evaluates the square of this.
 MAX_GRID_POINTS = 101
 
-_CONFIG_KEYS = {"order": int, "radial_steps": int, "phase_steps": int,
-                "seed": int, "samples": int, "tolerance": float}
+_CONFIG_KEYS = {"radial_steps": int, "phase_steps": int, "seed": int,
+                "samples": int, "tolerance": float}
 
 
 class UsageError(ValueError):
@@ -259,27 +259,16 @@ def _setting(args, config, key, fallback):
     return config.get(key, fallback) if value is None else value
 
 
-def _order(args, config) -> int:
-    order = _setting(args, config, "order", DEFAULT_ORDER)
-    if order < MIN_ORDER:
-        raise UsageError(f"order must be at least {MIN_ORDER}, got {brief(order)}")
-    if order > MAX_ORDER:
-        raise UsageError(f"order must be at most {MAX_ORDER}, got {brief(order)}")
-    return order
-
-
-def _target(preset_key, coeffs_text, order) -> MindaTarget:
+def _target(preset_key, coeffs_text) -> MindaTarget:
     # A flag given an empty value is parsed, and refused, not read as absent.
     if coeffs_text is not None:
         return MindaTarget([rational(part) for part in coeffs_text.split(",")])
-    return target_preset("caratheodory" if preset_key is None else preset_key,
-                         order=order)
+    return target_preset("caratheodory" if preset_key is None else preset_key)
 
 
-def _targets(args, config):
-    order = _order(args, config)
-    return (_target(args.phi, args.phi_coeffs, order),
-            _target(args.psi, args.psi_coeffs, order))
+def _targets(args):
+    return (_target(args.phi, args.phi_coeffs),
+            _target(args.psi, args.psi_coeffs))
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -337,7 +326,6 @@ def _target_flags(parser):
     parser.add_argument("--psi", help="target preset for the inverse side")
     parser.add_argument("--phi-coeffs", help="explicit B1,B2,... (overrides --phi)")
     parser.add_argument("--psi-coeffs", help="explicit D1,D2,... (overrides --psi)")
-    parser.add_argument("--order", type=_integer)
 
 
 def _audit_flags(parser):
@@ -358,7 +346,6 @@ def _expand_flags(parser):
     parser.add_argument("--alpha", required=True, type=_rational)
     parser.add_argument("--a2", required=True, type=_rational)
     parser.add_argument("--a3", required=True, type=_rational)
-    parser.add_argument("--order", type=_integer)
 
 
 def _verify_flags(parser):
@@ -395,7 +382,7 @@ _SWEEP_CSV = ("theorem", "alpha", "beta", "B1", "B2", "D1", "D2",
 
 
 def _run_bound(args, config):
-    phi, psi = _targets(args, config)
+    phi, psi = _targets(args)
     rep = _bounds.report(args.pair, args.alpha, args.beta, phi, psi)
     payload = {"command": "bound", **_report_record(rep)}
     return payload, EXIT_DEGENERATE if rep.degenerate else EXIT_OK
@@ -412,7 +399,7 @@ def _bound_pretty(payload):
 
 
 def _run_audit(args, config):
-    phi, psi = _targets(args, config)
+    phi, psi = _targets(args)
     tolerance = _setting(args, config, "tolerance", _bounds.AUDIT_REL_TOL)
     grid = _parse_grid(args.grid)
     reports = _bounds.audit(args.theorem, grid, grid, [(phi, psi)], rel_tol=tolerance)
@@ -451,7 +438,7 @@ def _audit_csv(payload):
 
 
 def _run_sweep(args, config):
-    phi, psi = _targets(args, config)
+    phi, psi = _targets(args)
     cfg = _harness.SweepConfig(**{
         key: _setting(args, config, key, default)
         for key, default in _harness.SweepConfig._field_defaults.items()})
@@ -489,7 +476,6 @@ def _sweep_csv(payload):
 
 
 def _run_expand(args, config):
-    order = _order(args, config)
     spec = ClassSpec(args.kind, args.alpha)
     t = triple(spec)
     e1, e2 = expansion_f(t, args.a2, args.a3)
@@ -504,7 +490,8 @@ def _run_expand(args, config):
         "triple": [float(t.p), float(t.q), float(t.r)],
         "closed_form": {"e1": float(e1), "e2": float(e2)},
     }
-    series = functional(spec, SchlichtCoeffs([args.a2, args.a3]), order=order,
+    # e1 and e2 read f only through z^3: any higher order gives the same.
+    series = functional(spec, SchlichtCoeffs([args.a2, args.a3]), order=3,
                         mode=EXACT)
     s1, s2 = series.coeffs[1], series.coeffs[2]
     payload["series_engine"] = {"e1": float(s1.re), "e2": float(s2.re)}
@@ -597,6 +584,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # a huge rational met a float conversion
         print(f"usage error: a result does not fit a float ({exc})", file=sys.stderr)
         return EXIT_USAGE
+    except _harness.BoundViolationError as exc:  # a sweep beat its bound
+        print(f"bound violation: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     sys.stdout.write(_render(command, args.format, payload))
     return code
 

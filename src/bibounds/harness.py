@@ -72,12 +72,11 @@ from .solver import (
     eliminate,
     elimination_denominator,
     implied_b2,
+    integer_ratios,
     inverse_residual,
     linked_b1,
-    side_constants,
     sigma_tilde,
     solve_forward,
-    triple_determinant,
 )
 from . import bounds as _bounds
 
@@ -536,33 +535,33 @@ def _check_consistency_chain(rng, mode, samples):
 def _check_sigma_relations(rng, mode, samples):
     # Exact whatever the mode, and the same 5 x 5 grid whatever the samples.
     # Per tag, one function-side triple per alpha and one inverse-side triple
-    # and set of printed sigma coefficients per beta, each held once as int
-    # numerators over one denominator: the triples' q and r, all that the
-    # determinant reads, as side constants (on a placeholder target, which q
-    # and r do not depend on).  Each point then costs one determinant, one
-    # Horner step and one cross-multiplied comparison.  Alpha outer, beta
-    # inner, as the first failure's witness depends on the order.
+    # and set of printed sigma coefficients per beta, each triple's q and r
+    # (all that the determinant reads) held once as int numerators over one
+    # denominator.  Each point then costs one determinant, one Horner step
+    # and one cross-multiplied comparison.  Alpha outer, beta inner, as the
+    # first failure's witness depends on the order.
     grid = [Fraction(k, 4) for k in range(5)]
-    one = MindaTarget([1])
     for tag in _bounds.THEOREM_TAGS:
         scale = _bounds.SIGMA_SCALE[tag]
-        rows = [side_constants(triple(ClassSpec(tag[0], a)), one, one) for a in grid]
+        rows = [integer_ratios(t.q, t.r)
+                for t in (triple(ClassSpec(tag[0], a)) for a in grid)]
         columns = []
         for b in grid:
-            tg = side_constants(inverse_triple(triple(ClassSpec(tag[1], b))), one, one)
+            t = inverse_triple(triple(ClassSpec(tag[1], b)))
+            (q, r), den = integer_ratios(t.q, t.r)
             coefficients = _bounds._sigma_in_alpha(tag, b.numerator, b.denominator)
-            columns.append((tg, scale * tg.den, coefficients, b.denominator ** 2))
-        for a, tf in zip(grid, rows):
+            columns.append((q, r, scale * den, coefficients, b.denominator ** 2))
+        for a, ((qf, rf), f_den) in zip(grid, rows):
             n, d = a.numerator, a.denominator
-            for b, (tg, scaled_den, coefficients, c_den) in zip(grid, columns):
+            for b, (qg, rg, scaled_den, coefficients, c_den) in zip(grid, columns):
                 printed, printed_den = _bounds._horner(coefficients, n, d)
                 printed_den *= c_den
-                # tilde / scale - printed, over tf.den * scaled_den * printed_den
-                gap = (triple_determinant(tf, tg) * printed_den
-                       - printed * scaled_den * tf.den)
+                # tilde / scale - printed, over f_den * scaled_den * printed_den
+                gap = ((qf * rg - qg * rf) * printed_den
+                       - printed * scaled_den * f_den)
                 if tag == "LL":
                     # derived minus printed is 24 a b
-                    expected = 24 * n * b.numerator * tf.den * scaled_den * printed_den
+                    expected = 24 * n * b.numerator * f_den * scaled_den * printed_den
                     if gap * d * b.denominator != expected:
                         return f"LL sigma gap wrong at alpha={a}, beta={b}"
                 elif gap:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bibounds import cli
+from bibounds import bounds, cli
 from bibounds.bounds import BoundReport, Discrepancy
+from bibounds.classes import ClassSpec, SchlichtCoeffs, functional, rational
 from bibounds.harness import MAX_SAMPLES, CheckResult
 from oracles import generic_reference
 
@@ -438,6 +440,16 @@ class TestExitCodes:
         assert '"passed": false' in text
         assert "witness text" in capsys.readouterr().err
 
+    def test_violated_sweep_bound_exits_3_with_one_line(self, monkeypatch, capsys):
+        generic_a2_bound = bounds.generic_a2_bound
+        monkeypatch.setattr(bounds, "generic_a2_bound",
+                            lambda pair: generic_a2_bound(pair) / 2)
+        assert cli.main(SWEEP) == cli.EXIT_VERIFY_FAILED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("bound violation: a2 sweep exceeded its bound")
+
     def test_large_target_a3_sweep_succeeds(self):
         code, text = run_cli(
             ["sweep", "--pair", "PM", "--alpha", "1/2", "--beta", "1/3",
@@ -622,7 +634,8 @@ EXPAND = ["expand", "--class", "P", "--alpha", "0", "--a2", "1", "--a3", "1"]
 
 # name -> (config file text or None, argv); each must exit 1 with no output.
 REJECTED = {
-    "bound_order_1": (None, BOUND + ["--order", "1"]),
+    # No command takes --order or the order config key: each is unknown.
+    "bound_order_1":(None, BOUND + ["--order", "1"]),
     "config_order_2": ("order=2\n", BOUND),
     "expand_order_2": (None, EXPAND + ["--order", "2"]),
     "expand_order_1": (None, EXPAND + ["--order", "1"]),
@@ -673,10 +686,10 @@ OVERFLOWS = {
     "bound_alpha_beta_1e300": ["bound", "--pair", "PP", "--alpha", "1e300", "--beta", "1e300"],
     "bound_alpha_1e400": ["bound", "--pair", "PP", "--alpha", "1e400", "--beta", "0"],
     "expand_a2_1e400": ["expand", "--class", "P", "--alpha", "0", "--a2", "1e400", "--a3", "0"],
-    "expand_l_a2_1e300_order_64": ["expand", "--class", "L", "--alpha", "1/3", "--a2", "1e300",
-                                   "--a3", "1", "--order", "64"],
-    "expand_l_a2_1e1000_order_64": ["expand", "--class", "L", "--alpha", "1/3", "--a2", "1e1000",
-                                    "--a3", "1", "--order", "64"],
+    "expand_l_a2_1e300": ["expand", "--class", "L", "--alpha", "1/3", "--a2", "1e300",
+                          "--a3", "1"],
+    "expand_l_a2_1e1000": ["expand", "--class", "L", "--alpha", "1/3", "--a2", "1e1000",
+                           "--a3", "1"],
     "bound_phi_coeffs_1e400": BOUND + ["--phi-coeffs", "1,1e400"],
     "audit_grid_1e300": ["audit", "--theorem", "MM", "--grid", "1e300:1e300:1"],
     "sweep_alpha_beta_1e400": ["sweep", "--pair", "MM", "--alpha", "1e400", "--beta", "1e400"],
@@ -790,17 +803,78 @@ class TestInputContract:
         code, text = run_cli(AUDIT + ["--tolerance", "0.999"])
         assert code == cli.EXIT_OK and '"tolerance": 0.999' in text
 
-    def test_order_cap_is_inclusive(self, tmp_path):
-        assert run_cli(BOUND + ["--order", str(cli.MAX_ORDER)])[0] == cli.EXIT_OK
-        config = tmp_path / "defaults.cfg"
-        config.write_text(f"order={cli.MAX_ORDER}\n")
-        assert run_cli(["--config", str(config), *EXPAND])[0] == cli.EXIT_OK
-
     def test_bad_config_value_names_the_key(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("radial_steps=many\n")
         assert cli.main(["--config", str(config), "table"]) == cli.EXIT_USAGE
         assert "radial_steps" in capsys.readouterr().err
+
+
+# The slowest accepted bound and expand inputs at the fixed orders: presets
+# with 4297-digit parameters on both sides, and an L expansion of 4300-digit
+# rationals.
+SLOWEST = {
+    "bound_strong_1e-4300": BOUND + ["--phi", "strong:1e-4300", "--psi", "strong:1e-4300"],
+    "expand_l_1e-4300": ["expand", "--class", "L", "--alpha", "1e-4300",
+                         "--a2", "1e-4300", "--a3", "1e-4300"],
+}
+# name -> (class, alpha, a2, a3, orders the series engine is run at).  The
+# last case's exact series takes about 30 s at order 64, so it stops at 8.
+EXPAND_CASES = {
+    "P": ("P", "1/2", "1/3", "-1/4", (3, 8, 64)),
+    "P_large_digits": ("P", "1e-300", str(2**300), f"-1/{3**150}", (3, 8, 64)),
+    "M": ("M", "1", "0.5", "0.25", (3, 8, 64)),
+    "M_large_digits": ("M", "7/9", f"-{10**40 + 1}/{3**30}", "1e-50", (3, 8, 64)),
+    "L": ("L", "1/3", "1/2", "1/4", (3, 8, 64)),
+    "L_large_alpha": ("L", "1e-30", "1/2", "1/4", (3, 8, 64)),
+    "L_large_digits": ("L", "1/3", "1e-30", f"-{7**20}/{11**15}", (3, 8)),
+}
+
+
+class TestFixedOrders:
+    @pytest.mark.parametrize("name", sorted(EXPAND_CASES))
+    def test_expand_payload_is_the_same_at_every_order(self, name, monkeypatch):
+        # e1 and e2 read f only through z^3: running the series engine at
+        # a higher order changes no coefficient they read and no output byte.
+        kind, alpha, a2, a3, orders = EXPAND_CASES[name]
+        argv = ["expand", "--class", kind, f"--alpha={alpha}", f"--a2={a2}", f"--a3={a3}"]
+        spec = ClassSpec(kind, rational(alpha))
+        f = SchlichtCoeffs([rational(a2), rational(a3)])
+        at_three = functional(spec, f, order=3).coeffs[1:3]
+        want = run_cli(argv)
+        assert want[0] == cli.EXIT_OK and json.loads(want[1])["match"] is True
+        for k in orders:
+            runs = []
+
+            def at_order_k(spec, f, order, mode, k=k):
+                assert order == 3
+                runs.append(functional(spec, f, order=k, mode=mode))
+                return runs[-1]
+
+            monkeypatch.setattr(cli, "functional", at_order_k)
+            assert run_cli(argv) == want
+            assert runs[0].coeffs[1:3] == at_three
+
+    @pytest.mark.parametrize("name", sorted(SLOWEST))
+    def test_slowest_inputs_finish_within_10_s(self, name):
+        start = time.perf_counter()
+        assert run_cli(SLOWEST[name])[0] == cli.EXIT_OK
+        assert time.perf_counter() - start < 10
+
+    # The order-64 commands that used to take 5 to 7 s each.
+    @pytest.mark.parametrize("argv", [
+        BOUND + ["--phi", "strong:1e-1000"],
+        ["expand", "--class", "L", "--alpha", "1e-300", "--a2", "1", "--a3", "1"],
+    ], ids=["bound_strong_1e-1000", "expand_l_alpha_1e-300"])
+    def test_order_flag_is_refused_before_any_work(self, argv, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused command did series work")
+
+        monkeypatch.setattr(cli, "functional", no_work)
+        monkeypatch.setattr(cli, "target_preset", no_work)
+        assert cli.main(argv + ["--order", "64"]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "usage error: unrecognized arguments: --order 64\n")
 
 
 def _optional(flag, values):
@@ -832,8 +906,6 @@ def cli_argv(draw):
         parts += [draw(_optional("--phi", _PRESETS)), draw(_optional("--psi", _PRESETS)),
                   draw(_optional("--phi-coeffs", _COEFFS)),
                   draw(_optional("--psi-coeffs", _COEFFS))]
-    if command in ("bound", "audit", "sweep", "expand"):
-        parts.append(draw(_optional("--order", _COUNTS)))
     if command == "sweep":
         parts += [draw(_optional("--what", ["a2", "a3"])),
                   draw(_optional("--radial-steps", _COUNTS)),

@@ -697,7 +697,7 @@ class TestSigmaRelations:
         assert sigma_relations_witness() == witness
 
     def test_one_triple_per_row_and_column(self, monkeypatch):
-        calls = {"triple": 0, "triple_determinant": 0}
+        calls = {"triple": 0, "integer_ratios": 0}
         for name in calls:
             original = getattr(harness, name)
 
@@ -708,5 +708,6 @@ class TestSigmaRelations:
             monkeypatch.setattr(harness, name, counted)
         assert sigma_relations_witness() is None
         tags, side = len(THEOREM_TAGS), 5
+        # One triple, and one reduction of its q and r, per row and column.
         assert calls == {"triple": tags * 2 * side,
-                         "triple_determinant": tags * side * side}
+                         "integer_ratios": tags * 2 * side}
