@@ -27,8 +27,13 @@ pairings on the 5 x 5 grid of quarters, with the printed sigma evaluated
 by :mod:`bibounds.bounds` itself.  The sample count is capped at
 :data:`MAX_SAMPLES`.
 
-numpy is imported inside the random check, the only code that uses it, so
-no CLI command loads it.
+``check_bounds_random`` draws all its uniforms in one ``random((6, n))``
+call, the stream of six ``random(n)`` calls, and evaluates them in fixed
+blocks of 2,048 samples.  Each block's temporaries are 32 KiB, small enough
+that the allocator reuses the heap rather than mapping fresh pages on every
+call, so a check takes the same time whatever ran before it, and the report
+equals one pass over all n, bit for bit.  numpy is imported inside the
+random check, the only code that uses it, so no CLI command loads it.
 """
 
 from __future__ import annotations
@@ -105,8 +110,8 @@ def _agrees_with(a, b):
 VERIFY_SEED = 7
 VERIFY_SAMPLES = 60
 
-# Most samples per check.  Exact ``--suite all`` takes about 3.5 ms a sample
-# (Python 3.11 on a shared 2-vCPU Xeon), so the cap is about 35 s of work.
+# Most samples per check.  Exact ``--suite all`` takes about 2.5 ms a sample
+# (Python 3.11 on a shared 2-vCPU Xeon), so the cap is about 25 s of work.
 MAX_SAMPLES = 10_000
 
 # end_to_end's sample mixes this many rotation kernels, at the default order.
@@ -213,12 +218,27 @@ def sweep_a3(pair: PairSpec) -> SweepResult:
     )
 
 
+# Samples per block of the random check: each complex temporary is 32 KiB,
+# below glibc's 128 KiB mmap threshold, so it comes from the heap that the
+# previous block freed.  1,024 costs more per-block overhead; from 4,096 up
+# the time again depends on whether an earlier large free raised the
+# threshold.
+_RANDOM_BLOCK = 2048
+
 RandomCheckReport = namedtuple(
     "RandomCheckReport", "samples a2_bound a3_bound max_a2_ratio max_a3_ratio")
 
 
 def check_bounds_random(pair: PairSpec, seed: int, n: int) -> RandomCheckReport:
     """n pseudo-random admissible draws; verify neither bound is exceeded.
+
+    One ``random((6, n))`` call draws the radius and phase rows of c1, c2
+    and b2, the same stream as six ``random(n)`` calls.  The transforms,
+    :func:`closed_forms` and the two maxima then run over blocks of
+    :data:`_RANDOM_BLOCK` samples, whose temporaries the allocator reuses
+    instead of mapping fresh pages on every call, so a call takes the same
+    time whatever ran before it.  The elementwise operations are those of
+    one pass over all n, so the report is the same, bit for bit.
 
     Raises :class:`BoundViolationError` past bound * (1 + 1e-9) plus the
     smallest normal float.
@@ -232,15 +252,19 @@ def check_bounds_random(pair: PairSpec, seed: int, n: int) -> RandomCheckReport:
     if n == 0:
         return RandomCheckReport(0, a2_bound, a3_bound, 0.0, 0.0)
 
-    rng = np.random.default_rng(seed)
-
-    def draw():
-        radii = 2.0 * np.sqrt(rng.random(n))
-        return radii * np.exp(2j * math.pi * rng.random(n))
-
-    forms = closed_forms(pair, draw(), draw(), draw())
-    max_a2 = math.sqrt(float(np.abs(forms.a2_squared).max()))
-    max_a3 = float(np.abs(forms.a3).max())
+    draws = np.random.default_rng(seed).random((6, n))
+    top_a2_sq = top_a3 = 0.0
+    for start in range(0, n, _RANDOM_BLOCK):
+        block = draws[:, start:start + _RANDOM_BLOCK]
+        c1, c2, b2 = (
+            2.0 * np.sqrt(block[row]) * np.exp(2j * math.pi * block[row + 1])
+            for row in (0, 2, 4)
+        )
+        forms = closed_forms(pair, c1, c2, b2)
+        top_a2_sq = np.abs(forms.a2_squared).max(initial=top_a2_sq)
+        top_a3 = np.abs(forms.a3).max(initial=top_a3)
+    max_a2 = math.sqrt(float(top_a2_sq))
+    max_a3 = float(top_a3)
     if _exceeds(max_a2, a2_bound):
         raise BoundViolationError(f"|a2| sample {max_a2} exceeds bound {a2_bound}")
     if _exceeds(max_a3, a3_bound):

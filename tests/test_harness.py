@@ -18,6 +18,7 @@ from bibounds import (
     BoundViolationError,
     MindaTarget,
     QComplex,
+    RandomCheckReport,
     SchwarzParams,
     SweepConfig,
     SweepResult,
@@ -340,6 +341,81 @@ def test_fine_sweep_peak_memory(what, psi):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_random_check_peak_memory():
+    # The six draw rows take 0.46 MiB.  One pass over all 10,000 samples
+    # peaked at 1.53 MiB; the blocks of 2,048 samples peak near 0.9 MiB.
+    pair = theorem_pair("PL", Fraction(1, 3), Fraction(1, 2), CARA, MindaTarget([2, 1]))
+    check_bounds_random(pair, 1, 10_000)
+    tracemalloc.start()
+    try:
+        check_bounds_random(pair, 1, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
+
+
+def one_pass_forms(pair, seed, n):
+    """The closed forms at all n random draws in one pass: six random(n) calls."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        radii = 2.0 * np.sqrt(rng.random(n))
+        return radii * np.exp(2j * math.pi * rng.random(n))
+
+    return solver.closed_forms(pair, draw(), draw(), draw())
+
+
+def one_pass_random_check(pair, seed, n):
+    """The reference random check: the maxima of one pass over all n."""
+    forms = one_pass_forms(pair, seed, n)
+    max_a2 = math.sqrt(float(np.abs(forms.a2_squared).max()))
+    max_a3 = float(np.abs(forms.a3).max())
+    a2_bound = bounds.generic_a2_bound(pair)
+    a3_bound = bounds.generic_a3_bound(pair)
+    if harness._exceeds(max_a2, a2_bound):
+        raise BoundViolationError(f"|a2| sample {max_a2} exceeds bound {a2_bound}")
+    if harness._exceeds(max_a3, a3_bound):
+        raise BoundViolationError(f"|a3| sample {max_a3} exceeds bound {a3_bound}")
+    return RandomCheckReport(n, a2_bound, a3_bound, max_a2 / a2_bound, max_a3 / a3_bound)
+
+
+class TestRandomChecksMatchOnePass:
+    # The blocks of 2,048 samples: one sample, one short of a block, one
+    # block, one past it, and 10,000 (four blocks and a partial one).
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 10_000])
+    def test_oracle_pairs(self, n):
+        for pair in oracle_pairs():  # none is degenerate
+            for seed in (1, 2, 3):
+                assert (check_bounds_random(pair, seed, n)
+                        == one_pass_random_check(pair, seed, n))
+
+    def test_maximum_in_the_last_partial_block(self):
+        forms = one_pass_forms(CANONICAL, 4, 10_000)
+        assert np.abs(forms.a2_squared).argmax() >= 4 * 2048
+        assert (check_bounds_random(CANONICAL, 4, 10_000)
+                == one_pass_random_check(CANONICAL, 4, 10_000))
+
+    def test_violation_message(self, monkeypatch):
+        generic_a3_bound = bounds.generic_a3_bound
+        monkeypatch.setattr(bounds, "generic_a3_bound",
+                            lambda pair: generic_a3_bound(pair) / 2)
+        for seed in (1, 2, 3):
+            messages = []
+            for check in (check_bounds_random, one_pass_random_check):
+                with pytest.raises(BoundViolationError, match=r"^\|a3\| sample") as info:
+                    check(CANONICAL, seed, 5000)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+
+    def test_bad_sample_counts(self):
+        with pytest.raises(ValueError):
+            check_bounds_random(CANONICAL, 1, -1)
+        for n in (10.0, 2.5, True):
+            with pytest.raises(TypeError):
+                check_bounds_random(CANONICAL, 1, n)
 
 
 class TestRandomChecks:
