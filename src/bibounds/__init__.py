@@ -80,7 +80,6 @@ from .harness import (
     DegeneratePairError,
     EndToEndReport,
     RandomCheckReport,
-    SweepConfig,
     SweepResult,
     check_bounds_random,
     end_to_end,

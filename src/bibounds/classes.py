@@ -56,6 +56,13 @@ def _real_fraction(value, what="value"):
     raise TypeError(f"{what} must be real, got {value!r}")
 
 
+def _count(value, what):
+    """A count as given; a bool or any non-int is a TypeError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 class CheckedRecord:
     """Base for a namedtuple whose constructor checks or converts its fields.
 
@@ -294,7 +301,7 @@ def sample_caratheodory(
     positive real part, and every coefficient modulus at most 2.  Exact mode
     uses rational points on the unit circle so the modulus bound is exact.
     """
-    if m < 1:
+    if _count(m, "kernel count") < 1:
         raise ValueError("need at least one kernel")
     rng = random.Random(seed)
     if mode == EXACT:

@@ -8,8 +8,8 @@ addends of a2^2 have coefficients of one sign, and so do those of a3 in c2
 and b2, so an exact corner is the supremum: c2 = b2 = 2 for |a2|, which
 therefore attains its bound on every non-degenerate pairing, and c1 = 2,
 c2 = b2 = +-2 for |a3|, whose sweep only reports the gap.  The sweeps
-evaluate those corners and build no grid; the tests hold them against a
-full numpy grid.
+evaluate those corners and build no grid, so they take no grid settings;
+the tests hold them against full numpy grids of their own sizes.
 
 ``end_to_end`` runs the whole pipeline on a genuine positive-real-part
 sample: forward solve, inversion, inverse-side functional through the series
@@ -24,16 +24,18 @@ absolute alike.  The ``bounds`` suite is exact whatever the mode: its two
 checks compare rationals with equality.  ``sigma_relations`` also ignores
 the sample count, as it always checks the same 150 points: the six
 pairings on the 5 x 5 grid of quarters, with the printed sigma evaluated
-by :mod:`bibounds.bounds` itself.  The sample count is capped at
+by :mod:`bibounds.bounds` itself.  The sample count is an int capped at
 :data:`MAX_SAMPLES`.
 
-``check_bounds_random`` draws all its uniforms in one ``random((6, n))``
-call, the stream of six ``random(n)`` calls, and evaluates them in fixed
-blocks of 2,048 samples.  Each block's temporaries are 32 KiB, small enough
-that the allocator reuses the heap rather than mapping fresh pages on every
-call, so a check takes the same time whatever ran before it, and the report
-equals one pass over all n, bit for bit.  numpy is imported inside the
-random check, the only code that uses it, so no CLI command loads it.
+``check_bounds_random`` takes an int sample count up to
+:data:`MAX_RANDOM_SAMPLES`, checked before numpy loads.  It draws all its
+uniforms in one ``random((6, n))`` call, the stream of six ``random(n)``
+calls, and evaluates them in fixed blocks of 2,048 samples.  Each block's
+temporaries are 32 KiB, small enough that the allocator reuses the heap
+rather than mapping fresh pages on every call, so a check takes the same
+time whatever ran before it, and the report equals one pass over all n, bit
+for bit.  numpy is imported inside the random check, the only code that
+uses it, so no CLI command loads it.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ from .series import (
 )
 from .classes import (
     CLASS_KINDS,
-    CheckedRecord,
     ClassSpec,
     MindaTarget,
     SchlichtCoeffs,
     SchwarzParams,
+    _count,
     _within_disk,
     brief,
     expansion_f,
@@ -114,13 +116,12 @@ VERIFY_SAMPLES = 60
 # (Python 3.11 on a shared 2-vCPU Xeon), so the cap is about 25 s of work.
 MAX_SAMPLES = 10_000
 
+# Most samples per random check.  Its one draw takes 48 bytes a sample, 48 MB
+# at the cap, where a check takes about 0.3 s (shared 2-vCPU Xeon).
+MAX_RANDOM_SAMPLES = 1_000_000
+
 # end_to_end's sample mixes this many rotation kernels, at the default order.
 END_TO_END_KERNELS = 3
-
-# Largest grid a SweepConfig describes (values of the main array); the fine
-# benchmark grid, 17 radial by 32 phase steps, is 557,056.  The sweeps read
-# no config, but the CLI still checks, caps and echoes it.
-MAX_SWEEP_POINTS = 2**22
 
 # The consistency chain gives up after this many draws per accepted sample
 # (acceptance is at least 0.7 in practice).
@@ -133,33 +134,6 @@ class DegeneratePairError(ValueError):
 
 class BoundViolationError(RuntimeError):
     """A sweep or random check exceeded its bound beyond tolerance."""
-
-
-class SweepConfig(CheckedRecord, namedtuple(
-        "SweepConfig", "radial_steps phase_steps", defaults=(9, 16))):
-    """Grid resolution of a sweep: checked, capped and echoed by the CLI.
-
-    The sweeps take their exact corners and read no grid; the tests build
-    the full grid of a config as the sweeps' reference.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.radial_steps < 2:
-            raise ValueError("need at least 2 radial steps")
-        if self.phase_steps < 4:
-            raise ValueError("need at least 4 phase steps")
-        # a3 grid: c1 disk times two phase rings; a2 grid: two disks.
-        points = max(self.radial_steps * self.phase_steps**3,
-                     (self.radial_steps * self.phase_steps) ** 2)
-        if points > MAX_SWEEP_POINTS:
-            raise ValueError(
-                f"sweep grid of {points} points exceeds the cap of "
-                f"{MAX_SWEEP_POINTS}"
-            )
-        return self
 
 
 SweepResult = namedtuple(
@@ -240,9 +214,15 @@ def check_bounds_random(pair: PairSpec, seed: int, n: int) -> RandomCheckReport:
     time whatever ran before it.  The elementwise operations are those of
     one pass over all n, so the report is the same, bit for bit.
 
-    Raises :class:`BoundViolationError` past bound * (1 + 1e-9) plus the
-    smallest normal float.
+    n must be an int from 0 to :data:`MAX_RANDOM_SAMPLES`; it is checked
+    before numpy is loaded.  Raises :class:`BoundViolationError` past
+    bound * (1 + 1e-9) plus the smallest normal float.
     """
+    if _count(n, "sample count") < 0:
+        raise ValueError(f"sample count must be at least 0, got {brief(n)}")
+    if n > MAX_RANDOM_SAMPLES:
+        raise ValueError(
+            f"sample count must be at most {MAX_RANDOM_SAMPLES}, got {brief(n)}")
     import numpy as np
 
     if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
@@ -641,6 +621,7 @@ def run_identity_suites(
     samples: int = VERIFY_SAMPLES,
 ) -> list[CheckResult]:
     """Run the named identity suite; one CheckResult per check, in order."""
+    _count(samples, "samples")
     if suite == "identities":
         groups = ("series", "classes", "solver")
     elif suite == "all":

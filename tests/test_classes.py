@@ -335,8 +335,12 @@ class TestCaratheodorySampling:
         assert [c.re for c in minus.coeffs] == [1, -2, 2, -2, 2]
 
     def test_requires_at_least_one_kernel(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least one kernel$"):
             sample_caratheodory(0, 0)
+        for m in (2.5, 1.0, True):
+            with pytest.raises(TypeError) as info:
+                sample_caratheodory(0, m)
+            assert str(info.value) == f"kernel count must be an int, got {m!r}"
 
     def test_exact_samples_within_bound(self):
         for seed in range(200):

@@ -121,220 +121,220 @@ SWEEP_TARGETS = {
 }
 SWEEP_GRIDS = {"default": [], "fine": ["--radial-steps", "17", "--phase-steps", "32"]}
 SWEEP_DIGESTS = {
-    ("PP", "a2", "default", "caratheodory", "json"): "9afad35cab0e9d1e9b8a804be289e0bc5be36e158c2b4c6cb0a3355329cf2977",
+    ("PP", "a2", "default", "caratheodory", "json"): "814886f6b1f1bb0d87dc6ef6de61202d80525a3df1987db9cb042ac0f62cb1ce",
     ("PP", "a2", "default", "caratheodory", "csv"): "20939d3a2e61c79948b3a3de3df5973e6bfed4d0471f522f3149dc1b574136fb",
     ("PP", "a2", "default", "caratheodory", "pretty"): "a55d81e8eb45549c48a44cd61283da9b2d29352dcd86e71e893b0404b7eb032a",
-    ("PP", "a2", "default", "order:1/3", "json"): "fb779ff57da3cddbc848a12e0baf654e9b753f7fbe3c72e1c6b89f5a684d9046",
+    ("PP", "a2", "default", "order:1/3", "json"): "2e4af3e38468078c1ea74d8538b73d375fa8cf6b04eddf6a7c399a813842cfed",
     ("PP", "a2", "default", "order:1/3", "csv"): "7f8886d50ec77513c34287787e24abc1df0e48b2aaba68d6c80ae95b166576d9",
     ("PP", "a2", "default", "order:1/3", "pretty"): "a3748597af62d3b0d4ed95abc9e563519b32ec66402a1ced158f85c12ef40d74",
-    ("PP", "a2", "default", "skewed", "json"): "a62e7f4bc7550b77397753708d657c2b283b86593b9d01bdd56421bd46b941cc",
+    ("PP", "a2", "default", "skewed", "json"): "4ba7e643418cb0d64fb9140be18943bb783f9e3895136be97cfbe992f090c5bf",
     ("PP", "a2", "default", "skewed", "csv"): "d439d82584823a9be4b19767b94ca9a93a5022aa9f996dc5cd457acb1586e0ea",
     ("PP", "a2", "default", "skewed", "pretty"): "54cb604b791bf36586cdb2fec00e24056b01576f384613642eb2aac568abb40b",
-    ("PP", "a2", "fine", "caratheodory", "json"): "dad879819f2c83843d5ffa7cc4053bb4a424af2289f9467d4bbe44d7d68e95e1",
+    ("PP", "a2", "fine", "caratheodory", "json"): "814886f6b1f1bb0d87dc6ef6de61202d80525a3df1987db9cb042ac0f62cb1ce",
     ("PP", "a2", "fine", "caratheodory", "csv"): "20939d3a2e61c79948b3a3de3df5973e6bfed4d0471f522f3149dc1b574136fb",
     ("PP", "a2", "fine", "caratheodory", "pretty"): "a55d81e8eb45549c48a44cd61283da9b2d29352dcd86e71e893b0404b7eb032a",
-    ("PP", "a2", "fine", "order:1/3", "json"): "1a617f7de50c85e738a56db1d81b0cb0c9ee8c157ac12858ff521e00e768ff79",
+    ("PP", "a2", "fine", "order:1/3", "json"): "2e4af3e38468078c1ea74d8538b73d375fa8cf6b04eddf6a7c399a813842cfed",
     ("PP", "a2", "fine", "order:1/3", "csv"): "7f8886d50ec77513c34287787e24abc1df0e48b2aaba68d6c80ae95b166576d9",
     ("PP", "a2", "fine", "order:1/3", "pretty"): "a3748597af62d3b0d4ed95abc9e563519b32ec66402a1ced158f85c12ef40d74",
-    ("PP", "a2", "fine", "skewed", "json"): "94d465d795708a4beab3673daf0a5a83a8c01040cef1eb1cd89e3a49df1fd9a1",
+    ("PP", "a2", "fine", "skewed", "json"): "4ba7e643418cb0d64fb9140be18943bb783f9e3895136be97cfbe992f090c5bf",
     ("PP", "a2", "fine", "skewed", "csv"): "d439d82584823a9be4b19767b94ca9a93a5022aa9f996dc5cd457acb1586e0ea",
     ("PP", "a2", "fine", "skewed", "pretty"): "54cb604b791bf36586cdb2fec00e24056b01576f384613642eb2aac568abb40b",
-    ("PP", "a3", "default", "caratheodory", "json"): "d8fbfeecf4bef9d1efe74ddc19f4e5dfd8c981e5c42e211547609982aa42e6d2",
+    ("PP", "a3", "default", "caratheodory", "json"): "9a1ce75ae39a968c19173f57535dc0716461636678b2a5898bc98e24c830de1a",
     ("PP", "a3", "default", "caratheodory", "csv"): "5406b3e25b658256806f7dd427513e240a80ac0cf4e0657d97be167e714300bc",
     ("PP", "a3", "default", "caratheodory", "pretty"): "9d38cf0dc226ba5ebde0e9ca4c6cd5e330c9a1ec667ddbb615e39baed44ef0bb",
-    ("PP", "a3", "default", "order:1/3", "json"): "fd7e857271daf92cb2108d0e092910c2804f4ecb5e598104ab97adfedf88fb4b",
+    ("PP", "a3", "default", "order:1/3", "json"): "e739a2081fa8cc9904af371e29845238d7aa21f390700b93c2e86ccb80adce39",
     ("PP", "a3", "default", "order:1/3", "csv"): "7ff65c85e26f47e7a3a900dfce0b1b97fbb35d46d1d1a3d247c1e1ff732efb08",
     ("PP", "a3", "default", "order:1/3", "pretty"): "4abb049a77557ef67606fe3d45c7f3bb771d2b30b219810b181322ad18a1d968",
-    ("PP", "a3", "default", "skewed", "json"): "a393ee777fe48b6e1dc8c520451bbbf07793c7abebfb1be35403803aacabfaea",
+    ("PP", "a3", "default", "skewed", "json"): "e33aadf27949e5389f65ac9e7ee52e3ffe0d0ff68ea0b3b3a599fdfe830bfb0d",
     ("PP", "a3", "default", "skewed", "csv"): "7ca4e62aa236729201941f9bf1ccfe9e8d0aa6557c86e48b0b0410c56fa091d2",
     ("PP", "a3", "default", "skewed", "pretty"): "7f0202873e8d0c5f3b9554707bb7ab33a2ea36ac9f90e5a0f532bb55fa3d53ac",
-    ("PP", "a3", "fine", "caratheodory", "json"): "da19fadec8a8caa633b9a91f75761553d601f7f98856a3f45f8e1721ddbec2bd",
+    ("PP", "a3", "fine", "caratheodory", "json"): "9a1ce75ae39a968c19173f57535dc0716461636678b2a5898bc98e24c830de1a",
     ("PP", "a3", "fine", "caratheodory", "csv"): "5406b3e25b658256806f7dd427513e240a80ac0cf4e0657d97be167e714300bc",
     ("PP", "a3", "fine", "caratheodory", "pretty"): "9d38cf0dc226ba5ebde0e9ca4c6cd5e330c9a1ec667ddbb615e39baed44ef0bb",
-    ("PP", "a3", "fine", "order:1/3", "json"): "46460a2468cf966a1db47b15088a911abe35056585b54116eb6e5766a3783e21",
+    ("PP", "a3", "fine", "order:1/3", "json"): "e739a2081fa8cc9904af371e29845238d7aa21f390700b93c2e86ccb80adce39",
     ("PP", "a3", "fine", "order:1/3", "csv"): "7ff65c85e26f47e7a3a900dfce0b1b97fbb35d46d1d1a3d247c1e1ff732efb08",
     ("PP", "a3", "fine", "order:1/3", "pretty"): "4abb049a77557ef67606fe3d45c7f3bb771d2b30b219810b181322ad18a1d968",
-    ("PP", "a3", "fine", "skewed", "json"): "38e2a730217157acccfcc0bcf065b2f318779f763acc8234f6df37f7f9c7ed26",
+    ("PP", "a3", "fine", "skewed", "json"): "e33aadf27949e5389f65ac9e7ee52e3ffe0d0ff68ea0b3b3a599fdfe830bfb0d",
     ("PP", "a3", "fine", "skewed", "csv"): "7ca4e62aa236729201941f9bf1ccfe9e8d0aa6557c86e48b0b0410c56fa091d2",
     ("PP", "a3", "fine", "skewed", "pretty"): "7f0202873e8d0c5f3b9554707bb7ab33a2ea36ac9f90e5a0f532bb55fa3d53ac",
-    ("PM", "a2", "default", "caratheodory", "json"): "8555cc3c8a39a8b325b458868ddbf4c930da6faa48dfa1e4a8e4f5cb95f40f3d",
+    ("PM", "a2", "default", "caratheodory", "json"): "624b33ef4f521bb361258f232c91f26202a6f1710597ba33aaae0a9df9828404",
     ("PM", "a2", "default", "caratheodory", "csv"): "fb405a946e5f46b3d1faf91a4000d815d7c2278b994b5f0f462d0a2a24cc387b",
     ("PM", "a2", "default", "caratheodory", "pretty"): "197ae94e7fa06e39179c79e475ad060568701bbe7e23f40a9948925f354c1061",
-    ("PM", "a2", "default", "order:1/3", "json"): "ecf243b45e14701c54d0dd2bbb11dfe5351376597a052e5304824f376e6f0f05",
+    ("PM", "a2", "default", "order:1/3", "json"): "45264ec4ca654a0bf725402d8f376392ac098bccde4a4dda5e5f4829c7840e09",
     ("PM", "a2", "default", "order:1/3", "csv"): "8670527790eb348d17d10f3159253b1efb225c351dfd0e9bfd313bc506e00abf",
     ("PM", "a2", "default", "order:1/3", "pretty"): "525664df7b3aeb0b98142e2b4fe6d91cb0e05460ca884559097b9e0091d62257",
-    ("PM", "a2", "default", "skewed", "json"): "b6d475ecdca6c4f3ce4595191eeb719330744f162bd1ab2349df49b884a5f9ea",
+    ("PM", "a2", "default", "skewed", "json"): "b33713448a97f37f739fd012fc4169ec0dc9cbc00dea3c7c494b971f5f9ed26d",
     ("PM", "a2", "default", "skewed", "csv"): "130474a3c8ff68b1c4a338be5c06fd8318b24d816ba0bb2053a3f3c36017a0fe",
     ("PM", "a2", "default", "skewed", "pretty"): "4c018b1a4147b36c7431b86bffc6086ab8d7298d2220fece044a9ddf042ec0a0",
-    ("PM", "a2", "fine", "caratheodory", "json"): "4f5c48201ebbe79187d6131888dd256c00efd55dc6317f191f67bc7a3604ed05",
+    ("PM", "a2", "fine", "caratheodory", "json"): "624b33ef4f521bb361258f232c91f26202a6f1710597ba33aaae0a9df9828404",
     ("PM", "a2", "fine", "caratheodory", "csv"): "fb405a946e5f46b3d1faf91a4000d815d7c2278b994b5f0f462d0a2a24cc387b",
     ("PM", "a2", "fine", "caratheodory", "pretty"): "197ae94e7fa06e39179c79e475ad060568701bbe7e23f40a9948925f354c1061",
-    ("PM", "a2", "fine", "order:1/3", "json"): "0b513f3b362ebbb437c1e37f92c20d98f57b9e82e9262c1174962f42fd39aa45",
+    ("PM", "a2", "fine", "order:1/3", "json"): "45264ec4ca654a0bf725402d8f376392ac098bccde4a4dda5e5f4829c7840e09",
     ("PM", "a2", "fine", "order:1/3", "csv"): "8670527790eb348d17d10f3159253b1efb225c351dfd0e9bfd313bc506e00abf",
     ("PM", "a2", "fine", "order:1/3", "pretty"): "525664df7b3aeb0b98142e2b4fe6d91cb0e05460ca884559097b9e0091d62257",
-    ("PM", "a2", "fine", "skewed", "json"): "ee18dc9bc53b07deb8fbc37b9db6af38575fae1308a9f0c65f6ea0ed22feab1c",
+    ("PM", "a2", "fine", "skewed", "json"): "b33713448a97f37f739fd012fc4169ec0dc9cbc00dea3c7c494b971f5f9ed26d",
     ("PM", "a2", "fine", "skewed", "csv"): "130474a3c8ff68b1c4a338be5c06fd8318b24d816ba0bb2053a3f3c36017a0fe",
     ("PM", "a2", "fine", "skewed", "pretty"): "4c018b1a4147b36c7431b86bffc6086ab8d7298d2220fece044a9ddf042ec0a0",
-    ("PM", "a3", "default", "caratheodory", "json"): "7c9e35789f56de4dc4d18ed353334fcb3a790af4eebd204555fba074376eca7e",
+    ("PM", "a3", "default", "caratheodory", "json"): "bbed4e6ec75989b1c3acece2e0c3a2de764220dce58b06918b5b4c8ed2823c5d",
     ("PM", "a3", "default", "caratheodory", "csv"): "5f20cb057d0c3f10701f409527cee8af1b8d0c17281b9f5a1c6dc0d14c6ff40e",
     ("PM", "a3", "default", "caratheodory", "pretty"): "908bf7f83d1f621cd8c6c19d4f9686a7f2d17c6d3088067ebafd957a557fbffe",
-    ("PM", "a3", "default", "order:1/3", "json"): "a668d91ceaf839f389f937e217ef5d90e69685874c76712575d5eb32919f9941",
+    ("PM", "a3", "default", "order:1/3", "json"): "2b2f978ed06ac572b82a86b121f069d0eb6e5c6643702cf6c218dfb98780a3ee",
     ("PM", "a3", "default", "order:1/3", "csv"): "f190b9a929dce3f447d79b18a49672cabbd9e1b8516973499865fd8cde8afd5f",
     ("PM", "a3", "default", "order:1/3", "pretty"): "ef29735833e4a06200184742cb42690ba1afa8386b0c7c64cde5d4d0badbdfa1",
-    ("PM", "a3", "default", "skewed", "json"): "ad2bf7353060bf3af2dfdfa659099b130b120ef2cb18b7fc6ec1a74e6c44616b",
+    ("PM", "a3", "default", "skewed", "json"): "bcd8745ef9c61f432b7475552dfdb19fb1a64ed68339bbc8e4758fa4a2227841",
     ("PM", "a3", "default", "skewed", "csv"): "5cb5c43cc53a03fc29de27d72692edca47b743c2e4de1b53099475baed0fd5da",
     ("PM", "a3", "default", "skewed", "pretty"): "efe7a84d7c4c34d11d8901ed5e5bf09315c327295e86805a4c53b97399765eb2",
-    ("PM", "a3", "fine", "caratheodory", "json"): "949059a8ace3585a5b1591f066be86a93b96ea6cbd75a2cd277024708548daa0",
+    ("PM", "a3", "fine", "caratheodory", "json"): "bbed4e6ec75989b1c3acece2e0c3a2de764220dce58b06918b5b4c8ed2823c5d",
     ("PM", "a3", "fine", "caratheodory", "csv"): "5f20cb057d0c3f10701f409527cee8af1b8d0c17281b9f5a1c6dc0d14c6ff40e",
     ("PM", "a3", "fine", "caratheodory", "pretty"): "908bf7f83d1f621cd8c6c19d4f9686a7f2d17c6d3088067ebafd957a557fbffe",
-    ("PM", "a3", "fine", "order:1/3", "json"): "ef50f0ecce3845528e0a968af07a8084a1e998589db77b93c9fdec98a46d7286",
+    ("PM", "a3", "fine", "order:1/3", "json"): "2b2f978ed06ac572b82a86b121f069d0eb6e5c6643702cf6c218dfb98780a3ee",
     ("PM", "a3", "fine", "order:1/3", "csv"): "f190b9a929dce3f447d79b18a49672cabbd9e1b8516973499865fd8cde8afd5f",
     ("PM", "a3", "fine", "order:1/3", "pretty"): "ef29735833e4a06200184742cb42690ba1afa8386b0c7c64cde5d4d0badbdfa1",
-    ("PM", "a3", "fine", "skewed", "json"): "0347d66aa66a2d3d2607d1c4179e920b875f8230459d08dffcd8cb8b16786809",
+    ("PM", "a3", "fine", "skewed", "json"): "bcd8745ef9c61f432b7475552dfdb19fb1a64ed68339bbc8e4758fa4a2227841",
     ("PM", "a3", "fine", "skewed", "csv"): "5cb5c43cc53a03fc29de27d72692edca47b743c2e4de1b53099475baed0fd5da",
     ("PM", "a3", "fine", "skewed", "pretty"): "efe7a84d7c4c34d11d8901ed5e5bf09315c327295e86805a4c53b97399765eb2",
-    ("PL", "a2", "default", "caratheodory", "json"): "e14ecb4e97a55a81915c8e8f224e128b6e8fee41531879ad673914b157ba75c1",
+    ("PL", "a2", "default", "caratheodory", "json"): "a2ab040a8bf88d1b9896ae459ed8987901c1ef7ddea29a93a04cec3f28a88b8d",
     ("PL", "a2", "default", "caratheodory", "csv"): "c0b894ccbbeb38e308ba36cb7ae718c56e77e979defd0174ad2153d4238bbe98",
     ("PL", "a2", "default", "caratheodory", "pretty"): "1f90ef8b5008960002179b5bcc306faff3ee6ed22163f6fdb8fbfbe83458f4c5",
-    ("PL", "a2", "default", "order:1/3", "json"): "5bd95bbdacd347de295422521d3340d9077511fd1414c71717ee752c3fd712c1",
+    ("PL", "a2", "default", "order:1/3", "json"): "300dc5bbf7ddba34010dcc7480e5bb1a70038b0a15726bd82f92f837990d9b94",
     ("PL", "a2", "default", "order:1/3", "csv"): "fe041f379a20469c94d19302cd86c049d0545bd39a017b4f574f56618cd2b60a",
     ("PL", "a2", "default", "order:1/3", "pretty"): "fb6d1ba4964885fa8599bb473b3d869df6b0a1bac087c2173ceb84505a5ca477",
-    ("PL", "a2", "default", "skewed", "json"): "8414ac4c2185c97b0887c0b6a0ce559c9f82074594e8469e57777c21e7f01e0c",
+    ("PL", "a2", "default", "skewed", "json"): "b61c403e6c3e866cea26509a28435c1796905eac9ccf614cc6e7d4c5e90b3c3c",
     ("PL", "a2", "default", "skewed", "csv"): "fcfd1b72a1cafa1fc9db45c8f70caae2a958886ec1b4313440ab21a59104bf4c",
     ("PL", "a2", "default", "skewed", "pretty"): "a78134b1cf1da35b50735f3a129bb8ba23a051eb59b028df579923ddd0df4cba",
-    ("PL", "a2", "fine", "caratheodory", "json"): "20fec127e11c5ec54399c8ea205b7b583386a826eb159d87ceee04463c4165ac",
+    ("PL", "a2", "fine", "caratheodory", "json"): "a2ab040a8bf88d1b9896ae459ed8987901c1ef7ddea29a93a04cec3f28a88b8d",
     ("PL", "a2", "fine", "caratheodory", "csv"): "c0b894ccbbeb38e308ba36cb7ae718c56e77e979defd0174ad2153d4238bbe98",
     ("PL", "a2", "fine", "caratheodory", "pretty"): "1f90ef8b5008960002179b5bcc306faff3ee6ed22163f6fdb8fbfbe83458f4c5",
-    ("PL", "a2", "fine", "order:1/3", "json"): "fa5f8bbabc4b292732b18daa3a62530ef8faa2cbea7a143f829cb3bd4a2ec8f3",
+    ("PL", "a2", "fine", "order:1/3", "json"): "300dc5bbf7ddba34010dcc7480e5bb1a70038b0a15726bd82f92f837990d9b94",
     ("PL", "a2", "fine", "order:1/3", "csv"): "fe041f379a20469c94d19302cd86c049d0545bd39a017b4f574f56618cd2b60a",
     ("PL", "a2", "fine", "order:1/3", "pretty"): "fb6d1ba4964885fa8599bb473b3d869df6b0a1bac087c2173ceb84505a5ca477",
-    ("PL", "a2", "fine", "skewed", "json"): "04d8819b5254849cfb3e7e1fddebbe7c9e23c9cb8c80f8a219d80290702b1be6",
+    ("PL", "a2", "fine", "skewed", "json"): "b61c403e6c3e866cea26509a28435c1796905eac9ccf614cc6e7d4c5e90b3c3c",
     ("PL", "a2", "fine", "skewed", "csv"): "fcfd1b72a1cafa1fc9db45c8f70caae2a958886ec1b4313440ab21a59104bf4c",
     ("PL", "a2", "fine", "skewed", "pretty"): "a78134b1cf1da35b50735f3a129bb8ba23a051eb59b028df579923ddd0df4cba",
-    ("PL", "a3", "default", "caratheodory", "json"): "8b605b67e4f8f3ed83e740db0830a441592cf708cba322ce765a7fe688f884e4",
+    ("PL", "a3", "default", "caratheodory", "json"): "e793c9e9b2d0fecfcf7b10408e9e343771f262d2484900b563d97c4d68f5b844",
     ("PL", "a3", "default", "caratheodory", "csv"): "dbc5e4f8b7ef8284550084e1137250fe8fe03a9ce8ee05d6b83c2a4399c56922",
     ("PL", "a3", "default", "caratheodory", "pretty"): "f11fa85ccfe0a6b69229704935194bdbb30185be1ae84f9eb757fcc241307e2f",
-    ("PL", "a3", "default", "order:1/3", "json"): "a3b71d3cad18ae163d65938adb3ee410e1fc285334448ce3969a28bda11b9260",
+    ("PL", "a3", "default", "order:1/3", "json"): "e9dfe7ecf9b1ff4709ab0158afdda2f51f83562fa89d3c12e2508d75c4299acf",
     ("PL", "a3", "default", "order:1/3", "csv"): "37f9997eebcd8f0fee038bfa067190b4e8e59d461dc791b0dda5b8dec4ce2e4d",
     ("PL", "a3", "default", "order:1/3", "pretty"): "6b079663f6e02ce5750ad44de3433ebd416b32e3cb802a3caf4fb093560fb4ee",
-    ("PL", "a3", "default", "skewed", "json"): "3d038f0fa7ee4d0765cf6752921a68da505d993bb439fe1d06965effbdde1c30",
+    ("PL", "a3", "default", "skewed", "json"): "131b3f5dfb85b743bb9260549c97bf03b8a75d048ed3065d6af1a9caaa17bce9",
     ("PL", "a3", "default", "skewed", "csv"): "ccf93689cc7acc32482f9ca7e3739042898bcb245b62315a6017f613146fc218",
     ("PL", "a3", "default", "skewed", "pretty"): "c22e7ce3fe5e7126944a000afad1bf457980c803e939807df7d16f786501951b",
-    ("PL", "a3", "fine", "caratheodory", "json"): "a8a9e1db3ffc7c86bf54aab43bfb33feee6e8981ba75ab9db1af97732303cbad",
+    ("PL", "a3", "fine", "caratheodory", "json"): "e793c9e9b2d0fecfcf7b10408e9e343771f262d2484900b563d97c4d68f5b844",
     ("PL", "a3", "fine", "caratheodory", "csv"): "dbc5e4f8b7ef8284550084e1137250fe8fe03a9ce8ee05d6b83c2a4399c56922",
     ("PL", "a3", "fine", "caratheodory", "pretty"): "f11fa85ccfe0a6b69229704935194bdbb30185be1ae84f9eb757fcc241307e2f",
-    ("PL", "a3", "fine", "order:1/3", "json"): "d660eb20492c5bdfa796eeafc91f2d1b3d46ce3067f1300bd19676b8f7fe6464",
+    ("PL", "a3", "fine", "order:1/3", "json"): "e9dfe7ecf9b1ff4709ab0158afdda2f51f83562fa89d3c12e2508d75c4299acf",
     ("PL", "a3", "fine", "order:1/3", "csv"): "37f9997eebcd8f0fee038bfa067190b4e8e59d461dc791b0dda5b8dec4ce2e4d",
     ("PL", "a3", "fine", "order:1/3", "pretty"): "6b079663f6e02ce5750ad44de3433ebd416b32e3cb802a3caf4fb093560fb4ee",
-    ("PL", "a3", "fine", "skewed", "json"): "cf1228af8329a92a9ce41ac530cb45b2c453654b794d85b33e07a2d921dba925",
+    ("PL", "a3", "fine", "skewed", "json"): "131b3f5dfb85b743bb9260549c97bf03b8a75d048ed3065d6af1a9caaa17bce9",
     ("PL", "a3", "fine", "skewed", "csv"): "ccf93689cc7acc32482f9ca7e3739042898bcb245b62315a6017f613146fc218",
     ("PL", "a3", "fine", "skewed", "pretty"): "c22e7ce3fe5e7126944a000afad1bf457980c803e939807df7d16f786501951b",
-    ("MM", "a2", "default", "caratheodory", "json"): "1ae8b1c5bc4b408434ff82eb8ce8a8a59fcd14c40cdb6f8e4ecfe1f7f7ce6594",
+    ("MM", "a2", "default", "caratheodory", "json"): "0624975a61b4eda6b64fb9c1ee49a56fc5779ff18e9ded526b5ffe141d36d258",
     ("MM", "a2", "default", "caratheodory", "csv"): "ed0389263a2c4945b6b309870d1796c0297d22b90b0fc9f5fde83ef022d30cc5",
     ("MM", "a2", "default", "caratheodory", "pretty"): "072b729ae6cc54a97615e75159484e9b705d33c571b364066ceb5476591ffea8",
-    ("MM", "a2", "default", "order:1/3", "json"): "c86dc53ef45d53f64735f89dc77312a95ef70fc831305f78304dab2a60f471c3",
+    ("MM", "a2", "default", "order:1/3", "json"): "f9e69bf0da30404b476b861a1e7e5f027b1f52e453a19cfa1066341e42f28357",
     ("MM", "a2", "default", "order:1/3", "csv"): "cb9538388886addc3024440484280d8f4588a0a4fdc1b47c23c715f95d76cb45",
     ("MM", "a2", "default", "order:1/3", "pretty"): "9659bde62b64278c904b38b6156fa337e6b7db4a5a8dfa055550b8f92de8ff4f",
-    ("MM", "a2", "default", "skewed", "json"): "abfbc7f2b2496a2e31db9d2b2933e31ec57b7ff6185dc5b09a3ca0f683c3dcec",
+    ("MM", "a2", "default", "skewed", "json"): "f4a827fb85c10290a6447b9afe80b01ed253a9712d49326fa0e5952970911a59",
     ("MM", "a2", "default", "skewed", "csv"): "0ddbe6b0795812f52f7a603f0bc8d3d6f5b6d9a52eb3071041f747e86881c0ff",
     ("MM", "a2", "default", "skewed", "pretty"): "7978c5b8a0fe541b87da36bcc1a70f7226525cf3834544ae1ffa8459b3863605",
-    ("MM", "a2", "fine", "caratheodory", "json"): "77387c720759bea7193062aceddbc0849d9236d9242a613ef8c3b312411f57af",
+    ("MM", "a2", "fine", "caratheodory", "json"): "0624975a61b4eda6b64fb9c1ee49a56fc5779ff18e9ded526b5ffe141d36d258",
     ("MM", "a2", "fine", "caratheodory", "csv"): "ed0389263a2c4945b6b309870d1796c0297d22b90b0fc9f5fde83ef022d30cc5",
     ("MM", "a2", "fine", "caratheodory", "pretty"): "072b729ae6cc54a97615e75159484e9b705d33c571b364066ceb5476591ffea8",
-    ("MM", "a2", "fine", "order:1/3", "json"): "84d9e1054552a6ff5a655e718cc747dc4d4f4e56b4c7c4fd718b2be9a4c3f666",
+    ("MM", "a2", "fine", "order:1/3", "json"): "f9e69bf0da30404b476b861a1e7e5f027b1f52e453a19cfa1066341e42f28357",
     ("MM", "a2", "fine", "order:1/3", "csv"): "cb9538388886addc3024440484280d8f4588a0a4fdc1b47c23c715f95d76cb45",
     ("MM", "a2", "fine", "order:1/3", "pretty"): "9659bde62b64278c904b38b6156fa337e6b7db4a5a8dfa055550b8f92de8ff4f",
-    ("MM", "a2", "fine", "skewed", "json"): "b47468f54fa50211b3941a1b7dade4585b1b3c5ab9da219c5dfc07170b87d3c4",
+    ("MM", "a2", "fine", "skewed", "json"): "f4a827fb85c10290a6447b9afe80b01ed253a9712d49326fa0e5952970911a59",
     ("MM", "a2", "fine", "skewed", "csv"): "0ddbe6b0795812f52f7a603f0bc8d3d6f5b6d9a52eb3071041f747e86881c0ff",
     ("MM", "a2", "fine", "skewed", "pretty"): "7978c5b8a0fe541b87da36bcc1a70f7226525cf3834544ae1ffa8459b3863605",
-    ("MM", "a3", "default", "caratheodory", "json"): "61e641a5fc11bb6716853b92d3c5a3b7901ef0557e386fadb9afdb21d9896145",
+    ("MM", "a3", "default", "caratheodory", "json"): "08601ec907544ed9e68e1a89a248455f8200549721a39d9bed3cd167adc72e19",
     ("MM", "a3", "default", "caratheodory", "csv"): "fcb4733ea329e94511bb88ca4c1ba5485643b47cb6024208f6f3f432f1c1ee7d",
     ("MM", "a3", "default", "caratheodory", "pretty"): "ca0706e600f55312813479ab1647df44f5879b5fe1cdbf4b60d59c294cd59d06",
-    ("MM", "a3", "default", "order:1/3", "json"): "2ab94d815c4668b13e3ee4dd389da421f961e1cce1b479a2198fd7064636ed80",
+    ("MM", "a3", "default", "order:1/3", "json"): "ee8095b98794333dba97a8da1fbcda65ffd0f6737232249ed09808cae0281025",
     ("MM", "a3", "default", "order:1/3", "csv"): "4e81fcc0c2a01ec22586dcd1915a9db66220d6671b7afc790c02fabc6d5a3944",
     ("MM", "a3", "default", "order:1/3", "pretty"): "d50e7dfd0c0aa3e00f56969fa478f48a7db0892ad63d1ba577bf92ba24bdbbb1",
-    ("MM", "a3", "default", "skewed", "json"): "71bdc7c4d89f01b69919ca130ed4e5f3fd345223380f40a2cb6905524daa87f5",
+    ("MM", "a3", "default", "skewed", "json"): "0fde0596e879ac5abfa55ece6cb7a13b642e2a8a33b179d16405a09eb65360b1",
     ("MM", "a3", "default", "skewed", "csv"): "1dd624a17ece1cd8b70778d03a26703f59a3cc5a97087d10d45b6a0edfd0ddf4",
     ("MM", "a3", "default", "skewed", "pretty"): "bdd0db3be23e1902fb8dd331d070ab60ebb367fd18b0b845b508f979df1a3c5d",
-    ("MM", "a3", "fine", "caratheodory", "json"): "4d7c545367d35ed6a3ad322bb6177508e841cb4149965e2eba028247e3a4a36c",
+    ("MM", "a3", "fine", "caratheodory", "json"): "08601ec907544ed9e68e1a89a248455f8200549721a39d9bed3cd167adc72e19",
     ("MM", "a3", "fine", "caratheodory", "csv"): "fcb4733ea329e94511bb88ca4c1ba5485643b47cb6024208f6f3f432f1c1ee7d",
     ("MM", "a3", "fine", "caratheodory", "pretty"): "ca0706e600f55312813479ab1647df44f5879b5fe1cdbf4b60d59c294cd59d06",
-    ("MM", "a3", "fine", "order:1/3", "json"): "fb79b4aa5336b77970a39b21809a82e13198671fa2b102f0f3a689a009e59b77",
+    ("MM", "a3", "fine", "order:1/3", "json"): "ee8095b98794333dba97a8da1fbcda65ffd0f6737232249ed09808cae0281025",
     ("MM", "a3", "fine", "order:1/3", "csv"): "4e81fcc0c2a01ec22586dcd1915a9db66220d6671b7afc790c02fabc6d5a3944",
     ("MM", "a3", "fine", "order:1/3", "pretty"): "d50e7dfd0c0aa3e00f56969fa478f48a7db0892ad63d1ba577bf92ba24bdbbb1",
-    ("MM", "a3", "fine", "skewed", "json"): "29904eb45faf98691bcedba7beb765b8c2aa6ffbab3bcc585d23821e44258af0",
+    ("MM", "a3", "fine", "skewed", "json"): "0fde0596e879ac5abfa55ece6cb7a13b642e2a8a33b179d16405a09eb65360b1",
     ("MM", "a3", "fine", "skewed", "csv"): "1dd624a17ece1cd8b70778d03a26703f59a3cc5a97087d10d45b6a0edfd0ddf4",
     ("MM", "a3", "fine", "skewed", "pretty"): "bdd0db3be23e1902fb8dd331d070ab60ebb367fd18b0b845b508f979df1a3c5d",
-    ("ML", "a2", "default", "caratheodory", "json"): "83c1c3251d49022436a9dd0f98d778fc697d29b82c426b9f49c37fa04da29f7a",
+    ("ML", "a2", "default", "caratheodory", "json"): "e29d3d0c1b52cf7b9213cdde6bf38090da803bc25391ef8669c53d9f5420c609",
     ("ML", "a2", "default", "caratheodory", "csv"): "bd33daf4ec0ae6290a5a51e163ce985febbad41e2bc8cbab56d5e802572e6a3d",
     ("ML", "a2", "default", "caratheodory", "pretty"): "f37413e076d18f998b789a20950a1389f67297afe1de065fd606f2eca86dadf5",
-    ("ML", "a2", "default", "order:1/3", "json"): "8d66919e8e7e681189bdd2f9fbf116e04bab2946b68d46fabb2a0cb68f260cb2",
+    ("ML", "a2", "default", "order:1/3", "json"): "3ddb34ab6c226bd18f387111f6681454ccb1b3afa0abf4f895acdba7cb7f1102",
     ("ML", "a2", "default", "order:1/3", "csv"): "e40fcd8e0843c0c0c1455d35bd7ba83254edf2211d327f8e0cb7ca0f60dd3c19",
     ("ML", "a2", "default", "order:1/3", "pretty"): "32dcb74b8d1d62e45244d754bfa3e5d24aa55504fa96060022c86ec22977f119",
-    ("ML", "a2", "default", "skewed", "json"): "2bfaa4eeb59296d9dc771c4ace57b0afb27744751792227eb44b5ed5267933fa",
+    ("ML", "a2", "default", "skewed", "json"): "ada84aea09bf1f97832229ba57c2dfe9693fef7ac58ef21fe85eb065d1d1d754",
     ("ML", "a2", "default", "skewed", "csv"): "8516e4ab692c9b455215937e34f4f6340d5678d2256e072babbb13738f7960a0",
     ("ML", "a2", "default", "skewed", "pretty"): "5951546ba150532516b54c0e7c83abdcf53c86a08dd4d0a7c9aac0dc5d2d97a5",
-    ("ML", "a2", "fine", "caratheodory", "json"): "d0f59ac6c242786b1b2983d07867ae9376f3e373d200ad58ac07cd185ec2de57",
+    ("ML", "a2", "fine", "caratheodory", "json"): "e29d3d0c1b52cf7b9213cdde6bf38090da803bc25391ef8669c53d9f5420c609",
     ("ML", "a2", "fine", "caratheodory", "csv"): "bd33daf4ec0ae6290a5a51e163ce985febbad41e2bc8cbab56d5e802572e6a3d",
     ("ML", "a2", "fine", "caratheodory", "pretty"): "f37413e076d18f998b789a20950a1389f67297afe1de065fd606f2eca86dadf5",
-    ("ML", "a2", "fine", "order:1/3", "json"): "59179f5895c74602f0ad9d6f23cf0c81d3632839a3e5e575b68fb88940055cf5",
+    ("ML", "a2", "fine", "order:1/3", "json"): "3ddb34ab6c226bd18f387111f6681454ccb1b3afa0abf4f895acdba7cb7f1102",
     ("ML", "a2", "fine", "order:1/3", "csv"): "e40fcd8e0843c0c0c1455d35bd7ba83254edf2211d327f8e0cb7ca0f60dd3c19",
     ("ML", "a2", "fine", "order:1/3", "pretty"): "32dcb74b8d1d62e45244d754bfa3e5d24aa55504fa96060022c86ec22977f119",
-    ("ML", "a2", "fine", "skewed", "json"): "c6047cbe86532ca3fb4d229a2bc38a78c32634e9f45458f05005056505a78882",
+    ("ML", "a2", "fine", "skewed", "json"): "ada84aea09bf1f97832229ba57c2dfe9693fef7ac58ef21fe85eb065d1d1d754",
     ("ML", "a2", "fine", "skewed", "csv"): "8516e4ab692c9b455215937e34f4f6340d5678d2256e072babbb13738f7960a0",
     ("ML", "a2", "fine", "skewed", "pretty"): "5951546ba150532516b54c0e7c83abdcf53c86a08dd4d0a7c9aac0dc5d2d97a5",
-    ("ML", "a3", "default", "caratheodory", "json"): "6b03efa3749b2cb35fcea14064a46e69be0abab683536308dc95a0ba029a3429",
+    ("ML", "a3", "default", "caratheodory", "json"): "8a4f6249654e732ecaf17a08a8537ae37c1b43654ec5f73217381ed4b3f69201",
     ("ML", "a3", "default", "caratheodory", "csv"): "cd4c1d207ebbeef42edc797813e8376cef918d64587d7b4df30fcf9b888677bb",
     ("ML", "a3", "default", "caratheodory", "pretty"): "23e6380bf82d43540b41d482be7e3ef6bc1c80864ffedd1c21a5c8275c759f12",
-    ("ML", "a3", "default", "order:1/3", "json"): "e119353cd726a2176dc969f1afcceac7c0b95aab7ba518ac8dbe60b8e7300f31",
+    ("ML", "a3", "default", "order:1/3", "json"): "45cc2204aaa705c742d6e6e8a8069cfa86d337c9cb73d09ffbcb9bcb6dc78664",
     ("ML", "a3", "default", "order:1/3", "csv"): "52367ef6a4450b6f6aafefdf4d551c7a5e6285923e806876ca5cbe5c61a6c820",
     ("ML", "a3", "default", "order:1/3", "pretty"): "296845083cfdeb54d30416aae2f0f39bb8ce067a141417e2c0e70060ffa4caff",
-    ("ML", "a3", "default", "skewed", "json"): "65ac61c2c4a443e07399f7ac46c19879a66b1dab6d2c215939141ba58a40a6a2",
+    ("ML", "a3", "default", "skewed", "json"): "8ade5d95d0677d1e886de6b396f7c4e135cf311897d23937924416f9a3e63a3e",
     ("ML", "a3", "default", "skewed", "csv"): "920f5c3164041f1220fd0bc41e45dccf7618804ec2f9c383bd28a6d137c47fbc",
     ("ML", "a3", "default", "skewed", "pretty"): "b6f7a35cdec00cbd363667c889032a4d044f78d38ad67b55bf5eebace88906a4",
-    ("ML", "a3", "fine", "caratheodory", "json"): "d4fe3b8295b724fc4ed5da5671184f63f0f9f58dc7658c6fd2c93290508105d0",
+    ("ML", "a3", "fine", "caratheodory", "json"): "8a4f6249654e732ecaf17a08a8537ae37c1b43654ec5f73217381ed4b3f69201",
     ("ML", "a3", "fine", "caratheodory", "csv"): "cd4c1d207ebbeef42edc797813e8376cef918d64587d7b4df30fcf9b888677bb",
     ("ML", "a3", "fine", "caratheodory", "pretty"): "23e6380bf82d43540b41d482be7e3ef6bc1c80864ffedd1c21a5c8275c759f12",
-    ("ML", "a3", "fine", "order:1/3", "json"): "6fcf60c8681cfcf04d7e3e4478a65e7be750b40b8ba0293b586ac4568fe4038d",
+    ("ML", "a3", "fine", "order:1/3", "json"): "45cc2204aaa705c742d6e6e8a8069cfa86d337c9cb73d09ffbcb9bcb6dc78664",
     ("ML", "a3", "fine", "order:1/3", "csv"): "52367ef6a4450b6f6aafefdf4d551c7a5e6285923e806876ca5cbe5c61a6c820",
     ("ML", "a3", "fine", "order:1/3", "pretty"): "296845083cfdeb54d30416aae2f0f39bb8ce067a141417e2c0e70060ffa4caff",
-    ("ML", "a3", "fine", "skewed", "json"): "1ee2542788b18dd9f042ed2a558f08f1f95fe9a8585b54b6a70fc5116de6f00a",
+    ("ML", "a3", "fine", "skewed", "json"): "8ade5d95d0677d1e886de6b396f7c4e135cf311897d23937924416f9a3e63a3e",
     ("ML", "a3", "fine", "skewed", "csv"): "920f5c3164041f1220fd0bc41e45dccf7618804ec2f9c383bd28a6d137c47fbc",
     ("ML", "a3", "fine", "skewed", "pretty"): "b6f7a35cdec00cbd363667c889032a4d044f78d38ad67b55bf5eebace88906a4",
-    ("LL", "a2", "default", "caratheodory", "json"): "01042ac84ba0ed144a2b00223d34b42d772e3ee9890c3b808e5960deac4dbb75",
+    ("LL", "a2", "default", "caratheodory", "json"): "8900f140356d7fbd50e14ed320401787c9399b89cb297840b1455d5cac14e812",
     ("LL", "a2", "default", "caratheodory", "csv"): "ed934e107be09026312f20ddbca57cf8c09ba0c6c2031b738e831450a1a5265e",
     ("LL", "a2", "default", "caratheodory", "pretty"): "f8ff138ae053bdf7318df8281a7fa4af60df3348e292373e68fbf56d9d8ca124",
-    ("LL", "a2", "default", "order:1/3", "json"): "515660dedd667e53e95b7c2478f6269fb76af0e3ec9e48d9191ee7a34537feeb",
+    ("LL", "a2", "default", "order:1/3", "json"): "386eb551ccf4b2299b5a9812ccce2e2bb183a6ffea89a49b4693060324d9f82d",
     ("LL", "a2", "default", "order:1/3", "csv"): "60acc9e5f520142ff4a6fcb1625d8bd9197a56b5618c05ac8e92f16a597e6423",
     ("LL", "a2", "default", "order:1/3", "pretty"): "1f0a2dfe4352637e6898deb3961e219b80b03ede43133e9a2345398a444ea899",
-    ("LL", "a2", "default", "skewed", "json"): "563afbb500ebd092942fe8a69d90783c09afc271fce59f7af88c1f95c1f9a557",
+    ("LL", "a2", "default", "skewed", "json"): "aeb39d07b66f2df37b19a7665b13a0c5252a6918e718cff35d28116dea82e55e",
     ("LL", "a2", "default", "skewed", "csv"): "006f765d84580c4b319ac364ee3308a39e64f8636067313ca7c0ecc953d177a0",
     ("LL", "a2", "default", "skewed", "pretty"): "3e47fe0f1acff94467e916de595da3babfa4950fff64099d5e148746be34d2fe",
-    ("LL", "a2", "fine", "caratheodory", "json"): "e5cca4833de868a0785c06cae2409482f10538062c87974b6d696bc522e4a263",
+    ("LL", "a2", "fine", "caratheodory", "json"): "8900f140356d7fbd50e14ed320401787c9399b89cb297840b1455d5cac14e812",
     ("LL", "a2", "fine", "caratheodory", "csv"): "ed934e107be09026312f20ddbca57cf8c09ba0c6c2031b738e831450a1a5265e",
     ("LL", "a2", "fine", "caratheodory", "pretty"): "f8ff138ae053bdf7318df8281a7fa4af60df3348e292373e68fbf56d9d8ca124",
-    ("LL", "a2", "fine", "order:1/3", "json"): "832db98822e5263c72487cec76c94f56d2f608a735fd59dbc039ac4afc8a4e08",
+    ("LL", "a2", "fine", "order:1/3", "json"): "386eb551ccf4b2299b5a9812ccce2e2bb183a6ffea89a49b4693060324d9f82d",
     ("LL", "a2", "fine", "order:1/3", "csv"): "60acc9e5f520142ff4a6fcb1625d8bd9197a56b5618c05ac8e92f16a597e6423",
     ("LL", "a2", "fine", "order:1/3", "pretty"): "1f0a2dfe4352637e6898deb3961e219b80b03ede43133e9a2345398a444ea899",
-    ("LL", "a2", "fine", "skewed", "json"): "8ea6a25b021433b873e8ea96f0aeccd71e3447ad672c1dfb1757a921906a89ff",
+    ("LL", "a2", "fine", "skewed", "json"): "aeb39d07b66f2df37b19a7665b13a0c5252a6918e718cff35d28116dea82e55e",
     ("LL", "a2", "fine", "skewed", "csv"): "006f765d84580c4b319ac364ee3308a39e64f8636067313ca7c0ecc953d177a0",
     ("LL", "a2", "fine", "skewed", "pretty"): "3e47fe0f1acff94467e916de595da3babfa4950fff64099d5e148746be34d2fe",
-    ("LL", "a3", "default", "caratheodory", "json"): "2f76a85e1aaf868a6c3ba09e1d340d00ab4d26e4d224901107e94da608cc5105",
+    ("LL", "a3", "default", "caratheodory", "json"): "b3833040a7b40ff580ac17a409204df012f1b05b956a6f5534374b217499ee00",
     ("LL", "a3", "default", "caratheodory", "csv"): "66cde5b77231d2a87dee8c3c09551cfdfae9d1dd0ab3f37b904430c55b5dbb85",
     ("LL", "a3", "default", "caratheodory", "pretty"): "4db9a0a99c1710afcfaa9a9f4c6da4a58f46d15a67dfe06c893f322accb7f997",
-    ("LL", "a3", "default", "order:1/3", "json"): "1c8704f48e2ba154e73b2860e957a8b6171acff383fe3c3f77a27db55e07476b",
+    ("LL", "a3", "default", "order:1/3", "json"): "12cdced5077884eb841c75d43c629678dc0f4c7e8eebbc41ae27f9b9f5261f47",
     ("LL", "a3", "default", "order:1/3", "csv"): "295f1610cc2818b584022acc8981b478c8bf91c01d93015c8eca9d1adf11e7ef",
     ("LL", "a3", "default", "order:1/3", "pretty"): "6faa08885bdadc90532b10afb9077024c77625c73b5e6b1463fa7fbfa9cb0037",
-    ("LL", "a3", "default", "skewed", "json"): "d4e159b9f17242eda0b25371a4b6cb6462e60604526529ca46aa853032195fe0",
+    ("LL", "a3", "default", "skewed", "json"): "a0103336f868f5cd241ff6b0e2346d551fe02cb8c4d53602e5bb864b75fb1e52",
     ("LL", "a3", "default", "skewed", "csv"): "2d284728c36e1a7a8f95632b98ee955fa9f4adf2b1c2ddb79b673e8f97db6390",
     ("LL", "a3", "default", "skewed", "pretty"): "e38f74056d0cfffa7fc688dc851e4fa402d31d4d4c89b6042f5b9980492e10b7",
-    ("LL", "a3", "fine", "caratheodory", "json"): "161e448624a32df327289180179a0e9f7a5d9e858b0d870efe89b536a7f6c2a6",
+    ("LL", "a3", "fine", "caratheodory", "json"): "b3833040a7b40ff580ac17a409204df012f1b05b956a6f5534374b217499ee00",
     ("LL", "a3", "fine", "caratheodory", "csv"): "66cde5b77231d2a87dee8c3c09551cfdfae9d1dd0ab3f37b904430c55b5dbb85",
     ("LL", "a3", "fine", "caratheodory", "pretty"): "4db9a0a99c1710afcfaa9a9f4c6da4a58f46d15a67dfe06c893f322accb7f997",
-    ("LL", "a3", "fine", "order:1/3", "json"): "3999c569500fe5b828e30237c5eecc15de452b33d55a78f716a95783781b1160",
+    ("LL", "a3", "fine", "order:1/3", "json"): "12cdced5077884eb841c75d43c629678dc0f4c7e8eebbc41ae27f9b9f5261f47",
     ("LL", "a3", "fine", "order:1/3", "csv"): "295f1610cc2818b584022acc8981b478c8bf91c01d93015c8eca9d1adf11e7ef",
     ("LL", "a3", "fine", "order:1/3", "pretty"): "6faa08885bdadc90532b10afb9077024c77625c73b5e6b1463fa7fbfa9cb0037",
-    ("LL", "a3", "fine", "skewed", "json"): "e6fc99f587824869ddfb8f638557dd2e85b61bdbd2cee246db6b977d124f52a0",
+    ("LL", "a3", "fine", "skewed", "json"): "a0103336f868f5cd241ff6b0e2346d551fe02cb8c4d53602e5bb864b75fb1e52",
     ("LL", "a3", "fine", "skewed", "csv"): "2d284728c36e1a7a8f95632b98ee955fa9f4adf2b1c2ddb79b673e8f97db6390",
     ("LL", "a3", "fine", "skewed", "pretty"): "e38f74056d0cfffa7fc688dc851e4fa402d31d4d4c89b6042f5b9980492e10b7",
 }
@@ -389,22 +389,20 @@ class TestGolden:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             SWEEP_DIGESTS[tag, what, grid, targets, fmt]
 
-    @pytest.mark.parametrize("radial, phase", [(2, 4), (9, 16), (17, 32), (16, 64)],
-                             ids=["2x4", "9x16", "17x32", "16x64"])
+    # (17, 64) and (600, 4) were over the old cap on the grid size.
+    @pytest.mark.parametrize("radial, phase",
+                             [(2, 4), (9, 16), (17, 32), (16, 64), (17, 64), (600, 4)],
+                             ids=["2x4", "9x16", "17x32", "16x64", "17x64", "600x4"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     @pytest.mark.parametrize("what", ["a2", "a3"])
-    def test_grid_flags_change_only_the_echoed_config(self, what, radial, phase):
-        # The sweeps take their exact corners, so the grid flags are checked
-        # and echoed under config but move nothing else.
+    def test_grid_flags_change_nothing(self, what, fmt, radial, phase):
+        # The sweeps take their exact corners and read no grid settings.
         argv = ["sweep", "--pair", "PL", "--alpha", "1/3", "--beta", "1/2",
-                "--psi-coeffs", "2,1", "--what", what]
-        _, default = run_cli(argv)
-        code, text = run_cli(argv + ["--radial-steps", str(radial),
-                                     "--phase-steps", str(phase)])
-        payload, expected = json.loads(text), json.loads(default)
-        assert code == 0
-        assert payload.pop("config") == {"radial_steps": radial, "phase_steps": phase}
-        assert expected.pop("config") == {"radial_steps": 9, "phase_steps": 16}
-        assert payload == expected
+                "--psi-coeffs", "2,1", "--what", what, "--format", fmt]
+        expected = run_cli(argv)
+        assert expected[0] == 0
+        assert run_cli(argv + ["--radial-steps", str(radial),
+                               "--phase-steps", str(phase)]) == expected
 
 
 class TestExitCodes:
@@ -594,24 +592,19 @@ class TestTargets:
 class TestConfigFile:
     def test_defaults_from_file(self, tmp_path):
         config = tmp_path / "defaults.cfg"
-        config.write_text("# sweep defaults\nradial_steps = 3\nphase_steps = 4\n")
-        code, text = run_cli(
-            ["--config", str(config), "sweep", "--pair", "PP",
-             "--alpha", "0", "--beta", "0"]
-        )
+        config.write_text("# verify defaults\nsamples = 3\nseed = 5\n")
+        code, text = run_cli(["--config", str(config), "verify", "--suite", "series"])
         assert code == 0
-        assert '"radial_steps": 3' in text
-        assert '"phase_steps": 4' in text
+        assert '"samples": 3' in text
+        assert '"seed": 5' in text
 
     def test_flags_override_file(self, tmp_path):
         config = tmp_path / "defaults.cfg"
-        config.write_text("radial_steps=3\n")
-        code, text = run_cli(
-            ["--config", str(config), "sweep", "--pair", "PP",
-             "--alpha", "0", "--beta", "0", "--radial-steps", "5"]
-        )
+        config.write_text("samples=3\n")
+        code, text = run_cli(["--config", str(config), "verify", "--suite", "series",
+                              "--samples", "2"])
         assert code == 0
-        assert '"radial_steps": 5' in text
+        assert '"samples": 2' in text
 
     def test_env_variable(self, tmp_path, monkeypatch):
         config = tmp_path / "env.cfg"
@@ -647,6 +640,9 @@ REJECTED = {
     "config_samples_above_cap": (f"samples={MAX_SAMPLES + 1}\n", ["verify", "--suite", "series"]),
     "sweep_phase_steps_3": (None, SWEEP + ["--phase-steps", "3"]),
     "sweep_radial_steps_1": (None, SWEEP + ["--radial-steps", "1"]),
+    # The sweeps read no grid settings, so the config file takes none.
+    "config_radial_steps_9": ("radial_steps=9\n", SWEEP),
+    "config_phase_steps_16": ("phase_steps=16\n", SWEEP),
     "config_order_not_int": ("order=abc\n", ["table"]),
     "audit_tolerance_nan": (None, AUDIT + ["--tolerance", "nan"]),
     "audit_tolerance_inf": (None, AUDIT + ["--tolerance", "inf"]),
@@ -712,6 +708,7 @@ HUGE = {
     "bound_phi_coeffs_5000_digits": BOUND + ["--phi-coeffs", "1," + "7" * 5000],
     "audit_grid_step_5000_digits": ["audit", "--theorem", "PP", "--grid", "0:1:" + "7" * 5000],
     "verify_samples_5000_digits": ["verify", "--samples", "9" * 5000],
+    "sweep_phase_steps_5000_digits": SWEEP + ["--phase-steps", "-" + "9" * 5000],
     # Long text that is not a number: every message quotes it shortened.
     "bound_pair_5000_xs": ["bound", "--pair", "x" * 5000, "--alpha", "0", "--beta", "0"],
     "bound_alpha_5000_xs": ["bound", "--pair", "PP", "--alpha", "x" * 5000, "--beta", "0"],
@@ -805,9 +802,18 @@ class TestInputContract:
 
     def test_bad_config_value_names_the_key(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
-        config.write_text("radial_steps=many\n")
+        config.write_text("samples=many\n")
         assert cli.main(["--config", str(config), "table"]) == cli.EXIT_USAGE
-        assert "radial_steps" in capsys.readouterr().err
+        assert "samples" in capsys.readouterr().err
+
+    # The two grid flags set nothing, but each keeps its one check.
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--radial-steps", "1", "need at least 2 radial steps"),
+        ("--phase-steps", "3", "need at least 4 phase steps"),
+    ])
+    def test_grid_flag_checks(self, flag, value, message, capsys):
+        assert cli.main(SWEEP + [flag, value]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 # The slowest accepted bound and expand inputs at the fixed orders: presets

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from bibounds import (
     QComplex,
     RandomCheckReport,
     SchwarzParams,
-    SweepConfig,
     SweepResult,
     TruncatedSeries,
     caratheodory_kernel,
@@ -55,20 +55,6 @@ def rand_pair(rng, tag, equal_tail=False):
         rand_target(rng, equal_tail),
         rand_target(rng, equal_tail),
     )
-
-
-class TestSweepConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepConfig(radial_steps=1)
-        with pytest.raises(ValueError):
-            SweepConfig(phase_steps=3)
-
-    def test_grid_size_is_capped_before_allocation(self):
-        assert SweepConfig(16, 64)  # radial * phase**3 is exactly the cap
-        for radial, phase in ((17, 64), (9, 200), (600, 4)):  # (600, 4): a2 grid
-            with pytest.raises(ValueError, match="exceeds the cap"):
-                SweepConfig(radial, phase)
 
 
 # One interior parameter point per pairing, for the tie test below.
@@ -225,26 +211,25 @@ def test_sweep_halved_bound_raises_at_every_scale(what, scale, monkeypatch):
         sweep(pair)
 
 
-def disk_grid(cfg):
-    """cfg.radial_steps moduli in [0, 2] times cfg.phase_steps unit phases."""
-    moduli = np.linspace(0.0, 2.0, cfg.radial_steps)
-    return (moduli[:, None] * phase_ring(cfg)[None, :]).ravel()
+def disk_grid(radial, phase):
+    """radial moduli in [0, 2] times phase unit phases."""
+    moduli = np.linspace(0.0, 2.0, radial)
+    return (moduli[:, None] * phase_ring(phase)[None, :]).ravel()
 
 
-def phase_ring(cfg):
-    phases = np.linspace(0.0, 2.0 * math.pi, cfg.phase_steps, endpoint=False)
-    return np.exp(1j * phases)
+def phase_ring(phase):
+    return np.exp(1j * np.linspace(0.0, 2.0 * math.pi, phase, endpoint=False))
 
 
-def full_grid_sweep(what, pair, cfg):
-    """The reference sweep: every value of the closed forms on cfg's grid.
+def full_grid_sweep(what, pair, radial, phase):
+    """The reference sweep: every value of the closed forms on a radial x phase grid.
 
     Returns the SweepResult of the exact corner and the grid's maximum.
     """
     if what == "a2":
         best = math.sqrt(float(abs(solver.closed_forms(pair, 0, 2, 2).a2_squared)))
         best_params = SchwarzParams(0.0, 2.0, 2.0)
-        grid = disk_grid(cfg)
+        grid = disk_grid(radial, phase)
         axes = (np.zeros(1), grid, grid)
         values = np.sqrt(np.abs(solver.closed_forms(pair, *np.ix_(*axes)).a2_squared))
         bound = bounds.generic_a2_bound(pair)
@@ -252,8 +237,8 @@ def full_grid_sweep(what, pair, cfg):
         analytic, sign = max(
             (abs(solver.closed_forms(pair, 2, 2 * s, 2 * s).a3), s) for s in (1, -1))
         best, best_params = float(analytic), SchwarzParams(2.0, 2.0 * sign, 2.0 * sign)
-        ring = 2.0 * phase_ring(cfg)
-        axes = (disk_grid(cfg), ring, ring)
+        ring = 2.0 * phase_ring(phase)
+        axes = (disk_grid(radial, phase), ring, ring)
         values = np.abs(solver.closed_forms(pair, *np.ix_(*axes)).a3)
         bound = bounds.generic_a3_bound(pair)
     top = values.max()
@@ -273,11 +258,10 @@ def oracle_pairs():
     return pairs + [CANCELLING]
 
 
-@pytest.mark.parametrize("cfg", [SweepConfig(2, 4), SweepConfig(9, 16),
-                                 SweepConfig(17, 32), SweepConfig(16, 64)],
+@pytest.mark.parametrize("radial, phase", [(2, 4), (9, 16), (17, 32), (16, 64)],
                          ids=["2x4", "9x16", "17x32", "16x64"])
 @pytest.mark.parametrize("what", ["a2", "a3"])
-def test_sweeps_match_the_full_grid(what, cfg):
+def test_sweeps_match_the_full_grid(what, radial, phase):
     # The corner is the supremum, so no grid value may exceed it beyond
     # roundoff.  The termwise bound is at least max |p| + max |q| of the
     # grid's two addends, so 1e-9 of it covers their roundoff, which
@@ -285,7 +269,7 @@ def test_sweeps_match_the_full_grid(what, cfg):
     sweep = sweep_a2 if what == "a2" else sweep_a3
     for pair in oracle_pairs():  # none is degenerate
         result = sweep(pair)
-        expected, top = full_grid_sweep(what, pair, cfg)
+        expected, top = full_grid_sweep(what, pair, radial, phase)
         assert result == expected
         assert not harness._exceeds(top, result.max_value + 1e-9 * result.bound)
 
@@ -410,12 +394,23 @@ class TestRandomChecksMatchOnePass:
                 messages.append(str(info.value))
             assert messages[0] == messages[1]
 
-    def test_bad_sample_counts(self):
-        with pytest.raises(ValueError):
-            check_bounds_random(CANONICAL, 1, -1)
-        for n in (10.0, 2.5, True):
-            with pytest.raises(TypeError):
-                check_bounds_random(CANONICAL, 1, n)
+    def test_bad_sample_counts(self, monkeypatch):
+        # Refused before numpy loads (a None entry makes its import fail) and
+        # before the degeneracy check, with messages that name the count.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for pair in (CANONICAL, DEGENERATE):
+            for n in (10.0, 2.5, 0.0, True, False):
+                with pytest.raises(TypeError) as info:
+                    check_bounds_random(pair, 1, n)
+                assert str(info.value) == f"sample count must be an int, got {n!r}"
+            with pytest.raises(ValueError) as info:
+                check_bounds_random(pair, 1, -1)
+            assert str(info.value) == "sample count must be at least 0, got -1"
+            for n in (harness.MAX_RANDOM_SAMPLES + 1, 10**8):
+                with pytest.raises(ValueError) as info:
+                    check_bounds_random(pair, 1, n)
+                assert str(info.value) == (f"sample count must be at most "
+                                           f"{harness.MAX_RANDOM_SAMPLES}, got {n}")
 
 
 class TestRandomChecks:
@@ -613,6 +608,12 @@ class TestIdentitySuites:
         # one would not end.
         with pytest.raises(ValueError):
             run_identity_suites("series", samples=samples)
+
+    @pytest.mark.parametrize("samples", [True, False, 2.5, 10.0])
+    def test_non_int_samples_rejected(self, samples):
+        with pytest.raises(TypeError) as info:
+            run_identity_suites("series", samples=samples)
+        assert str(info.value) == f"samples must be an int, got {samples!r}"
 
 
 # sha256 of repr([(re, im, den), ...]) for the first 1,000 exact draws of

@@ -25,13 +25,11 @@ from bibounds import (
     RandomCheckReport,
     SchlichtCoeffs,
     SchwarzParams,
-    SweepConfig,
     SweepResult,
     inverse_triple,
     theorem_pair,
     triple,
 )
-from bibounds.harness import MAX_SWEEP_POINTS
 
 HALF = Fraction(1, 2)
 SPEC_P = ClassSpec("P", HALF)
@@ -82,8 +80,6 @@ RECORDS = [
      "a2_generic=1.0, a3_printed=None, a3_generic=2.0, degenerate=True, "
      "discrepancies=(Discrepancy(field='sigma', printed=1.0, derived=2.0, "
      "alpha=0.0, beta=0.5, B1=2.0, B2=0.0, D1=1.0, D2=0.5),), notes=('a note',))"),
-    (SweepConfig, ("radial_steps", "phase_steps"), (3, 5),
-     "SweepConfig(radial_steps=3, phase_steps=5)"),
     (SweepResult,
      ("quantity", "max_value", "argmax", "bound", "gap", "attained"),
      ("a2", 1.0, SchwarzParams(0.0, 2.0, 2.0), 1.5, 0.5, False),
@@ -142,15 +138,7 @@ def test_a_changed_field_breaks_equality():
     assert ClassSpec("P", 0) != ClassSpec("P", 1)
     assert ClassSpec("P", 0) != ClassSpec("M", 0)
     assert MindaTarget([2]) != MindaTarget([2, 1])
-    assert SweepConfig() != SweepConfig(9, 17)
     assert PairSpec(SPEC_P, PHI, SPEC_L, PSI) != PairSpec(SPEC_P, PHI, SPEC_L, PHI)
-
-
-def test_sweep_config_defaults():
-    cfg = SweepConfig()
-    assert (cfg.radial_steps, cfg.phase_steps) == (9, 16)
-    assert SweepConfig(radial_steps=4) == SweepConfig(4, 16)
-    assert SweepConfig(phase_steps=8) == SweepConfig(9, 8)
 
 
 def test_inputs_are_converted():
@@ -167,7 +155,6 @@ _TARGET = MindaTarget([1])
 _SPEC = ClassSpec("L", 0)
 _TRIPLE = ClassTriple(1, 1, 1)
 _PARAMS = SchwarzParams(0, 0, 0)
-_CONFIG = SweepConfig()
 
 # (class, a valid record, the fields to build or replace it with, the
 # exception type, its exact message).
@@ -196,12 +183,6 @@ REFUSALS = [
      "|b2| must be at most 2, got QComplex(2, 1)"),
     (SchwarzParams, _PARAMS, dict(c1=0, c2=2.5j, b2=0), ValueError,
      "|c2| must be at most 2, got 2.5j"),
-    (SweepConfig, _CONFIG, dict(radial_steps=1), ValueError,
-     "need at least 2 radial steps"),
-    (SweepConfig, _CONFIG, dict(phase_steps=3), ValueError,
-     "need at least 4 phase steps"),
-    (SweepConfig, _CONFIG, dict(radial_steps=17, phase_steps=64), ValueError,
-     f"sweep grid of {17 * 64**3} points exceeds the cap of {MAX_SWEEP_POINTS}"),
 ]
 
 
@@ -220,7 +201,6 @@ def test_replacement_converts_as_the_constructor_does():
     replaced = SchlichtCoeffs([1])._replace(values=[1, HALF])
     assert replaced.values == (1, HALF) and type(replaced.values) is tuple
     assert _PARAMS._replace(c2=1.0).mode == "float"
-    assert _CONFIG._replace(phase_steps=8) == SweepConfig(9, 8)
 
 
 def test_pair_caches_its_constants_and_replacement_rebuilds_its_triples():
