@@ -63,6 +63,13 @@ def _count(value, what):
     return value
 
 
+def _seed(value):
+    """A seed as given: an int of at least 0, else an error naming the seed."""
+    if _count(value, "seed") < 0:
+        raise ValueError(f"seed must be at least 0, got {brief(value)}")
+    return value
+
+
 class CheckedRecord:
     """Base for a namedtuple whose constructor checks or converts its fields.
 
@@ -300,10 +307,11 @@ def sample_caratheodory(
     summing to one and unimodular x_k, so the result has constant term 1,
     positive real part, and every coefficient modulus at most 2.  Exact mode
     uses rational points on the unit circle so the modulus bound is exact.
+    The seed must be an int (not a bool) of at least 0.
     """
+    rng = random.Random(_seed(seed))
     if _count(m, "kernel count") < 1:
         raise ValueError("need at least one kernel")
-    rng = random.Random(seed)
     if mode == EXACT:
         weights = [Fraction(rng.randint(1, 100)) for _ in range(m)]
         points = [_rational_circle_point(rng) for _ in range(m)]

@@ -7,7 +7,7 @@ byte-identical bytes.  CSV is available for ``sweep`` and ``audit``; pretty
 output is for humans only.
 
 Each command is a row of ``_COMMANDS``: help text, flag adders, a run
-function ``(args, config) -> (payload, exit_code)``, a pretty renderer and a
+function ``args -> (payload, exit_code)``, a pretty renderer and a
 CSV renderer or ``None`` (``--format csv`` is offered only with one).
 :func:`_render` is the one renderer: JSON through :func:`render_json`,
 otherwise the row's renderers, which read only the payload.
@@ -29,11 +29,6 @@ payload, or a violated sweep bound, with no payload).
 No command takes a truncation order, as no computed value reads past z^3:
 target presets are built at the library's default order (``phi`` and
 ``psi`` echo their coefficients) and ``expand`` runs the series at order 3.
-
-A flat ``key=value`` config file may supply defaults (``seed`` and
-``samples`` for ``verify``, ``tolerance`` for ``audit``); point to it with
-``--config`` or the ``BIBOUNDS_CONFIG`` environment variable.  Command-line
-flags win over the file.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ import csv
 import functools
 import io
 import math
-import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -56,8 +50,6 @@ from .classes import (ClassSpec, LiteralTooLargeError, MindaTarget,
 from . import bounds as _bounds
 from . import harness as _harness
 
-ENV_CONFIG = "BIBOUNDS_CONFIG"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
@@ -65,8 +57,6 @@ EXIT_VERIFY_FAILED = 3
 
 # Audit grid points per axis; the audit evaluates the square of this.
 MAX_GRID_POINTS = 101
-
-_CONFIG_KEYS = {"seed": int, "samples": int, "tolerance": float}
 
 
 class UsageError(ValueError):
@@ -224,40 +214,6 @@ def _report_record(rep, names=_bounds.BoundReport._fields) -> dict:
 # argument plumbing
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        path = os.environ.get(ENV_CONFIG)
-    if not path:
-        return {}
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, raw = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise UsageError(f"bad config line: {_quoted(line)}")
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key: {_quoted(key)}")
-        try:
-            values[key] = _CONFIG_KEYS[key](raw.strip())
-        except ValueError:
-            raise UsageError(
-                f"bad value for config key {key!r}: {_quoted(raw.strip())}") from None
-    return values
-
-
-def _setting(args, config, key, fallback):
-    value = getattr(args, key, None)
-    return config.get(key, fallback) if value is None else value
-
-
 def _target(preset_key, coeffs_text) -> MindaTarget:
     # A flag given an empty value is parsed, and refused, not read as absent.
     if coeffs_text is not None:
@@ -331,7 +287,7 @@ def _audit_flags(parser):
     parser.add_argument("--theorem", required=True, help="pairing tag")
     parser.add_argument("--grid", required=True,
                         help="start:stop:step for alpha and beta")
-    parser.add_argument("--tolerance", type=_float)
+    parser.add_argument("--tolerance", type=_float, default=_bounds.AUDIT_REL_TOL)
 
 
 def _sweep_flags(parser):
@@ -353,14 +309,13 @@ def _expand_flags(parser):
 def _verify_flags(parser):
     parser.add_argument("--suite", default="identities", choices=_harness.SUITE_NAMES)
     parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
-    parser.add_argument("--seed", type=_integer)
-    parser.add_argument("--samples", type=_integer)
+    parser.add_argument("--seed", type=_integer, default=_harness.VERIFY_SEED)
+    parser.add_argument("--samples", type=_integer, default=_harness.VERIFY_SAMPLES)
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="bibounds", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="path to a key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p_command = sub.add_parser(name, help=command.help)
@@ -383,7 +338,7 @@ _SWEEP_CSV = ("theorem", "alpha", "beta", "B1", "B2", "D1", "D2",
               "quantity", "max_value", "bound", "gap", "attained")
 
 
-def _run_bound(args, config):
+def _run_bound(args):
     phi, psi = _targets(args)
     rep = _bounds.report(args.pair, args.alpha, args.beta, phi, psi)
     payload = {"command": "bound", **_report_record(rep)}
@@ -400,11 +355,11 @@ def _bound_pretty(payload):
     ]
 
 
-def _run_audit(args, config):
+def _run_audit(args):
     phi, psi = _targets(args)
-    tolerance = _setting(args, config, "tolerance", _bounds.AUDIT_REL_TOL)
     grid = _parse_grid(args.grid)
-    reports = _bounds.audit(args.theorem, grid, grid, [(phi, psi)], rel_tol=tolerance)
+    reports = _bounds.audit(args.theorem, grid, grid, [(phi, psi)],
+                            rel_tol=args.tolerance)
     payload = {
         "command": "audit",
         "theorem": reports[0].theorem,
@@ -412,7 +367,7 @@ def _run_audit(args, config):
                  "points": len(grid)},
         "phi": reports[0].phi,
         "psi": reports[0].psi,
-        "tolerance": tolerance,
+        "tolerance": args.tolerance,
         "reports": [_report_record(rep, _AUDIT_ROW_FIELDS) for rep in reports],
         "discrepancy_count": sum(len(rep.discrepancies) for rep in reports),
         "notes": sorted({note for rep in reports for note in rep.notes}),
@@ -439,7 +394,7 @@ def _audit_csv(payload):
     return _AUDIT_CSV, [{"theorem": payload["theorem"], **d} for d in rows]
 
 
-def _run_sweep(args, config):
+def _run_sweep(args):
     phi, psi = _targets(args)
     if args.radial_steps is not None and args.radial_steps < 2:
         raise UsageError("need at least 2 radial steps")
@@ -477,7 +432,7 @@ def _sweep_csv(payload):
     return _SWEEP_CSV, [row]
 
 
-def _run_expand(args, config):
+def _run_expand(args):
     spec = ClassSpec(args.kind, args.alpha)
     t = triple(spec)
     e1, e2 = expansion_f(t, args.a2, args.a3)
@@ -511,17 +466,16 @@ def _expand_pretty(payload):
     ]
 
 
-def _run_verify(args, config):
-    seed = _setting(args, config, "seed", _harness.VERIFY_SEED)
-    samples = _setting(args, config, "samples", _harness.VERIFY_SAMPLES)
-    results = _harness.run_identity_suites(args.suite, args.mode, seed, samples)
+def _run_verify(args):
+    results = _harness.run_identity_suites(args.suite, args.mode, args.seed,
+                                           args.samples)
     passed = all(r.passed for r in results)
     payload = {
         "command": "verify",
         "suite": args.suite,
         "mode": args.mode,
-        "seed": seed,
-        "samples": samples,
+        "seed": args.seed,
+        "samples": args.samples,
         "checks": [r._asdict() for r in results],
         "passed": passed,
     }
@@ -540,7 +494,7 @@ def _verify_pretty(payload):
     ]
 
 
-def _run_table(args, config):
+def _run_table(args):
     return {"command": "table", **_bounds.reduction_table()}, EXIT_OK
 
 
@@ -579,7 +533,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command = _COMMANDS[args.command]
-        payload, code = command.run(args, _load_config(args.config))
+        payload, code = command.run(args)
     except ValueError as exc:  # UsageError and the library's input checks
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

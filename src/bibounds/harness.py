@@ -61,6 +61,7 @@ from .classes import (
     SchlichtCoeffs,
     SchwarzParams,
     _count,
+    _seed,
     _within_disk,
     brief,
     expansion_f,
@@ -214,10 +215,12 @@ def check_bounds_random(pair: PairSpec, seed: int, n: int) -> RandomCheckReport:
     time whatever ran before it.  The elementwise operations are those of
     one pass over all n, so the report is the same, bit for bit.
 
-    n must be an int from 0 to :data:`MAX_RANDOM_SAMPLES`; it is checked
-    before numpy is loaded.  Raises :class:`BoundViolationError` past
-    bound * (1 + 1e-9) plus the smallest normal float.
+    The seed must be an int (not a bool) of at least 0, and n an int from 0
+    to :data:`MAX_RANDOM_SAMPLES`; both are checked before numpy is loaded.
+    Raises :class:`BoundViolationError` past bound * (1 + 1e-9) plus the
+    smallest normal float.
     """
+    _seed(seed)
     if _count(n, "sample count") < 0:
         raise ValueError(f"sample count must be at least 0, got {brief(n)}")
     if n > MAX_RANDOM_SAMPLES:
@@ -271,7 +274,8 @@ def end_to_end(
     The implied b1 must equal the linkage value and the closed forms must
     reproduce the forward coefficients; both are algebraic identities,
     independent of whether the sample really keeps |b1|, |b2| <= 2 (that is
-    reported in ``subordination_plausible``).
+    reported in ``subordination_plausible``).  The seed, read only when no
+    ``p_series`` is given, must be an int (not a bool) of at least 0.
     """
     if p_series is None:
         p_series = sample_caratheodory(seed, END_TO_END_KERNELS, mode=mode)

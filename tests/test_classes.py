@@ -28,7 +28,7 @@ from bibounds import (
 from bibounds.classes import (MAX_DECIMAL_EXPONENT, LiteralTooLargeError, _within_disk,
                               brief, integer, rational)
 from bibounds.series import coerce_scalar, mode_of
-from conftest import rand_qc
+from conftest import BAD_SEEDS, rand_qc
 from oracles import poly_pow_unit
 
 
@@ -359,6 +359,13 @@ class TestCaratheodorySampling:
         a = sample_caratheodory(42, 3)
         b = sample_caratheodory(42, 3)
         assert a == b
+
+    @pytest.mark.parametrize("seed, error, message", BAD_SEEDS)
+    def test_bad_seeds(self, seed, error, message):
+        for mode in (EXACT, FLOAT):
+            with pytest.raises(error) as info:
+                sample_caratheodory(seed, 3, mode=mode)
+            assert str(info.value) == message
 
 
 class TestPresets:

@@ -589,35 +589,18 @@ class TestTargets:
         ) == cli.EXIT_USAGE
 
 
-class TestConfigFile:
-    def test_defaults_from_file(self, tmp_path):
-        config = tmp_path / "defaults.cfg"
-        config.write_text("# verify defaults\nsamples = 3\nseed = 5\n")
-        code, text = run_cli(["--config", str(config), "verify", "--suite", "series"])
-        assert code == 0
-        assert '"samples": 3' in text
-        assert '"seed": 5' in text
-
-    def test_flags_override_file(self, tmp_path):
-        config = tmp_path / "defaults.cfg"
-        config.write_text("samples=3\n")
-        code, text = run_cli(["--config", str(config), "verify", "--suite", "series",
-                              "--samples", "2"])
-        assert code == 0
-        assert '"samples": 2' in text
-
-    def test_env_variable(self, tmp_path, monkeypatch):
-        config = tmp_path / "env.cfg"
-        config.write_text("seed=99\n")
-        monkeypatch.setenv(cli.ENV_CONFIG, str(config))
-        code, text = run_cli(["verify", "--suite", "series", "--samples", "2"])
-        assert code == 0
-        assert '"seed": 99' in text
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("bogus=1\n")
-        assert cli.main(["--config", str(config), "table"]) == cli.EXIT_USAGE
+def test_config_variable_changes_nothing(tmp_path, monkeypatch):
+    # The CLI reads no file and no environment variable: a BIBOUNDS_CONFIG
+    # that names a file of settings, or a missing file, leaves every
+    # default as it is.
+    config = tmp_path / "defaults.cfg"
+    config.write_text("seed=5\nsamples=3\ntolerance=0.5\n")
+    for path in (config, tmp_path / "missing.cfg"):
+        monkeypatch.setenv("BIBOUNDS_CONFIG", str(path))
+        code, text = run_cli(["verify", "--suite", "series"])
+        payload = json.loads(text)
+        assert (code, payload["seed"], payload["samples"]) == (cli.EXIT_OK, 7, 60)
+        assert run_cli(["table"]) == (cli.EXIT_OK, (GOLDEN / "table.json").read_text())
 
 
 BOUND = ["bound", "--pair", "PP", "--alpha", "0", "--beta", "0"]
@@ -625,57 +608,46 @@ AUDIT = ["audit", "--theorem", "LL", "--grid", "0:1:0.5"]
 SWEEP = ["sweep", "--pair", "PP", "--alpha", "0", "--beta", "0"]
 EXPAND = ["expand", "--class", "P", "--alpha", "0", "--a2", "1", "--a3", "1"]
 
-# name -> (config file text or None, argv); each must exit 1 with no output.
+# name -> argv; each must exit 1 with no output.
 REJECTED = {
-    # No command takes --order or the order config key: each is unknown.
-    "bound_order_1":(None, BOUND + ["--order", "1"]),
-    "config_order_2": ("order=2\n", BOUND),
-    "expand_order_2": (None, EXPAND + ["--order", "2"]),
-    "expand_order_1": (None, EXPAND + ["--order", "1"]),
-    "verify_samples_0": (None, ["verify", "--samples", "0"]),
-    "verify_samples_negative": (None, ["verify", "--samples", "-5"]),
-    "config_samples_0": ("samples=0\n", ["verify", "--suite", "series"]),
+    # No command takes --order, and the CLI reads no config file: each
+    # flag is unknown.
+    "config_flag": ["--config", "x", "table"],
+    "bound_order_1": BOUND + ["--order", "1"],
+    "expand_order_2": EXPAND + ["--order", "2"],
+    "expand_order_1": EXPAND + ["--order", "1"],
+    "verify_samples_0": ["verify", "--samples", "0"],
+    "verify_samples_negative": ["verify", "--samples", "-5"],
     # Uncapped, one flag could keep verify running for hours.
-    "verify_samples_above_cap": (None, ["verify", "--samples", str(MAX_SAMPLES + 1)]),
-    "config_samples_above_cap": (f"samples={MAX_SAMPLES + 1}\n", ["verify", "--suite", "series"]),
-    "sweep_phase_steps_3": (None, SWEEP + ["--phase-steps", "3"]),
-    "sweep_radial_steps_1": (None, SWEEP + ["--radial-steps", "1"]),
-    # The sweeps read no grid settings, so the config file takes none.
-    "config_radial_steps_9": ("radial_steps=9\n", SWEEP),
-    "config_phase_steps_16": ("phase_steps=16\n", SWEEP),
-    "config_order_not_int": ("order=abc\n", ["table"]),
-    "audit_tolerance_nan": (None, AUDIT + ["--tolerance", "nan"]),
-    "audit_tolerance_inf": (None, AUDIT + ["--tolerance", "inf"]),
-    "audit_tolerance_negative": (None, AUDIT + ["--tolerance", "-1"]),
-    "config_tolerance_nan": ("tolerance=nan\n", AUDIT),
+    "verify_samples_above_cap": ["verify", "--samples", str(MAX_SAMPLES + 1)],
+    "sweep_phase_steps_3": SWEEP + ["--phase-steps", "3"],
+    "sweep_radial_steps_1": SWEEP + ["--radial-steps", "1"],
+    "audit_tolerance_nan": AUDIT + ["--tolerance", "nan"],
+    "audit_tolerance_inf": AUDIT + ["--tolerance", "inf"],
+    "audit_tolerance_negative": AUDIT + ["--tolerance", "-1"],
     # A relative tolerance of 1 or more would let the audit pass vacuously.
-    "audit_tolerance_1": (None, AUDIT + ["--tolerance", "1"]),
-    "audit_tolerance_2": (None, AUDIT + ["--tolerance", "2"]),
-    "audit_tolerance_1e300": (None, AUDIT + ["--tolerance", "1e300"]),
-    "config_tolerance_1": ("tolerance=1\n", AUDIT),
-    "config_tolerance_2": ("tolerance=2.5\n", AUDIT),
-    "preset_zero_denominator": (None, BOUND + ["--phi", "order:1/0"]),
-    "bound_order_65": (None, BOUND + ["--order", "65"]),
-    "config_order_65": ("order=65\n", BOUND),
-    "config_order_5000_digits": ("order=" + "7" * 5000 + "\n", BOUND),
-    "config_key_5000_xs": ("x" * 5000 + "=1\n", BOUND),
+    "audit_tolerance_1": AUDIT + ["--tolerance", "1"],
+    "audit_tolerance_2": AUDIT + ["--tolerance", "2"],
+    "audit_tolerance_1e300": AUDIT + ["--tolerance", "1e300"],
+    "preset_zero_denominator": BOUND + ["--phi", "order:1/0"],
+    "bound_order_65": BOUND + ["--order", "65"],
     # An empty target flag is refused, not read as the Caratheodory default.
-    "bound_phi_empty": (None, BOUND + ["--phi", ""]),
-    "bound_psi_empty": (None, BOUND + ["--psi", ""]),
-    "bound_phi_coeffs_empty": (None, BOUND + ["--phi-coeffs", ""]),
-    "bound_psi_coeffs_empty": (None, BOUND + ["--psi-coeffs", ""]),
-    "bound_psi_coeffs_empty_beside_psi": (None, BOUND + ["--psi", "caratheodory",
-                                                        "--psi-coeffs", ""]),
-    "audit_phi_empty": (None, AUDIT + ["--phi", ""]),
-    "audit_psi_empty": (None, AUDIT + ["--psi", ""]),
-    "audit_phi_coeffs_empty": (None, AUDIT + ["--phi-coeffs", ""]),
-    "audit_psi_coeffs_empty": (None, AUDIT + ["--psi-coeffs", ""]),
-    "sweep_phi_empty": (None, SWEEP + ["--phi", ""]),
-    "sweep_psi_empty": (None, SWEEP + ["--psi", ""]),
-    "sweep_phi_coeffs_empty": (None, SWEEP + ["--phi-coeffs", ""]),
-    "sweep_psi_coeffs_empty": (None, SWEEP + ["--psi-coeffs", ""]),
+    "bound_phi_empty": BOUND + ["--phi", ""],
+    "bound_psi_empty": BOUND + ["--psi", ""],
+    "bound_phi_coeffs_empty": BOUND + ["--phi-coeffs", ""],
+    "bound_psi_coeffs_empty": BOUND + ["--psi-coeffs", ""],
+    "bound_psi_coeffs_empty_beside_psi": BOUND + ["--psi", "caratheodory",
+                                                  "--psi-coeffs", ""],
+    "audit_phi_empty": AUDIT + ["--phi", ""],
+    "audit_psi_empty": AUDIT + ["--psi", ""],
+    "audit_phi_coeffs_empty": AUDIT + ["--phi-coeffs", ""],
+    "audit_psi_coeffs_empty": AUDIT + ["--psi-coeffs", ""],
+    "sweep_phi_empty": SWEEP + ["--phi", ""],
+    "sweep_psi_empty": SWEEP + ["--psi", ""],
+    "sweep_phi_coeffs_empty": SWEEP + ["--phi-coeffs", ""],
+    "sweep_psi_coeffs_empty": SWEEP + ["--psi-coeffs", ""],
     # DEN vanishes: |a2| has no bound to sweep against.
-    "sweep_a2_degenerate": (None, SWEEP + ["--phi-coeffs", "1,2", "--psi-coeffs", "1,2"]),
+    "sweep_a2_degenerate": SWEEP + ["--phi-coeffs", "1,2", "--psi-coeffs", "1,2"],
 }
 # Rationals whose float conversion overflows.
 OVERFLOWS = {
@@ -691,7 +663,7 @@ OVERFLOWS = {
     "sweep_alpha_beta_1e400": ["sweep", "--pair", "MM", "--alpha", "1e400", "--beta", "1e400"],
     "sweep_phi_coeffs_1e400": SWEEP + ["--phi-coeffs", "1,1e400", "--what", "a3"],
 }
-REJECTED.update((name, (None, argv)) for name, argv in OVERFLOWS.items())
+REJECTED.update(OVERFLOWS)
 # Decimal exponents past the parser's limit, and range checks on huge values.
 HUGE = {
     "bound_alpha_1e4301": ["bound", "--pair", "PP", "--alpha", "1e4301", "--beta", "0"],
@@ -719,7 +691,7 @@ HUGE = {
     "verify_suite_5000_xs": ["verify", "--suite", "x" * 5000],
     "table_5000_xs": ["table", "x" * 5000],
 }
-REJECTED.update((name, (None, argv)) for name, argv in HUGE.items())
+REJECTED.update(HUGE)
 
 
 class TestInputContract:
@@ -729,13 +701,8 @@ class TestInputContract:
             cli._parse_grid("0:101:1")
 
     @pytest.mark.parametrize("name", sorted(REJECTED))
-    def test_rejected_with_usage_error(self, name, tmp_path, capsys):
-        config_text, argv = REJECTED[name]
-        if config_text is not None:
-            config = tmp_path / "defaults.cfg"
-            config.write_text(config_text)
-            argv = ["--config", str(config), *argv]
-        code, text = run_cli(argv)
+    def test_rejected_with_usage_error(self, name, capsys):
+        code, text = run_cli(REJECTED[name])
         assert (code, text) == (cli.EXIT_USAGE, "")
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("usage error: ")
@@ -790,21 +757,11 @@ class TestInputContract:
             assert cli.main(argv) == cli.EXIT_USAGE
             assert capsys.readouterr().err == f"usage error: {message}\n"
 
-    def test_tolerance_of_one_or_more_is_refused(self, tmp_path, capsys):
+    def test_tolerance_of_one_or_more_is_refused(self, capsys):
         assert cli.main(AUDIT + ["--tolerance", "2"]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == "usage error: tolerance must be below 1, got 2.0\n"
-        config = tmp_path / "defaults.cfg"
-        config.write_text("tolerance=1\n")
-        assert cli.main(["--config", str(config), *AUDIT]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == "usage error: tolerance must be below 1, got 1.0\n"
         code, text = run_cli(AUDIT + ["--tolerance", "0.999"])
         assert code == cli.EXIT_OK and '"tolerance": 0.999' in text
-
-    def test_bad_config_value_names_the_key(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("samples=many\n")
-        assert cli.main(["--config", str(config), "table"]) == cli.EXIT_USAGE
-        assert "samples" in capsys.readouterr().err
 
     # The two grid flags set nothing, but each keeps its one check.
     @pytest.mark.parametrize("flag, value, message", [
@@ -1022,7 +979,7 @@ def test_render_json_is_the_reference_bytes(payload):
 def test_render_json_on_an_audit_payload():
     args = cli.build_parser().parse_args(
         ["audit", "--theorem", "PM", "--grid", "0:1:1/10", "--psi-coeffs", "2,1"])
-    payload, _ = cli._run_audit(args, {})
+    payload, _ = cli._run_audit(args)
     assert cli.render_json(payload) == _reference_json(payload)
 
 
@@ -1037,7 +994,7 @@ def test_render_json_on_an_audit_payload():
 def test_render_json_on_audit_payloads(tag, grid, targets):
     args = cli.build_parser().parse_args(
         ["audit", "--theorem", tag, "--grid", grid, *targets])
-    payload, _ = cli._run_audit(args, {})
+    payload, _ = cli._run_audit(args)
     assert cli.render_json(payload) == _reference_json(payload)
 
 
@@ -1108,13 +1065,10 @@ print(json.dumps([codes, sorted(loaded - set(sys.stdlib_module_names) - {{"bibou
 
 
 def _fresh_env():
-    # A fresh interpreter that imports this checkout's bibounds, with no
-    # config file supplying defaults.
+    # A fresh interpreter that imports this checkout's bibounds.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.pop(cli.ENV_CONFIG, None)
-    return env
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def test_six_commands_need_no_third_party_package():
@@ -1179,8 +1133,7 @@ _INTERLEAVED = [
 ]
 
 
-def test_one_parser_serves_interleaved_commands(monkeypatch):
-    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+def test_one_parser_serves_interleaved_commands():
     alone = []
     for argv in _INTERLEAVED:
         proc = subprocess.run([sys.executable, "-m", "bibounds", *argv],

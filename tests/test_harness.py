@@ -34,6 +34,7 @@ from bibounds import (
 )
 from bibounds import bounds, classes, harness, solver
 from bibounds.bounds import THEOREM_TAGS
+from conftest import BAD_SEEDS
 
 CARA = target_preset("caratheodory")
 CANONICAL = theorem_pair("PP", 0, 0, CARA, CARA)
@@ -412,6 +413,15 @@ class TestRandomChecksMatchOnePass:
                 assert str(info.value) == (f"sample count must be at most "
                                            f"{harness.MAX_RANDOM_SAMPLES}, got {n}")
 
+    @pytest.mark.parametrize("seed, error, message", BAD_SEEDS)
+    def test_bad_seeds(self, seed, error, message, monkeypatch):
+        # Refused before numpy loads and before the degeneracy check.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for pair in (CANONICAL, DEGENERATE):
+            with pytest.raises(error) as info:
+                check_bounds_random(pair, seed, 10)
+            assert str(info.value) == message
+
 
 class TestRandomChecks:
     def test_canonical_within_bounds(self):
@@ -504,6 +514,18 @@ class TestEndToEnd:
         a = end_to_end(CANONICAL, seed=21)
         b = end_to_end(CANONICAL, seed=21)
         assert a == b
+
+    @pytest.mark.parametrize("seed, error, message", BAD_SEEDS)
+    def test_bad_seeds(self, seed, error, message):
+        # The seed is checked when it draws the sample, and not read beside
+        # a given one.
+        for mode in (EXACT, FLOAT):
+            with pytest.raises(error) as info:
+                end_to_end(CANONICAL, seed, mode=mode)
+            assert str(info.value) == message
+        p = TruncatedSeries.one(order=8)
+        assert (end_to_end(CANONICAL, seed, p_series=p)
+                == end_to_end(CANONICAL, 0, p_series=p))
 
     def test_float_samples_off_unit_constant_by_roundoff(self):
         # Float sample weights sum to 1 only up to roundoff, so the sampled
