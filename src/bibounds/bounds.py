@@ -61,7 +61,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .classes import ClassSpec, MindaTarget, _quoted, inverse_triple, triple
+from .classes import (ClassSpec, MindaTarget, _quoted, _real_fraction,
+                      inverse_triple, triple)
 from .solver import (PairSpec, closed_form_constants, integer_ratios,
                      over_one_denominator, side_constants, triple_determinant)
 
@@ -91,10 +92,6 @@ def theorem_pair(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget) -> PairSp
     """Build the PairSpec a tag denotes at specific parameters/targets."""
     tag = theorem_tag(tag)
     return PairSpec(ClassSpec(tag[0], alpha), phi, ClassSpec(tag[1], beta), psi)
-
-
-def _f(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 # ----------------------------------------------------------------------
@@ -266,12 +263,12 @@ def _a3_value(tag, rhs, den, sigma):
     return None if sn == 0 else (rhs * sd, A3_MULTIPLIER[tag] * abs(sn) * den)
 
 
-def _point(tag, alpha, beta, B1, B2, D1, D2, sigma):
-    # The single-point functions' inputs; sigma defaults to the printed one.
-    tag, a, b = theorem_tag(tag), _f(alpha), _f(beta)
-    sigma = _sigma_pair(tag, a, b) if sigma is None else _f(sigma).as_integer_ratio()
-    t = _target_factors(_f(B1), _f(B2), _f(D1), _f(D2))
-    return tag, a, b, t, sigma
+def _point(tag, alpha, beta, B1, B2, D1, D2):
+    # The single-point functions' inputs and the printed sigma there.
+    tag = theorem_tag(tag)
+    a, b, *targets = map(_real_fraction, (alpha, beta, B1, B2, D1, D2),
+                         ("alpha", "beta", "B1", "B2", "D1", "D2"))
+    return tag, a, b, _target_factors(*targets), _sigma_pair(tag, a, b)
 
 
 def _fraction(value):
@@ -280,7 +277,8 @@ def _fraction(value):
 
 def printed_sigma(tag, alpha, beta) -> Fraction:
     """Literal evaluation of the stated sigma polynomial."""
-    return Fraction(*_sigma_pair(theorem_tag(tag), _f(alpha), _f(beta)))
+    tag = theorem_tag(tag)
+    return Fraction(*_sigma_pair(tag, *map(_real_fraction, (alpha, beta), ("alpha", "beta"))))
 
 
 def derived_sigma(tag, alpha, beta) -> Fraction:
@@ -291,20 +289,20 @@ def derived_sigma(tag, alpha, beta) -> Fraction:
     return triple_determinant(tf, tg) / SIGMA_SCALE[tag]
 
 
-def _printed_a2(tag, alpha, beta, B1, B2, D1, D2, sigma=None, display=False):
+def _printed_a2(tag, alpha, beta, B1, B2, D1, D2, display=False):
     # The squared stated |a2| bound as a pair (with the PM worked-display G
     # when display is set), or None when the denominator bracket vanishes.
-    tag, a, b, t, sigma = _point(tag, alpha, beta, B1, B2, D1, D2, sigma)
+    tag, a, b, t, sigma = _point(tag, alpha, beta, B1, B2, D1, D2)
     F = _function_side(tag, a, t)
     G = _pm_display_side(b, t) if display else _inverse_side(tag, b, t)
     num, rest = _join_a2(F, G)
     return _a2_sq(num, rest, F.den * G.den, sigma, t)
 
 
-def _printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
+def _printed_a2_sq(tag, alpha, beta, B1, B2, D1, D2):
     # The squared stated |a2| bound, a Fraction, or None when the
     # denominator bracket vanishes.
-    return _fraction(_printed_a2(tag, alpha, beta, B1, B2, D1, D2, sigma))
+    return _fraction(_printed_a2(tag, alpha, beta, B1, B2, D1, D2))
 
 
 def printed_a2_bound(tag, alpha, beta, B1, B2, D1, D2):
@@ -317,10 +315,9 @@ def pm_display_variant_a2_bound(alpha, beta, B1, B2, D1, D2):
     return _sqrt_or(_printed_a2("PM", alpha, beta, B1, B2, D1, D2, display=True))
 
 
-def _printed_a3(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
-    # The stated |a3| right side over sigma_m |sigma| as a pair; None at
-    # sigma = 0.
-    tag, a, b, t, sigma = _point(tag, alpha, beta, B1, B2, D1, D2, sigma)
+def _printed_a3(tag, alpha, beta, B1, B2, D1, D2):
+    # The stated |a3| right side over sigma_m |sigma| as a pair; None at sigma = 0.
+    tag, a, b, t, sigma = _point(tag, alpha, beta, B1, B2, D1, D2)
     if sigma[0] == 0:
         return None
     F = _function_side(tag, a, t)
@@ -330,9 +327,9 @@ def _printed_a3(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
     return _a3_value(tag, _join_a3(F, G), F.den * G.den, sigma)
 
 
-def _printed_a3_value(tag, alpha, beta, B1, B2, D1, D2, sigma=None):
+def _printed_a3_value(tag, alpha, beta, B1, B2, D1, D2):
     # The stated |a3| right side over sigma_m |sigma|; None at sigma = 0.
-    return _fraction(_printed_a3(tag, alpha, beta, B1, B2, D1, D2, sigma))
+    return _fraction(_printed_a3(tag, alpha, beta, B1, B2, D1, D2))
 
 
 def printed_a3_bound(tag, alpha, beta, B1, B2, D1, D2):
@@ -343,12 +340,8 @@ def printed_a3_bound(tag, alpha, beta, B1, B2, D1, D2):
 # ----------------------------------------------------------------------
 # generic bounds from the unified elimination
 
-def _generic_a2(pair: PairSpec):
-    return _generic_a2_sq_at(pair.constant_pairs)
-
-
 def _generic_a2_sq(pair: PairSpec):
-    return _fraction(_generic_a2(pair))
+    return _fraction(_generic_a2_sq_at(pair.constant_pairs))
 
 
 def _generic_a2_sq_at(k):
@@ -364,12 +357,11 @@ def generic_a2_bound(pair: PairSpec):
 
     Symmetric under swapping the two sides of the pair.
     """
-    return _sqrt_or(_generic_a2(pair))
+    return _sqrt_or(_generic_a2_sq_at(pair.constant_pairs))
 
 
 def _generic_a3(pair: PairSpec):
-    phi, psi = pair.phi, pair.psi
-    t = _target_factors(phi.B1, phi.B2, psi.B1, psi.B2)
+    t = _target_factors(pair.phi.B1, pair.phi.B2, pair.psi.B1, pair.psi.B2)
     return _generic_a3_at(pair.constant_pairs, t)
 
 
@@ -572,9 +564,7 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
     so an invalid parameter raises at the first grid point that uses it.
     """
     tag = theorem_tag(tag)
-    alphas = list(alphas)
-    betas = list(betas)
-    target_pairs = list(target_pairs)
+    alphas, betas, target_pairs = list(alphas), list(betas), list(target_pairs)
     if not (alphas and betas and target_pairs):
         raise ValueError("audit needs a nonempty grid")
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
@@ -588,7 +578,7 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
     columns = []
     out = []
     for alpha in alphas:
-        a = _f(alpha)
+        a = _real_fraction(alpha, "alpha")
         tf = triple(ClassSpec(tag[0], a))
         rows = [_Row(_function_side(tag, a, t.factors), side_constants(tf, t.phi, t.psi))
                 for t in targets]
@@ -596,7 +586,7 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
         a_float = n / d
         for j, beta in enumerate(betas):
             if j == len(columns):
-                b = _f(beta)
+                b = _real_fraction(beta, "beta")
                 tg = inverse_triple(triple(ClassSpec(tag[1], b)))
                 columns.append((b.numerator / b.denominator,
                                 _sigma_in_alpha(tag, b.numerator, b.denominator),

@@ -44,13 +44,14 @@ KIND_L = "L"
 CLASS_KINDS = (KIND_P, KIND_M, KIND_L)
 
 
-def _real_fraction(value, what="value"):
+def _real_fraction(value, what):
+    """A real value as a Fraction; text is read by :func:`rational`, with its limits."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return rational(value)
     if isinstance(value, QComplex) and value.is_real:
         return value.re
     raise TypeError(f"{what} must be real, got {value!r}")
@@ -148,8 +149,7 @@ class ClassTriple(CheckedRecord, namedtuple("ClassTriple", "p q r")):
     __slots__ = ()
 
     def __new__(cls, p, q, r):
-        return tuple.__new__(cls, (_real_fraction(p, "p"), _real_fraction(q, "q"),
-                                   _real_fraction(r, "r")))
+        return tuple.__new__(cls, map(_real_fraction, (p, q, r), ("p", "q", "r")))
 
 
 class SchlichtCoeffs(CheckedRecord, namedtuple("SchlichtCoeffs", "values")):

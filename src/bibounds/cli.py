@@ -217,7 +217,7 @@ def _report_record(rep, names=_bounds.BoundReport._fields) -> dict:
 def _target(preset_key, coeffs_text) -> MindaTarget:
     # A flag given an empty value is parsed, and refused, not read as absent.
     if coeffs_text is not None:
-        return MindaTarget([rational(part) for part in coeffs_text.split(",")])
+        return MindaTarget(coeffs_text.split(","))
     return target_preset("caratheodory" if preset_key is None else preset_key)
 
 
@@ -530,7 +530,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        # Options follow the command; argparse would report a leading one's value.
+        if argv and argv[0][:1] == "-" and argv[0] not in ("-h", "--help"):
+            build_parser().error(f"unrecognized arguments: {argv[0]}")
         args = build_parser().parse_args(argv)
         command = _COMMANDS[args.command]
         payload, code = command.run(args)

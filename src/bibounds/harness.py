@@ -624,7 +624,11 @@ def run_identity_suites(
     seed: int = VERIFY_SEED,
     samples: int = VERIFY_SAMPLES,
 ) -> list[CheckResult]:
-    """Run the named identity suite; one CheckResult per check, in order."""
+    """Run the named identity suite; one CheckResult per check, in order.
+
+    The seed, checked first, must be an int (not a bool) of at least 0.
+    """
+    _seed(seed)
     _count(samples, "samples")
     if suite == "identities":
         groups = ("series", "classes", "solver")

@@ -613,11 +613,14 @@ REJECTED = {
     # No command takes --order, and the CLI reads no config file: each
     # flag is unknown.
     "config_flag": ["--config", "x", "table"],
+    # An option goes after its command.
+    "format_before_command": ["--format", "json", "table"],
     "bound_order_1": BOUND + ["--order", "1"],
     "expand_order_2": EXPAND + ["--order", "2"],
     "expand_order_1": EXPAND + ["--order", "1"],
     "verify_samples_0": ["verify", "--samples", "0"],
     "verify_samples_negative": ["verify", "--samples", "-5"],
+    "verify_seed_negative": ["verify", "--seed", "-1"],
     # Uncapped, one flag could keep verify running for hours.
     "verify_samples_above_cap": ["verify", "--samples", str(MAX_SAMPLES + 1)],
     "sweep_phase_steps_3": SWEEP + ["--phase-steps", "3"],
@@ -756,6 +759,26 @@ class TestInputContract:
         ):
             assert cli.main(argv) == cli.EXIT_USAGE
             assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["--format", "json", "table"],
+                                      ["--format=csv", "audit"],
+                                      ["--config", "x", "table"],
+                                      ["--bogus", "table"], ["-x"]])
+    def test_option_before_the_command_is_named(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"usage error: unrecognized arguments: {argv[0]}\n")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_before_any_command_still_prints_help(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main([flag])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bibounds ")
+
+    def test_negative_seed_message(self, capsys):
+        assert cli.main(["verify", "--seed", "-1"]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", "usage error: seed must be at least 0, got -1\n")
 
     def test_tolerance_of_one_or_more_is_refused(self, capsys):
         assert cli.main(AUDIT + ["--tolerance", "2"]) == cli.EXIT_USAGE

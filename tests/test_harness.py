@@ -631,6 +631,22 @@ class TestIdentitySuites:
         with pytest.raises(ValueError):
             run_identity_suites("series", samples=samples)
 
+    @pytest.mark.parametrize("seed, error, message", BAD_SEEDS)
+    def test_bad_seeds(self, seed, error, message, monkeypatch):
+        # Refused as the samplers refuse them, before the sample count and
+        # before any check runs: the one check here would fail.
+        def failing_check(rng, mode, samples):
+            return "the check ran"
+
+        monkeypatch.setitem(harness._SUITE_CHECKS, "series",
+                            (("failing_check", failing_check),))
+        assert not run_identity_suites("series", seed=1, samples=1)[0].passed
+        for mode in (EXACT, FLOAT):
+            for samples in (1, 0):
+                with pytest.raises(error) as info:
+                    run_identity_suites("series", mode, seed, samples)
+                assert str(info.value) == message
+
     @pytest.mark.parametrize("samples", [True, False, 2.5, 10.0])
     def test_non_int_samples_rejected(self, samples):
         with pytest.raises(TypeError) as info:
