@@ -64,7 +64,7 @@ from fractions import Fraction
 from .classes import (ClassSpec, MindaTarget, _quoted, _real_fraction,
                       inverse_triple, triple)
 from .solver import (PairSpec, closed_form_constants, integer_ratios,
-                     over_one_denominator, side_constants, triple_determinant)
+                     over_one_denominator, side_constants, sigma_tilde)
 
 # A tag names the class kinds of its two sides, function side first.
 THEOREM_TAGS = ("PP", "PM", "PL", "MM", "ML", "LL")
@@ -282,11 +282,13 @@ def printed_sigma(tag, alpha, beta) -> Fraction:
 
 
 def derived_sigma(tag, alpha, beta) -> Fraction:
-    """sigma recovered from the elimination determinant, scaled per pairing."""
+    """sigma recovered from the elimination determinant, scaled per pairing.
+
+    sigma_tilde reads no target, so unit targets serve every point.
+    """
     tag = theorem_tag(tag)
-    tf = triple(ClassSpec(tag[0], alpha))
-    tg = inverse_triple(triple(ClassSpec(tag[1], beta)))
-    return triple_determinant(tf, tg) / SIGMA_SCALE[tag]
+    unit = MindaTarget([1])
+    return sigma_tilde(theorem_pair(tag, alpha, beta, unit, unit)) / SIGMA_SCALE[tag]
 
 
 def _printed_a2(tag, alpha, beta, B1, B2, D1, D2, display=False):
@@ -475,9 +477,8 @@ def _column(tag, b, tg, t: _Targets) -> _Column:
 def _report_at(tag, alpha, beta, sig_printed, t: _Targets, row: _Row,
                col: _Column, rel_tol) -> BoundReport:
     tx, F = t.factors, row.printed
-    f, g = row.generic, col.generic
-    st = triple_determinant(f, g)  # sigma_tilde over f.den * g.den
-    fg = f.den * g.den
+    k = closed_form_constants(row.generic, col.generic)
+    st, fg = k.sigma_tilde
     sig_derived = st, fg * SIGMA_SCALE[tag]
     # One bracket and one right side serve both sigmas.
     den = F.den * col.printed.den
@@ -491,7 +492,6 @@ def _report_at(tag, alpha, beta, sig_printed, t: _Targets, row: _Row,
     else:
         a2_aligned_sq = _a2_sq(num, rest, den, sig_derived, tx)
         a3_aligned = _a3_value(tag, rhs, den, sig_derived)
-    k = closed_form_constants(f, g, st)
     a2_generic_sq = _generic_a2_sq_at(k)
     a3_generic = _generic_a3_at(k, tx)
 

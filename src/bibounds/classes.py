@@ -45,10 +45,15 @@ CLASS_KINDS = (KIND_P, KIND_M, KIND_L)
 
 
 def _real_fraction(value, what):
-    """A real value as a Fraction; text is read by :func:`rational`, with its limits."""
+    """A real value as a Fraction; text is read by :func:`rational`, with its limits.
+
+    A bool is refused as the other non-real types are, and a float must be finite.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return rational(value)

@@ -279,9 +279,8 @@ def end_to_end(
     """
     if p_series is None:
         p_series = sample_caratheodory(seed, END_TO_END_KERNELS, mode=mode)
-    c1 = p_series.coeffs[1]
-    c2 = p_series.coeffs[2]
     a2, a3 = solve_forward(pair.class_f, pair.phi, p_series)
+    c1, c2 = p_series.coeffs[1:3]
     g2, g3 = invert_schlicht(a2, a3)
     inverse_side = functional(
         pair.class_g, SchlichtCoeffs([g2, g3]), mode=mode

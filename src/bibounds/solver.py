@@ -28,13 +28,14 @@ QComplex, Fraction and int inputs use the exact constants; complex, float
 and ndarray inputs use float copies, so no Fraction ever multiplies an
 ndarray.  A :class:`PairSpec` computes its two triples when built and its
 constants on first use, and keeps them in its instance ``__dict__``, outside
-its four namedtuple fields.  The constants come from
-:func:`closed_form_constants`, which joins one :func:`side_constants` per
-side and their determinant, so the audit can evaluate many points from side
-parts it built once per parameter.  Both work on int numerators: a side's
-parts share one denominator, and each joined constant is a (numerator,
-denominator) pair.  A PairSpec holds those pairs once and reads its
-Fractions and its floats (one int/int division each) from them.
+its four namedtuple fields.  The constants, sigma_tilde and DEN among them,
+come from :func:`closed_form_constants`, the one place that forms
+sigma_tilde: it joins one :func:`side_constants` per side, so the audit can
+evaluate many points from side parts it built once per parameter.  Both
+work on int numerators: a side's parts share one denominator, and each
+joined constant is a (numerator, denominator) pair.  A PairSpec holds those
+pairs once and reads its Fractions and its floats (one int/int division
+each) from them.
 
 Vanishing DEN or sigma_tilde marks the result degenerate (the coefficients
 divided by it are None); that is data, not an error, so parameter sweeps
@@ -65,7 +66,7 @@ from .classes import (
 # denominator) int pair, as PairSpec.constant_pairs holds them.
 ClosedFormConstants = namedtuple(
     "ClosedFormConstants",
-    "kappa half_b1 quarter_db half_d1 quarter_dd denominator g2 d2 gx gy",
+    "kappa half_b1 quarter_db half_d1 quarter_dd sigma_tilde denominator g2 d2 gx gy",
 )
 ClosedForms = namedtuple("ClosedForms", "x y a2_squared a3")
 
@@ -94,7 +95,7 @@ class PairSpec(CheckedRecord, namedtuple("PairSpec", "class_f phi class_g psi"))
     def constant_pairs(self) -> ClosedFormConstants:
         f = side_constants(self._triple_f, self.phi, self.psi)
         g = side_constants(self._triple_g, self.psi, self.phi)
-        return closed_form_constants(f, g, triple_determinant(f, g))
+        return closed_form_constants(f, g)
 
     @cached_property
     def exact_constants(self) -> ClosedFormConstants:
@@ -149,17 +150,16 @@ def side_constants(t: ClassTriple, own: MindaTarget,
     return SideConstants(*values, den)
 
 
-def closed_form_constants(f: SideConstants, g: SideConstants,
-                          st) -> ClosedFormConstants:
-    """The constants as int pairs, from the two sides' parts and st.
+def closed_form_constants(f: SideConstants, g: SideConstants) -> ClosedFormConstants:
+    """The constants, sigma_tilde and DEN among them, as int pairs.
 
-    f is the function side, g the inverse side and st their
-    :func:`triple_determinant`, the numerator of sigma_tilde over
-    f.den * g.den; a caller that holds the side parts for many points need
-    not build a PairSpec for each.  g2 and d2 share the denominator 2 DEN,
-    gx and gy the denominator st.
+    f is the function side and g the inverse side; a caller that holds the
+    side parts for many points need not build a PairSpec for each.
+    sigma_tilde and DEN share the denominator f.den * g.den, g2 and d2 the
+    denominator 2 DEN, gx and gy the numerator of sigma_tilde.
     """
-    den = st - g.q * f.shift - f.q * g.shift  # over f.den * g.den
+    st = f.q * g.r - g.q * f.r  # sigma_tilde over f.den * g.den
+    den = st - g.q * f.shift - f.q * g.shift
     g2 = d2 = gx = gy = None
     if den != 0:
         twice = 2 * den
@@ -171,7 +171,7 @@ def closed_form_constants(f: SideConstants, g: SideConstants,
     return ClosedFormConstants(
         (g.p_other * f.den, f.p_other * g.den), (f.half, f.den),
         (f.quarter, f.den), (g.half, g.den), (g.quarter, g.den),
-        (den, f.den * g.den), g2, d2, gx, gy,
+        (st, f.den * g.den), (den, f.den * g.den), g2, d2, gx, gy,
     )
 
 
@@ -208,18 +208,9 @@ def linked_b1(pair: PairSpec, c1):
     return -_constants(pair, c1).kappa * c1
 
 
-def triple_determinant(tf: ClassTriple, tg: ClassTriple) -> Fraction:
-    """q r' - q' r of a function-side triple and an inverse-side triple.
-
-    On two :class:`SideConstants` it is the numerator of sigma_tilde over
-    the product of their denominators.
-    """
-    return tf.q * tg.r - tg.q * tf.r
-
-
 def sigma_tilde(pair: PairSpec) -> Fraction:
     """The a3-elimination determinant q r' - q' r; symmetric under swapping."""
-    return triple_determinant(pair.triple_f(), pair.triple_g_inverse())
+    return pair.exact_constants.sigma_tilde
 
 
 def elimination_denominator(pair: PairSpec) -> Fraction:
@@ -267,9 +258,11 @@ def solve_forward(spec: ClassSpec, target: MindaTarget, p_series: TruncatedSerie
     """
     if not p_series.has_unit_constant():
         raise ValueError("forward solve needs a transform with constant term 1")
+    if p_series.order < 2:
+        raise ValueError("forward solve needs a transform of order at least 2, "
+                         f"got order {p_series.order}")
     B1, B2 = target.B1, target.B2
-    c1 = p_series.coeffs[1]
-    c2 = p_series.coeffs[2]
+    c1, c2 = p_series.coeffs[1:3]
     x = B1 * c2 / 2 + (B2 - B1) * c1 * c1 / 4
     return _forward(triple(spec), B1, c1, x)
 

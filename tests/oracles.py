@@ -314,7 +314,8 @@ def constants_reference(tag, a, b, B1, B2, D1, D2):
         kappa=pg * B1 / (p * D1),
         half_b1=B1 / 2, quarter_db=(B2 - B1) / 4,
         half_d1=D1 / 2, quarter_dd=(D2 - D1) / 4,
-        denominator=den, g2=None, d2=None, gx=None, gy=None,
+        sigma_tilde=sigma_tilde, denominator=den,
+        g2=None, d2=None, gx=None, gy=None,
     )
     if den != 0:
         constants.update(g2=qg * B1 / (2 * den), d2=q * D1 / (2 * den))

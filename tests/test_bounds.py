@@ -128,14 +128,19 @@ class TestSigma:
 
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
     def test_determinant_matches_symbolic_oracle(self, tag):
+        # derived_sigma reads unit targets; sigma_tilde reads none, so skewed
+        # targets on the two sides give the same determinant.
         expected = symbolic_sigma_tilde(tag)
         rng = random.Random(5)
+        phi = MindaTarget([Fraction(5, 12), Fraction(-7, 11)])
+        psi = MindaTarget([Fraction(2, 7), -3])
         for _ in range(10):
             a = Fraction(rng.randint(0, 8), 8)
             b = Fraction(rng.randint(0, 8), 8)
-            pair = theorem_pair(tag, a, b, CARA, CARA)
-            want = expected.subs({_A: sympy.Rational(a), _B: sympy.Rational(b)})
-            assert sigma_tilde(pair) == Fraction(str(want))
+            want = Fraction(str(expected.subs({_A: sympy.Rational(a), _B: sympy.Rational(b)})))
+            for pair in (theorem_pair(tag, a, b, CARA, CARA), theorem_pair(tag, a, b, phi, psi)):
+                assert sigma_tilde(pair) == want
+                assert derived_sigma(tag, a, b) * SIGMA_SCALE[tag] == sigma_tilde(pair)
 
 
 class TestPrintedBounds:
@@ -725,6 +730,17 @@ class TestOutsideNumbers:
     def test_zero_denominator_text_is_a_value_error(self, name):
         with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
             READERS[name]("1/0")
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_non_finite_floats_are_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=rf" must be finite, got {value!r}$"):
+            READERS[name](value)
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_bool_is_refused_by_name(self, name):
+        with pytest.raises(TypeError, match=r" must be real, got True$"):
+            READERS[name](True)
 
     def test_real_qcomplex_parameters_are_read(self):
         half = Fraction(1, 2)

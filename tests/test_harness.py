@@ -527,6 +527,12 @@ class TestEndToEnd:
         assert (end_to_end(CANONICAL, seed, p_series=p)
                 == end_to_end(CANONICAL, 0, p_series=p))
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_short_transform_is_refused_by_order(self, order):
+        p = TruncatedSeries([1, 1][: order + 1])
+        with pytest.raises(ValueError, match=rf"order at least 2, got order {order}$"):
+            end_to_end(CANONICAL, 0, p_series=p)
+
     def test_float_samples_off_unit_constant_by_roundoff(self):
         # Float sample weights sum to 1 only up to roundoff, so the sampled
         # constant term is often 1 +- 1 ulp; the pipeline must accept it.

@@ -368,6 +368,12 @@ class TestSolveForward:
         with pytest.raises(ValueError):
             solve_forward(ClassSpec("P", 0), CARA, TruncatedSeries.zero(order=4))
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_short_transform_is_refused_by_order(self, order):
+        p = TruncatedSeries.one(order=order)
+        with pytest.raises(ValueError, match=rf"order at least 2, got order {order}$"):
+            solve_forward(ClassSpec("P", 0), CARA, p)
+
 
 class TestConsistency:
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
