@@ -116,12 +116,11 @@ def theorem_pair(tag, alpha, beta, phi: MindaTarget, psi: MindaTarget) -> PairSp
 # (numerator, positive denominator) pair, or None where it is undefined.
 
 # Target-only factors of the statements, as int numerators over powers of
-# the common denominator T: B1, B2, D1, D2, sup_x = B1 + |B2 - B1| and
-# |D2 - D1| over T; D1^2 over T^2; (B2 - B1) D1^2, (D2 - D1) B1^2 and
-# B1^2 |D2 - D1| over T^3; B1^2 D1^2 over T^4.
+# the common denominator T: B1, D1, D2 and sup_x = B1 + |B2 - B1| over T;
+# D1^2 over T^2; (B2 - B1) D1^2, (D2 - D1) B1^2 and B1^2 |D2 - D1| over
+# T^3; B1^2 D1^2 over T^4.
 _TargetFactors = namedtuple(
-    "_TargetFactors",
-    "T B1 B2 D1 D2 b1d1_sq d1_sq db_d1sq dd_b1sq b1sq_dd sup_x dd_abs")
+    "_TargetFactors", "T B1 D1 D2 b1d1_sq d1_sq db_d1sq dd_b1sq b1sq_dd sup_x")
 
 # One side of a statement as int numerators over its denominator den; the
 # function side's x is None at a pole of the |a3| cross term (a parameter
@@ -131,10 +130,10 @@ _Side = namedtuple("_Side", "num r1 r2 rhs x den")
 
 def _target_factors(B1, B2, D1, D2) -> _TargetFactors:
     (B1, B2, D1, D2), T = integer_ratios(B1, B2, D1, D2)
-    b1_sq, d1_sq, dd_abs = B1 * B1, D1 * D1, abs(D2 - D1)
+    b1_sq, d1_sq = B1 * B1, D1 * D1
     return _TargetFactors(
-        T, B1, B2, D1, D2, b1_sq * d1_sq, d1_sq, (B2 - B1) * d1_sq,
-        (D2 - D1) * b1_sq, b1_sq * dd_abs, B1 + abs(B2 - B1), dd_abs,
+        T, B1, D1, D2, b1_sq * d1_sq, d1_sq, (B2 - B1) * d1_sq,
+        (D2 - D1) * b1_sq, b1_sq * abs(D2 - D1), B1 + abs(B2 - B1),
     )
 
 
@@ -362,36 +361,32 @@ def generic_a2_bound(pair: PairSpec):
     return _sqrt_or(_generic_a2_sq_at(pair.constant_pairs))
 
 
-def _generic_a3(pair: PairSpec):
-    t = _target_factors(pair.phi.B1, pair.phi.B2, pair.psi.B1, pair.psi.B2)
-    return _generic_a3_at(pair.constant_pairs, t)
-
-
 def _generic_a3_value(pair: PairSpec):
-    return _fraction(_generic_a3(pair))
+    return Fraction(*_generic_a3_at(pair.constant_pairs))
 
 
-def _generic_a3_at(k, t: _TargetFactors):
+def _generic_a3_at(k):
     # |a3| <= |gx| sup|X| + |gy| sup|Y| over |c1|, |c2|, |b2| <= 2, with
-    # sup|Y| = D1 + kappa^2 |D2 - D1|.
-    if k.gx is None:
-        return None
-    (xn, xd), (yn, yd), (kn, kd) = k.gx, k.gy, k.kappa
-    xd, yd, kd_sq = abs(xd), abs(yd), kd * kd
-    sup_y = t.D1 * kd_sq + kn * kn * t.dd_abs  # over T kd^2
-    return (abs(xn) * t.sup_x * yd * kd_sq + abs(yn) * sup_y * xd,
-            xd * yd * t.T * kd_sq)
+    # sup|X| = 2 half_b1 + 4 |quarter_db| and sup|Y| = 2 half_d1 +
+    # 4 kappa^2 |quarter_dd|.  A side's parts share its denominator, and gx
+    # and gy share sigma_tilde's numerator, which is positive.
+    (xn, st), (yn, _), (kn, kd) = k.gx, k.gy, k.kappa
+    (b, fd), (db, _), (d, gd), (dd, _) = k.half_b1, k.quarter_db, k.half_d1, k.quarter_dd
+    kd_sq = kd * kd
+    sup_x = 2 * b + 4 * abs(db)  # over fd
+    sup_y = 2 * d * kd_sq + 4 * kn * kn * abs(dd)  # over gd kd^2
+    return abs(xn) * sup_x * gd * kd_sq + abs(yn) * sup_y * fd, st * fd * gd * kd_sq
 
 
 def generic_a3_bound(pair: PairSpec):
-    """Termwise |a3| bound |gx| sup|X| + |gy| sup|Y|; None at sigma_tilde = 0.
+    """Termwise |a3| bound |gx| sup|X| + |gy| sup|Y|; never None, as sigma_tilde > 0.
 
     Each of X and Y is bounded over the relaxed coefficient region on its
     own, so the bound need not be attained: when (B2 - B1) and
     kappa^2 (D2 - D1) pull in opposite directions the supremum of |a3| can
     be strictly smaller (see ``sweep_a3``).
     """
-    return _float_or(_generic_a3(pair))
+    return _float_or(_generic_a3_at(pair.constant_pairs))
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +488,7 @@ def _report_at(tag, alpha, beta, sig_printed, t: _Targets, row: _Row,
         a2_aligned_sq = _a2_sq(num, rest, den, sig_derived, tx)
         a3_aligned = _a3_value(tag, rhs, den, sig_derived)
     a2_generic_sq = _generic_a2_sq_at(k)
-    a3_generic = _generic_a3_at(k, tx)
+    a3_generic = _generic_a3_at(k)
 
     discrepancies = []
     for field, printed, derived, to_float in (
@@ -523,10 +518,7 @@ def _report_at(tag, alpha, beta, sig_printed, t: _Targets, row: _Row,
             "term where the derivation gives (8-5*alpha-alpha^2)"
         )
 
-    degenerate = (
-        a2_printed_sq is None or a2_generic_sq is None
-        or a3_printed is None or a3_generic is None
-    )
+    degenerate = a2_printed_sq is None or a2_generic_sq is None or a3_printed is None
     return BoundReport(
         theorem=tag,
         alpha=alpha,

@@ -34,6 +34,7 @@ from .series import (
     FLOAT,
     QComplex,
     TruncatedSeries,
+    _count,
     coerce_scalar,
     mode_of,
 )
@@ -60,13 +61,6 @@ def _real_fraction(value, what):
     if isinstance(value, QComplex) and value.is_real:
         return value.re
     raise TypeError(f"{what} must be real, got {value!r}")
-
-
-def _count(value, what):
-    """A count as given; a bool or any non-int is a TypeError naming it."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, got {value!r}")
-    return value
 
 
 def _seed(value):
@@ -99,6 +93,8 @@ class MindaTarget(CheckedRecord, namedtuple("MindaTarget", "coefficients")):
     __slots__ = ()
 
     def __new__(cls, coefficients):
+        if isinstance(coefficients, str):
+            raise TypeError("target coefficients must be a sequence of numbers, not a str")
         values = tuple([_real_fraction(c, "target coefficient") for c in coefficients])
         if not values:
             raise ValueError("a target needs at least B1")

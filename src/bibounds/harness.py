@@ -51,6 +51,7 @@ from .series import (
     EXACT,
     FLOAT,
     TruncatedSeries,
+    _count,
     _reduced,
     agree,
 )
@@ -60,7 +61,6 @@ from .classes import (
     MindaTarget,
     SchlichtCoeffs,
     SchwarzParams,
-    _count,
     _seed,
     _within_disk,
     brief,
@@ -83,7 +83,6 @@ from .solver import (
     integer_ratios,
     inverse_residual,
     linked_b1,
-    sigma_tilde,
     solve_forward,
 )
 from . import bounds as _bounds
@@ -130,7 +129,7 @@ CHAIN_DRAWS_PER_SAMPLE = 20
 
 
 class DegeneratePairError(ValueError):
-    """The pairing's elimination denominator or determinant vanishes."""
+    """The pairing's DEN vanishes (its sigma_tilde cannot: that is positive)."""
 
 
 class BoundViolationError(RuntimeError):
@@ -164,7 +163,7 @@ def sweep_a2(pair: PairSpec) -> SweepResult:
     a2^2 = g2 c2 + d2 b2 with g2 d2 > 0 and no c1, so the aligned corner
     c2 = b2 = 2 is the maximum, and it attains the bound.
     """
-    if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
+    if elimination_denominator(pair) == 0:
         raise DegeneratePairError("a2 sweep needs a non-degenerate pairing")
     corner_sq = closed_forms(pair, 0, 2, 2).a2_squared  # exact
     return _sweep_result(
@@ -182,8 +181,6 @@ def sweep_a3(pair: PairSpec) -> SweepResult:
     (the triangle inequality in the bound need not be tight when the two
     second-coefficient gaps pull apart).
     """
-    if sigma_tilde(pair) == 0:
-        raise DegeneratePairError("a3 sweep needs a nonzero determinant")
     analytic, sign = max(
         (abs(closed_forms(pair, 2, 2 * s, 2 * s).a3), s) for s in (1, -1)
     )
@@ -228,7 +225,7 @@ def check_bounds_random(pair: PairSpec, seed: int, n: int) -> RandomCheckReport:
             f"sample count must be at most {MAX_RANDOM_SAMPLES}, got {brief(n)}")
     import numpy as np
 
-    if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
+    if elimination_denominator(pair) == 0:
         raise DegeneratePairError("random check needs a non-degenerate pairing")
     a2_bound = _bounds.generic_a2_bound(pair)
     a3_bound = _bounds.generic_a3_bound(pair)
@@ -295,7 +292,7 @@ def end_to_end(
 
     # The extracted b1, not the linkage value, goes into Y.
     forms = closed_forms(pair, c1, c2, b2, b1=b1)
-    degenerate = forms.a2_squared is None or forms.a3 is None
+    degenerate = forms.a2_squared is None
     closed_match = False
     residual = None
     if not degenerate:
@@ -501,9 +498,7 @@ def _check_consistency_chain(rng, mode, samples):
     attempts = CHAIN_DRAWS_PER_SAMPLE * samples
     for _ in range(attempts):
         pair = _rand_pair(rng)
-        den = elimination_denominator(pair)
-        st = sigma_tilde(pair)
-        if den == 0 or st == 0:
+        if elimination_denominator(pair) == 0:
             continue
         # Draws stay well inside the admissible region so that the implied
         # b2 usually lands inside it too.

@@ -81,6 +81,13 @@ class ModeMismatchError(TypeError):
     """Exact and floating coefficients met in a single expression."""
 
 
+def _count(value, what):
+    """A count as given; a bool or any non-int is a TypeError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 # The real operands of the exact tower.
 _REAL_EXACT = (int, Fraction)
 
@@ -363,7 +370,7 @@ class TruncatedSeries:
             if not items:
                 raise ValueError("a series needs at least its constant term")
             order = len(items) - 1
-        if order < 0:
+        elif _count(order, "order") < 0:
             raise ValueError("order must be nonnegative")
         zero = coerce_scalar(0, mode)
         items = items[: order + 1]
@@ -372,7 +379,7 @@ class TruncatedSeries:
             valid_order = order
         self.coeffs = tuple(items)
         self.mode = mode
-        self.valid_order = max(0, min(valid_order, order))
+        self.valid_order = max(0, min(_count(valid_order, "valid_order"), order))
 
     @classmethod
     def _of(cls, coeffs, mode, valid_order):
@@ -628,8 +635,10 @@ class TruncatedSeries:
         Miller's power formula: w = self**t satisfies self*w' = t*self'*w, so
         self_0*n*w_n = sum_{k=1..n} (tk - (n-k)) self_k w_{n-k} with w_0 = 1.
         Irrational exponents are fine in float mode; exact mode takes int or
-        Fraction exponents.
+        Fraction exponents; a bool is refused in both modes.
         """
+        if isinstance(exponent, bool):
+            raise TypeError(f"exponent must be real, got {exponent!r}")
         if not self.has_unit_constant():
             raise ValueError("pow_unit needs constant term exactly 1")
         if self.mode == EXACT:

@@ -37,9 +37,10 @@ joined constant is a (numerator, denominator) pair.  A PairSpec holds those
 pairs once and reads its Fractions and its floats (one int/int division
 each) from them.
 
-Vanishing DEN or sigma_tilde marks the result degenerate (the coefficients
-divided by it are None); that is data, not an error, so parameter sweeps
-can pass through such points.
+A PairSpec holds a ClassSpec and a MindaTarget per side, so both parameters
+lie in their classes' ranges, where sigma_tilde is positive.  Only DEN can
+vanish: that marks the result degenerate (a2^2 is None); it is data, not an
+error, so parameter sweeps can pass through such points.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ from .classes import (
 )
 
 # Constants of the closed forms: X = half_b1 c2 + quarter_db c1^2, Y =
-# half_d1 b2 + quarter_dd b1^2; g2, d2 are None when DEN vanishes and gx, gy
-# when sigma_tilde does.  closed_form_constants gives each as a (numerator,
-# denominator) int pair, as PairSpec.constant_pairs holds them.
+# half_d1 b2 + quarter_dd b1^2; g2 and d2 are None when DEN vanishes.
+# closed_form_constants gives each as a (numerator, denominator) int pair,
+# as PairSpec.constant_pairs holds them.
 ClosedFormConstants = namedtuple(
     "ClosedFormConstants",
     "kappa half_b1 quarter_db half_d1 quarter_dd sigma_tilde denominator g2 d2 gx gy",
@@ -77,7 +78,12 @@ class PairSpec(CheckedRecord, namedtuple("PairSpec", "class_f phi class_g psi"))
     # No __slots__: the triples and the cached constants live in __dict__.
 
     def __new__(cls, class_f, phi, class_g, psi):
-        self = tuple.__new__(cls, (class_f, phi, class_g, psi))
+        fields = class_f, phi, class_g, psi
+        for name, value, record in zip(cls._fields, fields, (ClassSpec, MindaTarget) * 2):
+            if not isinstance(value, record):
+                raise TypeError(f"{name} must be a {record.__name__}, "
+                                f"got {type(value).__name__}")
+        self = tuple.__new__(cls, fields)
         self._triple_f = triple(class_f)
         self._triple_g = inverse_triple(triple(class_g))
         return self
@@ -160,22 +166,20 @@ def closed_form_constants(f: SideConstants, g: SideConstants) -> ClosedFormConst
     """
     st = f.q * g.r - g.q * f.r  # sigma_tilde over f.den * g.den
     den = st - g.q * f.shift - f.q * g.shift
-    g2 = d2 = gx = gy = None
+    g2 = d2 = None
     if den != 0:
         twice = 2 * den
         g2 = g.q_other * f.den, twice
         d2 = f.q_other * g.den, twice
-    if st != 0:
-        gx = g.r * f.den, st
-        gy = f.r * g.den, st
     return ClosedFormConstants(
         (g.p_other * f.den, f.p_other * g.den), (f.half, f.den),
         (f.quarter, f.den), (g.half, g.den), (g.quarter, g.den),
-        (st, f.den * g.den), (den, f.den * g.den), g2, d2, gx, gy,
+        (st, f.den * g.den), (den, f.den * g.den), g2, d2,
+        (g.r * f.den, st), (f.r * g.den, st),
     )
 
 
-# Closed-form solution data; degenerate entries are None.
+# Closed-form solution data; a2_squared is None when DEN vanishes.
 EliminationResult = namedtuple(
     "EliminationResult",
     "a2_squared a3 rhs_f rhs_g sigma_tilde denominator degenerate")
@@ -199,8 +203,7 @@ def closed_forms(pair: PairSpec, c1, c2, b2, b1=None) -> ClosedForms:
     x = k.half_b1 * c2 + k.quarter_db * c1 * c1
     y = k.half_d1 * b2 + k.quarter_dd * b1 * b1
     a2_squared = None if k.g2 is None else k.g2 * c2 + k.d2 * b2
-    a3 = None if k.gx is None else k.gx * x + k.gy * y
-    return ClosedForms(x, y, a2_squared, a3)
+    return ClosedForms(x, y, a2_squared, k.gx * x + k.gy * y)
 
 
 def linked_b1(pair: PairSpec, c1):
@@ -232,16 +235,15 @@ def eliminate(pair: PairSpec, sp: SchwarzParams) -> EliminationResult:
     per-pairing displays once the B1^2 D1^2 normalization is cleared.
     """
     forms = closed_forms(pair, sp.c1, sp.c2, sp.b2)
-    st = sigma_tilde(pair)
     den = elimination_denominator(pair)
     return EliminationResult(
         a2_squared=forms.a2_squared,
         a3=forms.a3,
         rhs_f=forms.x,
         rhs_g=forms.y,
-        sigma_tilde=st,
+        sigma_tilde=sigma_tilde(pair),
         denominator=den,
-        degenerate=st == 0 or den == 0,
+        degenerate=den == 0,
     )
 
 

@@ -88,7 +88,35 @@ def symbolic_sigma_tilde(tag):
     return sympy.expand(qf * (2 * qg - rg) - qg * rf)
 
 
+def sigma_tilde_box(tag):
+    """sigma_tilde's coefficients over its full degree box, i-major.
+
+    An L side's parameter a in [0, 1) is x/(1+x) with x >= 0; the
+    polynomial is multiplied by (1+x)^deg, deg its degree in a.  The
+    coefficient of x^deg is then the value at a = 1, so positive box
+    coefficients prove sigma_tilde > 0 on the closed ranges.
+    """
+    poly = symbolic_sigma_tilde(tag)
+    degrees = [sympy.degree(poly, v) for v in (_A, _B)]
+    for kind, v, deg in zip(tag, (_A, _B), degrees):
+        if kind == "L":
+            poly = sympy.expand(sympy.cancel(poly.subs(v, v / (1 + v)) * (1 + v) ** deg))
+    p = sympy.Poly(poly, _A, _B)
+    return [p.coeff_monomial(_A**i * _B**j)
+            for i in range(degrees[0] + 1) for j in range(degrees[1] + 1)]
+
+
 class TestSigma:
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_sigma_tilde_is_positive_on_the_valid_region(self, tag):
+        # alpha, beta >= 0 for P and M, in [0, 1] for L: no valid pair has
+        # sigma_tilde = 0, so DEN = 0 is the one degenerate case.
+        box = sigma_tilde_box(tag)
+        assert all(c > 0 for c in box), box
+        known = {"PP": [4, 14, 14, 48], "PL": [10, 13, 4, 36, 47, 14],
+                 "LL": [24, 31, 10, 31, 40, 13, 10, 13, 4]}
+        assert box == known.get(tag, box)
+
     def test_printed_values(self):
         assert printed_sigma("PP", 0, 0) == 2
         assert printed_sigma("MM", 0, 0) == 2

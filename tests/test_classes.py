@@ -56,6 +56,16 @@ class TestValidation:
         with pytest.raises(TypeError):
             MindaTarget([QComplex(2, 1)])
 
+    @pytest.mark.parametrize("text", ["22", "1/2", ""])
+    def test_target_refuses_a_str(self, text):
+        # A str would otherwise be read one character at a time.
+        with pytest.raises(TypeError, match="^target coefficients must be a "
+                                            "sequence of numbers, not a str$"):
+            MindaTarget(text)
+
+    def test_target_reads_text_coefficients_one_by_one(self):
+        assert MindaTarget(["1/2", "2"]).coefficients == (Fraction(1, 2), 2)
+
     def test_target_tail_defaults_to_zero(self):
         t = MindaTarget([2])
         assert t.B2 == 0

@@ -304,11 +304,12 @@ def test_exact_corners_are_the_suprema(pair):
         assert k.g2 * k.d2 > 0
         corner_sq = abs(solver.closed_forms(pair, 0, 2, 2).a2_squared)
         assert corner_sq == 2 * abs(k.g2) + 2 * abs(k.d2) == bounds._generic_a2_sq(pair)
-    if k.gx is not None:
-        assert k.gx * k.gy > 0
-        w = k.gx * k.quarter_db + k.gy * k.quarter_dd * k.kappa ** 2
-        corner = max(abs(solver.closed_forms(pair, 2, 2 * s, 2 * s).a3) for s in (1, -1))
-        assert corner == abs(k.gx) * B1 + abs(k.gy) * D1 + 4 * abs(w)
+    # sigma_tilde is positive on every valid pair, so gx and gy always exist.
+    assert k.sigma_tilde > 0 and k.gx * k.gy > 0
+    w = k.gx * k.quarter_db + k.gy * k.quarter_dd * k.kappa ** 2
+    corner = max(abs(solver.closed_forms(pair, 2, 2 * s, 2 * s).a3) for s in (1, -1))
+    assert corner == abs(k.gx) * B1 + abs(k.gy) * D1 + 4 * abs(w)
+    assert bounds._generic_a3_value(pair) >= corner
 
 
 @pytest.mark.parametrize("what", ["a2", "a3"])
@@ -484,9 +485,9 @@ class TestEndToEnd:
         for seed in range(25):
             tag = THEOREM_TAGS[seed % 6]
             pair = rand_pair(rng, tag)
-            from bibounds.solver import elimination_denominator, sigma_tilde
+            from bibounds.solver import elimination_denominator
 
-            if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
+            if elimination_denominator(pair) == 0:
                 continue
             report = end_to_end(pair, seed=seed)
             assert report.b1_matches_linkage

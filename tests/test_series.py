@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -461,6 +462,13 @@ class TestPowUnit:
         assert near_one.pow_unit(0.5).agrees_with(
             TruncatedSeries([1.0, 0.5], mode=FLOAT, order=4).pow_unit(0.5))
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("exponent", [True, False])
+    def test_bool_exponent_is_refused(self, mode, exponent):
+        base = TruncatedSeries([1, 1], mode=mode, order=4)
+        with pytest.raises(TypeError, match=f"^exponent must be real, got {exponent}$"):
+            base.pow_unit(exponent)
+
     def test_exact_mode_rejects_float_exponent(self):
         with pytest.raises(ModeMismatchError):
             ONE.pow_unit(0.5)
@@ -473,6 +481,28 @@ class TestPowUnit:
         got = base.pow_unit(t)
         assert approx_equal(got.coeffs[1], 2 * t)
         assert approx_equal(got.coeffs[2], 2 * t * t)
+
+
+class TestOrders:
+    @pytest.mark.parametrize("field, value", [
+        ("order", True), ("order", 2.0), ("order", Fraction(2)),
+        ("valid_order", True), ("valid_order", 0.5), ("valid_order", "1"),
+    ])
+    def test_order_fields_must_be_ints(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+            TruncatedSeries([1, 1], **{field: value})
+
+    def test_int_orders_build_and_clamp(self):
+        s = TruncatedSeries([1, 1], order=3, valid_order=5)
+        assert (s.order, s.valid_order) == (3, 3)
+        assert TruncatedSeries([1, 1], order=3, valid_order=-1).valid_order == 0
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            TruncatedSeries([1], order=-1)
+
+    def test_one_count_rule_serves_every_layer(self):
+        from bibounds import classes, harness, series
+
+        assert classes._count is harness._count is series._count
 
 
 class TestUnitConstant:

@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +216,34 @@ class TestLinkedB1:
             assert linked_b1(pair, c1) == want
 
 
+class TestPairSpecFields:
+    FIELDS = dict(class_f=ClassSpec("P", 0), phi=CARA, class_g=ClassSpec("L", 1), psi=CARA)
+
+    @pytest.mark.parametrize("field", PairSpec._fields)
+    def test_each_field_refuses_what_is_not_its_record(self, field):
+        record = "ClassSpec" if field.startswith("class") else "MindaTarget"
+        other = CARA if record == "ClassSpec" else ClassSpec("P", 0)
+        for bad in ([2, 2], other):
+            fields = {**self.FIELDS, field: bad}
+            with pytest.raises(TypeError, match=f"^{field} must be a {record}, "
+                                                f"got {type(bad).__name__}$"):
+                PairSpec(**fields)
+
+    def test_look_alike_class_record_is_refused(self):
+        # L(3) lies outside [0, 1]; had it got through, an L partner would
+        # give sigma_tilde = 0.
+        fake = namedtuple("LookAlike", "kind param")("L", Fraction(3))
+        pair = PairSpec(**self.FIELDS)
+        with pytest.raises(TypeError, match="^class_g must be a ClassSpec, got LookAlike$"):
+            PairSpec(ClassSpec("L", 0), CARA, fake, CARA)
+        with pytest.raises(TypeError, match="^class_f must be a ClassSpec, got LookAlike$"):
+            pair._replace(class_f=fake)
+
+    def test_theorem_pair_refuses_a_plain_list_target(self):
+        with pytest.raises(TypeError, match="^phi must be a MindaTarget, got list$"):
+            theorem_pair("PP", 0, 0, [2, 2], CARA)
+
+
 class TestSigmaTilde:
     def test_values(self):
         assert sigma_tilde(theorem_pair("PP", 0, 0, CARA, CARA)) == 4
@@ -275,7 +304,7 @@ class TestEliminate:
     def test_all_zero(self, rng):
         for tag in THEOREM_TAGS:
             pair = rand_pair(rng, tag)
-            if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
+            if elimination_denominator(pair) == 0:
                 continue
             result = eliminate(pair, SchwarzParams(0, 0, 0))
             assert result.a2_squared == QComplex(0)
@@ -289,7 +318,18 @@ class TestEliminate:
         result = eliminate(pair, SchwarzParams(1, 1, 1))
         assert result.degenerate
         assert result.a2_squared is None
-        assert result.a3 is not None  # sigma_tilde alone is fine here
+        assert result.a3 is not None
+
+    def test_degenerate_is_den_zero_alone(self, rng):
+        # sigma_tilde is positive on every pair, so DEN decides the flag and
+        # a3 is always there.
+        pairs = [rand_pair(rng, tag) for tag in THEOREM_TAGS for _ in range(8)]
+        pairs.append(theorem_pair("PP", 0, 0, MindaTarget([1, 2]), MindaTarget([1, 2])))
+        for pair in pairs:
+            result = eliminate(pair, SchwarzParams(1, 1, 1))
+            assert result.degenerate == (elimination_denominator(pair) == 0)
+            assert result.sigma_tilde > 0
+            assert result.a3 is not None
 
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
     def test_matches_displayed_forms(self, tag, rng):
@@ -298,7 +338,7 @@ class TestEliminate:
         # display variant do not contaminate the structural check).
         for _ in range(25):
             pair = rand_pair(rng, tag)
-            if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
+            if elimination_denominator(pair) == 0:
                 continue
             sp = SchwarzParams(rand_qc(rng, 1, 2), rand_qc(rng, 1, 2), rand_qc(rng, 1, 2))
             result = eliminate(pair, sp)
@@ -381,7 +421,7 @@ class TestConsistency:
         checked = 0
         while checked < 25:
             pair = rand_pair(rng, tag)
-            if elimination_denominator(pair) == 0 or sigma_tilde(pair) == 0:
+            if elimination_denominator(pair) == 0:
                 continue
             checked += 1
             sp = consistent_params(rng, pair)
