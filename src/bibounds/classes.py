@@ -249,8 +249,8 @@ def functional(
 ) -> TruncatedSeries:
     """The class functional of f, computed entirely by the series engine.
 
-    Returns a series with constant term 1 whose ``valid_order`` is one below
-    the storage order (the functionals consume one derivative).
+    Returns a series of order ``order - 1`` with constant term 1 (the
+    functionals consume one derivative).
     """
     fs = f.series(order, mode)
     h = fs.shift_down()          # f/z, constant term 1

@@ -37,11 +37,11 @@ mode works on ``complex`` throughout: products, quotients and composition
 at ``0j``.
 
 The constructor is the one checked entry point: it coerces callers'
-coefficients into the tower, pads or truncates them to the storage order
-and clamps ``valid_order``.  Kernel results are already tower values of the
-right length, so the ring operations, division, the derivative, the shifts,
-composition, ``pow_unit`` and ``revert`` return through a private
-constructor that skips that re-coercion.
+coefficients into the tower and pads or truncates them to the order.
+Kernel results are already tower values of the right length, so the ring
+operations, division, the derivative, the shifts, truncation, composition,
+``pow_unit`` and ``revert`` return through a private constructor that skips
+that re-coercion.
 
 The scalar rule lives here and nowhere else: :func:`mode_of` names the tower
 of a set of values (exact when every one is a ``QComplex``, ``Fraction`` or
@@ -50,12 +50,14 @@ Modes never mix: combining an exact series with a float series, or feeding
 a float coefficient into the exact tower, raises :class:`ModeMismatchError`.
 Binary operations truncate to the shorter operand.
 
-Besides the storage order, every series carries ``valid_order``: the highest
-index whose coefficient is informationally trustworthy.  Differentiation
-lowers it by one (the top coefficient of the derivative would require an
-input coefficient beyond the truncation); all other operations propagate the
-minimum over their operands.  Consumers that need order-k output must check
-``valid_order >= k``.
+A series has one order: an order-N series stores ``c[0..N]``, knows
+nothing past ``z**N``, and every result keeps only the coefficients its
+inputs determine.  The derivative and ``shift_down`` return order N-1 (the
+derivative's ``z**N`` coefficient would need ``c[N+1]``), ``shift_up``
+returns order N+1 with every coefficient kept, and every other operation
+returns the minimum order of its operands.  Order 0 is the one corner, as
+no series has order -1: the derivative of an order-0 series, and
+``shift_down`` of the order-0 zero series, are the order-0 zero series.
 
 Floating comparisons use relative tolerance 1e-12 with an absolute floor of
 1e-14 for near-zero values (see :func:`approx_equal`).  :func:`agree` is the
@@ -85,6 +87,13 @@ def _count(value, what):
     """A count as given; a bool or any non-int is a TypeError naming it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an int, got {value!r}")
+    return value
+
+
+def _order(value):
+    """A truncation order as given: an int (by :func:`_count`) of at least 0."""
+    if _count(value, "order") < 0:
+        raise ValueError("order must be nonnegative")
     return value
 
 
@@ -355,44 +364,40 @@ def _float_product(a, b, order):
 
 
 class TruncatedSeries:
-    """Finite coefficient list of an analytic germ, with order bookkeeping.
+    """The coefficients ``c[0..order]`` of an analytic germ, all of them known.
 
-    ``coeffs`` always has length ``order + 1``.  ``valid_order`` tracks the
-    informational order (see module docstring); it defaults to the storage
-    order and never exceeds it.
+    ``coeffs`` always has length ``order + 1``, and the order is the only
+    one a series has: a result keeps only the coefficients its inputs
+    determine (see module docstring).
     """
 
-    __slots__ = ("coeffs", "mode", "valid_order")
+    __slots__ = ("coeffs", "mode")
 
-    def __init__(self, coeffs, mode=EXACT, order=None, valid_order=None):
+    def __init__(self, coeffs, mode=EXACT, order=None):
         items = [coerce_scalar(c, mode) for c in coeffs]
         if order is None:
             if not items:
                 raise ValueError("a series needs at least its constant term")
             order = len(items) - 1
-        elif _count(order, "order") < 0:
-            raise ValueError("order must be nonnegative")
+        else:
+            _order(order)
         zero = coerce_scalar(0, mode)
         items = items[: order + 1]
         items += [zero] * (order + 1 - len(items))
-        if valid_order is None:
-            valid_order = order
         self.coeffs = tuple(items)
         self.mode = mode
-        self.valid_order = max(0, min(_count(valid_order, "valid_order"), order))
 
     @classmethod
-    def _of(cls, coeffs, mode, valid_order):
+    def _of(cls, coeffs, mode):
         """A kernel's result, stored without re-coercion.
 
         The caller guarantees what ``__init__`` would establish: every
-        coefficient already in mode's tower (``complex`` or ``QComplex``),
-        ``len(coeffs) == order + 1`` and ``0 <= valid_order <= order``.
+        coefficient already in mode's tower (``complex`` or ``QComplex``)
+        and at least one of them.
         """
         series = object.__new__(cls)
         series.coeffs = tuple(coeffs)
         series.mode = mode
-        series.valid_order = valid_order
         return series
 
     # ------------------------------------------------------------------
@@ -437,14 +442,10 @@ class TruncatedSeries:
         return agree(self.coeffs[0], 1, self.mode)
 
     def truncated(self, order):
-        if order >= self.order:
+        """The series to ``order``; itself when it has no higher coefficient."""
+        if _order(order) >= self.order:
             return self
-        return TruncatedSeries(
-            self.coeffs[: order + 1],
-            mode=self.mode,
-            order=order,
-            valid_order=min(self.valid_order, order),
-        )
+        return TruncatedSeries._of(self.coeffs[: order + 1], self.mode)
 
     def _require_same_mode(self, other):
         if self.mode != other.mode:
@@ -462,22 +463,19 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_mode(other)
             order = min(self.order, other.order)
-            valid = min(self.valid_order, other.valid_order)
             coeffs = [
                 self.coeffs[k] + other.coeffs[k] for k in range(order + 1)
             ]
-            return TruncatedSeries._of(coeffs, self.mode, valid)
+            return TruncatedSeries._of(coeffs, self.mode)
         value = self._scalar(other)
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + value
-        return TruncatedSeries._of(coeffs, self.mode, self.valid_order)
+        return TruncatedSeries._of(coeffs, self.mode)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._of(
-            [-c for c in self.coeffs], self.mode, self.valid_order
-        )
+        return TruncatedSeries._of([-c for c in self.coeffs], self.mode)
 
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -491,30 +489,25 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_mode(other)
             order = min(self.order, other.order)
-            valid = min(self.valid_order, other.valid_order)
             if self.mode == EXACT:
                 ar, ai, da = _ints(self.coeffs[: order + 1])
                 br, bi, db = _ints(other.coeffs[: order + 1])
                 cr, ci = _convolve(ar, ai, br, bi, order)
                 return TruncatedSeries._of(
-                    _from_ints(cr, ci, [da * db] * (order + 1)), EXACT, valid
+                    _from_ints(cr, ci, [da * db] * (order + 1)), EXACT
                 )
             return TruncatedSeries._of(
-                _float_product(self.coeffs, other.coeffs, order), FLOAT, valid
+                _float_product(self.coeffs, other.coeffs, order), FLOAT
             )
         value = self._scalar(other)
-        return TruncatedSeries._of(
-            [c * value for c in self.coeffs], self.mode, self.valid_order
-        )
+        return TruncatedSeries._of([c * value for c in self.coeffs], self.mode)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
             value = self._scalar(other)
-            return TruncatedSeries._of(
-                [c / value for c in self.coeffs], self.mode, self.valid_order
-            )
+            return TruncatedSeries._of([c / value for c in self.coeffs], self.mode)
         self._require_same_mode(other)
         lead = other.coeffs[0]
         if not lead:
@@ -522,7 +515,6 @@ class TruncatedSeries:
                 "series division needs a nonzero constant term in the divisor"
             )
         order = min(self.order, other.order)
-        valid = min(self.valid_order, other.valid_order)
         if self.mode == EXACT:
             # Multiply both sides by conj(lead) so the divisor's lead is the
             # positive integer L; then q_n = P_n / L**(n+1) with
@@ -547,7 +539,7 @@ class TruncatedSeries:
             return TruncatedSeries._of(
                 _from_ints([p * db for p in pr], [p * db for p in pi],
                            [da * p for p in powers[1:]]),
-                EXACT, valid,
+                EXACT,
             )
         a, b = self.coeffs, other.coeffs
         quotient = []
@@ -556,7 +548,7 @@ class TruncatedSeries:
             for i in range(n):
                 acc = acc - quotient[i] * b[n - i]
             quotient.append(acc / lead)
-        return TruncatedSeries._of(quotient, FLOAT, valid)
+        return TruncatedSeries._of(quotient, FLOAT)
 
     def __rtruediv__(self, other):
         return TruncatedSeries.constant(
@@ -567,34 +559,22 @@ class TruncatedSeries:
     # calculus and composition
 
     def derivative(self):
-        """Termwise derivative, re-padded to the same storage order.
-
-        The result is informationally one order shorter; ``valid_order``
-        records that.
-        """
-        coeffs = [
-            (k + 1) * self.coeffs[k + 1] for k in range(self.order)
-        ]
-        coeffs.append(self._scalar(0))
-        return TruncatedSeries._of(
-            coeffs, self.mode, max(0, self.valid_order - 1)
-        )
+        """Termwise derivative, one order lower (order 0 gives the zero series)."""
+        coeffs = [(k + 1) * self.coeffs[k + 1] for k in range(self.order)]
+        return TruncatedSeries._of(coeffs or [self._scalar(0)], self.mode)
 
     def shift_up(self):
-        """Multiply by z (the top stored coefficient is dropped)."""
-        coeffs = [self._scalar(0), *self.coeffs[:-1]]
-        return TruncatedSeries._of(
-            coeffs, self.mode, min(self.valid_order + 1, self.order)
-        )
+        """Multiply by z: one order higher, every coefficient kept."""
+        return TruncatedSeries._of([self._scalar(0), *self.coeffs], self.mode)
 
     def shift_down(self):
-        """Divide by z; requires a vanishing constant term."""
+        """Divide by z, one order lower; requires a vanishing constant term.
+
+        At order 0 that leaves the zero series, still of order 0.
+        """
         if self.coeffs[0]:
             raise ValueError("cannot divide by z: constant term is nonzero")
-        coeffs = [*self.coeffs[1:], self._scalar(0)]
-        return TruncatedSeries._of(
-            coeffs, self.mode, max(0, self.valid_order - 1)
-        )
+        return TruncatedSeries._of(self.coeffs[1:] or [self._scalar(0)], self.mode)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(z)) truncated; inner must have zero constant term."""
@@ -604,7 +584,6 @@ class TruncatedSeries:
                 "composition needs a vanishing constant term in the inner series"
             )
         order = min(self.order, inner.order)
-        valid = min(self.valid_order, inner.valid_order, order)
         if self.mode == EXACT:
             # Horner on ints: after the level of o_k the partial sum is
             # r / (do * di**(order - k)).
@@ -619,7 +598,7 @@ class TruncatedSeries:
                 rr[0] += orr[k] * scale
                 ri[0] += ori[k] * scale
             return TruncatedSeries._of(
-                _from_ints(rr, ri, [do * scale] * (order + 1)), EXACT, valid
+                _from_ints(rr, ri, [do * scale] * (order + 1)), EXACT
             )
         # Horner on complex lists: r = r * inner + o_k, level by level.
         a, b = self.coeffs, inner.coeffs
@@ -627,17 +606,18 @@ class TruncatedSeries:
         for k in range(order - 1, -1, -1):
             r = _float_product(r, b, order)
             r[0] = r[0] + a[k]
-        return TruncatedSeries._of(r, FLOAT, valid)
+        return TruncatedSeries._of(r, FLOAT)
 
     def pow_unit(self, exponent) -> "TruncatedSeries":
         """Real power of a series anchored at constant term 1.
 
         Miller's power formula: w = self**t satisfies self*w' = t*self'*w, so
         self_0*n*w_n = sum_{k=1..n} (tk - (n-k)) self_k w_{n-k} with w_0 = 1.
-        Irrational exponents are fine in float mode; exact mode takes int or
-        Fraction exponents; a bool is refused in both modes.
+        Irrational exponents are fine in float mode, finite ones only; exact
+        mode takes int or Fraction exponents.  A bool, or any value that is
+        not a ``numbers.Real`` (text included), is refused in both modes.
         """
-        if isinstance(exponent, bool):
+        if isinstance(exponent, bool) or not isinstance(exponent, numbers.Real):
             raise TypeError(f"exponent must be real, got {exponent!r}")
         if not self.has_unit_constant():
             raise ValueError("pow_unit needs constant term exactly 1")
@@ -648,6 +628,8 @@ class TruncatedSeries:
                 )
         else:
             exponent = float(exponent)
+            if not math.isfinite(exponent):
+                raise ValueError(f"exponent must be finite, got {exponent!r}")
         if exponent == 0:
             return TruncatedSeries.one(order=self.order, mode=self.mode)
         if exponent == 1:
@@ -681,7 +663,7 @@ class TruncatedSeries:
                 for k in range(1, n + 1):
                     acc += (exponent * k - (n - k)) * a[k] * coeffs[n - k]
                 coeffs.append(acc / (n * a[0]))
-        return TruncatedSeries._of(coeffs, self.mode, self.valid_order)
+        return TruncatedSeries._of(coeffs, self.mode)
 
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse g with g(self(z)) = z to the stored order.
@@ -694,7 +676,7 @@ class TruncatedSeries:
         if self.order < 1 or not self.coeffs[1]:
             raise ValueError("reversion needs a nonzero linear term")
         order = self.order
-        q = 1 / TruncatedSeries(self.coeffs[1:], mode=self.mode, order=order - 1)
+        q = 1 / self.shift_down()
         if self.mode == EXACT:
             # q**n = P_n / dq**n, with no normalisation between products.
             qr, qi, dq = _ints(q.coeffs)
@@ -713,7 +695,7 @@ class TruncatedSeries:
             for n in range(2, order + 1):
                 power = power * q
                 g.append(power.coeffs[n - 1] / n)
-        return TruncatedSeries._of(g, self.mode, self.valid_order)
+        return TruncatedSeries._of(g, self.mode)
 
     # ------------------------------------------------------------------
     # comparisons
@@ -721,19 +703,15 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.coeffs == other.coeffs
-            and self.valid_order == other.valid_order
-        )
+        return self.mode == other.mode and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.mode, self.coeffs, self.valid_order))
+        return hash((self.mode, self.coeffs))
 
     def agrees_with(self, other, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
-        """Coefficientwise :func:`agree` up to the common informational order."""
+        """Coefficientwise :func:`agree` up to the lower of the two orders."""
         self._require_same_mode(other)
-        count = min(self.valid_order, other.valid_order) + 1
+        count = min(self.order, other.order) + 1
         mine, theirs = self.coeffs[:count], other.coeffs[:count]
         if self.mode == EXACT:  # whole tuples: one comparison, not one per coefficient
             return agree(mine, theirs, EXACT)
@@ -745,5 +723,5 @@ class TruncatedSeries:
             preview += ", ..."
         return (
             f"TruncatedSeries([{preview}], mode={self.mode!r}, "
-            f"order={self.order}, valid_order={self.valid_order})"
+            f"order={self.order})"
         )

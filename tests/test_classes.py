@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bibounds import (
+    DEFAULT_ORDER,
     EXACT,
     FLOAT,
     ClassSpec,
@@ -221,7 +222,8 @@ class TestFunctional:
         for spec in ALL_SPECS:
             series = functional(spec, SchlichtCoeffs([]))
             assert series.coeffs[0] == QComplex(1)
-            assert all(not c for c in series.coeffs[1 : series.valid_order + 1])
+            assert series.order == DEFAULT_ORDER - 1
+            assert all(not c for c in series.coeffs[1:])
 
     def test_printed_p_expansion(self, rng):
         # 1 + (1+2a) a2 z + (2(1+3a) a3 - (1+2a) a2^2) z^2 + ...

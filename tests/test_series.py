@@ -322,7 +322,7 @@ class TestMul:
         for c in scalars:
             want = [reference(operator.mul, x, c) for x in s.coeffs]
             for got in (s * c, c * s):
-                assert (got.mode, got.order, got.valid_order) == (EXACT, 8, 8)
+                assert (got.mode, got.order) == (EXACT, 8)
                 for q in got.coeffs:
                     assert_canonical(q)
                 assert [(q.re, q.im) for q in got.coeffs] == want
@@ -386,8 +386,15 @@ class TestDerivative:
 
     def test_informational_order_drops(self):
         s = rand_exact_series(random.Random(1))
-        assert s.derivative().valid_order == s.valid_order - 1
-        assert s.derivative().order == s.order
+        d = s.derivative()
+        assert d.order == s.order - 1
+        assert list(d.coeffs) == [(k + 1) * s.coeffs[k + 1] for k in range(s.order)]
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_order_zero_gives_the_order_zero_zero(self, mode):
+        zero = TruncatedSeries.zero(order=0, mode=mode)
+        assert TruncatedSeries.constant(5, order=0, mode=mode).derivative() == zero
+        assert zero.shift_down() == zero
 
 
 class TestCompose:
@@ -469,6 +476,19 @@ class TestPowUnit:
         with pytest.raises(TypeError, match=f"^exponent must be real, got {exponent}$"):
             base.pow_unit(exponent)
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("exponent", ["0.5", "1"])
+    def test_text_exponent_is_refused(self, mode, exponent):
+        base = TruncatedSeries([1, 0.5, 0.25], mode=FLOAT) if mode == FLOAT else ONE
+        with pytest.raises(TypeError, match=f"^exponent must be real, got '{exponent}'$"):
+            base.pow_unit(exponent)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_float_mode_refuses_a_non_finite_exponent(self, exponent):
+        base = TruncatedSeries([1, 0.5, 0.25], mode=FLOAT)
+        with pytest.raises(ValueError, match=f"^exponent must be finite, got {exponent!r}$"):
+            base.pow_unit(exponent)
+
     def test_exact_mode_rejects_float_exponent(self):
         with pytest.raises(ModeMismatchError):
             ONE.pow_unit(0.5)
@@ -486,18 +506,41 @@ class TestPowUnit:
 class TestOrders:
     @pytest.mark.parametrize("field, value", [
         ("order", True), ("order", 2.0), ("order", Fraction(2)),
-        ("valid_order", True), ("valid_order", 0.5), ("valid_order", "1"),
     ])
     def test_order_fields_must_be_ints(self, field, value):
         with pytest.raises(TypeError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
             TruncatedSeries([1, 1], **{field: value})
 
+    @pytest.mark.parametrize("value", [True, 0.5, "1", 3])
+    def test_valid_order_keyword_is_refused(self, value):
+        # A series has one order, its storage order; there is no second one to set.
+        assert TruncatedSeries.__slots__ == ("coeffs", "mode")
+        with pytest.raises(TypeError, match="valid_order"):
+            TruncatedSeries([1, 1], order=3, valid_order=value)
+
     def test_int_orders_build_and_clamp(self):
-        s = TruncatedSeries([1, 1], order=3, valid_order=5)
-        assert (s.order, s.valid_order) == (3, 3)
-        assert TruncatedSeries([1, 1], order=3, valid_order=-1).valid_order == 0
+        s = TruncatedSeries([1, 1], order=3)
+        assert (s.order, s.coeffs) == (3, (1, 1, 0, 0))
+        assert TruncatedSeries([1, 2, 3, 4, 5], order=2).coeffs == (1, 2, 3)
         with pytest.raises(ValueError, match="order must be nonnegative"):
             TruncatedSeries([1], order=-1)
+
+    @pytest.mark.parametrize("value", [10.0, 2.5, True])
+    def test_truncated_order_must_be_an_int(self, value):
+        s = exact([1, 2, 3, 4], order=3)
+        with pytest.raises(TypeError, match=f"^order must be an int, got {value!r}$"):
+            s.truncated(value)
+
+    def test_truncated_order_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            exact([1, 2, 3, 4], order=3).truncated(-1)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_truncated_keeps_the_lower_coefficients(self, mode):
+        s = TruncatedSeries([1, 2, 3, 4], mode=mode)
+        assert s.truncated(1) == TruncatedSeries([1, 2], mode=mode)
+        assert s.truncated(0) == TruncatedSeries([1], mode=mode)
+        assert s.truncated(3) is s and s.truncated(10) is s
 
     def test_one_count_rule_serves_every_layer(self):
         from bibounds import classes, harness, series
@@ -628,7 +671,6 @@ class TestExactResults:
                           Fraction(c.im.numerator * 10, c.im.denominator * 10))
                  for c in result.coeffs],
                 order=result.order,
-                valid_order=result.valid_order,
             )
             assert result == hand
             assert hash(result) == hash(hand)
@@ -644,29 +686,25 @@ class TestExactResults:
          lambda a, b: a.compose(b - b.coeffs[0])],
     )
     def test_mixed_storage_orders(self, op, rng):
-        for (order_a, valid_a), (order_b, valid_b) in [
-            ((8, 8), (3, 3)), ((3, 1), (8, 6)), ((5, 5), (7, 2)), ((0, 0), (4, 4)),
-        ]:
-            a = TruncatedSeries(rand_exact_series(rng, order=order_a).coeffs,
-                                order=order_a, valid_order=valid_a)
-            b = TruncatedSeries([complex_lead(rng),
-                                 *rand_exact_series(rng, order=order_b).coeffs[1:]],
-                                order=order_b, valid_order=valid_b)
+        for order_a, order_b in [(8, 3), (3, 8), (5, 7), (0, 4), (6, 6)]:
+            a = rand_exact_series(rng, order=order_a)
+            b = exact([complex_lead(rng),
+                       *rand_exact_series(rng, order=order_b).coeffs[1:]],
+                      order=order_b)
             got = op(a, b)
-            assert got.order == min(order_a, order_b)
-            assert got.valid_order == min(valid_a, valid_b)
             short = min(order_a, order_b)
+            assert got.order == short
             assert got == op(a.truncated(short), b.truncated(short))
 
     def test_unary_kernels_keep_orders(self, rng):
-        u = TruncatedSeries(rand_exact_series(rng, constant=1, order=6).coeffs,
-                            order=6, valid_order=4)
-        root = u.pow_unit(Fraction(1, 2))
-        assert (root.order, root.valid_order) == (6, 4)
+        u = rand_exact_series(rng, constant=1, order=6)
+        assert u.pow_unit(Fraction(1, 2)).order == 6
         tail = rand_exact_series(rng, order=6).coeffs[2:]
-        f = TruncatedSeries([0, complex_lead(rng), *tail], order=6, valid_order=5)
-        assert (f.revert().order, f.revert().valid_order) == (6, 5)
-        assert (f.derivative().order, f.derivative().valid_order) == (6, 4)
+        f = exact([0, complex_lead(rng), *tail], order=6)
+        assert f.revert().order == 6
+        assert f.derivative().order == 5
+        assert f.shift_down().order == 5
+        assert f.shift_up().order == 7
 
 
 # ----------------------------------------------------------------------
@@ -769,14 +807,13 @@ def max_abs_error(got, want):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(wide_scalars, min_size=1, max_size=12), pow_exponents, st.data())
-def test_exact_pow_unit_matches_exp_log_oracle(tail, t, data):
+@given(st.lists(wide_scalars, min_size=1, max_size=12), pow_exponents)
+def test_exact_pow_unit_matches_exp_log_oracle(tail, t):
     order = len(tail)
-    valid = data.draw(st.integers(0, order), label="valid_order")
     coeffs = [QComplex(1), *tail]
-    got = TruncatedSeries(coeffs, order=order, valid_order=valid).pow_unit(t)
+    got = TruncatedSeries(coeffs, order=order).pow_unit(t)
+    assert got.order == order
     assert list(got.coeffs) == poly_pow_unit(coeffs, QComplex(t), order)
-    assert got.valid_order == (order if t == 0 else valid)
 
 
 @settings(max_examples=40, deadline=None)
@@ -845,8 +882,7 @@ def tower_series(draw, mode, values, lead=None, min_order=0):
     coeffs = draw(st.lists(values, min_size=order + 1, max_size=order + 1))
     if lead is not None:
         coeffs[lead[0]] = lead[1]
-    valid = draw(st.integers(0, order))
-    return TruncatedSeries(coeffs, mode=mode, order=order, valid_order=valid)
+    return TruncatedSeries(coeffs, mode=mode, order=order)
 
 
 def kernel_results(draw, mode):
@@ -857,7 +893,7 @@ def kernel_results(draw, mode):
     divisor = tower_series(draw, mode, values, lead=(0, draw(leads)))
     unit = tower_series(draw, mode, values, lead=(0, 1))
     f = tower_series(draw, mode, values, lead=(1, draw(leads)), min_order=1)
-    f = TruncatedSeries([zero, *f.coeffs[1:]], mode=mode, valid_order=f.valid_order)
+    f = TruncatedSeries([zero, *f.coeffs[1:]], mode=mode)
     s = draw(scalar_values)
     nonzero = draw(leads)
     return {
@@ -878,17 +914,50 @@ def kernel_results(draw, mode):
 @given(data=st.data())
 def test_kernel_results_are_what_the_constructor_builds(mode, data):
     for name, r in kernel_results(data.draw, mode).items():
-        assert r == TruncatedSeries(r.coeffs, mode=r.mode, order=r.order,
-                                    valid_order=r.valid_order), name
+        assert r == TruncatedSeries(r.coeffs, mode=r.mode, order=r.order), name
         assert r.mode == mode and isinstance(r.coeffs, tuple), name
         assert len(r.coeffs) == r.order + 1, name
-        assert 0 <= r.valid_order <= r.order, name
         for c in r.coeffs:
             if mode == FLOAT:
                 assert type(c) is complex, name
             else:
                 assert type(c) is QComplex, name
                 assert_canonical(c)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shifts_round_trip_and_each_result_has_its_order(mode, data):
+    # A series of order N stores what it knows: the derivative and shift_down
+    # know one coefficient less, shift_up one more, and every other result the
+    # lower order of its operands.
+    values, leads, scalar_values, exponents = TOWERS[mode]
+    zero = 0 if mode == EXACT else 0j
+    a = tower_series(data.draw, mode, values)
+    b = tower_series(data.draw, mode, values, lead=(0, data.draw(leads)))
+    unit = tower_series(data.draw, mode, values, lead=(0, 1))
+    f = tower_series(data.draw, mode, values, lead=(1, data.draw(leads)), min_order=1)
+    f = TruncatedSeries([zero, *f.coeffs[1:]], mode=mode)
+    s = data.draw(scalar_values)
+    k = data.draw(st.integers(0, 10))
+    n, m = a.order, b.order
+    up = a.shift_up()
+    assert up.shift_down() == a
+    assert up.coeffs == (zero, *a.coeffs)
+    results = [
+        ("a.shift_up()", up, n + 1), ("f.shift_down()", f.shift_down(), f.order - 1),
+        ("a.derivative()", a.derivative(), max(n - 1, 0)),
+        ("a + b", a + b, min(n, m)), ("a - b", a - b, min(n, m)),
+        ("a * b", a * b, min(n, m)), ("a / b", a / b, min(n, m)),
+        ("a + s", a + s, n), ("a * s", a * s, n), ("s / b", s / b, m),
+        ("-a", -a, n), ("a.compose(f)", a.compose(f), min(n, f.order)),
+        ("unit.pow_unit(t)", unit.pow_unit(data.draw(exponents)), unit.order),
+        ("f.revert()", f.revert(), f.order), ("a.truncated(k)", a.truncated(k), min(n, k)),
+    ]
+    for name, r, order in results:
+        assert r.order == order, name
+        assert len(r.coeffs) == order + 1, name
 
 
 def compose_by_levels(outer, inner):
