@@ -14,16 +14,13 @@ Layers, bottom to top:
 __version__ = "0.1.0"
 
 from .series import (
-    ABS_TOL,
     DEFAULT_ORDER,
     EXACT,
     FLOAT,
-    REL_TOL,
     ModeMismatchError,
     QComplex,
     TruncatedSeries,
     agree,
-    approx_equal,
     mode_of,
 )
 from .classes import (

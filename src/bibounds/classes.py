@@ -32,6 +32,7 @@ from .series import (
     DEFAULT_ORDER,
     EXACT,
     FLOAT,
+    FLOAT_TOL,
     QComplex,
     TruncatedSeries,
     _count,
@@ -164,18 +165,20 @@ class SchlichtCoeffs(CheckedRecord, namedtuple("SchlichtCoeffs", "values")):
     def __new__(cls, values):
         return tuple.__new__(cls, (tuple(values),))
 
-    def series(self, order=DEFAULT_ORDER, mode=EXACT) -> TruncatedSeries:
+    def series(self, order=DEFAULT_ORDER) -> TruncatedSeries:
+        """z + a2 z^2 + ... to ``order``, in the tower of the values (mode_of)."""
         coeffs = [0, 1, *self.values]
-        return TruncatedSeries(coeffs[: order + 1], mode=mode, order=order)
+        return TruncatedSeries(coeffs[: order + 1], mode=mode_of(*self.values),
+                               order=order)
 
 
 def _within_disk(value) -> bool:
-    # |value| <= 2: exactly in the exact tower, with 1e-9 slack in float.
+    # |value| <= 2: exactly in the exact tower, with FLOAT_TOL slack in float.
     if isinstance(value, QComplex):
         return value.abs2() <= 4
     if isinstance(value, (int, Fraction)):
         return value * value <= 4
-    return abs(complex(value)) <= 2 + 1e-9
+    return abs(complex(value)) <= 2 + FLOAT_TOL
 
 
 class SchwarzParams(CheckedRecord, namedtuple("SchwarzParams", "c1 c2 b2")):
@@ -245,17 +248,16 @@ def functional(
     spec: ClassSpec,
     f: SchlichtCoeffs,
     order=DEFAULT_ORDER,
-    mode=EXACT,
 ) -> TruncatedSeries:
     """The class functional of f, computed entirely by the series engine.
 
     Returns a series of order ``order - 1`` with constant term 1 (the
-    functionals consume one derivative).
+    functionals consume one derivative), in the tower of f's values.
     """
-    fs = f.series(order, mode)
+    fs = f.series(order)
     h = fs.shift_down()          # f/z, constant term 1
     fp = fs.derivative()
-    alpha = spec.param if mode == EXACT else float(spec.param)
+    alpha = spec.param if fs.mode == EXACT else float(spec.param)
     if spec.kind == KIND_P:
         return (fp + fp.derivative().shift_up() * alpha) / h
     starlike = fp / h
@@ -271,12 +273,15 @@ def subordinate_compose(
     """Compose the target with the disk transform (p-1)/(p+1) of p."""
     if not p_series.has_unit_constant():
         raise ValueError("subordination transform needs constant term 1")
-    u = (p_series - 1) / (p_series + 1)
+    # p less its own constant, not 1: u(0) is then exactly 0 when a float
+    # p's constant is 1 only up to roundoff.
+    u = (p_series - p_series.coeffs[0]) / (p_series + 1)
     return target.series(p_series.order, p_series.mode).compose(u)
 
 
-def caratheodory_kernel(x, order=DEFAULT_ORDER, mode=EXACT) -> TruncatedSeries:
-    """(1 + x z)/(1 - x z) = 1 + 2 sum_n x^n z^n for a unimodular x."""
+def caratheodory_kernel(x, order=DEFAULT_ORDER) -> TruncatedSeries:
+    """(1 + x z)/(1 - x z) = 1 + 2 sum_n x^n z^n, in the tower of a unimodular x."""
+    mode = mode_of(x)
     x = coerce_scalar(x, mode)
     coeffs = [coerce_scalar(1, mode)]
     power = coerce_scalar(2, mode)
@@ -322,7 +327,7 @@ def sample_caratheodory(
     total = sum(weights)
     acc = TruncatedSeries.zero(order=order, mode=mode)
     for w, x in zip(weights, points):
-        acc = acc + caratheodory_kernel(x, order, mode) * (w / total)
+        acc = acc + caratheodory_kernel(x, order) * (w / total)
     return acc
 
 
@@ -412,7 +417,7 @@ def target_preset(key: str, order=DEFAULT_ORDER) -> MindaTarget:
         if not 0 < gamma <= 1:
             raise ValueError(
                 f"strong parameter must lie in (0, 1], got {brief(gamma)}")
-        base = caratheodory_kernel(1, order=order, mode=EXACT)
+        base = caratheodory_kernel(1, order=order)
         powered = base.pow_unit(gamma)
         return MindaTarget([powered.coeffs[n].re for n in range(1, order + 1)])
     raise ValueError(f"unknown target preset {_quoted(key)}")

@@ -14,13 +14,15 @@ the tests hold them against full numpy grids of their own sizes.
 ``end_to_end`` runs the whole pipeline on a genuine positive-real-part
 sample: forward solve, inversion, inverse-side functional through the series
 engine, extraction of the implied (b1, b2), and the linkage/residual
-identities.  Whether |b1|, |b2| <= 2 actually holds for the sample is
-reported informationally, never asserted.
+identities.  Its ``mode`` picks only the sampler's tower; every later step
+reads the tower from the sample's values.  Whether |b1|, |b2| <= 2 actually
+holds for the sample is reported informationally, never asserted.
 
 ``run_identity_suites`` packages the algebraic identity checks behind the
-CLI ``verify`` command; each check reports its first failure witness.  In
-float mode every check compares with :data:`VERIFY_TOL`, relative and
-absolute alike.  The ``bounds`` suite is exact whatever the mode: its two
+CLI ``verify`` command; each check reports its first failure witness.  Every
+check compares through :func:`bibounds.series.agree`: equality on exact
+values, and :data:`bibounds.series.FLOAT_TOL`, relative and absolute alike,
+on float ones.  The ``bounds`` suite is exact whatever the mode: its two
 checks compare rationals with equality.  ``sigma_relations`` also ignores
 the sample count, as it always checks the same 150 points: the six
 pairings on the 5 x 5 grid of quarters, with the printed sigma evaluated
@@ -50,6 +52,7 @@ from functools import partial
 from .series import (
     EXACT,
     FLOAT,
+    FLOAT_TOL,
     TruncatedSeries,
     _count,
     _reduced,
@@ -91,22 +94,6 @@ ATTAIN_TOL = 1e-9
 
 # The smallest normal float: the sweeps' absolute floor.
 _TINY = sys.float_info.min
-
-# Float tolerance of the identity suites.  Their checks cancel terms of size
-# 1e2..1e3 (quotient coefficients, the a2^2 chain) down to about 1e-2, so
-# roundoff reaches a few 1e-13 there; 1e-9 clears that by far and still
-# catches a relative error of 1e-6 in any coefficient.  The checks compare
-# through these two helpers, relative and absolute alike.
-VERIFY_TOL = 1e-9
-
-
-def _agree(x, y, mode):
-    return agree(x, y, mode, VERIFY_TOL, VERIFY_TOL)
-
-
-def _agrees_with(a, b):
-    return a.agrees_with(b, VERIFY_TOL, VERIFY_TOL)
-
 
 # run_identity_suites' defaults, which the CLI ``verify`` shares.
 VERIFY_SEED = 7
@@ -279,16 +266,14 @@ def end_to_end(
     a2, a3 = solve_forward(pair.class_f, pair.phi, p_series)
     c1, c2 = p_series.coeffs[1:3]
     g2, g3 = invert_schlicht(a2, a3)
-    inverse_side = functional(
-        pair.class_g, SchlichtCoeffs([g2, g3]), mode=mode
-    )
+    inverse_side = functional(pair.class_g, SchlichtCoeffs([g2, g3]))
     e1 = inverse_side.coeffs[1]
     e2 = inverse_side.coeffs[2]
     D1, D2 = pair.psi.B1, pair.psi.B2
     b1 = 2 * e1 / D1
     b2 = b1 * b1 / 2 + (e2 - D2 * b1 * b1 / 4) * 2 / D1
 
-    b1_ok = agree(b1, linked_b1(pair, c1), mode)
+    b1_ok = agree(b1, linked_b1(pair, c1))
 
     # The extracted b1, not the linkage value, goes into Y.
     forms = closed_forms(pair, c1, c2, b2, b1=b1)
@@ -297,8 +282,8 @@ def end_to_end(
     residual = None
     if not degenerate:
         residual = inverse_residual(pair, forms.a2_squared, forms.a3, forms.y)
-        a2_ok = agree(forms.a2_squared, a2 * a2, mode)
-        closed_match = a2_ok and agree(forms.a3, a3, mode)
+        a2_ok = agree(forms.a2_squared, a2 * a2)
+        closed_match = a2_ok and agree(forms.a3, a3)
     plausible = _within_disk(b1) and _within_disk(b2)
     return EndToEndReport(
         a2=a2,
@@ -367,13 +352,13 @@ def _check_series_ring(rng, mode, samples):
     for _ in range(samples):
         a = _rand_series(rng, mode)
         b = _rand_series(rng, mode)
-        if not _agrees_with(a * b, b * a):
+        if not (a * b).agrees_with(b * a):
             return f"commutativity failed for {a!r}, {b!r}"
         c = _rand_series(rng, mode)
-        if not _agrees_with((a * b) * c, a * (b * c)):
+        if not ((a * b) * c).agrees_with(a * (b * c)):
             return f"associativity failed for {a!r}, {b!r}, {c!r}"
         nz = _rand_series(rng, mode, constant=1)
-        if not _agrees_with((a / nz) * nz, a):
+        if not ((a / nz) * nz).agrees_with(a):
             return f"div/mul round trip failed for {a!r}, {nz!r}"
     return None
 
@@ -384,7 +369,7 @@ def _check_product_rule(rng, mode, samples):
         b = _rand_series(rng, mode)
         lhs = (a * b).derivative()
         rhs = a.derivative() * b + a * b.derivative()
-        if not _agrees_with(lhs, rhs):
+        if not lhs.agrees_with(rhs):
             return f"product rule failed for {a!r}, {b!r}"
     return None
 
@@ -400,7 +385,7 @@ def _check_pow_additivity(rng, mode, samples):
             t = rng.uniform(-1.5, 1.5)
         lhs = a.pow_unit(s) * a.pow_unit(t)
         rhs = a.pow_unit(s + t)
-        if not _agrees_with(lhs, rhs):
+        if not lhs.agrees_with(rhs):
             return f"power additivity failed for {a!r}, s={s}, t={t}"
     return None
 
@@ -412,11 +397,11 @@ def _check_reversion(rng, mode, samples):
         f = TruncatedSeries(coeffs, mode=mode, order=order)
         g = f.revert()
         ident = TruncatedSeries.var(order=order, mode=mode)
-        if not _agrees_with(g.compose(f), ident):
+        if not g.compose(f).agrees_with(ident):
             return f"reversion round trip failed for {f!r}"
         a2, a3 = f.coeffs[2], f.coeffs[3]
-        if not (_agree(g.coeffs[2], -a2, mode)
-                and _agree(g.coeffs[3], 2 * a2 * a2 - a3, mode)):
+        if not (agree(g.coeffs[2], -a2)
+                and agree(g.coeffs[3], 2 * a2 * a2 - a3)):
             return f"cubic inverse prefix failed for {f!r}"
     return None
 
@@ -430,10 +415,10 @@ def _check_expansions(side, rng, mode, samples):
         a2 = _rand_scalar(rng, mode)
         a3 = _rand_scalar(rng, mode)
         coeffs = invert_schlicht(a2, a3) if inverse else (a2, a3)
-        series = functional(spec, SchlichtCoeffs(coeffs), mode=mode)
+        series = functional(spec, SchlichtCoeffs(coeffs))
         e1, e2 = (expansion_g if inverse else expansion_f)(triple(spec), a2, a3)
-        if not (_agree(series.coeffs[1], e1, mode)
-                and _agree(series.coeffs[2], e2, mode)):
+        if not (agree(series.coeffs[1], e1)
+                and agree(series.coeffs[2], e2)):
             return f"{side} expansion failed for {spec!r}, a2={a2!r}, a3={a3!r}"
     return None
 
@@ -448,8 +433,8 @@ def _check_subordination_form(rng, mode, samples):
         B1, B2 = target.B1, target.B2
         want1 = B1 * c1 / 2
         want2 = B1 * (c2 - c1 * c1 / 2) / 2 + B2 * c1 * c1 / 4
-        if not (_agree(composed.coeffs[1], want1, mode)
-                and _agree(composed.coeffs[2], want2, mode)):
+        if not (agree(composed.coeffs[1], want1)
+                and agree(composed.coeffs[2], want2)):
             return f"subordination form failed for {target!r}, c1={c1!r}, c2={c2!r}"
     return None
 
@@ -459,13 +444,13 @@ def _check_starlike_three_ways(rng, mode, samples):
         coeffs = [_rand_scalar(rng, mode) for _ in range(5)]
         f = SchlichtCoeffs(coeffs)
         variants = [
-            functional(ClassSpec("L", 1), f, mode=mode),
-            functional(ClassSpec("M", 0), f, mode=mode),
-            functional(ClassSpec("P", 0), f, mode=mode),
+            functional(ClassSpec("L", 1), f),
+            functional(ClassSpec("M", 0), f),
+            functional(ClassSpec("P", 0), f),
         ]
         base = variants[0]
         for other in variants[1:]:
-            if not _agrees_with(base, other):
+            if not base.agrees_with(other):
                 return f"starlike functionals disagree for {f!r}"
     return None
 
@@ -488,7 +473,7 @@ def _check_linkage(rng, mode, samples):
         got = linked_b1(pair, c1)
         top, bottom = _PRINTED_B1_LINKS[tag](pair.class_f.param, pair.class_g.param)
         want = -(pair.phi.B1 * top) / (pair.psi.B1 * bottom) * c1
-        if not _agree(got, want, mode):
+        if not agree(got, want):
             return f"b1 linkage failed for {tag} {pair!r}"
     return None
 
@@ -513,21 +498,21 @@ def _check_consistency_chain(rng, mode, samples):
         result = eliminate(pair, sp)
         tf = pair.triple_f()
         lhs = tf.q * result.a3 - tf.r * result.a2_squared
-        if not _agree(lhs, result.rhs_f, mode):
+        if not agree(lhs, result.rhs_f):
             return f"forward equation not recovered for {pair!r}, sp={sp!r}"
         residual = consistency_residual(pair, sp, result)
         if mode == EXACT:
             if residual != 0.0:
                 return f"nonzero residual {residual!r} for {pair!r}, sp={sp!r}"
-        elif residual > VERIFY_TOL:
+        elif residual > FLOAT_TOL:
             return f"residual {residual!r} too large for {pair!r}, sp={sp!r}"
         a2, a3 = solve_forward(
             pair.class_f,
             pair.phi,
             TruncatedSeries([1, c1, c2], mode=mode, order=4),
         )
-        if not (_agree(result.a2_squared, a2 * a2, mode)
-                and _agree(result.a3, a3, mode)):
+        if not (agree(result.a2_squared, a2 * a2)
+                and agree(result.a3, a3)):
             return f"closed forms disagree with forward solve for {pair!r}"
         if made == samples:
             return None

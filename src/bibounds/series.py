@@ -59,10 +59,11 @@ returns the minimum order of its operands.  Order 0 is the one corner, as
 no series has order -1: the derivative of an order-0 series, and
 ``shift_down`` of the order-0 zero series, are the order-0 zero series.
 
-Floating comparisons use relative tolerance 1e-12 with an absolute floor of
-1e-14 for near-zero values (see :func:`approx_equal`).  :func:`agree` is the
-one exact-or-float rule: equality in exact mode, ``approx_equal`` in float
-mode.
+:func:`agree` is the one comparison rule, read from the values: two exact
+values agree when they are equal, and any pair with a float in it when
+``cmath.isclose`` holds with :data:`FLOAT_TOL` as both the relative and the
+absolute tolerance.  ``has_unit_constant`` and ``agrees_with`` compare
+through it.
 """
 
 from __future__ import annotations
@@ -75,8 +76,13 @@ from fractions import Fraction
 EXACT = "exact"
 FLOAT = "float"
 DEFAULT_ORDER = 8
-REL_TOL = 1e-12
-ABS_TOL = 1e-14
+
+# The float tolerance, relative and absolute alike.  The identity suites'
+# checks cancel terms of size 1e2..1e3 (quotient coefficients, the a2^2
+# chain) down to about 1e-2, so roundoff reaches a few 1e-13 there; 1e-9
+# clears that by far and still catches a relative error of 1e-6 in any
+# coefficient.
+FLOAT_TOL = 1e-9
 
 
 class ModeMismatchError(TypeError):
@@ -303,16 +309,17 @@ def coerce_scalar(value, mode):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def approx_equal(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
-    """Floating comparison: relative 1e-12 with absolute floor 1e-14."""
-    return cmath.isclose(complex(a), complex(b), rel_tol=rel_tol, abs_tol=abs_tol)
+# The float types come first in agree: a miss on Fraction goes through
+# ABCMeta, which costs as much as the tolerance test itself.
+_FLOATS = (complex, float)
 
 
-def agree(x, y, mode, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
-    """Equality in exact mode (tolerances ignored), approx_equal in float mode."""
-    if mode == EXACT:
-        return x == y
-    return approx_equal(x, y, rel_tol, abs_tol)
+def agree(x, y) -> bool:
+    """Equality when both values are exact; else isclose within FLOAT_TOL."""
+    if (isinstance(x, _FLOATS) or isinstance(y, _FLOATS)
+            or not (isinstance(x, _EXACT_SCALARS) and isinstance(y, _EXACT_SCALARS))):
+        return cmath.isclose(x, y, rel_tol=FLOAT_TOL, abs_tol=FLOAT_TOL)
+    return x == y
 
 
 def _ints(coeffs):
@@ -434,12 +441,12 @@ class TruncatedSeries:
         return iter(self.coeffs)
 
     def has_unit_constant(self) -> bool:
-        """Constant term 1: exactly in exact mode, to approx_equal in float mode.
+        """Constant term 1: exactly in exact mode, within FLOAT_TOL in float mode.
 
         A float convex combination of unit-constant series sums its weights
         to 1 only up to roundoff, so float mode cannot demand exactly 1.0.
         """
-        return agree(self.coeffs[0], 1, self.mode)
+        return agree(self.coeffs[0], 1)
 
     def truncated(self, order):
         """The series to ``order``; itself when it has no higher coefficient."""
@@ -613,9 +620,11 @@ class TruncatedSeries:
 
         Miller's power formula: w = self**t satisfies self*w' = t*self'*w, so
         self_0*n*w_n = sum_{k=1..n} (tk - (n-k)) self_k w_{n-k} with w_0 = 1.
-        Irrational exponents are fine in float mode, finite ones only; exact
-        mode takes int or Fraction exponents.  A bool, or any value that is
-        not a ``numbers.Real`` (text included), is refused in both modes.
+        Irrational exponents are fine in float mode, finite ones only (one
+        past the float range is not); exact mode takes int or Fraction
+        exponents.  A bool, or any value that is not a ``numbers.Real`` (text
+        included), is refused in both modes.  A float result with a coefficient
+        past the float range is an OverflowError naming the exponent.
         """
         if isinstance(exponent, bool) or not isinstance(exponent, numbers.Real):
             raise TypeError(f"exponent must be real, got {exponent!r}")
@@ -627,7 +636,11 @@ class TruncatedSeries:
                     "exact-mode exponents must be int or Fraction"
                 )
         else:
-            exponent = float(exponent)
+            try:
+                exponent = float(exponent)
+            except OverflowError:
+                raise ValueError(
+                    "exponent must be finite, got one past the float range") from None
             if not math.isfinite(exponent):
                 raise ValueError(f"exponent must be finite, got {exponent!r}")
         if exponent == 0:
@@ -663,6 +676,9 @@ class TruncatedSeries:
                 for k in range(1, n + 1):
                     acc += (exponent * k - (n - k)) * a[k] * coeffs[n - k]
                 coeffs.append(acc / (n * a[0]))
+            if not all(map(cmath.isfinite, coeffs)):
+                raise OverflowError(
+                    f"pow_unit overflows a float coefficient at exponent {exponent!r}")
         return TruncatedSeries._of(coeffs, self.mode)
 
     def revert(self) -> "TruncatedSeries":
@@ -708,14 +724,14 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.mode, self.coeffs))
 
-    def agrees_with(self, other, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
+    def agrees_with(self, other) -> bool:
         """Coefficientwise :func:`agree` up to the lower of the two orders."""
         self._require_same_mode(other)
         count = min(self.order, other.order) + 1
         mine, theirs = self.coeffs[:count], other.coeffs[:count]
         if self.mode == EXACT:  # whole tuples: one comparison, not one per coefficient
-            return agree(mine, theirs, EXACT)
-        return all(agree(a, b, FLOAT, rel_tol, abs_tol) for a, b in zip(mine, theirs))
+            return mine == theirs
+        return all(map(agree, mine, theirs))
 
     def __repr__(self):
         preview = ", ".join(str(c) for c in self.coeffs[:4])

@@ -15,6 +15,7 @@ from bibounds import (
     SchlichtCoeffs,
     SchwarzParams,
     TruncatedSeries,
+    agree,
     caratheodory_kernel,
     expansion_f,
     expansion_g,
@@ -286,15 +287,30 @@ class TestFunctional:
             assert series.coeffs[2] == e2
 
     def test_float_mode(self):
-        series = functional(
-            ClassSpec("L", Fraction(1, 3)),
-            SchlichtCoeffs([0.5, 0.25]),
-            mode=FLOAT,
-        )
+        series = functional(ClassSpec("L", Fraction(1, 3)), SchlichtCoeffs([0.5, 0.25]))
+        assert series.mode == FLOAT
         t = triple(ClassSpec("L", Fraction(1, 3)))
         e1, e2 = expansion_f(t, 0.5, 0.25)
         assert abs(series.coeffs[1] - complex(e1)) < 1e-12
         assert abs(series.coeffs[2] - complex(e2)) < 1e-12
+
+    @pytest.mark.parametrize("values, mode", [
+        ([], EXACT), ([1, Fraction(1, 2)], EXACT), ([QComplex(1, 1)], EXACT),
+        ([0.5, Fraction(1, 4)], FLOAT), ([Fraction(1, 2), 1j], FLOAT),
+    ])
+    def test_tower_is_read_from_the_values(self, values, mode):
+        f = SchlichtCoeffs(values)
+        assert f.series(4).mode == mode
+        assert functional(ClassSpec("M", 1), f, order=4).mode == mode
+
+    def test_mode_keyword_is_refused(self):
+        f = SchlichtCoeffs([Fraction(1, 2), 0])
+        with pytest.raises(TypeError):
+            functional(ClassSpec("P", 0), f, mode=EXACT)
+        with pytest.raises(TypeError):
+            f.series(4, mode=EXACT)
+        with pytest.raises(TypeError):
+            caratheodory_kernel(1, mode=EXACT)
 
 
 class TestSubordination:
@@ -338,6 +354,19 @@ class TestSubordination:
         with pytest.raises(ValueError):
             subordinate_compose(MindaTarget([2]), TruncatedSeries.zero(order=4))
 
+    def test_float_samples_off_unit_constant_by_roundoff_compose(self):
+        # A float sample's constant term is 1 only up to roundoff; u is formed
+        # from p minus that term, so it still vanishes at 0.
+        target = target_preset("caratheodory")
+        B1, B2 = target.B1, target.B2
+        for seed in range(500):
+            p = sample_caratheodory(seed, 3)
+            c1, c2 = p.coeffs[1], p.coeffs[2]
+            composed = subordinate_compose(target, p)
+            assert agree(composed.coeffs[1], B1 * c1 / 2), seed
+            assert agree(composed.coeffs[2],
+                         B1 * (c2 - c1 * c1 / 2) / 2 + B2 * c1 * c1 / 4), seed
+
 
 class TestCaratheodorySampling:
     def test_moebius_kernels(self):
@@ -345,6 +374,10 @@ class TestCaratheodorySampling:
         minus = caratheodory_kernel(-1, order=4)
         assert [c.re for c in plus.coeffs] == [1, 2, 2, 2, 2]
         assert [c.re for c in minus.coeffs] == [1, -2, 2, -2, 2]
+
+    def test_kernel_tower_is_read_from_x(self):
+        assert caratheodory_kernel(QComplex(0, 1), order=2).coeffs == (1, QComplex(0, 2), -2)
+        assert caratheodory_kernel(1j, order=2) == TruncatedSeries([1, 2j, -2], mode=FLOAT)
 
     def test_requires_at_least_one_kernel(self):
         with pytest.raises(ValueError, match="^need at least one kernel$"):

@@ -19,6 +19,7 @@ from bibounds import bounds, cli
 from bibounds.bounds import BoundReport, Discrepancy
 from bibounds.classes import ClassSpec, SchlichtCoeffs, functional, rational
 from bibounds.harness import MAX_SAMPLES, CheckResult
+from bibounds.series import EXACT
 from oracles import generic_reference
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -832,13 +833,15 @@ class TestFixedOrders:
         for k in orders:
             runs = []
 
-            def at_order_k(spec, f, order, mode, k=k):
+            def at_order_k(spec, f, order, k=k):
                 assert order == 3
-                runs.append(functional(spec, f, order=k, mode=mode))
+                runs.append(functional(spec, f, order=k))
                 return runs[-1]
 
             monkeypatch.setattr(cli, "functional", at_order_k)
             assert run_cli(argv) == want
+            # The parsed rationals keep the engine in the exact tower.
+            assert runs[0].mode == EXACT
             assert runs[0].coeffs[1:3] == at_three
 
     @pytest.mark.parametrize("name", sorted(SLOWEST))

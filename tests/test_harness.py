@@ -27,6 +27,7 @@ from bibounds import (
     check_bounds_random,
     end_to_end,
     run_identity_suites,
+    sample_caratheodory,
     sweep_a2,
     sweep_a3,
     target_preset,
@@ -534,6 +535,15 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match=rf"order at least 2, got order {order}$"):
             end_to_end(CANONICAL, 0, p_series=p)
 
+    def test_a_given_sample_sets_the_tower(self):
+        # mode picks only the sampler's tower; a given sample's values set it.
+        pair = theorem_pair("PL", Fraction(1, 3), Fraction(1, 2), CARA, CARA)
+        for mode in (EXACT, FLOAT):
+            for seed in range(50):
+                p = sample_caratheodory(seed, harness.END_TO_END_KERNELS, mode=mode)
+                assert (end_to_end(pair, seed, p_series=p)
+                        == end_to_end(pair, seed, mode=mode)), (mode, seed)
+
     def test_float_samples_off_unit_constant_by_roundoff(self):
         # Float sample weights sum to 1 only up to roundoff, so the sampled
         # constant term is often 1 +- 1 ulp; the pipeline must accept it.
@@ -577,14 +587,17 @@ class TestIdentitySuites:
         assert failed == ["class_forward_expansion"]
 
     def test_series_agreement_catches_a_relative_1e_6_error(self):
+        # The suites compare series with agrees_with, whose one float rule
+        # forgives roundoff but not a relative error of 1e-6.
         rng = random.Random(11)
         coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(7)]
         base = TruncatedSeries(coeffs, mode=FLOAT)
-        tol = harness.VERIFY_TOL
         for k in range(len(coeffs)):
             moved = list(coeffs)
-            moved[k] *= 1 + 1e-6
-            assert not base.agrees_with(TruncatedSeries(moved, mode=FLOAT), tol, tol)
+            moved[k] *= 1 + 1e-13
+            assert base.agrees_with(TruncatedSeries(moved, mode=FLOAT))
+            moved[k] = coeffs[k] * (1 + 1e-6)
+            assert not base.agrees_with(TruncatedSeries(moved, mode=FLOAT))
 
     def test_consistency_chain_stops_after_its_draw_cap(self, monkeypatch):
         calls = []

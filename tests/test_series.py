@@ -1,3 +1,4 @@
+import cmath
 import math
 import operator
 import random
@@ -15,8 +16,8 @@ from bibounds import (
     QComplex,
     TruncatedSeries,
     agree,
-    approx_equal,
 )
+from bibounds.series import FLOAT_TOL
 from conftest import rand_exact_series, rand_qc
 from oracles import (
     lagrange_revert,
@@ -499,8 +500,21 @@ class TestPowUnit:
         )
         t = 2 ** 0.5
         got = base.pow_unit(t)
-        assert approx_equal(got.coeffs[1], 2 * t)
-        assert approx_equal(got.coeffs[2], 2 * t * t)
+        assert cmath.isclose(got.coeffs[1], 2 * t, rel_tol=1e-12)
+        assert cmath.isclose(got.coeffs[2], 2 * t * t, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("exponent", [10**400, -10**400, Fraction(10**400, 3)])
+    def test_float_mode_refuses_an_exponent_past_the_float_range(self, exponent):
+        base = TruncatedSeries([1, 0.5, 0.25], mode=FLOAT)
+        with pytest.raises(ValueError, match="^exponent must be finite, got one past the float range$"):
+            base.pow_unit(exponent)
+
+    def test_float_mode_overflow_names_the_exponent(self):
+        # 1e300 is finite, but w_2 = (t**2 - ...) / 8 is past the float range.
+        base = TruncatedSeries([1, 0.5, 0.25], mode=FLOAT)
+        with pytest.raises(OverflowError, match=r"at exponent 1e\+300$"):
+            base.pow_unit(1e300)
+        assert base.pow_unit(1e100).coeffs[1] == 5e99
 
 
 class TestOrders:
@@ -560,14 +574,47 @@ class TestUnitConstant:
             assert series.has_unit_constant()
         assert not TruncatedSeries.constant(1.001, mode=FLOAT).has_unit_constant()
 
+    def test_float_mode_reads_float_tol(self):
+        # The unit-constant test is agree(c0, 1): FLOAT_TOL, relative and absolute.
+        inside = TruncatedSeries.constant(1 + FLOAT_TOL / 2, mode=FLOAT)
+        outside = TruncatedSeries.constant(1 + 2 * FLOAT_TOL, mode=FLOAT)
+        assert inside.has_unit_constant() and not outside.has_unit_constant()
 
-def test_agree_is_exact_equality_or_approx_equal():
-    near_one = QComplex(Fraction(10**15 + 1, 10**15))
-    assert agree(QComplex(1, 2), QComplex(1, 2), EXACT)
-    assert not agree(QComplex(1), near_one, EXACT, rel_tol=1, abs_tol=1)
-    assert agree(1.0, 1.0 + 1e-13, FLOAT)
-    assert not agree(1.0, 1.0 + 1e-6, FLOAT)
-    assert agree(1.0, 1.0 + 1e-6, FLOAT, rel_tol=1e-5)
+
+class TestAgree:
+    def test_two_exact_values_compare_by_equality(self):
+        near_one = QComplex(Fraction(10**15 + 1, 10**15))
+        assert agree(QComplex(1, 2), QComplex(1, 2))
+        assert agree(QComplex(Fraction(1, 2)), Fraction(1, 2))
+        assert agree(Fraction(4, 2), 2)
+        assert not agree(QComplex(1), near_one)
+        assert not agree(0, Fraction(1, 10**30))
+
+    @pytest.mark.parametrize("exact_one", [1, Fraction(1), QComplex(1)])
+    def test_an_exact_and_a_float_value_compare_by_isclose(self, exact_one):
+        for other in (1.0, 1.0 + 1e-13, 1 - 1e-10 + 0j):
+            assert agree(exact_one, other) and agree(other, exact_one)
+        assert not agree(exact_one, 1 + 2 * FLOAT_TOL)
+
+    def test_float_values_compare_by_isclose(self):
+        assert agree(1.0, 1.0 + 1e-13) and agree(2j, 2j * (1 + 1e-10))
+        # The absolute tolerance holds near zero: 0 against 1e-10 agrees.
+        assert agree(0.0, 1e-10) and not agree(0.0, 1e-8)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_relative_error_of_1e_6_fails(self, exact):
+        rng = random.Random(5)
+        for _ in range(50):
+            x = complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+            base = QComplex(Fraction(x.real), Fraction(x.imag)) if exact else x
+            assert agree(base, x)
+            assert not agree(base, x * (1 + 1e-6))
+
+    def test_takes_no_mode_or_tolerance(self):
+        with pytest.raises(TypeError):
+            agree(1.0, 1.0, FLOAT)
+        with pytest.raises(TypeError):
+            ONE.agrees_with(ONE, rel_tol=1e-3)
 
 
 class TestRevert:
