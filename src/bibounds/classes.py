@@ -275,7 +275,7 @@ def subordinate_compose(
         raise ValueError("subordination transform needs constant term 1")
     # p less its own constant, not 1: u(0) is then exactly 0 when a float
     # p's constant is 1 only up to roundoff.
-    u = (p_series - p_series.coeffs[0]) / (p_series + 1)
+    u = (p_series - p_series[0]) / (p_series + 1)
     return target.series(p_series.order, p_series.mode).compose(u)
 
 
@@ -419,5 +419,5 @@ def target_preset(key: str, order=DEFAULT_ORDER) -> MindaTarget:
                 f"strong parameter must lie in (0, 1], got {brief(gamma)}")
         base = caratheodory_kernel(1, order=order)
         powered = base.pow_unit(gamma)
-        return MindaTarget([powered.coeffs[n].re for n in range(1, order + 1)])
+        return MindaTarget([powered[n].re for n in range(1, order + 1)])
     raise ValueError(f"unknown target preset {_quoted(key)}")

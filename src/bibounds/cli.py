@@ -449,7 +449,7 @@ def _run_expand(args):
     }
     # e1 and e2 read f only through z^3: any higher order gives the same.
     series = functional(spec, SchlichtCoeffs([args.a2, args.a3]), order=3)
-    s1, s2 = series.coeffs[1], series.coeffs[2]
+    s1, s2 = series[1], series[2]
     payload["series_engine"] = {"e1": float(s1.re), "e2": float(s2.re)}
     payload["match"] = s1 == e1 and s2 == e2
     return payload, EXIT_OK

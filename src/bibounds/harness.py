@@ -264,11 +264,10 @@ def end_to_end(
     if p_series is None:
         p_series = sample_caratheodory(seed, END_TO_END_KERNELS, mode=mode)
     a2, a3 = solve_forward(pair.class_f, pair.phi, p_series)
-    c1, c2 = p_series.coeffs[1:3]
+    c1, c2 = p_series[1], p_series[2]
     g2, g3 = invert_schlicht(a2, a3)
     inverse_side = functional(pair.class_g, SchlichtCoeffs([g2, g3]))
-    e1 = inverse_side.coeffs[1]
-    e2 = inverse_side.coeffs[2]
+    e1, e2 = inverse_side[1], inverse_side[2]
     D1, D2 = pair.psi.B1, pair.psi.B2
     b1 = 2 * e1 / D1
     b2 = b1 * b1 / 2 + (e2 - D2 * b1 * b1 / 4) * 2 / D1
@@ -399,9 +398,8 @@ def _check_reversion(rng, mode, samples):
         ident = TruncatedSeries.var(order=order, mode=mode)
         if not g.compose(f).agrees_with(ident):
             return f"reversion round trip failed for {f!r}"
-        a2, a3 = f.coeffs[2], f.coeffs[3]
-        if not (agree(g.coeffs[2], -a2)
-                and agree(g.coeffs[3], 2 * a2 * a2 - a3)):
+        a2, a3 = f[2], f[3]
+        if not (agree(g[2], -a2) and agree(g[3], 2 * a2 * a2 - a3)):
             return f"cubic inverse prefix failed for {f!r}"
     return None
 
@@ -417,8 +415,7 @@ def _check_expansions(side, rng, mode, samples):
         coeffs = invert_schlicht(a2, a3) if inverse else (a2, a3)
         series = functional(spec, SchlichtCoeffs(coeffs))
         e1, e2 = (expansion_g if inverse else expansion_f)(triple(spec), a2, a3)
-        if not (agree(series.coeffs[1], e1)
-                and agree(series.coeffs[2], e2)):
+        if not (agree(series[1], e1) and agree(series[2], e2)):
             return f"{side} expansion failed for {spec!r}, a2={a2!r}, a3={a3!r}"
     return None
 
@@ -433,8 +430,7 @@ def _check_subordination_form(rng, mode, samples):
         B1, B2 = target.B1, target.B2
         want1 = B1 * c1 / 2
         want2 = B1 * (c2 - c1 * c1 / 2) / 2 + B2 * c1 * c1 / 4
-        if not (agree(composed.coeffs[1], want1)
-                and agree(composed.coeffs[2], want2)):
+        if not (agree(composed[1], want1) and agree(composed[2], want2)):
             return f"subordination form failed for {target!r}, c1={c1!r}, c2={c2!r}"
     return None
 

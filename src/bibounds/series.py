@@ -16,32 +16,33 @@ level: a :class:`QComplex` stores three ``int`` values ``(re, im, den)``,
 the Gaussian-integer numerator ``re + i*im`` over one denominator, in
 lowest terms (``den > 0`` and ``gcd(re, im, den) == 1``).  That form is
 unique, so equality compares three ints.  One normaliser, ``_reduced``,
-builds every arithmetic result and every kernel coefficient with one
-``math.gcd(re, im, den)`` and a sign fix; ``.re`` and ``.im`` are read-only
+builds every scalar result and every coefficient a series hands out with
+one ``math.gcd(re, im, den)`` and a sign fix; ``.re`` and ``.im`` are read-only
 ``Fraction`` properties for callers that want the parts.
 
-How exact kernels compute: series multiplication, series division,
-composition, ``pow_unit`` and the powers behind ``revert`` change
-representation once on the way in and once on the way out.  On the way in
-each operand becomes Gaussian-integer numerators (one ``int`` list for the
-real parts, one for the imaginary parts) over one shared positive
-denominator, the lcm of its coefficients' denominators, read straight from
-the stored ints.  Every inner-loop step then runs on Python ``int``.  On the
-way out each coefficient goes through the normaliser, so ``coeffs`` is
-always a tuple of ``QComplex`` in lowest terms.  Addition, negation, the
-derivative, the shifts and truncation work on ``QComplex`` directly, and so
-do a product by a scalar and a quotient by one: one coefficient at a time,
-the same line in both modes, with no scalar padded into a series.  Float
-mode works on ``complex`` throughout: products, quotients and composition
-(one Horner loop) run on the local coefficient tuples, each sum starting
-at ``0j``.
+How exact series are stored and computed: an exact series is the same
+design at the series level.  It holds one ``int`` tuple of real numerators,
+one of imaginary numerators and one shared denominator, in canonical form
+(``den > 0`` and no factor common to the denominator and every numerator),
+so equality and hashing compare ints.  Every kernel reads and writes these
+vectors: the ring operations, division, the derivative, the shifts,
+truncation, composition, ``pow_unit``, ``revert`` and a product or quotient
+by a scalar.  A kernel whose coefficients share one natural denominator
+(products, sums, composition) ends with one ``math.gcd`` over the vector; one
+whose coefficients carry their own (division's powers of the lead,
+``pow_unit``'s ``n!(md)**n``, ``revert``'s ``n*dq**n``) reduces each
+coefficient by its own gcd first, then brings them to the lcm.
+``agrees_with`` cross-multiplies two prefixes, so series of different orders
+and denominators compare without normalising.  ``coeffs`` builds the
+:class:`QComplex` tuple only when asked and keeps it, and indexing builds only
+the coefficient asked for.  Float mode stores a tuple of ``complex`` as a
+plain attribute: products, quotients and composition (one Horner loop) run on
+it, each sum starting at ``0j``.
 
 The constructor is the one checked entry point: it coerces callers'
 coefficients into the tower and pads or truncates them to the order.
-Kernel results are already tower values of the right length, so the ring
-operations, division, the derivative, the shifts, truncation, composition,
-``pow_unit`` and ``revert`` return through a private constructor that skips
-that re-coercion.
+Kernel results are already tower values of the right length, so every
+operation returns through a private constructor that skips that re-coercion.
 
 The scalar rule lives here and nowhere else: :func:`mode_of` names the tower
 of a set of values (exact when every one is a ``QComplex``, ``Fraction`` or
@@ -62,8 +63,8 @@ no series has order -1: the derivative of an order-0 series, and
 :func:`agree` is the one comparison rule, read from the values: two exact
 values agree when they are equal, and any pair with a float in it when
 ``cmath.isclose`` holds with :data:`FLOAT_TOL` as both the relative and the
-absolute tolerance.  ``has_unit_constant`` and ``agrees_with`` compare
-through it.
+absolute tolerance.  A float series' ``has_unit_constant`` and
+``agrees_with`` compare through it; an exact series compares its ints.
 """
 
 from __future__ import annotations
@@ -322,20 +323,6 @@ def agree(x, y) -> bool:
     return x == y
 
 
-def _ints(coeffs):
-    """QComplex coefficients as (re ints, im ints, shared denominator)."""
-    den = math.lcm(*[c._den for c in coeffs])
-    scales = [den // c._den for c in coeffs]
-    re = [c._re * s for c, s in zip(coeffs, scales)]
-    im = [c._im * s for c, s in zip(coeffs, scales)]
-    return re, im, den
-
-
-def _from_ints(re, im, dens):
-    """QComplex coefficients re[k]/dens[k] + i*im[k]/dens[k], in lowest terms."""
-    return [_reduced(r, i, d) for r, i, d in zip(re, im, dens)]
-
-
 def _convolve(ar, ai, br, bi, order):
     """Gaussian-integer Cauchy product of two int series, truncated to order."""
     cr, ci = [0] * (order + 1), [0] * (order + 1)
@@ -370,15 +357,66 @@ def _float_product(a, b, order):
     return coeffs
 
 
+def _exact(re, im, den):
+    """An exact series from canonical vectors: den > 0, no factor common to all."""
+    series = _new(_ExactSeries)
+    series._re, series._im, series._den, series._coeffs = re, im, den, None
+    series.mode = EXACT
+    return series
+
+
+def _lowest(re, im, den):
+    """The exact series (re[k] + i*im[k])/den, den > 0: one gcd over all of them."""
+    g = math.gcd(den, *re, *im)
+    if g != 1:
+        return _exact(tuple([r // g for r in re]), tuple([i // g for i in im]),
+                      den // g)
+    return _exact(tuple(re), tuple(im), den)
+
+
+def _lowest_each(re, im, dens):
+    """The exact series (re[k] + i*im[k])/dens[k], every dens[k] > 0.
+
+    Each coefficient is reduced by its own gcd before all are brought to the
+    lcm of the reduced denominators.  A kernel whose denominators grow with k
+    (a power of the lead, ``n!``) leaves most of that growth in its
+    numerators; one gcd over the vector scaled to the largest denominator
+    would run on far longer ints.
+    """
+    reduced = []
+    for r, i, d in zip(re, im, dens):
+        g = math.gcd(r, i, d)
+        reduced.append((r // g, i // g, d // g) if g != 1 else (r, i, d))
+    den = math.lcm(*[d for _, _, d in reduced])
+    re, im = [], []
+    for r, i, d in reduced:
+        scale = den // d
+        re.append(r * scale)
+        im.append(i * scale)
+    return _exact(tuple(re), tuple(im), den)
+
+
+def _float(coeffs):
+    """A float series of complex coefficients, stored without re-coercion."""
+    series = _new(TruncatedSeries)
+    series.coeffs = tuple(coeffs)
+    series.mode = FLOAT
+    return series
+
+
 class TruncatedSeries:
     """The coefficients ``c[0..order]`` of an analytic germ, all of them known.
 
-    ``coeffs`` always has length ``order + 1``, and the order is the only
-    one a series has: a result keeps only the coefficients its inputs
-    determine (see module docstring).
+    A float series stores ``coeffs``, a tuple of ``complex``, as a plain
+    attribute.  An exact series is an :class:`_ExactSeries`, the same slots
+    read through exact accessors: int numerators ``_re`` and ``_im`` over one
+    ``_den``, with ``coeffs`` built on first use and kept in ``_coeffs``.
+    The kernels live here and branch on ``mode``.  The order is the only one
+    a series has: a result keeps only the coefficients its inputs determine
+    (see module docstring).
     """
 
-    __slots__ = ("coeffs", "mode")
+    __slots__ = ("coeffs", "mode", "_re", "_im", "_den", "_coeffs")
 
     def __init__(self, coeffs, mode=EXACT, order=None):
         items = [coerce_scalar(c, mode) for c in coeffs]
@@ -391,21 +429,21 @@ class TruncatedSeries:
         zero = coerce_scalar(0, mode)
         items = items[: order + 1]
         items += [zero] * (order + 1 - len(items))
-        self.coeffs = tuple(items)
         self.mode = mode
-
-    @classmethod
-    def _of(cls, coeffs, mode):
-        """A kernel's result, stored without re-coercion.
-
-        The caller guarantees what ``__init__`` would establish: every
-        coefficient already in mode's tower (``complex`` or ``QComplex``)
-        and at least one of them.
-        """
-        series = object.__new__(cls)
-        series.coeffs = tuple(coeffs)
-        series.mode = mode
-        return series
+        if mode != EXACT:
+            self.coeffs = tuple(items)
+            return
+        # The layouts match, so the class can change in place; a float
+        # series pays no dispatch for it.
+        self.__class__ = _ExactSeries
+        den = math.lcm(*[c._den for c in items])
+        re, im = [], []
+        for c in items:
+            scale = den // c._den
+            re.append(c._re * scale)
+            im.append(c._im * scale)
+        self._re, self._im, self._den = tuple(re), tuple(im), den
+        self._coeffs = tuple(items)
 
     # ------------------------------------------------------------------
     # constructors
@@ -440,6 +478,9 @@ class TruncatedSeries:
     def __iter__(self):
         return iter(self.coeffs)
 
+    def _nonzero(self, k) -> bool:
+        return bool(self.coeffs[k])
+
     def has_unit_constant(self) -> bool:
         """Constant term 1: exactly in exact mode, within FLOAT_TOL in float mode.
 
@@ -452,7 +493,9 @@ class TruncatedSeries:
         """The series to ``order``; itself when it has no higher coefficient."""
         if _order(order) >= self.order:
             return self
-        return TruncatedSeries._of(self.coeffs[: order + 1], self.mode)
+        if self.mode == EXACT:
+            return _lowest(self._re[: order + 1], self._im[: order + 1], self._den)
+        return _float(self.coeffs[: order + 1])
 
     def _require_same_mode(self, other):
         if self.mode != other.mode:
@@ -469,20 +512,37 @@ class TruncatedSeries:
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
             self._require_same_mode(other)
-            order = min(self.order, other.order)
-            coeffs = [
-                self.coeffs[k] + other.coeffs[k] for k in range(order + 1)
-            ]
-            return TruncatedSeries._of(coeffs, self.mode)
+            if self.mode == EXACT:
+                # Over lcm(da, db); zip stops at the lower order.
+                da, db = self._den, other._den
+                g = math.gcd(da, db)
+                sa, sb = db // g, da // g
+                return _lowest(
+                    [x * sa + y * sb for x, y in zip(self._re, other._re)],
+                    [x * sa + y * sb for x, y in zip(self._im, other._im)],
+                    da * sa)
+            return _float([x + y for x, y in zip(self.coeffs, other.coeffs)])
         value = self._scalar(other)
+        if self.mode == EXACT:
+            d, e = self._den, value._den
+            g = math.gcd(d, e)
+            s = e // g
+            re = [r * s for r in self._re]
+            im = [i * s for i in self._im]
+            re[0] += value._re * (d // g)
+            im[0] += value._im * (d // g)
+            return _lowest(re, im, d * s)
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + value
-        return TruncatedSeries._of(coeffs, self.mode)
+        return _float(coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._of([-c for c in self.coeffs], self.mode)
+        if self.mode == EXACT:
+            return _exact(tuple([-r for r in self._re]),
+                          tuple([-i for i in self._im]), self._den)
+        return _float([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -497,27 +557,31 @@ class TruncatedSeries:
             self._require_same_mode(other)
             order = min(self.order, other.order)
             if self.mode == EXACT:
-                ar, ai, da = _ints(self.coeffs[: order + 1])
-                br, bi, db = _ints(other.coeffs[: order + 1])
-                cr, ci = _convolve(ar, ai, br, bi, order)
-                return TruncatedSeries._of(
-                    _from_ints(cr, ci, [da * db] * (order + 1)), EXACT
-                )
-            return TruncatedSeries._of(
-                _float_product(self.coeffs, other.coeffs, order), FLOAT
-            )
+                cr, ci = _convolve(self._re, self._im, other._re, other._im, order)
+                return _lowest(cr, ci, self._den * other._den)
+            return _float(_float_product(self.coeffs, other.coeffs, order))
         value = self._scalar(other)
-        return TruncatedSeries._of([c * value for c in self.coeffs], self.mode)
+        if self.mode == EXACT:
+            cr, ci = _times(value._re, value._im, self._re, self._im)
+            return _lowest(cr, ci, self._den * value._den)
+        return _float([c * value for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
             value = self._scalar(other)
-            return TruncatedSeries._of([c / value for c in self.coeffs], self.mode)
+            if self.mode == EXACT:
+                # Times e*conj(v) over |v|**2, for the value v/e.
+                vr, vi, e = value._re, value._im, value._den
+                norm = vr * vr + vi * vi
+                if not norm:
+                    raise ZeroDivisionError("division by exact zero")
+                cr, ci = _times(vr * e, -vi * e, self._re, self._im)
+                return _lowest(cr, ci, self._den * norm)
+            return _float([c / value for c in self.coeffs])
         self._require_same_mode(other)
-        lead = other.coeffs[0]
-        if not lead:
+        if not other._nonzero(0):
             raise ZeroDivisionError(
                 "series division needs a nonzero constant term in the divisor"
             )
@@ -526,8 +590,8 @@ class TruncatedSeries:
             # Multiply both sides by conj(lead) so the divisor's lead is the
             # positive integer L; then q_n = P_n / L**(n+1) with
             # P_n = A_n L**n - sum_{i<n} P_i B_{n-i} L**(n-1-i).
-            ar, ai, da = _ints(self.coeffs[: order + 1])
-            br, bi, db = _ints(other.coeffs[: order + 1])
+            ar, ai, da = self._re[: order + 1], self._im[: order + 1], self._den
+            br, bi, db = other._re[: order + 1], other._im[: order + 1], other._den
             conj = br[0], -bi[0]
             ar, ai = _times(*conj, ar, ai)
             br, bi = _times(*conj, br, bi)
@@ -543,19 +607,17 @@ class TruncatedSeries:
                     si -= (pr[i] * bi[n - i] + pi[i] * br[n - i]) * w
                 pr.append(sr)
                 pi.append(si)
-            return TruncatedSeries._of(
-                _from_ints([p * db for p in pr], [p * db for p in pi],
-                           [da * p for p in powers[1:]]),
-                EXACT,
-            )
+            return _lowest_each([p * db for p in pr], [p * db for p in pi],
+                                [da * p for p in powers[1:]])
         a, b = self.coeffs, other.coeffs
+        lead = b[0]
         quotient = []
         for n in range(order + 1):
             acc = a[n]
             for i in range(n):
                 acc = acc - quotient[i] * b[n - i]
             quotient.append(acc / lead)
-        return TruncatedSeries._of(quotient, FLOAT)
+        return _float(quotient)
 
     def __rtruediv__(self, other):
         return TruncatedSeries.constant(
@@ -567,26 +629,37 @@ class TruncatedSeries:
 
     def derivative(self):
         """Termwise derivative, one order lower (order 0 gives the zero series)."""
+        if self.mode == EXACT:
+            re, im = self._re, self._im
+            if len(re) == 1:
+                return _exact((0,), (0,), 1)
+            return _lowest([k * re[k] for k in range(1, len(re))],
+                           [k * im[k] for k in range(1, len(im))], self._den)
         coeffs = [(k + 1) * self.coeffs[k + 1] for k in range(self.order)]
-        return TruncatedSeries._of(coeffs or [self._scalar(0)], self.mode)
+        return _float(coeffs or [0j])
 
     def shift_up(self):
         """Multiply by z: one order higher, every coefficient kept."""
-        return TruncatedSeries._of([self._scalar(0), *self.coeffs], self.mode)
+        if self.mode == EXACT:
+            return _exact((0, *self._re), (0, *self._im), self._den)
+        return _float([0j, *self.coeffs])
 
     def shift_down(self):
         """Divide by z, one order lower; requires a vanishing constant term.
 
         At order 0 that leaves the zero series, still of order 0.
         """
-        if self.coeffs[0]:
+        if self._nonzero(0):
             raise ValueError("cannot divide by z: constant term is nonzero")
-        return TruncatedSeries._of(self.coeffs[1:] or [self._scalar(0)], self.mode)
+        if self.mode == EXACT:
+            # Dropping a zero keeps the form canonical; at order 0 den is 1.
+            return _exact(self._re[1:] or (0,), self._im[1:] or (0,), self._den)
+        return _float(self.coeffs[1:] or [0j])
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(z)) truncated; inner must have zero constant term."""
         self._require_same_mode(inner)
-        if inner.coeffs[0]:
+        if inner._nonzero(0):
             raise ValueError(
                 "composition needs a vanishing constant term in the inner series"
             )
@@ -594,8 +667,8 @@ class TruncatedSeries:
         if self.mode == EXACT:
             # Horner on ints: after the level of o_k the partial sum is
             # r / (do * di**(order - k)).
-            orr, ori, do = _ints(self.coeffs[: order + 1])
-            ir, ii, di = _ints(inner.coeffs[: order + 1])
+            orr, ori, do = self._re, self._im, self._den
+            ir, ii, di = inner._re, inner._im, inner._den
             rr = [orr[order]] + [0] * order
             ri = [ori[order]] + [0] * order
             scale = 1  # di ** (order - k): the weight of o_k against do
@@ -604,16 +677,14 @@ class TruncatedSeries:
                 scale *= di
                 rr[0] += orr[k] * scale
                 ri[0] += ori[k] * scale
-            return TruncatedSeries._of(
-                _from_ints(rr, ri, [do * scale] * (order + 1)), EXACT
-            )
+            return _lowest(rr, ri, do * scale)
         # Horner on complex lists: r = r * inner + o_k, level by level.
         a, b = self.coeffs, inner.coeffs
         r = [a[order]] + [0j] * order
         for k in range(order - 1, -1, -1):
             r = _float_product(r, b, order)
             r[0] = r[0] + a[k]
-        return TruncatedSeries._of(r, FLOAT)
+        return _float(r)
 
     def pow_unit(self, exponent) -> "TruncatedSeries":
         """Real power of a series anchored at constant term 1.
@@ -650,7 +721,7 @@ class TruncatedSeries:
         if self.mode == EXACT:
             # self_k = A_k/d, t = s/m and w_n = W_n/(n! m**n d**n), so W_0 = 1
             # and W_n = sum_k (sk - m(n-k)) A_k W_{n-k} (n-1)!/(n-k)! (md)**(k-1).
-            ar, ai, d = _ints(self.coeffs)
+            ar, ai, d = self._re, self._im, self._den
             s, m = exponent.numerator, exponent.denominator
             wr, wi, dens = [1], [0], [1]
             for n in range(1, self.order + 1):
@@ -665,21 +736,20 @@ class TruncatedSeries:
                 wr.append(accr)
                 wi.append(acci)
                 dens.append(dens[-1] * n * m * d)
-            coeffs = _from_ints(wr, wi, dens)
-        else:
-            # tk - (n-k), not (t+1)k - n, keeps a tiny t's precision; dividing
-            # by self_0 gives (self/self_0)**t for a roundoff-unit lead.
-            a = self.coeffs
-            coeffs = [self._scalar(1)]
-            for n in range(1, self.order + 1):
-                acc = self._scalar(0)
-                for k in range(1, n + 1):
-                    acc += (exponent * k - (n - k)) * a[k] * coeffs[n - k]
-                coeffs.append(acc / (n * a[0]))
-            if not all(map(cmath.isfinite, coeffs)):
-                raise OverflowError(
-                    f"pow_unit overflows a float coefficient at exponent {exponent!r}")
-        return TruncatedSeries._of(coeffs, self.mode)
+            return _lowest_each(wr, wi, dens)
+        # tk - (n-k), not (t+1)k - n, keeps a tiny t's precision; dividing
+        # by self_0 gives (self/self_0)**t for a roundoff-unit lead.
+        a = self.coeffs
+        coeffs = [self._scalar(1)]
+        for n in range(1, self.order + 1):
+            acc = self._scalar(0)
+            for k in range(1, n + 1):
+                acc += (exponent * k - (n - k)) * a[k] * coeffs[n - k]
+            coeffs.append(acc / (n * a[0]))
+        if not all(map(cmath.isfinite, coeffs)):
+            raise OverflowError(
+                f"pow_unit overflows a float coefficient at exponent {exponent!r}")
+        return _float(coeffs)
 
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse g with g(self(z)) = z to the stored order.
@@ -687,15 +757,15 @@ class TruncatedSeries:
         Requires zero constant term and nonzero linear term.  Lagrange
         inversion: g_n = [z^(n-1)] q**n / n with q = z/self.
         """
-        if self.coeffs[0]:
+        if self._nonzero(0):
             raise ValueError("reversion needs a vanishing constant term")
-        if self.order < 1 or not self.coeffs[1]:
+        if self.order < 1 or not self._nonzero(1):
             raise ValueError("reversion needs a nonzero linear term")
         order = self.order
         q = 1 / self.shift_down()
         if self.mode == EXACT:
             # q**n = P_n / dq**n, with no normalisation between products.
-            qr, qi, dq = _ints(q.coeffs)
+            qr, qi, dq = q._re, q._im, q._den
             pr, pi, dq_n = qr, qi, dq
             gr, gi, dens = [0, qr[0]], [0, qi[0]], [1, dq]
             for n in range(2, order + 1):
@@ -704,14 +774,13 @@ class TruncatedSeries:
                 gr.append(pr[n - 1])
                 gi.append(pi[n - 1])
                 dens.append(n * dq_n)
-            g = _from_ints(gr, gi, dens)
-        else:
-            g = [self._scalar(0), q.coeffs[0]]
-            power = q
-            for n in range(2, order + 1):
-                power = power * q
-                g.append(power.coeffs[n - 1] / n)
-        return TruncatedSeries._of(g, self.mode)
+            return _lowest_each(gr, gi, dens)
+        g = [0j, q.coeffs[0]]
+        power = q
+        for n in range(2, order + 1):
+            power = power * q
+            g.append(power.coeffs[n - 1] / n)
+        return _float(g)
 
     # ------------------------------------------------------------------
     # comparisons
@@ -728,10 +797,17 @@ class TruncatedSeries:
         """Coefficientwise :func:`agree` up to the lower of the two orders."""
         self._require_same_mode(other)
         count = min(self.order, other.order) + 1
-        mine, theirs = self.coeffs[:count], other.coeffs[:count]
-        if self.mode == EXACT:  # whole tuples: one comparison, not one per coefficient
-            return mine == theirs
-        return all(map(agree, mine, theirs))
+        if self.mode == EXACT:
+            # x/da == y/db as x*db == y*da: no prefix is normalised.
+            da, db = self._den, other._den
+            if da == db:
+                return (self._re[:count] == other._re[:count]
+                        and self._im[:count] == other._im[:count])
+            return ([x * db for x in self._re[:count]]
+                    == [y * da for y in other._re[:count]]
+                    and [x * db for x in self._im[:count]]
+                    == [y * da for y in other._im[:count]])
+        return all(map(agree, self.coeffs[:count], other.coeffs[:count]))
 
     def __repr__(self):
         preview = ", ".join(str(c) for c in self.coeffs[:4])
@@ -741,3 +817,51 @@ class TruncatedSeries:
             f"TruncatedSeries([{preview}], mode={self.mode!r}, "
             f"order={self.order})"
         )
+
+
+class _ExactSeries(TruncatedSeries):
+    """An exact series: Gaussian-integer numerators over one denominator.
+
+    ``_re`` and ``_im`` are int tuples of length ``order + 1`` over the int
+    ``_den``, in canonical form (``_den > 0``, ``gcd(*_re, *_im, _den) ==
+    1``), so equality and hashing read the ints.  ``coeffs`` builds the
+    :class:`QComplex` tuple on first use and keeps it; indexing builds only
+    the coefficient asked for.  The accessors here read the ints; the
+    kernels are :class:`TruncatedSeries`' own.
+    """
+
+    __slots__ = ()
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(
+                [_reduced(r, i, den) for r, i in zip(self._re, self._im)])
+        return self._coeffs
+
+    @property
+    def order(self) -> int:
+        return len(self._re) - 1
+
+    def __getitem__(self, index):
+        if self._coeffs is not None:
+            return self._coeffs[index]
+        if isinstance(index, slice):
+            return self.coeffs[index]
+        return _reduced(self._re[index], self._im[index], self._den)
+
+    def _nonzero(self, k) -> bool:
+        return bool(self._re[k] or self._im[k])
+
+    def has_unit_constant(self) -> bool:
+        return self._re[0] == self._den and not self._im[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, _ExactSeries):
+            return False if isinstance(other, TruncatedSeries) else NotImplemented
+        return (self._den == other._den and self._re == other._re
+                and self._im == other._im)
+
+    def __hash__(self):
+        return hash((self._re, self._im, self._den))

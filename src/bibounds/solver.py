@@ -264,7 +264,7 @@ def solve_forward(spec: ClassSpec, target: MindaTarget, p_series: TruncatedSerie
         raise ValueError("forward solve needs a transform of order at least 2, "
                          f"got order {p_series.order}")
     B1, B2 = target.B1, target.B2
-    c1, c2 = p_series.coeffs[1:3]
+    c1, c2 = p_series[1], p_series[2]
     x = B1 * c2 / 2 + (B2 - B1) * c1 * c1 / 4
     return _forward(triple(spec), B1, c1, x)
 

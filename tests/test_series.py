@@ -528,7 +528,7 @@ class TestOrders:
     @pytest.mark.parametrize("value", [True, 0.5, "1", 3])
     def test_valid_order_keyword_is_refused(self, value):
         # A series has one order, its storage order; there is no second one to set.
-        assert TruncatedSeries.__slots__ == ("coeffs", "mode")
+        assert "valid_order" not in TruncatedSeries.__slots__
         with pytest.raises(TypeError, match="valid_order"):
             TruncatedSeries([1, 1], order=3, valid_order=value)
 
@@ -970,6 +970,58 @@ def test_kernel_results_are_what_the_constructor_builds(mode, data):
             else:
                 assert type(c) is QComplex, name
                 assert_canonical(c)
+
+
+# An exact series stores int numerators _re and _im over one int _den in
+# canonical form: den > 0 and no common factor of all of them.
+
+def assert_canonical_series(s):
+    ints = (*s._re, *s._im, s._den)
+    assert all(type(x) is int for x in ints)
+    assert len(s._re) == len(s._im) == s.order + 1
+    assert s._den > 0 and math.gcd(*ints) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_kernel_results_are_canonical(data):
+    results = kernel_results(data.draw, EXACT)
+    a = results["a + b"]
+    results["a.truncated(k)"] = a.truncated(data.draw(st.integers(0, a.order)))
+    for name, r in results.items():
+        assert_canonical_series(r), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equal_exact_series_by_different_routes_are_equal_and_hash_equal(data):
+    results = kernel_results(data.draw, EXACT)
+    for name, r in results.items():
+        rebuilt = TruncatedSeries(r.coeffs, order=r.order)
+        assert r == rebuilt and hash(r) == hash(rebuilt), name
+    pairs = [("a * b", "b * a"), ("a * s", "s * a"), ("a + s", "s + a")]
+    for left, right in pairs:
+        assert results[left] == results[right], left
+        assert hash(results[left]) == hash(results[right]), left
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(exact_values, min_size=9, max_size=9), st.integers(0, 3))
+def test_agrees_with_its_truncation_over_a_smaller_denominator(coeffs, k):
+    s = TruncatedSeries(coeffs, order=8)
+    t = s.truncated(3)
+    assert s._den % t._den == 0
+    assert s.agrees_with(t) and t.agrees_with(s)
+    bumped = TruncatedSeries([*t.coeffs[:k], t[k] + Fraction(1, 7), *t.coeffs[k + 1:]])
+    assert not s.agrees_with(bumped) and not bumped.agrees_with(s)
+
+
+def test_truncation_can_shrink_the_denominator():
+    s = exact([1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)])
+    t = s.truncated(3)
+    assert (s._den, t._den) == (210, 30)
+    assert s.agrees_with(t) and t.agrees_with(s)
+    assert t == exact([1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], order=3)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
