@@ -865,3 +865,7 @@ class _ExactSeries(TruncatedSeries):
 
     def __hash__(self):
         return hash((self._re, self._im, self._den))
+
+    def __reduce__(self):
+        # coeffs is a read-only view here, so copy and pickle take the ints.
+        return _exact, (self._re, self._im, self._den)

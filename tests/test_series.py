@@ -1,6 +1,8 @@
 import cmath
+import copy
 import math
 import operator
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -1014,6 +1016,17 @@ def test_agrees_with_its_truncation_over_a_smaller_denominator(coeffs, k):
     assert s.agrees_with(t) and t.agrees_with(s)
     bumped = TruncatedSeries([*t.coeffs[:k], t[k] + Fraction(1, 7), *t.coeffs[k + 1:]])
     assert not s.agrees_with(bumped) and not bumped.agrees_with(s)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+def test_copies_and_pickles_are_equal(mode, duplicate):
+    s = TruncatedSeries([1, Fraction(1, 2), QComplex(Fraction(2, 3), 1)], mode=mode)
+    for series in (s, s * s):
+        twin = duplicate(series)
+        assert twin == series and hash(twin) == hash(series)
+        assert twin.coeffs == series.coeffs and twin.mode == mode
 
 
 def test_truncation_can_shrink_the_denominator():
