@@ -1018,6 +1018,43 @@ def test_agrees_with_its_truncation_over_a_smaller_denominator(coeffs, k):
     assert not s.agrees_with(bumped) and not bumped.agrees_with(s)
 
 
+# Tail values over primes that exact_values never use, so a prefix with a
+# tail sits over another denominator than the series it came from.
+other_fractions = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([7, 11, 13]))
+other_values = st.builds(QComplex, other_fractions, other_fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(exact_values, min_size=1, max_size=9), st.data())
+def test_exact_agrees_with_is_coefficientwise_equality(coeffs, data):
+    a = TruncatedSeries(coeffs)
+    prefix = list(a.coeffs[: data.draw(st.integers(1, len(coeffs)))])
+    edit = data.draw(st.sampled_from(["keep", "bump", "scale"]))
+    if edit == "bump":
+        k = data.draw(st.integers(0, len(prefix) - 1))
+        prefix[k] += data.draw(st.sampled_from([Fraction(1, 7), QComplex(0, 1)]))
+    elif edit == "scale":
+        # Numerators seldom have a factor 13, so the ints mostly stay the same
+        # and only the denominator moves.
+        prefix = [c / 13 for c in prefix]
+    b = TruncatedSeries(prefix + data.draw(st.lists(other_values, max_size=4)))
+    want = all(x == y for x, y in zip(a.coeffs, b.coeffs))
+    assert a.agrees_with(b) is want
+    assert b.agrees_with(a) is want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(exact_values, min_size=1, max_size=9),
+       st.one_of(exact_values, cheap_fractions, st.integers(-5, 5)).filter(bool))
+def test_exact_division_by_a_scalar_is_coefficientwise(coeffs, q):
+    s = TruncatedSeries(coeffs)
+    assert (s / q).coeffs == tuple(c / q for c in s.coeffs)
+    assert_canonical_series(s / q)
+    for zero in (0, False, Fraction(0), QComplex(0)):
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            s / zero
+
+
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @pytest.mark.parametrize("duplicate", [
     copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
