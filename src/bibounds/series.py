@@ -26,18 +26,19 @@ one of imaginary numerators and one shared denominator, in canonical form
 (``den > 0`` and no factor common to the denominator and every numerator),
 so equality and hashing compare ints.  Every kernel reads and writes these
 vectors: the ring operations, division, the derivative, the shifts,
-truncation, composition, ``pow_unit``, ``revert`` and a product or quotient
-by a scalar.  A kernel whose coefficients share one natural denominator
-(products, sums, composition) ends with one ``math.gcd`` over the vector; one
-whose coefficients carry their own (division's powers of the lead,
-``pow_unit``'s ``n!(md)**n``, ``revert``'s ``n*dq**n``) reduces each
-coefficient by its own gcd first, then brings them to the lcm.
-``agrees_with`` cross-multiplies two prefixes, so series of different orders
-and denominators compare without normalising.  ``coeffs`` builds the
-:class:`QComplex` tuple only when asked and keeps it, and indexing builds only
-the coefficient asked for.  Float mode stores a tuple of ``complex`` as a
-plain attribute: products, quotients and composition (one Horner loop) run on
-it, each sum starting at ``0j``.
+truncation, composition, ``pow_unit``, ``revert`` and a product by a scalar;
+a quotient by a scalar is the product by its exact reciprocal.  A kernel
+whose coefficients share one natural denominator (products, sums,
+composition) ends with one ``math.gcd`` over the vector; one whose
+coefficients carry their own (division's powers of the lead, ``pow_unit``'s
+``n!(md)**n``, ``revert``'s ``n*dq**n``) reduces each coefficient by its own
+gcd first, then brings them to the lcm.  Comparison reads the canonical ints
+too: ``agrees_with`` truncates the longer series to the shorter one's order
+and compares ints.  Nothing else is stored: ``coeffs`` builds the
+:class:`QComplex` tuple on each call, and indexing builds only the
+coefficient asked for.  Float mode stores a tuple of ``complex`` as a plain
+attribute: products, quotients and composition (one Horner loop) run on it,
+each sum starting at ``0j``.
 
 The constructor is the one checked entry point: it coerces callers'
 coefficients into the tower and pads or truncates them to the order.
@@ -360,9 +361,20 @@ def _float_product(a, b, order):
 def _exact(re, im, den):
     """An exact series from canonical vectors: den > 0, no factor common to all."""
     series = _new(_ExactSeries)
-    series._re, series._im, series._den, series._coeffs = re, im, den, None
+    series._re, series._im, series._den = re, im, den
     series.mode = EXACT
     return series
+
+
+def _over_lcm(parts):
+    """Lowest-terms (re, im, den) triples over their lcm: canonical vectors."""
+    den = math.lcm(*[d for _, _, d in parts])
+    re, im = [], []
+    for r, i, d in parts:
+        scale = den // d
+        re.append(r * scale)
+        im.append(i * scale)
+    return tuple(re), tuple(im), den
 
 
 def _lowest(re, im, den):
@@ -387,13 +399,7 @@ def _lowest_each(re, im, dens):
     for r, i, d in zip(re, im, dens):
         g = math.gcd(r, i, d)
         reduced.append((r // g, i // g, d // g) if g != 1 else (r, i, d))
-    den = math.lcm(*[d for _, _, d in reduced])
-    re, im = [], []
-    for r, i, d in reduced:
-        scale = den // d
-        re.append(r * scale)
-        im.append(i * scale)
-    return _exact(tuple(re), tuple(im), den)
+    return _exact(*_over_lcm(reduced))
 
 
 def _float(coeffs):
@@ -410,13 +416,13 @@ class TruncatedSeries:
     A float series stores ``coeffs``, a tuple of ``complex``, as a plain
     attribute.  An exact series is an :class:`_ExactSeries`, the same slots
     read through exact accessors: int numerators ``_re`` and ``_im`` over one
-    ``_den``, with ``coeffs`` built on first use and kept in ``_coeffs``.
+    ``_den``, with ``coeffs`` built from them when asked.
     The kernels live here and branch on ``mode``.  The order is the only one
     a series has: a result keeps only the coefficients its inputs determine
     (see module docstring).
     """
 
-    __slots__ = ("coeffs", "mode", "_re", "_im", "_den", "_coeffs")
+    __slots__ = ("coeffs", "mode", "_re", "_im", "_den")
 
     def __init__(self, coeffs, mode=EXACT, order=None):
         items = [coerce_scalar(c, mode) for c in coeffs]
@@ -436,14 +442,8 @@ class TruncatedSeries:
         # The layouts match, so the class can change in place; a float
         # series pays no dispatch for it.
         self.__class__ = _ExactSeries
-        den = math.lcm(*[c._den for c in items])
-        re, im = [], []
-        for c in items:
-            scale = den // c._den
-            re.append(c._re * scale)
-            im.append(c._im * scale)
-        self._re, self._im, self._den = tuple(re), tuple(im), den
-        self._coeffs = tuple(items)
+        self._re, self._im, self._den = _over_lcm(
+            [(c._re, c._im, c._den) for c in items])
 
     # ------------------------------------------------------------------
     # constructors
@@ -498,6 +498,8 @@ class TruncatedSeries:
         return _float(self.coeffs[: order + 1])
 
     def _require_same_mode(self, other):
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError(f"expected a series, got {type(other).__name__}")
         if self.mode != other.mode:
             raise ModeMismatchError(
                 f"cannot combine {self.mode} and {other.mode} series"
@@ -572,13 +574,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             value = self._scalar(other)
             if self.mode == EXACT:
-                # Times e*conj(v) over |v|**2, for the value v/e.
-                vr, vi, e = value._re, value._im, value._den
-                norm = vr * vr + vi * vi
-                if not norm:
-                    raise ZeroDivisionError("division by exact zero")
-                cr, ci = _times(vr * e, -vi * e, self._re, self._im)
-                return _lowest(cr, ci, self._den * norm)
+                return self * (1 / value)
             return _float([c / value for c in self.coeffs])
         self._require_same_mode(other)
         if not other._nonzero(0):
@@ -796,17 +792,14 @@ class TruncatedSeries:
     def agrees_with(self, other) -> bool:
         """Coefficientwise :func:`agree` up to the lower of the two orders."""
         self._require_same_mode(other)
-        count = min(self.order, other.order) + 1
         if self.mode == EXACT:
-            # x/da == y/db as x*db == y*da: no prefix is normalised.
-            da, db = self._den, other._den
-            if da == db:
-                return (self._re[:count] == other._re[:count]
-                        and self._im[:count] == other._im[:count])
-            return ([x * db for x in self._re[:count]]
-                    == [y * da for y in other._re[:count]]
-                    and [x * db for x in self._im[:count]]
-                    == [y * da for y in other._im[:count]])
+            # A value has one canonical form, so equal prefixes are equal ints.
+            a, b = self, other
+            if len(a._re) != len(b._re):
+                order = min(a.order, b.order)
+                a, b = a.truncated(order), b.truncated(order)
+            return a._den == b._den and a._re == b._re and a._im == b._im
+        count = min(self.order, other.order) + 1
         return all(map(agree, self.coeffs[:count], other.coeffs[:count]))
 
     def __repr__(self):
@@ -824,9 +817,9 @@ class _ExactSeries(TruncatedSeries):
 
     ``_re`` and ``_im`` are int tuples of length ``order + 1`` over the int
     ``_den``, in canonical form (``_den > 0``, ``gcd(*_re, *_im, _den) ==
-    1``), so equality and hashing read the ints.  ``coeffs`` builds the
-    :class:`QComplex` tuple on first use and keeps it; indexing builds only
-    the coefficient asked for.  The accessors here read the ints; the
+    1``), so equality, hashing and ``agrees_with`` read the ints.  ``coeffs``
+    builds the :class:`QComplex` tuple on each call; indexing builds only the
+    coefficient asked for.  The accessors here read the ints; the
     kernels are :class:`TruncatedSeries`' own.
     """
 
@@ -834,19 +827,14 @@ class _ExactSeries(TruncatedSeries):
 
     @property
     def coeffs(self):
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple(
-                [_reduced(r, i, den) for r, i in zip(self._re, self._im)])
-        return self._coeffs
+        den = self._den
+        return tuple([_reduced(r, i, den) for r, i in zip(self._re, self._im)])
 
     @property
     def order(self) -> int:
         return len(self._re) - 1
 
     def __getitem__(self, index):
-        if self._coeffs is not None:
-            return self._coeffs[index]
         if isinstance(index, slice):
             return self.coeffs[index]
         return _reduced(self._re[index], self._im[index], self._den)

@@ -682,6 +682,15 @@ class TestModeDiscipline:
         with pytest.raises(ModeMismatchError):
             op(exact_series, float_series)
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("operand", [1, [0, 1], None, QComplex(1)],
+                             ids=["int", "list", "None", "QComplex"])
+    @pytest.mark.parametrize("method", ["compose", "agrees_with"])
+    def test_a_non_series_operand_is_a_type_error_naming_it(self, mode, operand, method):
+        s = TruncatedSeries([1, 2, 3], mode=mode)
+        with pytest.raises(TypeError, match=f"got {type(operand).__name__}$"):
+            getattr(s, method)(operand)
+
     def test_float_coefficient_in_exact_mode_raises(self):
         with pytest.raises(ModeMismatchError):
             TruncatedSeries([1.0, 2.0], mode=EXACT)
