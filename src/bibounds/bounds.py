@@ -58,6 +58,7 @@ the audit notes (:func:`pm_display_variant_a2_bound`).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from fractions import Fraction
 
@@ -158,20 +159,20 @@ def _sigma_in_alpha(tag, b, d) -> tuple:
             3 * dd - 2 * d * b)
 
 
-def _horner(coefficients, n, d):
-    """The polynomial with these coefficients at n/d, as (numerator, d**degree)."""
+def _sigma_column(tag, b):
+    """The printed sigma at beta = b = n/d: (its :func:`_sigma_in_alpha` coefficients, d^2)."""
+    d = b.denominator
+    return _sigma_in_alpha(tag, b.numerator, d), d * d
+
+
+def _sigma_at(column, n, d):
+    """A :func:`_sigma_column` at alpha = n/d, by Horner, as (numerator, denominator)."""
+    coefficients, den = column
     value, weight = coefficients[-1], 1
     for c in coefficients[-2::-1]:
         weight *= d
         value = value * n + c * weight
-    return value, weight
-
-
-def _sigma_pair(tag, a, b):
-    # The printed sigma at Fractions a and b as (numerator, denominator).
-    d = b.denominator
-    num, den = _horner(_sigma_in_alpha(tag, b.numerator, d), a.numerator, a.denominator)
-    return num, den * d * d
+    return value, den * weight
 
 
 def _function_side(tag, a, t: _TargetFactors) -> _Side:
@@ -267,7 +268,8 @@ def _point(tag, alpha, beta, B1, B2, D1, D2):
     tag = theorem_tag(tag)
     a, b, *targets = map(_real_fraction, (alpha, beta, B1, B2, D1, D2),
                          ("alpha", "beta", "B1", "B2", "D1", "D2"))
-    return tag, a, b, _target_factors(*targets), _sigma_pair(tag, a, b)
+    sigma = _sigma_at(_sigma_column(tag, b), a.numerator, a.denominator)
+    return tag, a, b, _target_factors(*targets), sigma
 
 
 def _fraction(value):
@@ -277,7 +279,8 @@ def _fraction(value):
 def printed_sigma(tag, alpha, beta) -> Fraction:
     """Literal evaluation of the stated sigma polynomial."""
     tag = theorem_tag(tag)
-    return Fraction(*_sigma_pair(tag, *map(_real_fraction, (alpha, beta), ("alpha", "beta"))))
+    a, b = map(_real_fraction, (alpha, beta), ("alpha", "beta"))
+    return Fraction(*_sigma_at(_sigma_column(tag, b), a.numerator, a.denominator))
 
 
 def derived_sigma(tag, alpha, beta) -> Fraction:
@@ -447,7 +450,14 @@ _Row = namedtuple("_Row", "printed generic")
 _Column = namedtuple("_Column", "printed display generic")
 
 
-def _targets(phi: MindaTarget, psi: MindaTarget) -> _Targets:
+def _targets(pair) -> _Targets:
+    # A pair that is not two MindaTargets is a TypeError naming what is wrong.
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+        raise TypeError(f"target pair must be (phi, psi), got {pair!r}")
+    phi, psi = pair
+    for name, value in (("phi", phi), ("psi", psi)):
+        if not isinstance(value, MindaTarget):
+            raise TypeError(f"{name} must be a MindaTarget, got {type(value).__name__}")
     B1, B2, D1, D2 = phi.B1, phi.B2, psi.B1, psi.B2
     return _Targets(phi, psi, _target_factors(B1, B2, D1, D2),
                     _floats((B1, B2, D1, D2)), _floats(phi.coefficients),
@@ -554,19 +564,22 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
     Each quantity is evaluated once per level, as the module docstring
     lists.  The inverse-side ClassSpecs are built while the first row runs,
     so an invalid parameter raises at the first grid point that uses it.
+    Each target pair must be (phi, psi), two MindaTargets, and the tolerance
+    a real number other than a bool; else a TypeError names the input.
     """
     tag = theorem_tag(tag)
     alphas, betas, target_pairs = list(alphas), list(betas), list(target_pairs)
     if not (alphas and betas and target_pairs):
         raise ValueError("audit needs a nonempty grid")
+    if isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real):
+        raise TypeError(f"tolerance must be real, got {rel_tol!r}")
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {rel_tol!r}")
     if rel_tol >= 1:  # no same-sign mismatch could flag
         raise ValueError(f"tolerance must be below 1, got {rel_tol!r}")
-    targets = [_targets(phi, psi) for phi, psi in target_pairs]
+    targets = [_targets(pair) for pair in target_pairs]
     # Per beta, filled by the first row: its float, the printed sigma's
-    # coefficients in alpha as numerators over its d^2, that d^2, and a
-    # _Column per target pair.
+    # column and a _Column per target pair.
     columns = []
     out = []
     for alpha in alphas:
@@ -580,13 +593,10 @@ def audit(tag, alphas, betas, target_pairs, rel_tol=AUDIT_REL_TOL):
             if j == len(columns):
                 b = _real_fraction(beta, "beta")
                 tg = inverse_triple(triple(ClassSpec(tag[1], b)))
-                columns.append((b.numerator / b.denominator,
-                                _sigma_in_alpha(tag, b.numerator, b.denominator),
-                                b.denominator ** 2,
+                columns.append((b.numerator / b.denominator, _sigma_column(tag, b),
                                 [_column(tag, b, tg, t) for t in targets]))
-            b_float, coefficients, c_den, cols = columns[j]
-            sigma_num, sigma_den = _horner(coefficients, n, d)
-            sigma = sigma_num, c_den * sigma_den
+            b_float, sigma_column, cols = columns[j]
+            sigma = _sigma_at(sigma_column, n, d)
             out.extend(_report_at(tag, a_float, b_float, sigma, t, row, col, rel_tol)
                        for t, row, col in zip(targets, rows, cols))
     return out

@@ -36,6 +36,7 @@ from .series import (
     QComplex,
     TruncatedSeries,
     _count,
+    _order,
     coerce_scalar,
     mode_of,
 )
@@ -120,7 +121,7 @@ class MindaTarget(CheckedRecord, namedtuple("MindaTarget", "coefficients")):
         return self.coefficients[n - 1]
 
     def series(self, order=DEFAULT_ORDER, mode=EXACT) -> TruncatedSeries:
-        coeffs = [1] + [self.coefficient(n) for n in range(1, order + 1)]
+        coeffs = [1] + [self.coefficient(n) for n in range(1, _order(order) + 1)]
         return TruncatedSeries(coeffs, mode=mode, order=order)
 
 
@@ -163,10 +164,14 @@ class SchlichtCoeffs(CheckedRecord, namedtuple("SchlichtCoeffs", "values")):
     __slots__ = ()
 
     def __new__(cls, values):
+        if isinstance(values, (str, bytes)):
+            raise TypeError("schlicht coefficients must be a sequence of numbers, "
+                            f"not {type(values).__name__}")
         return tuple.__new__(cls, (tuple(values),))
 
     def series(self, order=DEFAULT_ORDER) -> TruncatedSeries:
         """z + a2 z^2 + ... to ``order``, in the tower of the values (mode_of)."""
+        _order(order)
         coeffs = [0, 1, *self.values]
         return TruncatedSeries(coeffs[: order + 1], mode=mode_of(*self.values),
                                order=order)
@@ -252,8 +257,11 @@ def functional(
     """The class functional of f, computed entirely by the series engine.
 
     Returns a series of order ``order - 1`` with constant term 1 (the
-    functionals consume one derivative), in the tower of f's values.
+    functionals consume one derivative), in the tower of f's values.  The
+    order must be an int of at least 1.
     """
+    if _order(order) < 1:
+        raise ValueError(f"functional needs order at least 1, got {order}")
     fs = f.series(order)
     h = fs.shift_down()          # f/z, constant term 1
     fp = fs.derivative()
@@ -281,6 +289,7 @@ def subordinate_compose(
 
 def caratheodory_kernel(x, order=DEFAULT_ORDER) -> TruncatedSeries:
     """(1 + x z)/(1 - x z) = 1 + 2 sum_n x^n z^n, in the tower of a unimodular x."""
+    _order(order)
     mode = mode_of(x)
     x = coerce_scalar(x, mode)
     coeffs = [coerce_scalar(1, mode)]
@@ -399,7 +408,9 @@ def brief(value) -> str:
 
 
 def target_preset(key: str, order=DEFAULT_ORDER) -> MindaTarget:
-    """Resolve a named target: caratheodory | order:<g> | strong:<g>."""
+    """Resolve a named target: caratheodory | order:<g> | strong:<g>, to order >= 1."""
+    if _order(order) < 1:
+        raise ValueError(f"a target preset needs order at least 1, got {order}")
     name, _, arg = key.partition(":")
     name = name.strip().lower()
     if name == "caratheodory":

@@ -259,10 +259,14 @@ def end_to_end(
     reproduce the forward coefficients; both are algebraic identities,
     independent of whether the sample really keeps |b1|, |b2| <= 2 (that is
     reported in ``subordination_plausible``).  The seed, read only when no
-    ``p_series`` is given, must be an int (not a bool) of at least 0.
+    ``p_series`` is given, must be an int (not a bool) of at least 0; a
+    given ``p_series`` must be a :class:`TruncatedSeries`.
     """
     if p_series is None:
         p_series = sample_caratheodory(seed, END_TO_END_KERNELS, mode=mode)
+    elif not isinstance(p_series, TruncatedSeries):
+        raise TypeError(
+            f"p_series must be a TruncatedSeries, got {type(p_series).__name__}")
     a2, a3 = solve_forward(pair.class_f, pair.phi, p_series)
     c1, c2 = p_series[1], p_series[2]
     g2, g3 = invert_schlicht(a2, a3)
@@ -518,11 +522,11 @@ def _check_consistency_chain(rng, mode, samples):
 def _check_sigma_relations(rng, mode, samples):
     # Exact whatever the mode, and the same 5 x 5 grid whatever the samples.
     # Per tag, one function-side triple per alpha and one inverse-side triple
-    # and set of printed sigma coefficients per beta, each triple's q and r
-    # (all that the determinant reads) held once as int numerators over one
-    # denominator.  Each point then costs one determinant, one Horner step
-    # and one cross-multiplied comparison.  Alpha outer, beta inner, as the
-    # first failure's witness depends on the order.
+    # and printed sigma column (bounds._sigma_column) per beta, each triple's
+    # q and r (all that the determinant reads) held once as int numerators
+    # over one denominator.  Each point then costs one determinant, one
+    # bounds._sigma_at and one cross-multiplied comparison.  Alpha outer,
+    # beta inner, as the first failure's witness depends on the order.
     grid = [Fraction(k, 4) for k in range(5)]
     for tag in _bounds.THEOREM_TAGS:
         scale = _bounds.SIGMA_SCALE[tag]
@@ -532,13 +536,11 @@ def _check_sigma_relations(rng, mode, samples):
         for b in grid:
             t = inverse_triple(triple(ClassSpec(tag[1], b)))
             (q, r), den = integer_ratios(t.q, t.r)
-            coefficients = _bounds._sigma_in_alpha(tag, b.numerator, b.denominator)
-            columns.append((q, r, scale * den, coefficients, b.denominator ** 2))
+            columns.append((q, r, scale * den, _bounds._sigma_column(tag, b)))
         for a, ((qf, rf), f_den) in zip(grid, rows):
             n, d = a.numerator, a.denominator
-            for b, (qg, rg, scaled_den, coefficients, c_den) in zip(grid, columns):
-                printed, printed_den = _bounds._horner(coefficients, n, d)
-                printed_den *= c_den
+            for b, (qg, rg, scaled_den, sigma_column) in zip(grid, columns):
+                printed, printed_den = _bounds._sigma_at(sigma_column, n, d)
                 # tilde / scale - printed, over f_den * scaled_den * printed_den
                 gap = ((qf * rg - qg * rf) * printed_den
                        - printed * scaled_den * f_den)

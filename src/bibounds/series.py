@@ -40,8 +40,11 @@ coefficient asked for.  Float mode stores a tuple of ``complex`` as a plain
 attribute: products, quotients and composition (one Horner loop) run on it,
 each sum starting at ``0j``.
 
-The constructor is the one checked entry point: it coerces callers'
-coefficients into the tower and pads or truncates them to the order.
+The constructor is the one checked entry point: it reads callers'
+coefficients into the tower (an exact one straight into its ints, with no
+QComplex built) and pads or truncates them to the order.  A scalar operand
+of ``+`` or ``-``, and a scalar numerator, is the constant series of the
+series operand's order and mode, so it takes the series-by-series path.
 Kernel results are already tower values of the right length, so every
 operation returns through a private constructor that skips that re-coercion.
 
@@ -135,6 +138,16 @@ def _parts(value):
     if isinstance(value, (float, complex)):
         raise ModeMismatchError("cannot mix floating values into exact arithmetic")
     return None
+
+
+def _exact_parts(value):
+    """An exact coefficient as lowest-terms (re, im, den); else QComplex's refusal."""
+    if isinstance(value, QComplex):
+        return value._re, value._im, value._den
+    if isinstance(value, _REAL_EXACT):
+        return value.numerator, 0, value.denominator
+    raise ModeMismatchError(
+        f"exact scalars take int or Fraction parts, not {type(value).__name__}")
 
 
 def _quotient(ar, ai, ad, br, bi, bd):
@@ -425,14 +438,16 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "mode", "_re", "_im", "_den")
 
     def __init__(self, coeffs, mode=EXACT, order=None):
-        items = [coerce_scalar(c, mode) for c in coeffs]
+        if mode == EXACT:
+            items, zero = [_exact_parts(c) for c in coeffs], (0, 0, 1)
+        else:
+            items, zero = [coerce_scalar(c, mode) for c in coeffs], coerce_scalar(0, mode)
         if order is None:
             if not items:
                 raise ValueError("a series needs at least its constant term")
             order = len(items) - 1
         else:
             _order(order)
-        zero = coerce_scalar(0, mode)
         items = items[: order + 1]
         items += [zero] * (order + 1 - len(items))
         self.mode = mode
@@ -442,8 +457,7 @@ class TruncatedSeries:
         # The layouts match, so the class can change in place; a float
         # series pays no dispatch for it.
         self.__class__ = _ExactSeries
-        self._re, self._im, self._den = _over_lcm(
-            [(c._re, c._im, c._den) for c in items])
+        self._re, self._im, self._den = _over_lcm(items)
 
     # ------------------------------------------------------------------
     # constructors
@@ -505,38 +519,28 @@ class TruncatedSeries:
                 f"cannot combine {self.mode} and {other.mode} series"
             )
 
-    def _scalar(self, value):
-        return coerce_scalar(value, self.mode)
+    def _as_series(self, other):
+        """A series operand as it is; a scalar as the constant series of self's order."""
+        if isinstance(other, TruncatedSeries):
+            return other
+        return TruncatedSeries.constant(other, order=self.order, mode=self.mode)
 
     # ------------------------------------------------------------------
     # ring operations
 
     def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._require_same_mode(other)
-            if self.mode == EXACT:
-                # Over lcm(da, db); zip stops at the lower order.
-                da, db = self._den, other._den
-                g = math.gcd(da, db)
-                sa, sb = db // g, da // g
-                return _lowest(
-                    [x * sa + y * sb for x, y in zip(self._re, other._re)],
-                    [x * sa + y * sb for x, y in zip(self._im, other._im)],
-                    da * sa)
-            return _float([x + y for x, y in zip(self.coeffs, other.coeffs)])
-        value = self._scalar(other)
+        other = self._as_series(other)
+        self._require_same_mode(other)
         if self.mode == EXACT:
-            d, e = self._den, value._den
-            g = math.gcd(d, e)
-            s = e // g
-            re = [r * s for r in self._re]
-            im = [i * s for i in self._im]
-            re[0] += value._re * (d // g)
-            im[0] += value._im * (d // g)
-            return _lowest(re, im, d * s)
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] + value
-        return _float(coeffs)
+            # Over lcm(da, db); zip stops at the lower order.
+            da, db = self._den, other._den
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            return _lowest(
+                [x * sa + y * sb for x, y in zip(self._re, other._re)],
+                [x * sa + y * sb for x, y in zip(self._im, other._im)],
+                da * sa)
+        return _float([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
@@ -547,12 +551,10 @@ class TruncatedSeries:
         return _float([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
-        return self + (-self._scalar(other))
+        return self + (-self._as_series(other))
 
     def __rsub__(self, other):
-        return (-self) + self._scalar(other)
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -562,7 +564,7 @@ class TruncatedSeries:
                 cr, ci = _convolve(self._re, self._im, other._re, other._im, order)
                 return _lowest(cr, ci, self._den * other._den)
             return _float(_float_product(self.coeffs, other.coeffs, order))
-        value = self._scalar(other)
+        value = coerce_scalar(other, self.mode)
         if self.mode == EXACT:
             cr, ci = _times(value._re, value._im, self._re, self._im)
             return _lowest(cr, ci, self._den * value._den)
@@ -572,7 +574,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
-            value = self._scalar(other)
+            value = coerce_scalar(other, self.mode)
             if self.mode == EXACT:
                 return self * (1 / value)
             return _float([c / value for c in self.coeffs])
@@ -616,9 +618,7 @@ class TruncatedSeries:
         return _float(quotient)
 
     def __rtruediv__(self, other):
-        return TruncatedSeries.constant(
-            other, order=self.order, mode=self.mode
-        ) / self
+        return self._as_series(other) / self
 
     # ------------------------------------------------------------------
     # calculus and composition
@@ -736,9 +736,9 @@ class TruncatedSeries:
         # tk - (n-k), not (t+1)k - n, keeps a tiny t's precision; dividing
         # by self_0 gives (self/self_0)**t for a roundoff-unit lead.
         a = self.coeffs
-        coeffs = [self._scalar(1)]
+        coeffs = [1 + 0j]
         for n in range(1, self.order + 1):
-            acc = self._scalar(0)
+            acc = 0j
             for k in range(1, n + 1):
                 acc += (exponent * k - (n - k)) * a[k] * coeffs[n - k]
             coeffs.append(acc / (n * a[0]))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -451,6 +452,31 @@ class TestAuditLoop:
             audit("PP", *point, rel_tol=tolerance)
         with pytest.raises(ValueError, match="tolerance must be finite"):
             report("PP", 0, 0, CARA, CARA, rel_tol=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [False, True, "0.1", None, 1j])
+    def test_a_non_real_tolerance_is_refused_by_name(self, tolerance):
+        message = f"^tolerance must be real, got {re.escape(repr(tolerance))}$"
+        with pytest.raises(TypeError, match=message):
+            audit("PP", [0], [0], [(CARA, CARA)], rel_tol=tolerance)
+        with pytest.raises(TypeError, match=message):
+            report("PP", 0, 0, CARA, CARA, rel_tol=tolerance)
+
+    @pytest.mark.parametrize("phi, psi, message", [
+        (None, CARA, "phi must be a MindaTarget, got NoneType"),
+        (CARA, [2, 1], "psi must be a MindaTarget, got list"),
+        ("caratheodory", CARA, "phi must be a MindaTarget, got str"),
+    ])
+    def test_a_non_target_is_refused_by_name(self, phi, psi, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            report("PP", 0, 0, phi, psi)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            audit("PP", [0], [0], [(CARA, CARA), (phi, psi)])
+
+    @pytest.mark.parametrize("pair", [(CARA,), [CARA, CARA, CARA], CARA, None])
+    def test_a_target_pair_that_is_not_two_targets_is_refused(self, pair):
+        message = f"target pair must be (phi, psi), got {pair!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            audit("PP", [0], [0], [pair])
 
     def test_invalid_parameters_raise_in_grid_order(self):
         # (0, -1) comes before (2, 0): the beta error is the one raised.

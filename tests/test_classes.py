@@ -444,6 +444,50 @@ class TestPresets:
             target_preset("bogus")
 
 
+# The library builders that take a truncation order, each called with one.
+ORDER_BUILDERS = {
+    "functional": lambda order: functional(ClassSpec("P", 0), SchlichtCoeffs([1]),
+                                           order=order),
+    "caratheodory_kernel": lambda order: caratheodory_kernel(1, order=order),
+    "target_preset caratheodory": lambda order: target_preset("caratheodory", order=order),
+    "target_preset strong": lambda order: target_preset("strong:1/2", order=order),
+    "MindaTarget.series": lambda order: MindaTarget([2]).series(order),
+    "SchlichtCoeffs.series": lambda order: SchlichtCoeffs([1]).series(order),
+}
+
+
+class TestOrderRule:
+    @pytest.mark.parametrize("builder", sorted(ORDER_BUILDERS))
+    @pytest.mark.parametrize("order, error, message", [
+        (True, TypeError, "^order must be an int, got True$"),
+        (2.0, TypeError, "^order must be an int, got 2.0$"),
+        (2.5, TypeError, "^order must be an int, got 2.5$"),
+        (-1, ValueError, "^order must be nonnegative$"),
+        (-3, ValueError, "^order must be nonnegative$"),
+    ])
+    def test_a_bad_order_is_refused_by_name(self, builder, order, error, message):
+        with pytest.raises(error, match=message):
+            ORDER_BUILDERS[builder](order)
+
+    @pytest.mark.parametrize("builder, message", [
+        ("functional", "^functional needs order at least 1, got 0$"),
+        ("target_preset caratheodory", "^a target preset needs order at least 1, got 0$"),
+        ("target_preset strong", "^a target preset needs order at least 1, got 0$"),
+    ])
+    def test_order_zero_is_refused_where_it_leaves_nothing(self, builder, message):
+        with pytest.raises(ValueError, match=message):
+            ORDER_BUILDERS[builder](0)
+
+    def test_the_order_is_checked_before_the_preset_key(self):
+        with pytest.raises(TypeError, match="^order must be an int, got 2.0$"):
+            target_preset("bogus", order=2.0)
+
+    @pytest.mark.parametrize("builder", ["caratheodory_kernel", "MindaTarget.series",
+                                         "SchlichtCoeffs.series"])
+    def test_order_zero_is_the_constant_term(self, builder):
+        assert ORDER_BUILDERS[builder](0).order == 0
+
+
 class TestRational:
     def test_exponent_limit_is_inclusive(self):
         limit = MAX_DECIMAL_EXPONENT

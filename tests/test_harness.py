@@ -529,6 +529,13 @@ class TestEndToEnd:
         assert (end_to_end(CANONICAL, seed, p_series=p)
                 == end_to_end(CANONICAL, 0, p_series=p))
 
+    @pytest.mark.parametrize("p", [[1, 2, 3], (1, 0, 0), QComplex(1), "1"],
+                             ids=["list", "tuple", "QComplex", "str"])
+    def test_a_non_series_transform_is_refused_by_name(self, p):
+        with pytest.raises(TypeError, match=f"^p_series must be a TruncatedSeries, "
+                                            f"got {type(p).__name__}$"):
+            end_to_end(CANONICAL, 0, p_series=p)
+
     @pytest.mark.parametrize("order", [0, 1])
     def test_short_transform_is_refused_by_order(self, order):
         p = TruncatedSeries([1, 1][: order + 1])

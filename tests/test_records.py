@@ -155,6 +155,7 @@ _TARGET = MindaTarget([1])
 _SPEC = ClassSpec("L", 0)
 _TRIPLE = ClassTriple(1, 1, 1)
 _PARAMS = SchwarzParams(0, 0, 0)
+_SCHLICHT = SchlichtCoeffs([1])
 
 # (class, a valid record, the fields to build or replace it with, the
 # exception type, its exact message).
@@ -183,6 +184,10 @@ REFUSALS = [
      "|b2| must be at most 2, got QComplex(2, 1)"),
     (SchwarzParams, _PARAMS, dict(c1=0, c2=2.5j, b2=0), ValueError,
      "|c2| must be at most 2, got 2.5j"),
+    (SchlichtCoeffs, _SCHLICHT, dict(values="12"), TypeError,
+     "schlicht coefficients must be a sequence of numbers, not str"),
+    (SchlichtCoeffs, _SCHLICHT, dict(values=b"\x01"), TypeError,
+     "schlicht coefficients must be a sequence of numbers, not bytes"),
 ]
 
 

@@ -695,6 +695,29 @@ class TestModeDiscipline:
         with pytest.raises(ModeMismatchError):
             TruncatedSeries([1.0, 2.0], mode=EXACT)
 
+    def test_the_exact_constructor_reads_ints_and_builds_no_qcomplex(self, monkeypatch):
+        coeffs = [3, Fraction(-2, 9), QComplex(Fraction(1, 6), 5), True]
+        want = TruncatedSeries(coeffs, order=5)
+        start = TruncatedSeries([1, 2], order=5)
+
+        def refuse(self, re=0, im=0):
+            raise AssertionError("a QComplex was built")
+
+        monkeypatch.setattr(QComplex, "__init__", refuse)
+        got = TruncatedSeries(coeffs, order=5)
+        # A scalar addend is lifted by the same constructor.
+        lifted = [start + Fraction(1, 3), Fraction(1, 3) + start,
+                  start - 2, 2 - start]
+        monkeypatch.undo()
+        assert got == want and hash(got) == hash(want)
+        assert got.coeffs == (3, Fraction(-2, 9), QComplex(Fraction(1, 6), 5), 1, 0, 0)
+        assert [s.coeffs[:2] for s in lifted] == [
+            (Fraction(4, 3), 2), (Fraction(4, 3), 2), (-1, 2), (1, -2)]
+        for value in (1.5, 1j):
+            with pytest.raises(ModeMismatchError, match="^exact scalars take int or "
+                                                        f"Fraction parts, not {type(value).__name__}$"):
+                TruncatedSeries([1, value])
+
     def test_float_mode_accepts_exact_values(self):
         s = TruncatedSeries([1, Fraction(1, 2)], mode=FLOAT, order=4)
         assert s.coeffs[1] == 0.5 + 0j
@@ -941,6 +964,21 @@ def tower_series(draw, mode, values, lead=None, min_order=0):
     if lead is not None:
         coeffs[lead[0]] = lead[1]
     return TruncatedSeries(coeffs, mode=mode, order=order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), mode=st.sampled_from([EXACT, FLOAT]))
+def test_a_scalar_operand_is_the_constant_series(data, mode):
+    values, _, scalar_values, _ = TOWERS[mode]
+    s = tower_series(data.draw, mode, values)
+    c = data.draw(scalar_values)
+    lifted = TruncatedSeries.constant(c, order=s.order, mode=mode)
+    pairs = [(s + c, s + lifted), (c + s, lifted + s),
+             (s - c, s - lifted), (c - s, lifted - s)]
+    for got, want in pairs:
+        assert got == want
+        if mode == EXACT:
+            assert hash(got) == hash(want)
 
 
 def kernel_results(draw, mode):
